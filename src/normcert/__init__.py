@@ -29,9 +29,6 @@ from .genpos import (
     GenPosWitness,
     find_general_position,
     find_primitive_scaling,
-    last_column_minors,
-    system_determinants,
-    system_matrix,
 )
 from .instances import random_instance, run_random_suite
 from .poly import Poly
@@ -73,12 +70,9 @@ __all__ = [
     "find_general_position",
     "find_primitive_scaling",
     "get_ring",
-    "last_column_minors",
     "norm_of_value",
     "random_instance",
     "run_random_suite",
     "sample_residue",
-    "system_determinants",
-    "system_matrix",
     "verify",
 ]

@@ -19,10 +19,12 @@ construction follows an induction on the degree of the extension:
      t in T; the norms combine through the sign-free exact identity
      N_S(c) * r * N_T(u) = 1.
 
-Every one of those exact identities is re-checked at every level and a
-certificate is verified before it is returned.  The verifier shares
-nothing with the construction beyond ring arithmetic, form evaluation and
-the multiplication-matrix determinant.
+Each level evaluates q_S(x) once and takes its norm once; that norm is the
+certificate target at the top and N_T(u) one level up.  Every one of those
+exact identities is re-checked at every level and a certificate is verified
+before it is returned.  The verifier shares nothing with the construction
+beyond ring arithmetic, form evaluation and the multiplication-matrix
+determinant, and it takes the norm of its own fresh evaluation of q_S(x).
 """
 
 from __future__ import annotations
@@ -90,41 +92,33 @@ def norm_of_value(ext: SimpleExtension, q: QuadraticForm, xs):
     return value.norm()
 
 
-def _check(condition: bool, message: str, stats: CertifyStats | None):
+def _check(condition: bool, message: str, stats: CertifyStats):
     if not condition:
         raise InternalAssertion(message)
-    if stats is not None:
-        stats.level_checks += 1
+    stats.level_checks += 1
 
 
 def _certify_value(ext, q, xs, rng, max_tries, bound, stats):
-    """Factors multiplying to the norm of q_S(x), plus per-level records."""
-    value = q.evaluate_ext(xs)
-    if not value.is_invertible():
-        raise ValueNotUnit("q_S(x) is not a unit of the extension")
-    if ext.n == 1:
-        return [ValueFactor(tuple(x.coords[0] for x in xs), 1)], []
-    factors, steps = _certify_inverse(
-        ext, q, value.inverse(), xs, rng, max_tries, bound, stats
-    )
-    return [f.flipped() for f in factors], steps
-
-
-def _certify_inverse(ext, q, c, xs, rng, max_tries, bound, stats):
-    """Factors multiplying to the norm of c, where c * q_S(x) = 1 and n >= 2."""
+    """Factors multiplying to the norm of q_S(x), that norm, and the records
+    of this level and of the levels below it."""
     ring = ext.ring
     n = ext.n
-    _check(c * q.evaluate_ext(xs) == ext.one(), "lost the defining relation", stats)
-    if stats is not None:
-        stats.levels += 1
+    value = q.evaluate_ext(xs)
+    norm = value.norm()
+    if not ring.is_invertible(norm):
+        raise ValueNotUnit("q_S(x) is not a unit of the extension")
+    if n == 1:
+        return [ValueFactor(tuple(x.coords[0] for x in xs), 1)], norm, []
+    c = value.inverse()
+    _check(c * value == ext.one(), "lost the defining relation", stats)
+    stats.levels += 1
 
     square_factors = []
 
     def discard_square(b: ExtElement):
-        # replacing c by c*b^2 divides the norm by N(b)^2; certify that
-        # square of a unit of R and charge it with exponent -1
-        for f in q.square_as_value_product(b.norm()):
-            square_factors.append(f.flipped())
+        # replacing c by c*b^2 multiplies N(c) by N(b)^2, so the norm of
+        # q_S(x) = c^(-1) gains that square of a unit of R, as two values
+        square_factors.extend(q.square_as_value_product(b.norm()))
 
     if not c.is_primitive():
         b1 = find_primitive_scaling(c, rng, max_tries=max_tries, bound=bound)
@@ -133,26 +127,22 @@ def _certify_inverse(ext, q, c, xs, rng, max_tries, bound, stats):
         xs = [x * b1_inv for x in xs]
         discard_square(b1)
 
-    if stats is not None:
-        stats.genpos_calls += 1
+    stats.genpos_calls += 1
     try:
         witness = find_general_position(
             c, xs, q, rng, max_tries=max_tries, bound=bound
         )
     except SearchExhausted:
-        if stats is not None:
-            stats.genpos_exhausted += 1
+        stats.genpos_exhausted += 1
         raise
-    if stats is not None:
-        stats.genpos_tries += witness.tries_used
+    stats.genpos_tries += witness.tries_used
     if witness.b != ext.one():
         discard_square(witness.b)
-    c, xs, r = witness.c_new, list(witness.x_new), witness.r
+    c, r = witness.c_new, witness.r
 
     # coordinates of the witness in the power basis of c, read as polynomials
-    columns = [x.coords_in(c) for x in xs]
-    tops = tuple(col[-1] for col in columns)
-    x_polys = [Poly(ring, col) for col in columns]
+    tops = tuple(col[-1] for col in witness.columns)
+    x_polys = [Poly(ring, col) for col in witness.columns]
 
     p = c.minimal_polynomial()
     q_of_x = Poly.zero(ring)
@@ -181,25 +171,25 @@ def _certify_inverse(ext, q, c, xs, rng, max_tries, bound, stats):
     u = sub_ext.gen()
     q_z = q.evaluate_ext(z)
     _check(u * q_z == sub_ext.one(), "u * q_T(z) is not 1 in the reduced algebra", stats)
-    q_z_inv = q_z.inverse()
-    ys = [zj * q_z_inv for zj in z]
+    # u is therefore the inverse of q_T(z), and y = z/q_T(z) has q_T(y) = u:
+    # the norm the sub-level returns is N_T(u)
+    ys = [zj * u for zj in z]
 
-    sub_factors, sub_steps = _certify_value(
+    sub_factors, norm_u, sub_steps = _certify_value(
         sub_ext, q, ys, rng, max_tries, bound, stats
     )
 
     # sign-free combine identity, checked rather than trusted
     _check(
-        c.norm() * r * u.norm() == ring.one,
+        c.norm() * r * norm_u == ring.one,
         "norms and the leading coefficient do not combine to 1",
         stats,
     )
 
-    factors = [ValueFactor(tops, -1)]
-    factors.extend(f.flipped() for f in sub_factors)
-    factors.extend(square_factors)
+    # hence N(q_S(x)) = r * N_T(u) * N(b)^2 over the discarded scalings b
+    factors = [ValueFactor(tops, 1), *sub_factors, *square_factors]
     step = ReductionStep(n=n, p=p, h=h, r=r, g=g, b=witness.b, next_witness=tuple(ys))
-    return factors, [step] + sub_steps
+    return factors, norm, [step] + sub_steps
 
 
 def certify(
@@ -219,9 +209,10 @@ def certify(
     xs = list(xs)
     if rng is None or isinstance(rng, int):
         rng = random.Random(0 if rng is None else rng)
-    factors, steps = _certify_value(ext, q, xs, rng, max_tries, bound, stats)
+    stats = CertifyStats() if stats is None else stats
+    factors, target, steps = _certify_value(ext, q, xs, rng, max_tries, bound, stats)
     cert = NormCertificate(
-        target=norm_of_value(ext, q, xs),
+        target=target,
         factors=tuple(factors),
         trace=tuple(steps) if with_trace else None,
     )

@@ -227,15 +227,6 @@ class FiniteField:
             raise RingMismatch(f"expected an element of {self.id}, got {a!r}")
         return a
 
-    def add(self, a, b):
-        return self.check(a) + self.check(b)
-
-    def sub(self, a, b):
-        return self.check(a) - self.check(b)
-
-    def mul(self, a, b):
-        return self.check(a) * self.check(b)
-
     def is_invertible(self, a) -> bool:
         return self.check(a).code != 0
 
@@ -372,7 +363,7 @@ def char3_vanishing_report(field: FiniteField) -> Char3Report:
                 if not cb2.is_primitive():
                     continue
                 qualifying += 1
-                top = (x * b.inverse()).top_coefficient_in(cb2)
+                top = (x * b.inverse()).coords_in(cb2)[-1]
                 if top:
                     violations += 1
     return Char3Report(

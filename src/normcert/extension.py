@@ -73,7 +73,7 @@ class SimpleExtension:
 
     def gen(self) -> ExtElement:
         """The class of t."""
-        return self.from_poly(Poly.monomial(self.ring, 1))
+        return self.from_poly(Poly(self.ring, (self.ring.zero, self.ring.one)))
 
     def from_poly(self, f: Poly) -> ExtElement:
         """Reduce a polynomial modulo the defining modulus."""
@@ -107,13 +107,14 @@ class SimpleExtension:
 
 
 class ExtElement:
-    __slots__ = ("ext", "coords", "_mult_matrix", "_powers_matrix", "_primitive")
+    __slots__ = ("ext", "coords", "_mult_matrix", "_norm", "_powers_matrix", "_primitive")
 
     def __init__(self, ext: SimpleExtension, coords: tuple):
         self.ext = ext
         self.coords = coords
         # lazy caches; elements are immutable by convention
         self._mult_matrix = None
+        self._norm = None
         self._powers_matrix = None
         self._primitive = None
 
@@ -199,36 +200,37 @@ class ExtElement:
     # ------------------------------------------------------------------
     # the algebraic toolkit
 
+    def _orbit_matrix(self, start: ExtElement):
+        # column j = coordinates of start * self**j, j = 0 .. n-1
+        cols = [start.coords]
+        for _ in range(self.ext.n - 1):
+            start = start * self
+            cols.append(start.coords)
+        return linalg.transpose(cols)
+
     def mult_matrix(self):
         """Matrix of left multiplication by self: column j = coords of self*t^j."""
         if self._mult_matrix is None:
-            ext = self.ext
-            cols = [self.coords]
-            w = self
-            gen = ext.gen()
-            for _ in range(ext.n - 1):
-                w = w * gen
-                cols.append(w.coords)
-            self._mult_matrix = linalg.transpose(cols)
+            self._mult_matrix = self.ext.gen()._orbit_matrix(self)
         return self._mult_matrix
 
     def norm(self):
         """Determinant of the left-multiplication matrix."""
-        return linalg.det(self.ext.ring, self.mult_matrix())
+        if self._norm is None:
+            self._norm = linalg.det(self.ext.ring, self.mult_matrix())
+        return self._norm
 
     def is_invertible(self) -> bool:
         return self.ext.ring.is_invertible(self.norm())
 
     def inverse(self) -> ExtElement:
         ring = self.ext.ring
-        m = self.mult_matrix()
-        if not ring.is_invertible(linalg.det(ring, m)):
+        if not self.is_invertible():
             raise NotInvertible("element is not a unit of the extension")
         rhs = [ring.one] + [ring.zero] * (self.ext.n - 1)
-        sol = linalg.solve(ring, m, rhs)
-        for v in sol:
-            if not ring.contains(v):
-                raise InternalAssertion("inverse left the coefficient ring")
+        sol = linalg.solve(ring, self.mult_matrix(), rhs)
+        if not all(ring.contains(v) for v in sol):
+            raise InternalAssertion("inverse left the coefficient ring")
         inv = ExtElement(self.ext, tuple(sol))
         if inv * self != self.ext.one():
             raise InternalAssertion("inverse verification failed")
@@ -237,13 +239,7 @@ class ExtElement:
     def powers_matrix(self):
         """Column j = coordinates of self**j, j = 0 .. n-1."""
         if self._powers_matrix is None:
-            ext = self.ext
-            cols = [ext.one().coords]
-            w = ext.one()
-            for _ in range(ext.n - 1):
-                w = w * self
-                cols.append(w.coords)
-            self._powers_matrix = linalg.transpose(cols)
+            self._powers_matrix = self._orbit_matrix(self.ext.one())
         return self._powers_matrix
 
     def is_primitive(self) -> bool:
@@ -261,16 +257,11 @@ class ExtElement:
             raise NotPrimitive("basis element is not primitive")
         ring = self.ext.ring
         sol = linalg.solve(ring, basis_elt.powers_matrix(), list(self.coords))
-        for v in sol:
-            if not ring.contains(v):
-                raise CoordinateNotIntegral(
-                    "coordinate left the coefficient ring despite a primitive basis"
-                )
+        if not all(ring.contains(v) for v in sol):
+            raise CoordinateNotIntegral(
+                "coordinate left the coefficient ring despite a primitive basis"
+            )
         return sol
-
-    def top_coefficient_in(self, basis_elt: ExtElement):
-        """The coefficient of basis_elt**(n-1) in self's power-basis coordinates."""
-        return self.coords_in(basis_elt)[-1]
 
     def minimal_polynomial(self) -> Poly:
         """The monic degree-n polynomial vanishing on self (self must be primitive)."""
@@ -291,7 +282,10 @@ class ExtElement:
         return ExtElement(rext, tuple(ring.residue(c) for c in self.coords))
 
     def lift_to(self, ext: SimpleExtension) -> ExtElement:
-        """Coordinatewise constant lift into an extension with this residue algebra."""
+        """Coordinatewise constant lift into an extension with this residue
+        algebra (self when that extension is this algebra)."""
+        if ext is self.ext:
+            return self
         if ext.residue_extension() != self.ext:
             raise ValueError("target extension does not reduce to this algebra")
         return ExtElement(ext, tuple(ext.ring.lift(c) for c in self.coords))

@@ -1,19 +1,21 @@
-"""General-position machinery: the scaling system matrix and the randomized
-searches that realize its non-empty Zariski-open target sets.
+"""The randomized searches behind each reduction level.
 
-For a primitive c and a unit b, the system matrix A has as column j the
-coordinates of c^j * b^(2j+1) in the power basis of c; writing x*b^(-1) in
-the power basis of c*b^2 and clearing b turns the coordinate problem into
-the linear system A v = coords(x).  det A is a unit exactly when c*b^2 is
-primitive, and Cramer's rule makes the top coordinate of x*b^(-1) equal to
-det(A with its last column replaced by coords(x)) / det(A).
+For a unit c, `find_primitive_scaling` finds a unit b with c*b^2 primitive.
+For a primitive c and a witness x with q(x) a unit, `find_general_position`
+finds a unit b in the general-position set: c*b^2 stays primitive and the
+form value r of the top coordinates of x*b^(-1) in the power basis of c*b^2
+is a unit; the witness it returns carries those coordinate columns.
 
 Both searches probe b = 1 first, then sample integer coordinates in
 [-B, B] over the residue field (B doubles every 8 failures), lift the hit
 coordinatewise, and re-verify every claimed property exactly over the ring
 before returning.  Over an infinite residue field of characteristic 0 the
 target sets are non-empty open, so failure within the try budget signals a
-bug or an unsupported ring rather than bad luck.
+bug or an unsupported ring rather than bad luck.  The general-position set
+is open by the paper's system-matrix lemma: with A the matrix whose column j
+holds the coordinates of c^j * b^(2j+1) in the power basis of c, and A_j
+that matrix with its last column replaced by the coordinates of x_j,
+(det A)^2 * r = sum_j a_j * (det A_j)^2; tests/oracles.py computes both.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import logging
 import random
 from dataclasses import dataclass
 
-from . import linalg
 from .errors import (
     InternalAssertion,
     NotInvertible,
@@ -30,7 +31,7 @@ from .errors import (
     SearchExhausted,
     ValueNotUnit,
 )
-from .extension import ExtElement, SimpleExtension
+from .extension import ExtElement
 from .qform import QuadraticForm
 from .rings import sample_residue
 
@@ -44,85 +45,34 @@ _BOUND_DOUBLING_PERIOD = 8
 @dataclass(frozen=True)
 class GenPosWitness:
     """A verified general-position scaling: c_new = c*b^2 primitive,
-    x_new = x*b^(-1), and r = q(top coordinates of x_new in basis of c_new)
-    a unit of the coefficient ring."""
+    x_new = x*b^(-1), columns the coordinates of each x_new in the power
+    basis of c_new, and r = q(last entries of the columns) a unit of the
+    coefficient ring."""
 
     b: ExtElement
     c_new: ExtElement
     x_new: tuple
+    columns: tuple
     r: object
     tries_used: int
 
 
-def system_matrix(c: ExtElement, b: ExtElement):
-    """The n x n matrix with column j = coords of c^j * b^(2j+1) in c's power basis."""
-    if not c.is_primitive():
-        raise NotPrimitive("system matrix needs a primitive element")
-    if not b.is_invertible():
-        raise NotInvertible("system matrix needs an invertible scaling")
-    ext = c.ext
-    ring = ext.ring
-    step = c * b * b
-    cols = []
-    w = b
-    for _ in range(ext.n):
-        cols.append(w.coords)
-        w = w * step
-    raw = linalg.transpose(cols)
-    # one batched solve against the powers matrix of c
-    sol = linalg.solve_columns(ring, c.powers_matrix(), raw)
-    out = linalg.transpose(sol)
-    for row in out:
-        for v in row:
-            if not ring.contains(v):
-                raise InternalAssertion("system matrix entry left the ring")
-    return out
-
-
-def system_determinants(c: ExtElement, b: ExtElement, xs):
-    """det A together with, per witness coordinate, det of A with its last
-    column replaced by that coordinate's power-basis coordinates."""
-    a = system_matrix(c, b)
-    ring = c.ext.ring
-    det_a = linalg.det(ring, a)
-    dets = []
-    for x in xs:
-        col = x.coords_in(c)
-        replaced = [row[:-1] + [col[i]] for i, row in enumerate(a)]
-        dets.append(linalg.det(ring, replaced))
-    return det_a, dets
-
-
-def last_column_minors(c: ExtElement, b: ExtElement):
-    """The n minors of the system matrix along its last column, ordered so
-    that entry i is the minor complementary to row n-1-i; expanding gives
-    det(A_repl) = sum_i (-1)^i * minors[i] * coords(x)[n-1-i]."""
-    ext = c.ext
-    ring = ext.ring
-    if ext.n == 1:
-        if not c.is_primitive():
-            raise NotPrimitive("system matrix needs a primitive element")
-        if not b.is_invertible():
-            raise NotInvertible("system matrix needs an invertible scaling")
-        return [ring.one]
-    a = system_matrix(c, b)
-    n = ext.n
-    return [linalg.det(ring, linalg.minor(a, n - 1 - i, n - 1)) for i in range(n)]
-
-
-def _random_unit(rext: SimpleExtension, rng: random.Random, bound: int):
-    """A random invertible element of the reduced algebra with integer
-    coordinates in [-bound, bound], or None when the draw is singular."""
+def _residue_scalings(c: ExtElement, rng: random.Random, max_tries: int, bound: int):
+    """Tries 2 .. max_tries (try 1 is the caller's b = 1 probe): yields
+    (tries, bbar, cbar*bbar^2) for each random unit bbar of the reduced
+    algebra, with integer coordinates in [-B, B], that makes cbar*bbar^2
+    primitive."""
+    rext = c.ext.residue_extension()
     k = rext.ring
-    coords = [k.element(sample_residue(rng, bound)) for _ in range(rext.n)]
-    cand = rext.element(coords)
-    return cand if cand.is_invertible() else None
-
-
-def _lift_witness(ext: SimpleExtension, bbar: ExtElement) -> ExtElement:
-    if ext.residue_extension() is ext:
-        return bbar
-    return bbar.lift_to(ext)
+    cbar = c.reduce()
+    for tries in range(2, max_tries + 1):
+        if tries % _BOUND_DOUBLING_PERIOD == 0:
+            bound *= 2
+        bbar = rext.element([k.element(sample_residue(rng, bound)) for _ in range(rext.n)])
+        if bbar.is_invertible():
+            cb2 = cbar * bbar * bbar
+            if cb2.is_primitive():
+                yield tries, bbar, cb2
 
 
 def find_primitive_scaling(
@@ -140,20 +90,8 @@ def find_primitive_scaling(
         raise NotInvertible("primitive scaling needs an invertible element")
     if c.is_primitive():
         return ext.one()
-    rext = ext.residue_extension()
-    cbar = c.reduce()
-    tries = 1
-    b_bound = bound
-    while tries < max_tries:
-        tries += 1
-        if tries % _BOUND_DOUBLING_PERIOD == 0:
-            b_bound *= 2
-        bbar = _random_unit(rext, rng, b_bound)
-        if bbar is None:
-            continue
-        if not (cbar * bbar * bbar).is_primitive():
-            continue
-        b = _lift_witness(ext, bbar)
+    for _, bbar, _ in _residue_scalings(c, rng, max_tries, bound):
+        b = bbar.lift_to(ext)
         if not (c * b * b).is_primitive():
             raise InternalAssertion("primitivity did not lift from the residue field")
         return b
@@ -183,43 +121,33 @@ def find_general_position(
     if not value.is_invertible():
         raise ValueNotUnit("the form value q(x) must be a unit of the extension")
 
-    def exact_witness(b: ExtElement, tries: int) -> GenPosWitness:
+    def witness(b, c_new, x_new, tries):
+        columns = tuple(x.coords_in(c_new) for x in x_new)
+        r = q.evaluate([col[-1] for col in columns])
+        if not ring.is_invertible(r):
+            return None
+        return GenPosWitness(b, c_new, tuple(x_new), columns, r, tries)
+
+    # deterministic probe: b = 1
+    found = witness(ext.one(), c, xs, 1)
+    if found is not None:
+        return found
+
+    xbars = [x.reduce() for x in xs]
+    qbar = q.residue_form()
+    for tries, bbar, cb2 in _residue_scalings(c, rng, max_tries, bound):
+        binv = bbar.inverse()
+        tops = [(x * binv).coords_in(cb2)[-1] for x in xbars]
+        if not qbar.ring.is_invertible(qbar.evaluate(tops)):
+            continue
+        b = bbar.lift_to(ext)
         c_new = c * b * b
         if not c_new.is_primitive():
             raise InternalAssertion("scaled element lost primitivity over the ring")
         binv = b.inverse()
-        x_new = tuple(x * binv for x in xs)
-        tops = [x.top_coefficient_in(c_new) for x in x_new]
-        r = q.evaluate(tops)
-        if not ring.is_invertible(r):
+        found = witness(b, c_new, [x * binv for x in xs], tries)
+        if found is None:
             raise InternalAssertion("general-position value is not a unit over the ring")
-        return GenPosWitness(b=b, c_new=c_new, x_new=x_new, r=r, tries_used=tries)
-
-    # deterministic probe: b = 1
-    tops = [x.top_coefficient_in(c) for x in xs]
-    if ring.is_invertible(q.evaluate(tops)):
-        return exact_witness(ext.one(), 1)
-
-    rext = ext.residue_extension()
-    cbar = c.reduce()
-    xbars = [x.reduce() for x in xs]
-    qbar = q.residue_form()
-    kring = rext.ring
-    tries = 1
-    b_bound = bound
-    while tries < max_tries:
-        tries += 1
-        if tries % _BOUND_DOUBLING_PERIOD == 0:
-            b_bound *= 2
-        bbar = _random_unit(rext, rng, b_bound)
-        if bbar is None:
-            continue
-        cb2 = cbar * bbar * bbar
-        if not cb2.is_primitive():
-            continue
-        binv = bbar.inverse()
-        tops = [(x * binv).top_coefficient_in(cb2) for x in xbars]
-        if kring.is_invertible(qbar.evaluate(tops)):
-            return exact_witness(_lift_witness(ext, bbar), tries)
+        return found
     logger.warning("general-position search exhausted after %d tries", max_tries)
     raise SearchExhausted(f"no general-position scaling found in {max_tries} tries")

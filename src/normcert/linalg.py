@@ -22,17 +22,6 @@ def identity(ring, n: int):
     return [[ring.one if i == j else ring.zero for j in range(n)] for i in range(n)]
 
 
-def mat_mul(ring, a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    out = [[ring.zero] * m for _ in range(n)]
-    for i in range(n):
-        for j in range(m):
-            acc = ring.zero
-            for s in range(k):
-                acc = acc + a[i][s] * b[s][j]
-            out[i][j] = acc
-    return out
-
 def transpose(a):
     return [list(col) for col in zip(*a)]
 
@@ -67,9 +56,10 @@ def _det_rational(rows) -> Fraction:
     return Fraction(_det_bareiss_int(ints), scale)
 
 
-def _det_fraction_field(ring, rows):
-    m = [list(r) for r in rows]
-    n = len(m)
+def _eliminate(ring, m, n: int, above: bool) -> int:
+    """Fraction-field elimination on the first n columns of m, in place:
+    each pivot column is cleared below the pivot, and above it too when
+    `above`.  Returns the sign of the row swaps, or 0 when m is singular."""
     sign = 1
     for k in range(n):
         if not m[k][k]:
@@ -79,12 +69,21 @@ def _det_fraction_field(ring, rows):
                     sign = -sign
                     break
             else:
-                return ring.zero
-        for i in range(k + 1, n):
-            if m[i][k]:
+                return 0
+        for i in range(0 if above else k + 1, n):
+            if i != k and m[i][k]:
                 f = ring.fraction_div(m[i][k], m[k][k])
-                for j in range(k, n):
+                for j in range(k, len(m[i])):
                     m[i][j] = m[i][j] - f * m[k][j]
+    return sign
+
+
+def _det_fraction_field(ring, rows):
+    m = [list(r) for r in rows]
+    n = len(m)
+    sign = _eliminate(ring, m, n, above=False)
+    if not sign:
+        return ring.zero
     det = m[0][0]
     for k in range(1, n):
         det = det * m[k][k]
@@ -121,59 +120,12 @@ def solve_columns(ring, a, b):
     this; a singular matrix is a broken contract).
     """
     n = len(a)
-    w = len(b[0])
     m = [list(a[i]) + list(b[i]) for i in range(n)]
-    for k in range(n):
-        if not m[k][k]:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    break
-            else:
-                raise InternalAssertion("singular system in an exact solve")
-        for i in range(n):
-            if i != k and m[i][k]:
-                f = ring.fraction_div(m[i][k], m[k][k])
-                for j in range(k, n + w):
-                    m[i][j] = m[i][j] - f * m[k][j]
-    cols = []
-    for j in range(w):
-        cols.append([ring.fraction_div(m[i][n + j], m[i][i]) for i in range(n)])
-    return cols
+    if not _eliminate(ring, m, n, above=True):
+        raise InternalAssertion("singular system in an exact solve")
+    return [[ring.fraction_div(m[i][n + j], m[i][i]) for i in range(n)] for j in range(len(b[0]))]
 
 
 def solve(ring, a, rhs):
     """Solve a x = rhs for a single column vector rhs."""
     return solve_columns(ring, a, [[v] for v in rhs])[0]
-
-
-def rank(ring, rows) -> int:
-    """Exact rank via fraction-field elimination (works for non-square)."""
-    if not rows:
-        return 0
-    m = [list(r) for r in rows]
-    nrows, ncols = len(m), len(m[0])
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, nrows) if m[i][col]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        for i in range(r + 1, nrows):
-            if m[i][col]:
-                f = ring.fraction_div(m[i][col], m[r][col])
-                for j in range(col, ncols):
-                    m[i][j] = m[i][j] - f * m[r][j]
-        r += 1
-        if r == nrows:
-            break
-    return r
-
-
-def minor(rows, drop_row: int, drop_col: int):
-    """The submatrix with one row and one column removed."""
-    return [
-        [v for j, v in enumerate(row) if j != drop_col]
-        for i, row in enumerate(rows)
-        if i != drop_row
-    ]

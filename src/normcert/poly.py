@@ -33,15 +33,6 @@ class Poly:
     def one(ring) -> Poly:
         return Poly(ring, (ring.one,))
 
-    @staticmethod
-    def constant(ring, c) -> Poly:
-        return Poly(ring, (c,))
-
-    @staticmethod
-    def monomial(ring, k: int, c=None) -> Poly:
-        c = ring.one if c is None else c
-        return Poly(ring, (ring.zero,) * k + (c,))
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -130,17 +121,8 @@ class Poly:
                 rem[k - d + i] = rem[k - d + i] - c * divisor.coeffs[i]
         return Poly(self.ring, quo), Poly(self.ring, rem)
 
-    def __floordiv__(self, divisor: Poly) -> Poly:
-        return divmod(self, divisor)[0]
-
     def __mod__(self, divisor: Poly) -> Poly:
         return divmod(self, divisor)[1]
-
-    def monic(self) -> Poly:
-        """Scale by the inverse of the leading coefficient (must be a unit)."""
-        if not self.coeffs:
-            raise NotInvertible("the zero polynomial cannot be made monic")
-        return self.scale(self.ring.invert(self.leading))
 
     def map_coefficients(self, fn, new_ring) -> Poly:
         return Poly(new_ring, tuple(fn(c) for c in self.coeffs))

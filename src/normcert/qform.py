@@ -25,11 +25,9 @@ class ValueFactor:
     exponent: int
 
     def __post_init__(self):
-        if self.exponent not in (1, -1):
-            raise ValueError("exponent must be +1 or -1")
-
-    def flipped(self) -> ValueFactor:
-        return ValueFactor(self.vector, -self.exponent)
+        # bool is an int subclass, and True == 1
+        if type(self.exponent) is not int or self.exponent not in (1, -1):
+            raise ValueError("exponent must be the integer +1 or -1")
 
 
 class QuadraticForm:

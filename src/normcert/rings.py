@@ -72,24 +72,12 @@ def _zsplit(cs):
 
 def _zdiv_exact(a, b):
     """Quotient of an exact division in Z[x]."""
-    if b == _ONE_POLY:
+    if b == _ONE_POLY or not a:
         return a
-    rem = list(a)
-    db = len(b) - 1
-    lcb = b[-1]
-    quo = [0] * (len(rem) - db)
-    for k in range(len(rem) - 1, db - 1, -1):
-        c = rem[k]
-        if c:
-            q, check = divmod(c, lcb)
-            if check:
-                raise ArithmeticError("exact integer division failed")
-            quo[k - db] = q
-            for i in range(db + 1):
-                rem[k - db + i] -= q * b[i]
-    if any(rem):
-        raise ArithmeticError("exact integer division left a remainder")
-    return tuple(quo)
+    quo = _zdivides(b, a)
+    if quo is None:
+        raise ArithmeticError("exact integer division failed")
+    return quo
 
 
 def _is_prime_u32(n: int) -> bool:
@@ -232,8 +220,7 @@ def _zgcd(a, b):
         lifted = tuple(c - modulus if c > half else c for c in combined)
         candidate = _zsplit(_ztrim(lifted))[1]
         if candidate == previous:
-            quo_a = _zdivides(candidate, a)
-            if quo_a is not None and _zdivides(candidate, b) is not None:
+            if _zdivides(candidate, a) is not None and _zdivides(candidate, b) is not None:
                 return candidate
         previous = candidate
 
@@ -440,19 +427,6 @@ class RatFunc:
     def __hash__(self):
         return hash((self.scalar, self.npoly, self.dpoly))
 
-    def evaluate(self, v) -> Fraction:
-        """Value at a rational point (the denominator must not vanish there)."""
-        v = Fraction(v)
-        den = Fraction(0)
-        for c in reversed(self.dpoly):
-            den = den * v + c
-        if den == 0:
-            raise ZeroDivisionError(f"rational function has a pole at {v}")
-        num = Fraction(0)
-        for c in reversed(self.npoly):
-            num = num * v + c
-        return self.scalar * num / den
-
     def at_zero(self) -> Fraction:
         """Value at x = 0; requires den(0) != 0."""
         if self.dpoly[0] == 0:
@@ -501,15 +475,6 @@ class RationalField:
         if not isinstance(a, Fraction):
             raise RingMismatch(f"expected an element of {self.id}, got {a!r}")
         return a
-
-    def add(self, a, b):
-        return self.check(a) + self.check(b)
-
-    def sub(self, a, b):
-        return self.check(a) - self.check(b)
-
-    def mul(self, a, b):
-        return self.check(a) * self.check(b)
 
     def is_invertible(self, a) -> bool:
         return self.check(a) != 0
@@ -572,15 +537,6 @@ class LocalRationalFunctions:
         if not a.is_defined_at_zero():
             raise RingMismatch(f"{a!r} has a pole at 0, not in {self.id}")
         return a
-
-    def add(self, a, b):
-        return self.check(a) + self.check(b)
-
-    def sub(self, a, b):
-        return self.check(a) - self.check(b)
-
-    def mul(self, a, b):
-        return self.check(a) * self.check(b)
 
     def is_invertible(self, a) -> bool:
         a = self.check(a)

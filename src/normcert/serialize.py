@@ -3,18 +3,23 @@
 Numbers are always strings so arbitrary precision survives the trip:
 rationals are "p/q" (the "/q" omitted when q = 1), local rational
 functions are {"num": [...], "den": [...]} with rational-string
-coefficient lists ascending by degree.  Emission is deterministic
-(sorted keys, fixed separators) so identical inputs and seeds produce
-byte-identical artifacts.
+coefficient lists ascending by degree; integers past Python's int/str
+digit limit go through `decimal.Decimal`, which has no such limit.  Every
+malformed input, a pole at 0 or a modulus that is not simple included, is a
+FormatError.  Emission is deterministic (sorted keys, fixed separators) so
+identical inputs and seeds produce byte-identical artifacts.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 from .certify import NormCertificate, ReductionStep
+from .errors import NotRegular, NotSimple, RingMismatch
 from .extension import SimpleExtension
 from .poly import Poly
 from .qform import QuadraticForm, ValueFactor
@@ -25,15 +30,38 @@ class FormatError(ValueError):
     """Malformed instance or certificate JSON."""
 
 
+def _ring_from_json(ring_id):
+    try:
+        return get_ring(ring_id)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from None
+
+
+_LONG_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
 def rational_to_json(v: Fraction) -> str:
-    return str(v)
+    try:
+        return str(v)
+    except ValueError:
+        # past the int/str digit limit
+        num = str(Decimal(v.numerator))
+        return num if v.denominator == 1 else f"{num}/{Decimal(v.denominator)}"
 
 
 def rational_from_json(data) -> Fraction:
     if not isinstance(data, str):
         raise FormatError(f"expected a rational string, got {data!r}")
     try:
-        return Fraction(data)
+        try:
+            return Fraction(data)
+        except ValueError:
+            # Fraction refuses integers past the int/str digit limit
+            match = _LONG_RATIONAL.fullmatch(data)
+            if match is None:
+                raise
+            num, den = match.groups()
+            return Fraction(int(Decimal(num)), int(Decimal(den or "1")))
     except (ValueError, ZeroDivisionError) as exc:
         raise FormatError(f"bad rational {data!r}: {exc}") from None
 
@@ -59,7 +87,7 @@ def element_from_json(ring, data):
     den = [rational_from_json(c) for c in data.get("den", ["1"])]
     try:
         return ring.element(RatFunc(num, den))
-    except ZeroDivisionError as exc:
+    except (ZeroDivisionError, RingMismatch) as exc:
         raise FormatError(str(exc)) from None
 
 
@@ -70,17 +98,20 @@ def poly_to_json(p: Poly) -> dict:
     }
 
 
-def poly_from_json(data, ring=None) -> Poly:
-    if isinstance(data, dict) and "coeffs" in data:
-        ring = get_ring(data["ring"]) if "ring" in data else ring
-        coeffs = data["coeffs"]
-    elif isinstance(data, list):
-        coeffs = data
-    else:
-        raise FormatError(f"expected a polynomial, got {data!r}")
+def _ring_and_entries(data, key: str, ring, what: str):
+    """The ring and the parsed entries of {"ring": ..., key: [...]} or of a bare list."""
+    if isinstance(data, dict) and key in data:
+        ring = _ring_from_json(data["ring"]) if "ring" in data else ring
+        data = data[key]
+    if not isinstance(data, list):
+        raise FormatError(f"expected a {what}, got {data!r}")
     if ring is None:
-        raise FormatError("polynomial without a ring")
-    return Poly(ring, [element_from_json(ring, c) for c in coeffs])
+        raise FormatError(f"{what} without a ring")
+    return ring, [element_from_json(ring, c) for c in data]
+
+
+def poly_from_json(data, ring=None) -> Poly:
+    return Poly(*_ring_and_entries(data, "coeffs", ring, "polynomial"))
 
 
 def form_to_json(q: QuadraticForm) -> dict:
@@ -88,16 +119,7 @@ def form_to_json(q: QuadraticForm) -> dict:
 
 
 def form_from_json(data, ring=None) -> QuadraticForm:
-    if isinstance(data, dict) and "diag" in data:
-        ring = get_ring(data["ring"]) if "ring" in data else ring
-        diag = data["diag"]
-    elif isinstance(data, list):
-        diag = data
-    else:
-        raise FormatError(f"expected a quadratic form, got {data!r}")
-    if ring is None:
-        raise FormatError("quadratic form without a ring")
-    return QuadraticForm(ring, [element_from_json(ring, a) for a in diag])
+    return QuadraticForm(*_ring_and_entries(data, "diag", ring, "quadratic form"))
 
 
 def factor_to_json(ring, f: ValueFactor) -> dict:
@@ -110,7 +132,7 @@ def factor_to_json(ring, f: ValueFactor) -> dict:
 def factor_from_json(ring, data) -> ValueFactor:
     if not isinstance(data, dict) or "vector" not in data or "exp" not in data:
         raise FormatError(f"expected a value factor, got {data!r}")
-    if data["exp"] not in (1, -1):
+    if type(data["exp"]) is not int or data["exp"] not in (1, -1):
         raise FormatError(f"factor exponent must be 1 or -1, got {data['exp']!r}")
     return ValueFactor(
         tuple(element_from_json(ring, v) for v in data["vector"]), data["exp"]
@@ -184,13 +206,12 @@ def instance_from_json(data) -> InstanceSpec:
     for key in ("ring", "p", "q", "x"):
         if key not in data:
             raise FormatError(f"instance is missing {key!r}")
+    ring = _ring_from_json(data["ring"])
     try:
-        ring = get_ring(data["ring"])
-    except ValueError as exc:
+        ext = SimpleExtension(ring, poly_from_json(data["p"], ring))
+        q = form_from_json(data["q"], ring)
+    except (NotSimple, NotRegular) as exc:
         raise FormatError(str(exc)) from None
-    modulus = poly_from_json(data["p"], ring)
-    ext = SimpleExtension(ring, modulus)
-    q = form_from_json(data["q"], ring)
     if not isinstance(data["x"], list) or not data["x"]:
         raise FormatError("'x' must be a non-empty list of coordinate vectors")
     if len(data["x"]) != q.rank:
@@ -208,19 +229,17 @@ def instance_from_json(data) -> InstanceSpec:
     return InstanceSpec(ext=ext, q=q, xs=xs, options=options)
 
 
-def load_instance(path: str) -> InstanceSpec:
+def _load_json(path: str):
     with open(path, encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
+            return json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise FormatError(f"{path}: {exc}") from None
-    return instance_from_json(data)
+
+
+def load_instance(path: str) -> InstanceSpec:
+    return instance_from_json(_load_json(path))
 
 
 def load_certificate(path: str, ring) -> NormCertificate:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: {exc}") from None
-    return certificate_from_json(ring, data)
+    return certificate_from_json(ring, _load_json(path))

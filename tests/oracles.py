@@ -1,13 +1,18 @@
-"""Independent oracles shared by the test modules.
+"""Independent oracles and paper-lemma helpers shared by the test modules.
 
-These deliberately avoid the library's computational routes: determinants
-by permutation expansion instead of elimination, evaluation instead of
-coefficient manipulation, brute reconstruction instead of solving.
+The oracles deliberately avoid the library's computational routes:
+determinants by permutation expansion instead of elimination, evaluation
+instead of coefficient manipulation, brute reconstruction instead of solving.
+The system-matrix helpers state the general-position lemma that the library's
+searches rely on but never evaluate (see the genpos module docstring).
 """
 
 from fractions import Fraction
 from itertools import permutations
 from math import isqrt
+
+from normcert import linalg
+from normcert.errors import InternalAssertion, NotInvertible, NotPrimitive
 
 
 def naive_det(rows):
@@ -56,3 +61,88 @@ def horner_free_eval(coeffs, point):
         term = c if i == 0 else c * power
         total = term if total is None else total + term
     return total
+
+
+def mat_mul(ring, a, b):
+    cols = list(zip(*b))
+    return [[sum((x * y for x, y in zip(row, col)), ring.zero) for col in cols] for row in a]
+
+
+def rank(ring, rows) -> int:
+    """Exact rank via fraction-field elimination (works for non-square)."""
+    if not rows:
+        return 0
+    m = [list(r) for r in rows]
+    nrows, ncols = len(m), len(m[0])
+    r = 0
+    for col in range(ncols):
+        pivot = next((i for i in range(r, nrows) if m[i][col]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        for i in range(r + 1, nrows):
+            if m[i][col]:
+                f = ring.fraction_div(m[i][col], m[r][col])
+                for j in range(col, ncols):
+                    m[i][j] = m[i][j] - f * m[r][j]
+        r += 1
+        if r == nrows:
+            break
+    return r
+
+
+def minor(rows, drop_row: int, drop_col: int):
+    """The submatrix with one row and one column removed."""
+    return [
+        [v for j, v in enumerate(row) if j != drop_col]
+        for i, row in enumerate(rows)
+        if i != drop_row
+    ]
+
+
+def system_matrix(c, b):
+    """The n x n matrix with column j = coords of c^j * b^(2j+1) in c's power basis."""
+    if not c.is_primitive():
+        raise NotPrimitive("system matrix needs a primitive element")
+    if not b.is_invertible():
+        raise NotInvertible("system matrix needs an invertible scaling")
+    ext = c.ext
+    ring = ext.ring
+    step = c * b * b
+    cols = []
+    w = b
+    for _ in range(ext.n):
+        cols.append(w.coords)
+        w = w * step
+    raw = linalg.transpose(cols)
+    # one batched solve against the powers matrix of c
+    sol = linalg.solve_columns(ring, c.powers_matrix(), raw)
+    out = linalg.transpose(sol)
+    if not all(ring.contains(v) for row in out for v in row):
+        raise InternalAssertion("system matrix entry left the ring")
+    return out
+
+
+def system_determinants(c, b, xs):
+    """det A together with, per witness coordinate, det of A with its last
+    column replaced by that coordinate's power-basis coordinates."""
+    a = system_matrix(c, b)
+    ring = c.ext.ring
+    det_a = linalg.det(ring, a)
+    dets = []
+    for x in xs:
+        col = x.coords_in(c)
+        replaced = [row[:-1] + [col[i]] for i, row in enumerate(a)]
+        dets.append(linalg.det(ring, replaced))
+    return det_a, dets
+
+
+def last_column_minors(c, b):
+    """The n minors of the system matrix along its last column, ordered so
+    that entry i is the minor complementary to row n-1-i; expanding gives
+    det(A_repl) = sum_i (-1)^i * minors[i] * coords(x)[n-1-i]."""
+    a = system_matrix(c, b)
+    ring, n = c.ext.ring, c.ext.n
+    if n == 1:
+        return [ring.one]
+    return [linalg.det(ring, minor(a, n - 1 - i, n - 1)) for i in range(n)]

@@ -13,14 +13,12 @@ import pytest
 from normcert.certify import certify, verify
 from normcert.charp import GF, char2_squares_report, char3_vanishing_report
 from normcert.extension import SimpleExtension
-from normcert.genpos import last_column_minors, system_determinants
 from normcert.instances import random_instance, run_random_suite
-from normcert.linalg import rank
 from normcert.poly import Poly
 from normcert.qform import QuadraticForm
 from normcert.rings import QQ, QQ_LOCAL_X
 
-from oracles import naive_det
+from oracles import last_column_minors, naive_det, rank, system_determinants
 
 F = Fraction
 
@@ -112,7 +110,7 @@ def test_criterion_4_genpos_identity_suite():
         det_a, dets = system_determinants(c, b, xs)
         binv = b.inverse()
         cb2 = c * b * b
-        value = q.evaluate([(x * binv).top_coefficient_in(cb2) for x in xs])
+        value = q.evaluate([(x * binv).coords_in(cb2)[-1] for x in xs])
         lhs = det_a * det_a * value
         rhs = QQ.zero
         for a_j, d_j in zip(q.diag, dets):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from normcert import linalg
 from normcert.certify import (
     CertifyStats,
     NormCertificate,
@@ -129,10 +130,9 @@ class TestVerifier:
     def test_rejects_flipped_exponent(self, gauss_instance):
         ext, q, xs = gauss_instance
         cert = certify(ext, q, xs, rng=0)
-        tampered = NormCertificate(
-            target=cert.target,
-            factors=(cert.factors[0].flipped(),) + cert.factors[1:],
-        )
+        first = cert.factors[0]
+        flipped = ValueFactor(first.vector, -first.exponent)
+        tampered = NormCertificate(target=cert.target, factors=(flipped,) + cert.factors[1:])
         outcome = verify(ext, q, xs, tampered)
         assert not outcome.ok
         assert "product" in outcome.failure
@@ -220,7 +220,18 @@ class TestStructure:
         assert stats.genpos_calls == 3
         assert stats.genpos_tries >= 3
         assert stats.genpos_exhausted == 0
-        assert stats.level_checks >= 7 * stats.levels
+        assert stats.level_checks == 8 * stats.levels
+
+    def test_one_determinant_per_norm(self, monkeypatch):
+        # n = 3, two reduction levels; per level: the norm of q_S(x), the
+        # primitivity of c, the search's own unit check of q(x) and the norm
+        # of c in the combine identity; then the norm of the degree-one value
+        # and the verifier's independent norm of q_S(x)
+        inst = random_instance(QQ, random.Random(0), 3, 2)
+        sizes, det = [], linalg.det
+        monkeypatch.setattr(linalg, "det", lambda r, rows: sizes.append(len(rows)) or det(r, rows))
+        certify(inst.ext, inst.q, inst.xs, rng=0)
+        assert sorted(sizes) == [1] + [2] * 4 + [3] * 5
 
 
 class TestRandomRoundTrips:

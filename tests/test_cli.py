@@ -20,18 +20,35 @@ DEGREE_ONE_INSTANCE = {
     "x": [["3"]],
 }
 
+POLE = {"num": ["1"], "den": ["0", "1"]}  # 1/x, not in the local ring
+LOCAL_INSTANCE = {"ring": "Q[x]_(x)", "p": ["1", "0", "1"], "q": ["1"], "x": [["1", "1"]]}
+NOT_SIMPLE_INSTANCE = dict(GAUSS_INSTANCE, p=["0", "0", "1"])  # p(0) = 0
+POLE_INSTANCE = dict(LOCAL_INSTANCE, x=[["1", POLE]])
+
+
+def write_json(path, data):
+    path.write_text(json.dumps(data))
+    return str(path)
+
 
 @pytest.fixture
 def instance_path(tmp_path):
-    path = tmp_path / "instance.json"
-    path.write_text(json.dumps(GAUSS_INSTANCE))
-    return str(path)
+    return write_json(tmp_path / "instance.json", GAUSS_INSTANCE)
 
 
 def run_certify(instance_path, tmp_path, *extra):
     out = str(tmp_path / "cert.json")
     code = main(["certify", "--input", instance_path, "--output", out, *extra])
     return code, out
+
+
+def verify_tampered(instance_path, tmp_path, tamper):
+    """Exit code of verify on a fresh certificate changed by `tamper`."""
+    _, out = run_certify(instance_path, tmp_path)
+    cert = json.loads(open(out).read())
+    tamper(cert)
+    tampered = write_json(tmp_path / "tampered.json", cert)
+    return main(["verify", "--input", instance_path, "--certificate", tampered])
 
 
 class TestCertifyCommand:
@@ -69,9 +86,7 @@ class TestCertifyCommand:
         assert set(cert["trace"][0]) == {"n", "p", "h", "r", "g", "b"}
 
     def test_degree_one_single_factor(self, tmp_path):
-        path = tmp_path / "inst.json"
-        path.write_text(json.dumps(DEGREE_ONE_INSTANCE))
-        code, out = run_certify(str(path), tmp_path)
+        code, out = run_certify(write_json(tmp_path / "inst.json", DEGREE_ONE_INSTANCE), tmp_path)
         assert code == 0
         cert = json.loads(open(out).read())
         assert cert["target"] == "9"
@@ -88,9 +103,14 @@ class TestCertifyCommand:
         assert main(["certify", "--input", str(tmp_path / "nope.json")]) == 3
 
     def test_invalid_instance_exits_3(self, tmp_path):
-        path = tmp_path / "inst.json"
-        path.write_text(json.dumps(dict(GAUSS_INSTANCE, q=["1"])))
-        assert main(["certify", "--input", str(path)]) == 3
+        path = write_json(tmp_path / "inst.json", dict(GAUSS_INSTANCE, q=["1"]))
+        assert main(["certify", "--input", path]) == 3
+
+    @pytest.mark.parametrize("bad", [NOT_SIMPLE_INSTANCE, POLE_INSTANCE])
+    def test_unusable_ring_data_exits_3(self, bad, tmp_path, capsys):
+        path = write_json(tmp_path / "inst.json", bad)
+        assert main(["certify", "--input", path]) == 3
+        assert "invalid instance" in capsys.readouterr().err
 
     def test_search_exhaustion_exits_2(self, tmp_path):
         # scalar value q(x) = 4 is never primitive, and a single try is spent
@@ -101,9 +121,8 @@ class TestCertifyCommand:
             "q": ["1"],
             "x": [["2", "0"]],
         }
-        path = tmp_path / "inst.json"
-        path.write_text(json.dumps(inst))
-        assert main(["certify", "--input", str(path), "--max-tries", "1"]) == 2
+        path = write_json(tmp_path / "inst.json", inst)
+        assert main(["certify", "--input", path, "--max-tries", "1"]) == 2
 
 
 class TestVerifyCommand:
@@ -112,22 +131,34 @@ class TestVerifyCommand:
         assert main(["verify", "--input", instance_path, "--certificate", out]) == 0
 
     def test_flipped_exponent_rejected(self, instance_path, tmp_path, capsys):
-        _, out = run_certify(instance_path, tmp_path)
-        cert = json.loads(open(out).read())
-        cert["factors"][0]["exp"] = -cert["factors"][0]["exp"]
-        tampered = tmp_path / "tampered.json"
-        tampered.write_text(json.dumps(cert))
-        code = main(["verify", "--input", instance_path, "--certificate", str(tampered)])
-        assert code == 1
+        def flip(cert):
+            cert["factors"][0]["exp"] = -cert["factors"][0]["exp"]
+
+        assert verify_tampered(instance_path, tmp_path, flip) == 1
         assert "product" in capsys.readouterr().err
 
     def test_wrong_target_rejected(self, instance_path, tmp_path):
+        assert verify_tampered(instance_path, tmp_path, lambda c: c.update(target="7")) == 1
+
+    def test_boolean_exponent_exits_3(self, instance_path, tmp_path, capsys):
+        # the first factor has exp 1, and JSON true compares equal to it
+        def to_true(cert):
+            cert["factors"][0]["exp"] = True
+
+        assert verify_tampered(instance_path, tmp_path, to_true) == 3
+        assert "invalid input" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", [NOT_SIMPLE_INSTANCE, POLE_INSTANCE])
+    def test_unusable_ring_data_exits_3(self, bad, instance_path, tmp_path, capsys):
         _, out = run_certify(instance_path, tmp_path)
-        cert = json.loads(open(out).read())
-        cert["target"] = "7"
-        tampered = tmp_path / "tampered.json"
-        tampered.write_text(json.dumps(cert))
-        assert main(["verify", "--input", instance_path, "--certificate", str(tampered)]) == 1
+        path = write_json(tmp_path / "bad.json", bad)
+        assert main(["verify", "--input", path, "--certificate", out]) == 3
+        assert "invalid input" in capsys.readouterr().err
+
+    def test_pole_in_certificate_exits_3(self, tmp_path, capsys):
+        path = write_json(tmp_path / "inst.json", LOCAL_INSTANCE)
+        assert verify_tampered(path, tmp_path, lambda c: c.update(target=POLE)) == 3
+        assert "invalid input" in capsys.readouterr().err
 
     def test_parse_failure_exits_3(self, instance_path, tmp_path):
         bad = tmp_path / "bad.json"

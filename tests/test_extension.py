@@ -141,14 +141,14 @@ class TestPrimitivity:
     def test_top_coefficient_examples(self, gauss):
         x = gauss.element([F(3, 2), F(1, 2)])
         d = gauss.element([2, 1])
-        assert x.top_coefficient_in(d) == F(1, 2)
-        assert d.top_coefficient_in(d) == 1  # n = 2
-        assert gauss.one().top_coefficient_in(d) == 0
+        assert x.coords_in(d)[-1] == F(1, 2)
+        assert d.coords_in(d)[-1] == 1  # n = 2
+        assert gauss.one().coords_in(d)[-1] == 0
 
     def test_top_coefficient_degree_three(self):
         cubic = qq_ext(-1, -1, 0, 1)
         d = cubic.gen()
-        assert d.top_coefficient_in(d) == 0  # n >= 3
+        assert d.coords_in(d)[-1] == 0  # n >= 3
 
 
 class TestMinimalPolynomial:

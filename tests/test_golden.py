@@ -1,0 +1,49 @@
+"""Byte identity of certificates: the README promises the same JSON bytes for
+the same instance and seed, and this digest pins it across refactors.  A
+change that alters the bytes on purpose (say, a different search) updates
+the digest and says why."""
+
+import hashlib
+import random
+from fractions import Fraction as F
+
+from normcert.certify import CertifyStats, certify
+from normcert.extension import SimpleExtension
+from normcert.instances import random_instance
+from normcert.poly import Poly
+from normcert.qform import QuadraticForm
+from normcert.rings import QQ, QQ_LOCAL_X
+from normcert.serialize import certificate_to_json, dumps
+
+GOLDEN_SHA256 = "675515964c29f8dea12351054d554777ecda6c7f36dc2f22a934e4cff9f2bebb"
+
+# (ring, n, m, seed): random_instance(ring, Random(seed), n, m), certified with rng=seed
+RANDOM_CASES = (
+    [(QQ, 3, m, seed) for m in (1, 2) for seed in range(3)]
+    + [(QQ, 4, 1, 0), (QQ, 4, 1, 1), (QQ, 4, 2, 0)]
+    + [(QQ_LOCAL_X, 2, m, seed) for m, seed in ((1, 0), (2, 1), (3, 2))]
+)
+
+
+def _instances():
+    for ring, n, m, seed in RANDOM_CASES:
+        inst = random_instance(ring, random.Random(seed), n, m)
+        yield inst.ext, inst.q, inst.xs, seed
+    # q_S(x) = 5 is a scalar, so the first level searches a primitive scaling
+    ext = SimpleExtension(QQ, Poly(QQ, [3, 0, 0, 1]))
+    yield ext, QuadraticForm(QQ, [5, 7]), [ext.one(), ext.zero()], 0
+    # the b = 1 probe fails, so the general-position search samples and lifts
+    ext = SimpleExtension(QQ_LOCAL_X, Poly(QQ_LOCAL_X, [-2, 0, 1]))
+    xs = [ext.element([F(1, 2), F(1, 2)]), ext.element([F(-1, 2), F(1, 2)])]
+    yield ext, QuadraticForm(QQ_LOCAL_X, [1, -1]), xs, 0
+
+
+def test_certificates_are_byte_identical():
+    digest = hashlib.sha256()
+    stats = CertifyStats()
+    for ext, q, xs, seed in _instances():
+        for with_trace in (False, True):
+            cert = certify(ext, q, xs, rng=seed, with_trace=with_trace, stats=stats)
+            digest.update(dumps(certificate_to_json(ext.ring, cert)).encode())
+    assert stats.genpos_tries > stats.genpos_calls
+    assert digest.hexdigest() == GOLDEN_SHA256

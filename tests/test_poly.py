@@ -26,11 +26,6 @@ class TestBasics:
         assert qp(1, 2, 0, 0) == qp(1, 2)
         assert qp(0, 0).degree == -1
 
-    def test_monic(self):
-        assert qp(1, 0, 2).monic() == qp(Fraction(1, 2), 0, 1)
-        with pytest.raises(NotInvertible):
-            Poly.zero(QQ).monic()
-
     def test_evaluation_matches_power_sum(self):
         rng = random.Random(2)
         for _ in range(100):

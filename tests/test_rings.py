@@ -8,9 +8,16 @@ from hypothesis import strategies as st
 from normcert.errors import NotInvertible, RingMismatch
 from normcert.rings import QQ, QQ_LOCAL_X, RatFunc, get_ring, sample_residue
 
+from oracles import horner_free_eval
+
 
 def rf(num, den=(1,)):
     return RatFunc(num, den)
+
+
+def value_at(a, v):
+    """a(v) from the public num/den faces; a pole raises ZeroDivisionError."""
+    return (horner_free_eval(a.num, v) or Fraction(0)) / horner_free_eval(a.den, v)
 
 
 X = QQ_LOCAL_X.x
@@ -18,9 +25,10 @@ X = QQ_LOCAL_X.x
 
 class TestRationalField:
     def test_arithmetic_examples(self):
-        assert QQ.add(Fraction(1, 2), Fraction(1, 3)) == Fraction(5, 6)
-        assert QQ.mul(Fraction(2, 3), Fraction(3, 2)) == 1
-        assert QQ.sub(Fraction(1, 2), Fraction(1, 2)) == 0
+        half, third = QQ.element(Fraction(1, 2)), QQ.element(Fraction(1, 3))
+        assert half + third == Fraction(5, 6)
+        assert QQ.element(Fraction(2, 3)) * QQ.element(Fraction(3, 2)) == QQ.one
+        assert half - half == QQ.zero
 
     def test_invert(self):
         assert QQ.invert(Fraction(5, 7)) == Fraction(7, 5)
@@ -33,7 +41,7 @@ class TestRationalField:
 
     def test_mixed_ring_arithmetic_rejected(self):
         with pytest.raises(RingMismatch):
-            QQ.add(Fraction(1), rf((1, 1)))
+            QQ.is_invertible(rf((1, 1)))
         with pytest.raises(RingMismatch):
             QQ.element(rf((1,)))
 
@@ -53,7 +61,7 @@ class TestLocalRationalFunctions:
         # (x/(1+x)) * ((1+x)/1) = x
         a = rf((0, 1), (1, 1))
         b = rf((1, 1))
-        assert QQ_LOCAL_X.mul(a, b) == X
+        assert a * b == X
 
     def test_canonical_form(self):
         # x(1+x)/(1+x) reduces to x
@@ -88,7 +96,7 @@ class TestLocalRationalFunctions:
         with pytest.raises(RingMismatch):
             QQ_LOCAL_X.check(rf((1,), (0, 1)))
         with pytest.raises(RingMismatch):
-            QQ_LOCAL_X.add(QQ_LOCAL_X.one, Fraction(1))
+            QQ_LOCAL_X.is_invertible(Fraction(1))
 
     def test_unit_iff_nonzero_residue(self):
         rng = random.Random(5)
@@ -101,7 +109,7 @@ class TestLocalRationalFunctions:
                 has_inverse = False
             assert has_inverse == (QQ_LOCAL_X.residue(a) != 0)
             if has_inverse:
-                assert QQ_LOCAL_X.mul(a, inv) == QQ_LOCAL_X.one
+                assert a * inv == QQ_LOCAL_X.one
 
     def test_residue_is_ring_homomorphism(self):
         rng = random.Random(6)
@@ -134,8 +142,8 @@ class TestRatFuncArithmetic:
             for result, op in combos:
                 for v in points:
                     try:
-                        expected = op(a.evaluate(v), b.evaluate(v))
-                        got = result.evaluate(v)
+                        expected = op(value_at(a, v), value_at(b, v))
+                        got = value_at(result, v)
                     except ZeroDivisionError:
                         continue
                     assert got == expected

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from normcert.certify import certify
-from normcert.errors import NormCertError
 from normcert.poly import Poly
 from normcert.qform import QuadraticForm
 from normcert.rings import QQ, QQ_LOCAL_X, RatFunc
@@ -35,12 +34,20 @@ GAUSS_INSTANCE = {
     "x": [["3/2", "1/2"], ["1/2", "-1/2"]],
     "options": {"seed": 0},
 }
+POLE = {"num": ["1"], "den": ["0", "1"]}
 
 
 class TestRationalStrings:
     def test_denominator_omitted_when_one(self):
         assert rational_to_json(F(5)) == "5"
         assert rational_to_json(F(-2, 3)) == "-2/3"
+
+    def test_past_the_int_str_digit_limit(self):
+        # 5000-digit numerator and denominator, past Python's default limit
+        for v in (F(-(10**4999) - 7, 3**10478), F(10**4999)):
+            assert rational_from_json(rational_to_json(v)) == v
+        with pytest.raises(FormatError):
+            rational_from_json("1" * 5000 + "/0")
 
     def test_parse(self):
         assert rational_from_json("5/6") == F(5, 6)
@@ -64,8 +71,8 @@ class TestElements:
         assert element_from_json(QQ_LOCAL_X, "3/2") == QQ_LOCAL_X.lift(F(3, 2))
 
     def test_rejects_pole_at_zero(self):
-        with pytest.raises(Exception):
-            element_from_json(QQ_LOCAL_X, {"num": ["1"], "den": ["0", "1"]})
+        with pytest.raises(FormatError):
+            element_from_json(QQ_LOCAL_X, POLE)
 
 
 class TestPolyAndForm:
@@ -89,6 +96,10 @@ class TestPolyAndForm:
             factor_from_json(QQ, {"vector": ["1"], "exp": 2})
         with pytest.raises(FormatError):
             factor_from_json(QQ, {"vector": ["1"]})
+        # JSON true and 1.0 both compare equal to 1
+        for exp in (True, 1.0):
+            with pytest.raises(FormatError):
+                factor_from_json(QQ, {"vector": ["1"], "exp": exp})
 
 
 class TestCertificates:
@@ -149,10 +160,15 @@ class TestInstances:
             lambda d: d.update(x=[["1", "0"]]),  # wrong vector count
             lambda d: d.update(x=[["1"], ["2"]]),  # wrong coordinate count
             lambda d: d.update(options=[1]),
+            lambda d: d.update(p=["0", "0", "1"]),  # p(0) = 0, not simple
+            lambda d: d.update(p={"ring": "Z", "coeffs": ["1", "0", "1"]}),
+            # 1/x has a pole at 0, so it is not in the local ring
+            lambda d: d.update(ring="Q[x]_(x)", p=["1", "0", "1"], q=["1", POLE]),
+            lambda d: d.update(ring="Q[x]_(x)", p=["1", "0", "1"], x=[["1", POLE], ["0", "1"]]),
         ],
     )
     def test_malformed_instances(self, mutate):
         data = json.loads(json.dumps(GAUSS_INSTANCE))
         mutate(data)
-        with pytest.raises((FormatError, NormCertError)):
+        with pytest.raises(FormatError):
             instance_from_json(data)
