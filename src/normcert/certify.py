@@ -92,6 +92,15 @@ def norm_of_value(ext: SimpleExtension, q: QuadraticForm, xs):
     return value.norm()
 
 
+def _shown(v) -> str:
+    """v as text for a failure message; str() raises ValueError past
+    Python's int/str digit limit, and a rejection must stay a rejection."""
+    try:
+        return str(v)
+    except ValueError:
+        return "<a number past the int/str digit limit>"
+
+
 def _check(condition: bool, message: str, stats: CertifyStats):
     if not condition:
         raise InternalAssertion(message)
@@ -240,11 +249,12 @@ def verify(ext: SimpleExtension, q: QuadraticForm, xs, cert: NormCertificate) ->
         except Exception as exc:
             return VerifyResult(False, f"factor {i} cannot be evaluated: {exc}")
         if not ring.is_invertible(value):
-            return VerifyResult(False, f"factor {i} value {value} is not a unit")
+            return VerifyResult(False, f"factor {i} value {_shown(value)} is not a unit")
         product = product * (value if f.exponent == 1 else ring.invert(value))
     if product != cert.target:
         return VerifyResult(
-            False, f"factor product {product} does not equal target {cert.target}"
+            False,
+            f"factor product {_shown(product)} does not equal target {_shown(cert.target)}",
         )
     value = q.evaluate_ext(list(xs))
     if not value.is_invertible():

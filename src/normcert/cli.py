@@ -1,9 +1,10 @@
 """Command-line front end: certify, verify, demo.
 
 Exit codes: certify 0 on success, 2 when a search is exhausted, 3 on bad
-input; verify 0 accept, 1 reject, 3 on bad input; demo 0 unless a demo
-assertion fails.  The seed falls back to the NPCERT_SEED environment
-variable, then to 0.
+input; verify 0 accept, 1 reject, 3 on bad input; certify and verify 4 on
+an internal error, an exact identity of the engine that failed (a bug, not
+bad input); demo 0 unless a demo assertion fails.  The seed falls back to
+the NPCERT_SEED environment variable, then to 0.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import sys
 
 from .certify import certify, verify
 from .charp import GF, char2_squares_report, char3_vanishing_report
-from .errors import NormCertError, SearchExhausted
+from .errors import InternalAssertion, NormCertError, SearchExhausted
 from .genpos import DEFAULT_BOUND, DEFAULT_MAX_TRIES
 from .instances import run_random_suite
 from .rings import QQ
@@ -49,6 +50,11 @@ def _option(args, inst, name, default):
     return inst.options.get(name, default)
 
 
+def _internal_error(exc: InternalAssertion) -> int:
+    print(f"internal error: {exc}", file=sys.stderr)
+    return 4
+
+
 def _cmd_certify(args) -> int:
     try:
         inst = load_instance(args.input)
@@ -69,6 +75,8 @@ def _cmd_certify(args) -> int:
     except SearchExhausted as exc:
         print(f"search exhausted: {exc}", file=sys.stderr)
         return 2
+    except InternalAssertion as exc:
+        return _internal_error(exc)
     except NormCertError as exc:
         print(f"invalid instance: {exc}", file=sys.stderr)
         return 3
@@ -88,7 +96,10 @@ def _cmd_verify(args) -> int:
     except (FormatError, OSError, ValueError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 3
-    outcome = verify(inst.ext, inst.q, inst.xs, cert)
+    try:
+        outcome = verify(inst.ext, inst.q, inst.xs, cert)
+    except InternalAssertion as exc:
+        return _internal_error(exc)
     if outcome:
         print("certificate accepted")
         return 0
@@ -149,6 +160,16 @@ def _parse_field(value: str, allowed) -> int:
     return order
 
 
+def _positive_int(value: str) -> int:
+    try:
+        n = int(value)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {value!r}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="normcert",
@@ -161,8 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
     cert.add_argument("--input", required=True, help="instance JSON path")
     cert.add_argument("--output", help="certificate JSON path (stdout when omitted)")
     cert.add_argument("--seed", type=int, default=None)
-    cert.add_argument("--max-tries", dest="max_tries", type=int, default=None)
-    cert.add_argument("--bound", type=int, default=None)
+    cert.add_argument("--max-tries", dest="max_tries", type=_positive_int, default=None)
+    cert.add_argument("--bound", type=_positive_int, default=None)
     cert.add_argument("--trace", action="store_true", help="include per-level audit records")
     cert.set_defaults(fn=_cmd_certify)
 
@@ -195,8 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
     rs = kinds.add_parser("randsuite", help="random certify+verify round trips")
     rs.add_argument("--count", type=int, default=100)
     rs.add_argument("--seed", type=int, default=None)
-    rs.add_argument("--max-tries", dest="max_tries", type=int, default=None)
-    rs.add_argument("--bound", type=int, default=None)
+    rs.add_argument("--max-tries", dest="max_tries", type=_positive_int, default=None)
+    rs.add_argument("--bound", type=_positive_int, default=None)
     rs.set_defaults(fn=_demo_randsuite)
 
     return parser

@@ -9,9 +9,17 @@ basis, minimal polynomials, reduction to the residue field -- lives here.
 An element b is primitive when {1, b, ..., b^(n-1)} is again a basis over
 the coefficient ring, i.e. when the determinant of its powers matrix is a
 unit; over the local ring that is decided on the residue.
+
+Over Q a product clears each operand's coordinates to integers over one
+denominator, convolves on integers and reduces against an integer table of
+t^n, ..., t^(2n-2) over one common denominator, so only the n resulting
+coordinates are built as Fractions.  Over every other ring the product runs
+coefficient by coefficient in the ring.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 from . import linalg
 from .errors import (
@@ -21,11 +29,13 @@ from .errors import (
     NotPrimitive,
     NotSimple,
 )
+from .linalg import clear_denominators
 from .poly import Poly
+from .rings import QQ
 
 
 class SimpleExtension:
-    __slots__ = ("ring", "modulus", "n", "_gen_red", "_tpow", "_residue_ext")
+    __slots__ = ("ring", "modulus", "n", "_gen_red", "_tpow", "_int_tpow", "_residue_ext")
 
     def __init__(self, ring, modulus: Poly):
         if modulus.ring.id != ring.id:
@@ -42,6 +52,7 @@ class SimpleExtension:
         # coordinates of t^n, i.e. minus the lower part of the modulus
         self._gen_red = tuple(-c for c in modulus.coeffs[:-1])
         self._tpow = None
+        self._int_tpow = None
         self._residue_ext = None
 
     def __eq__(self, other):
@@ -94,6 +105,15 @@ class SimpleExtension:
                 )
             self._tpow = table
         return self._tpow
+
+    def _int_power_table(self):
+        # the same table over Q as integer rows over one common denominator
+        if self._int_tpow is None:
+            table = self._gen_power_table()
+            nums, den = clear_denominators([c for row in table for c in row])
+            n = self.n
+            self._int_tpow = [nums[k * n:(k + 1) * n] for k in range(len(table))], den
+        return self._int_tpow
 
     def residue_extension(self) -> SimpleExtension:
         """The reduced algebra over the residue field (self when R is a field)."""
@@ -153,6 +173,8 @@ class ExtElement:
     __rmul__ = __mul__
 
     def _mul_ext(self, other: ExtElement) -> ExtElement:
+        if self.ext.ring.id == QQ.id:
+            return self._mul_rational(other)
         ext = self.ext
         n = ext.n
         a, b = self.coords, other.coords
@@ -170,6 +192,28 @@ class ExtElement:
                 for i in range(n):
                     out[i] = out[i] + c * red[i]
         return ExtElement(ext, tuple(out))
+
+    def _mul_rational(self, other: ExtElement) -> ExtElement:
+        ext = self.ext
+        n = ext.n
+        a, da = clear_denominators(self.coords)
+        b, db = clear_denominators(other.coords)
+        conv = [0] * (2 * n - 1)
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b):
+                    conv[i + j] += ai * bj
+        table, dt = ext._int_power_table()
+        # the product is out / (da * db * dt), with t^(n+k) = table[k] / dt
+        out = [c * dt for c in conv[:n]]
+        for k in range(n - 1):
+            c = conv[n + k]
+            if c:
+                red = table[k]
+                for i in range(n):
+                    out[i] += c * red[i]
+        den = da * db * dt
+        return ExtElement(ext, tuple(Fraction(v, den) for v in out))
 
     def __pow__(self, e: int) -> ExtElement:
         if e < 0:

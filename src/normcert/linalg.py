@@ -1,11 +1,15 @@
 """Exact dense linear algebra over the coefficient rings.
 
-Determinants over Q clear denominators row by row and run fraction-free
-Bareiss elimination on integers (the exact divisions are guaranteed by the
-algorithm), which keeps intermediate growth polynomial.  Over every other
-ring -- the local ring Q[x]_(x) and the small finite fields -- elimination
-runs in the fraction field via the ring's `fraction_div` hook, and results
-that must land back in the ring are membership-checked.
+Over Q, `det` and `solve_columns` clear each row's denominators once and
+run one fraction-free Bareiss elimination on Python integers (Bareiss
+1968): every division in it is exact, every entry stays a minor of the
+integer matrix, so intermediate growth is polynomial and no gcd is taken
+until the results are built as Fractions.  Over every other ring -- the
+local ring Q[x]_(x) and the small finite fields -- elimination runs in the
+fraction field via the ring's `fraction_div` hook and results that must
+land back in the ring are membership-checked.  Determinants of order 1 and
+2 are expanded directly over every ring, and of order 3 over every ring
+but Q.
 
 Matrices are plain lists of row lists of ring elements.
 """
@@ -16,6 +20,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import InternalAssertion
+from .rings import QQ
 
 
 def identity(ring, n: int):
@@ -26,34 +31,49 @@ def transpose(a):
     return [list(col) for col in zip(*a)]
 
 
-def _det_bareiss_int(m: list[list[int]]) -> int:
-    n = len(m)
+def clear_denominators(values) -> tuple[list[int], int]:
+    """Integer numerators over one common denominator d of the given
+    Fractions: values[i] == nums[i] / d, with d the lcm of their denominators."""
+    dens = [v.denominator for v in values]
+    d = lcm(*dens)
+    return [v.numerator * (d // e) for v, e in zip(values, dens)], d
+
+
+def _bareiss(m: list[list[int]], n: int, above: bool) -> int:
+    """Fraction-free elimination on the first n columns of the integer
+    matrix m, in place: each pivot column is cleared below the pivot, and
+    above it too when `above`.  After step k every touched entry is a
+    (k+1)-minor of the row-swapped m, so the divisions by the previous pivot
+    are exact; the last pivot is the determinant of the first n columns,
+    and with `above` every pivot ends equal to it.  Returns the sign of the
+    row swaps, or 0 when those columns are singular."""
     sign = 1
     prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
+    width = len(m[0])
+    for k in range(n):
+        if not m[k][k]:
             for i in range(k + 1, n):
-                if m[i][k] != 0:
+                if m[i][k]:
                     m[k], m[i] = m[i], m[k]
                     sign = -sign
                     break
             else:
                 return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
-def _det_rational(rows) -> Fraction:
-    ints = []
-    scale = 1
-    for row in rows:
-        mult = lcm(*(c.denominator for c in row)) if row else 1
-        scale *= mult
-        ints.append([int(c * mult) for c in row])
-    return Fraction(_det_bareiss_int(ints), scale)
+        pivot_row = m[k]
+        pivot = pivot_row[k]
+        for i in range(0 if above else k + 1, n):
+            if i == k:
+                continue
+            row = m[i]
+            f = row[k]
+            for j in range(k + 1, width):
+                row[j] = (pivot * row[j] - f * pivot_row[j]) // prev
+            row[k] = 0
+            if i < k:
+                # this row's own pivot, prev, becomes pivot * prev // prev
+                row[i] = pivot
+        prev = pivot
+    return sign
 
 
 def _eliminate(ring, m, n: int, above: bool) -> int:
@@ -79,8 +99,12 @@ def _eliminate(ring, m, n: int, above: bool) -> int:
 
 
 def _det_fraction_field(ring, rows):
+    n = len(rows)
+    # direct expansion; growth is not a concern at this size
+    if n == 3:
+        (a, b, c), (d, e, f), (g, h, i) = rows
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
     m = [list(r) for r in rows]
-    n = len(m)
     sign = _eliminate(ring, m, n, above=False)
     if not sign:
         return ring.zero
@@ -94,19 +118,28 @@ def _det_fraction_field(ring, rows):
     return det
 
 
+def _det_rational(rows) -> Fraction:
+    m = []
+    scale = 1
+    for row in rows:
+        nums, d = clear_denominators(row)
+        m.append(nums)
+        scale *= d
+    sign = _bareiss(m, len(m), above=False)
+    return Fraction(sign * m[-1][-1], scale)
+
+
 def det(ring, rows):
     """Exact determinant of a square matrix over the ring."""
     n = len(rows)
-    # direct expansion for tiny matrices; growth is not a concern there
+    # direct expansion for tiny matrices: over Q too it beats clearing the
+    # denominators, whose final Fraction alone costs a gcd of the full height
     if n == 1:
         return rows[0][0]
     if n == 2:
         (a, b), (c, d) = rows
         return a * d - b * c
-    if n == 3:
-        (a, b, c), (d, e, f), (g, h, i) = rows
-        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    if ring.id == "Q":
+    if ring.id == QQ.id:
         return _det_rational(rows)
     return _det_fraction_field(ring, rows)
 
@@ -120,10 +153,17 @@ def solve_columns(ring, a, b):
     this; a singular matrix is a broken contract).
     """
     n = len(a)
+    width = len(b[0])
     m = [list(a[i]) + list(b[i]) for i in range(n)]
-    if not _eliminate(ring, m, n, above=True):
-        raise InternalAssertion("singular system in an exact solve")
-    return [[ring.fraction_div(m[i][n + j], m[i][i]) for i in range(n)] for j in range(len(b[0]))]
+    if ring.id == QQ.id:
+        # scaling a row of [a | b] leaves the solutions as they are
+        m = [clear_denominators(row)[0] for row in m]
+        if _bareiss(m, n, above=True):
+            d = m[0][0]
+            return [[Fraction(m[i][n + j], d) for i in range(n)] for j in range(width)]
+    elif _eliminate(ring, m, n, above=True):
+        return [[ring.fraction_div(m[i][n + j], m[i][i]) for i in range(n)] for j in range(width)]
+    raise InternalAssertion("singular system in an exact solve")
 
 
 def solve(ring, a, rhs):

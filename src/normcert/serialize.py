@@ -134,6 +134,8 @@ def factor_from_json(ring, data) -> ValueFactor:
         raise FormatError(f"expected a value factor, got {data!r}")
     if type(data["exp"]) is not int or data["exp"] not in (1, -1):
         raise FormatError(f"factor exponent must be 1 or -1, got {data['exp']!r}")
+    if not isinstance(data["vector"], list):
+        raise FormatError(f"factor vector must be a list, got {data['vector']!r}")
     return ValueFactor(
         tuple(element_from_json(ring, v) for v in data["vector"]), data["exp"]
     )
@@ -163,6 +165,8 @@ def certificate_to_json(ring, cert: NormCertificate) -> dict:
 def certificate_from_json(ring, data) -> NormCertificate:
     if not isinstance(data, dict) or "target" not in data or "factors" not in data:
         raise FormatError("certificate needs 'target' and 'factors'")
+    if not isinstance(data["factors"], list):
+        raise FormatError(f"'factors' must be a list, got {data['factors']!r}")
     return NormCertificate(
         target=element_from_json(ring, data["target"]),
         factors=tuple(factor_from_json(ring, f) for f in data["factors"]),
@@ -200,6 +204,17 @@ def instance_to_json(inst: InstanceSpec) -> dict:
     }
 
 
+def _check_options(options: dict):
+    # bool is an int subclass, so JSON true would pass a bare isinstance test
+    for key, least in (("seed", None), ("max_tries", 1), ("bound", 1)):
+        if key not in options:
+            continue
+        v = options[key]
+        if type(v) is not int or (least is not None and v < least):
+            need = "an integer" if least is None else f"an integer >= {least}"
+            raise FormatError(f"option {key!r} must be {need}, got {v!r}")
+
+
 def instance_from_json(data) -> InstanceSpec:
     if not isinstance(data, dict):
         raise FormatError("instance must be a JSON object")
@@ -226,14 +241,17 @@ def instance_from_json(data) -> InstanceSpec:
     options = data.get("options", {})
     if not isinstance(options, dict):
         raise FormatError("'options' must be an object")
+    _check_options(options)
     return InstanceSpec(ext=ext, q=q, xs=xs, options=options)
 
 
 def _load_json(path: str):
     with open(path, encoding="utf-8") as fh:
+        # ValueError covers JSONDecodeError, UnicodeDecodeError and an
+        # integer literal past the int/str digit limit
         try:
             return json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except ValueError as exc:
             raise FormatError(f"{path}: {exc}") from None
 
 

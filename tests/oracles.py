@@ -43,6 +43,31 @@ def naive_det(rows):
     return total
 
 
+def naive_ext_mul(modulus, a, b):
+    """Coordinates of a*b in Q[t]/(p), for p monic with ascending
+    coefficients `modulus`: the Fraction product of the two coordinate
+    polynomials, reduced by long division."""
+    prod = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            prod[i + j] += ai * bj
+    n = len(modulus) - 1
+    for k in range(len(prod) - 1, n - 1, -1):
+        c = prod[k]
+        for i in range(n + 1):
+            prod[k - n + i] -= c * modulus[i]
+    return prod[:n]
+
+
+def naive_solve(a, rhs):
+    """The solution of a x = rhs by Cramer's rule over naive_det."""
+    d = naive_det(a)
+    return [
+        naive_det([row[:i] + [v] + row[i + 1:] for row, v in zip(a, rhs)]) / d
+        for i in range(len(a))
+    ]
+
+
 def is_rational_square(v: Fraction) -> bool:
     if v < 0:
         return False

@@ -4,7 +4,9 @@ import sys
 
 import pytest
 
+from normcert import cli
 from normcert.cli import main
+from normcert.errors import InternalAssertion
 
 GAUSS_INSTANCE = {
     "ring": "Q",
@@ -24,6 +26,21 @@ POLE = {"num": ["1"], "den": ["0", "1"]}  # 1/x, not in the local ring
 LOCAL_INSTANCE = {"ring": "Q[x]_(x)", "p": ["1", "0", "1"], "q": ["1"], "x": [["1", "1"]]}
 NOT_SIMPLE_INSTANCE = dict(GAUSS_INSTANCE, p=["0", "0", "1"])  # p(0) = 0
 POLE_INSTANCE = dict(LOCAL_INSTANCE, x=[["1", POLE]])
+BAD_OPTIONS = [
+    {"seed": "1"},
+    {"seed": True},
+    {"seed": 1.5},
+    {"max_tries": "x"},
+    {"max_tries": 0},
+    {"max_tries": True},
+    {"bound": 0},
+    {"bound": -3},
+    {"bound": 2.0},
+]
+
+
+def engine_bug(*args, **kwargs):
+    raise InternalAssertion("an identity failed")
 
 
 def write_json(path, data):
@@ -112,6 +129,30 @@ class TestCertifyCommand:
         assert main(["certify", "--input", path]) == 3
         assert "invalid instance" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("options", BAD_OPTIONS)
+    def test_bad_options_exit_3(self, options, tmp_path, capsys):
+        path = write_json(tmp_path / "inst.json", dict(GAUSS_INSTANCE, options=options))
+        assert main(["certify", "--input", path]) == 3
+        assert "invalid instance" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", [["--bound", "0"], ["--max-tries", "-1"], ["--bound", "x"]])
+    def test_bad_search_flags_are_usage_errors(self, flag, instance_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["certify", "--input", instance_path, *flag])
+        assert exc.value.code == 2
+
+    def test_integer_literal_past_digit_limit_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "inst.json"
+        text = json.dumps(dict(GAUSS_INSTANCE, options={"seed": 0}))
+        path.write_text(text.replace('"seed": 0', '"seed": 1' + "0" * 5000))
+        assert main(["certify", "--input", str(path)]) == 3
+        assert "invalid instance" in capsys.readouterr().err
+
+    def test_internal_error_exits_4(self, instance_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "certify", engine_bug)
+        assert main(["certify", "--input", instance_path]) == 4
+        assert "internal error" in capsys.readouterr().err
+
     def test_search_exhaustion_exits_2(self, tmp_path):
         # scalar value q(x) = 4 is never primitive, and a single try is spent
         # on the deterministic probe
@@ -154,6 +195,30 @@ class TestVerifyCommand:
         path = write_json(tmp_path / "bad.json", bad)
         assert main(["verify", "--input", path, "--certificate", out]) == 3
         assert "invalid input" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            lambda c: c.update(factors=5),
+            lambda c: c["factors"][0].update(vector=5),
+        ],
+        ids=["factors-not-a-list", "vector-not-a-list"],
+    )
+    def test_malformed_certificate_exits_3(self, tamper, instance_path, tmp_path, capsys):
+        assert verify_tampered(instance_path, tmp_path, tamper) == 3
+        assert "invalid input" in capsys.readouterr().err
+
+    def test_product_past_digit_limit_rejected(self, instance_path, tmp_path, capsys):
+        cert = {"target": "5", "factors": [{"vector": ["1" + "0" * 5000, "0"], "exp": 1}]}
+        path = write_json(tmp_path / "cert.json", cert)
+        assert main(["verify", "--input", instance_path, "--certificate", path]) == 1
+        assert "certificate rejected" in capsys.readouterr().err
+
+    def test_internal_error_exits_4(self, instance_path, tmp_path, monkeypatch, capsys):
+        _, out = run_certify(instance_path, tmp_path)
+        monkeypatch.setattr(cli, "verify", engine_bug)
+        assert main(["verify", "--input", instance_path, "--certificate", out]) == 4
+        assert "internal error" in capsys.readouterr().err
 
     def test_pole_in_certificate_exits_3(self, tmp_path, capsys):
         path = write_json(tmp_path / "inst.json", LOCAL_INSTANCE)

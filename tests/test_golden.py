@@ -15,12 +15,14 @@ from normcert.qform import QuadraticForm
 from normcert.rings import QQ, QQ_LOCAL_X
 from normcert.serialize import certificate_to_json, dumps
 
-GOLDEN_SHA256 = "675515964c29f8dea12351054d554777ecda6c7f36dc2f22a934e4cff9f2bebb"
+GOLDEN_SHA256 = "447fb772786367f1dfc4dc41d1c783f6ca0ad1685c021131c8fa59562ca4320b"
 
 # (ring, n, m, seed): random_instance(ring, Random(seed), n, m), certified with rng=seed
 RANDOM_CASES = (
     [(QQ, 3, m, seed) for m in (1, 2) for seed in range(3)]
     + [(QQ, 4, 1, 0), (QQ, 4, 1, 1), (QQ, 4, 2, 0)]
+    # the q-tall benchmark shape: four reduction levels, 5x5 eliminations
+    + [(QQ, 5, 1, 0), (QQ, 5, 1, 1)]
     + [(QQ_LOCAL_X, 2, m, seed) for m, seed in ((1, 0), (2, 1), (3, 2))]
 )
 
