@@ -1,10 +1,14 @@
 """Command-line front end: certify, verify, demo.
 
 Exit codes: certify 0 on success, 2 when a search is exhausted, 3 on bad
-input; verify 0 accept, 1 reject, 3 on bad input; certify and verify 4 on
-an internal error, an exact identity of the engine that failed (a bug, not
-bad input); demo 0 unless a demo assertion fails.  The seed falls back to
-the NPCERT_SEED environment variable, then to 0.
+input; verify 0 accept, 1 reject, 3 on bad input; certify, verify and demo
+randsuite 4 on an internal error, an exact identity of the engine that
+failed (a bug, not bad input); demo 0 unless a demo assertion fails or (for
+randsuite) an instance fails to certify.  A malformed command line (an
+unknown flag, `--bound 0`, `--seed x`) is bad input too: every command
+prints argparse's usage message and exits 3, so exit 2 always means an
+exhausted search.  The seed falls back to the NPCERT_SEED environment
+variable, then to 0.
 """
 
 from __future__ import annotations
@@ -144,7 +148,11 @@ def _demo_randsuite(args) -> int:
     )
     for index, reason in result.failures:
         print(f"instance {index}: {reason}", file=sys.stderr)
+    for index, reason in result.internal_errors:
+        print(f"instance {index}: internal error: {reason}", file=sys.stderr)
     print(f"{result.verified}/{result.total} certificates verified ({result.elapsed:.1f}s)")
+    if result.internal_errors:
+        return 4
     return 0 if result.ok else 1
 
 
@@ -170,8 +178,16 @@ def _positive_int(value: str) -> int:
     return n
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 3 (bad input), not 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(3, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="normcert",
         description="Exact certificates for norms of quadratic-form values "
         "over simple ring extensions.",

@@ -288,10 +288,15 @@ class ExtElement:
 
     def is_primitive(self) -> bool:
         if self._primitive is None:
-            ring = self.ext.ring
-            self._primitive = ring.is_invertible(
-                linalg.det(ring, self.powers_matrix())
-            )
+            residue = self.reduce()
+            if residue is not self:
+                # reduction commutes with det, and a unit is a nonzero residue
+                self._primitive = residue.is_primitive()
+            else:
+                ring = self.ext.ring
+                self._primitive = ring.is_invertible(
+                    linalg.det(ring, self.powers_matrix())
+                )
         return self._primitive
 
     def coords_in(self, basis_elt: ExtElement):

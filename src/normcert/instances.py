@@ -7,7 +7,7 @@ import time
 from dataclasses import dataclass, field
 
 from .certify import CertifyStats, certify
-from .errors import NormCertError
+from .errors import InternalAssertion, NormCertError
 from .extension import SimpleExtension
 from .genpos import DEFAULT_BOUND, DEFAULT_MAX_TRIES
 from .poly import Poly
@@ -57,6 +57,7 @@ class SuiteResult:
     total: int
     verified: int
     failures: list = field(default_factory=list)
+    internal_errors: list = field(default_factory=list)
     stats: CertifyStats = field(default_factory=CertifyStats)
     elapsed: float = 0.0
 
@@ -78,7 +79,9 @@ def run_random_suite(
     """Certify `count` random instances.
 
     `certify` verifies each certificate before returning it, so a returned
-    certificate counts as verified.
+    certificate counts as verified.  A failed engine identity
+    (`InternalAssertion`, a bug) goes to `internal_errors`, every other
+    library error to `failures`, each as (index, message).
     """
     rng = random.Random(seed)
     result = SuiteResult(total=count, verified=0)
@@ -97,6 +100,8 @@ def run_random_suite(
                 bound=bound,
                 stats=result.stats,
             )
+        except InternalAssertion as exc:
+            result.internal_errors.append((index, str(exc)))
         except NormCertError as exc:
             result.failures.append((index, f"certify failed: {exc}"))
         else:

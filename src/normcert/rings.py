@@ -18,8 +18,13 @@ stored as scalar * N(x)/D(x) with N, D coprime primitive integer
 polynomials with positive leading coefficients and the scalar a Fraction;
 that representation is unique, keeps every operation in integer polynomial
 arithmetic, and confines gcd work to cross cancellations.  Polynomial gcds
-are computed modularly (images mod 31-bit primes, CRT, trial-division
-certificate), so the coprime case costs one machine-word Euclid and no
+come with their cofactors from the heuristic gcd GCDHEU (Char, Geddes and
+Gonnet 1989): evaluate both inputs at one large integer, take the integer
+gcd, read a candidate back off its balanced base-xi digits and accept it
+when it divides both inputs exactly; those two divisions are the cofactors,
+so no caller divides again.  The coprime case costs two evaluations and one
+integer gcd.  When six evaluation points all fail, the modular routine
+(images mod 31-bit primes, CRT, trial-division certificate) decides, so no
 intermediate ever outgrows the inputs (naive Euclid over Q explodes).
 
 ``RatFunc`` covers all of Q(x); intermediates of fraction-field linear
@@ -31,7 +36,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 from .errors import NotInvertible, RingMismatch
 
@@ -67,17 +72,9 @@ def _zsplit(cs):
     content = gcd(*cs)
     if cs[-1] < 0:
         content = -content
+    if content == 1:
+        return 1, tuple(cs)
     return content, tuple(v // content for v in cs)
-
-
-def _zdiv_exact(a, b):
-    """Quotient of an exact division in Z[x]."""
-    if b == _ONE_POLY or not a:
-        return a
-    quo = _zdivides(b, a)
-    if quo is None:
-        raise ArithmeticError("exact integer division failed")
-    return quo
 
 
 def _is_prime_u32(n: int) -> bool:
@@ -168,24 +165,14 @@ def _zdivides(g, a):
     return tuple(quo)
 
 
-def _zgcd(a, b):
-    """Primitive gcd with positive leading coefficient, computed modularly.
+def _zgcd_modular(a, b):
+    """(g, a/g, b/g) for primitive a, b of degree >= 1, computed modularly.
 
     Images modulo 31-bit primes are combined by CRT with symmetric lift and
-    certified by trial division, so no step ever exceeds the coefficient
-    size of the inputs plus the (small) size of the gcd itself.  The common
-    coprime case costs one machine-word Euclid.
+    certified by trial division, whose quotients are the cofactors, so no
+    step ever exceeds the coefficient size of the inputs plus the (small)
+    size of the gcd itself.
     """
-    if not a:
-        return _zsplit(b)[1]
-    if not b:
-        return _zsplit(a)[1]
-    if a == b:
-        return _zsplit(a)[1]
-    if len(a) == 1 or len(b) == 1:
-        return _ONE_POLY
-    a = _zsplit(a)[1]
-    b = _zsplit(b)[1]
     lc_gcd = gcd(a[-1], b[-1])
     combined = None
     modulus = 1
@@ -200,7 +187,7 @@ def _zgcd(a, b):
         gp = _gcd_mod(a, b, p)
         degree = len(gp) - 1
         if degree == 0:
-            return _ONE_POLY
+            return _ONE_POLY, a, b
         if best_degree is None or degree < best_degree:
             # every previous prime was unlucky; restart from this image
             best_degree = degree
@@ -220,9 +207,75 @@ def _zgcd(a, b):
         lifted = tuple(c - modulus if c > half else c for c in combined)
         candidate = _zsplit(_ztrim(lifted))[1]
         if candidate == previous:
-            if _zdivides(candidate, a) is not None and _zdivides(candidate, b) is not None:
-                return candidate
+            qa = _zdivides(candidate, a)
+            if qa is not None:
+                qb = _zdivides(candidate, b)
+                if qb is not None:
+                    return candidate, qa, qb
         previous = candidate
+
+
+_HEU_POINTS = 6
+
+
+def _zgcd_heuristic(a, b):
+    """(g, a/g, b/g) for primitive a, b of degree >= 1 by GCDHEU, or None.
+
+    The evaluation point xi starts at 2*min(|a|, |b|) + 29 (max norms), past
+    the bound under which a primitive candidate that divides both inputs is
+    their gcd, and each failed point multiplies it by about 2.73*xi^(1/4), as
+    in Liao and Fateman (1995).
+    """
+    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 29
+    for _ in range(_HEU_POINTS):
+        va = vb = 0
+        for c in reversed(a):
+            va = va * xi + c
+        for c in reversed(b):
+            vb = vb * xi + c
+        if va and vb:
+            h = gcd(va, vb)
+            half = xi // 2
+            if h <= half:
+                # a one-digit candidate: a constant, whose primitive part is 1
+                return _ONE_POLY, a, b
+            # the base-xi digits of h in (-xi/2, xi/2] are the candidate
+            digits = []
+            while h:
+                digit = h % xi
+                if digit > half:
+                    digit -= xi
+                digits.append(digit)
+                h = (h - digit) // xi
+            candidate = _zsplit(digits)[1]
+            qa = _zdivides(candidate, a)
+            if qa is not None:
+                qb = _zdivides(candidate, b)
+                if qb is not None:
+                    return candidate, qa, qb
+        xi = 73794 * xi * isqrt(isqrt(xi)) // 27011
+    return None
+
+
+def _zgcd(a, b):
+    """(g, a/g, b/g): the primitive gcd with positive leading coefficient and
+    the two exact cofactors (so g * (a/g) == a, content and sign included).
+
+    GCDHEU decides almost every pair; the modular routine takes the rest.
+    """
+    if len(a) == 1 or len(b) == 1:
+        return _ONE_POLY, a, b
+    ca, pa = _zsplit(a)
+    cb, pb = _zsplit(b)
+    if not pa or not pb or pa == pb:
+        # gcd(0, b) is pp(b), and the cofactor of the zero polynomial is 0
+        return pa or pb, ((ca,) if pa else ()), ((cb,) if pb else ())
+    g, qa, qb = _zgcd_heuristic(pa, pb) or _zgcd_modular(pa, pb)
+    if ca != 1:
+        qa = tuple(ca * c for c in qa)
+    if cb != 1:
+        qb = tuple(cb * c for c in qb)
+    return g, qa, qb
 
 
 def _from_fraction_coeffs(cs):
@@ -274,10 +327,7 @@ class RatFunc:
         if not dpoly:
             raise ZeroDivisionError("rational function with zero denominator")
         if npoly:
-            g = _zgcd(npoly, dpoly)
-            if g != _ONE_POLY:
-                npoly = _zdiv_exact(npoly, g)
-                dpoly = _zdiv_exact(dpoly, g)
+            _, npoly, dpoly = _zgcd(npoly, dpoly)
         else:
             dpoly = _ONE_POLY
         self.scalar = sn / sd if npoly else Fraction(0)
@@ -343,9 +393,7 @@ class RatFunc:
         if s1.denominator != 1 or s2.denominator != 1:
             raise ArithmeticError("scalar gcd split lost exactness")
         u1, u2 = s1.numerator, s2.numerator
-        d = _zgcd(self.dpoly, other.dpoly)
-        e1 = _zdiv_exact(self.dpoly, d)
-        e2 = _zdiv_exact(other.dpoly, d)
+        d, e1, e2 = _zgcd(self.dpoly, other.dpoly)
         raw = [0] * max(len(self.npoly) + len(e2), len(other.npoly) + len(e1))
         for i, c in enumerate(_zmul(self.npoly, e2)):
             raw[i] += u1 * c
@@ -354,12 +402,9 @@ class RatFunc:
         content, psum = _zsplit(_ztrim(raw))
         if not psum:
             return RatFunc._make(Fraction(0), (), _ONE_POLY)
-        g = _zgcd(psum, d)
-        return RatFunc._make(
-            t * content,
-            _zdiv_exact(psum, g),
-            _zmul(_zdiv_exact(self.dpoly, g), e2),
-        )
+        _, num, d_over_g = _zgcd(psum, d)
+        # self.dpoly / g == (d / g) * e1
+        return RatFunc._make(t * content, num, _zmul(_zmul(d_over_g, e1), e2))
 
     __radd__ = __add__
 
@@ -384,13 +429,9 @@ class RatFunc:
             return NotImplemented
         if not self.npoly or not other.npoly:
             return RatFunc._make(Fraction(0), (), _ONE_POLY)
-        g1 = _zgcd(self.npoly, other.dpoly)
-        g2 = _zgcd(other.npoly, self.dpoly)
-        return RatFunc._make(
-            self.scalar * other.scalar,
-            _zmul(_zdiv_exact(self.npoly, g1), _zdiv_exact(other.npoly, g2)),
-            _zmul(_zdiv_exact(self.dpoly, g2), _zdiv_exact(other.dpoly, g1)),
-        )
+        _, n1, d2 = _zgcd(self.npoly, other.dpoly)
+        _, n2, d1 = _zgcd(other.npoly, self.dpoly)
+        return RatFunc._make(self.scalar * other.scalar, _zmul(n1, n2), _zmul(d1, d2))
 
     __rmul__ = __mul__
 

@@ -1,10 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
-from normcert import cli
+import normcert
+from normcert import cli, instances
 from normcert.cli import main
 from normcert.errors import InternalAssertion
 
@@ -135,11 +137,15 @@ class TestCertifyCommand:
         assert main(["certify", "--input", path]) == 3
         assert "invalid instance" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", [["--bound", "0"], ["--max-tries", "-1"], ["--bound", "x"]])
-    def test_bad_search_flags_are_usage_errors(self, flag, instance_path):
+    @pytest.mark.parametrize(
+        "flag", [["--bound", "0"], ["--max-tries", "-1"], ["--bound", "x"], ["--seed", "x"]]
+    )
+    def test_bad_search_flags_are_usage_errors(self, flag, instance_path, capsys):
+        # exit 3 (bad input), so that exit 2 means only an exhausted search
         with pytest.raises(SystemExit) as exc:
             main(["certify", "--input", instance_path, *flag])
-        assert exc.value.code == 2
+        assert exc.value.code == 3
+        assert "usage:" in capsys.readouterr().err
 
     def test_integer_literal_past_digit_limit_exits_3(self, tmp_path, capsys):
         path = tmp_path / "inst.json"
@@ -247,19 +253,39 @@ class TestDemoCommand:
         assert report[0]["qualifying"] > 0
 
     def test_rejects_wrong_field(self):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             main(["demo", "char3", "--field", "F4"])
+        assert exc.value.code == 3
 
     def test_randsuite_small(self, capsys):
         assert main(["demo", "randsuite", "--count", "5", "--seed", "7"]) == 0
         assert "5/5 certificates verified" in capsys.readouterr().out
 
+    def test_randsuite_internal_error_exits_4(self, monkeypatch, capsys):
+        monkeypatch.setattr(instances, "certify", engine_bug)
+        assert main(["demo", "randsuite", "--count", "2", "--seed", "7"]) == 4
+        captured = capsys.readouterr()
+        assert "instance 0: internal error: an identity failed" in captured.err
+        assert "0/2 certificates verified" in captured.out
+
+
+def test_usage_errors_exit_3(capsys):
+    for argv in (["verify", "--input", "x.json"], ["frobnicate"], ["demo"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 3
+    assert "usage:" in capsys.readouterr().err
+
 
 def test_console_entry_point(instance_path):
+    # the child finds the package where this process imported it from
+    src = os.path.dirname(os.path.dirname(normcert.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "normcert", "certify", "--input", instance_path],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["target"] == "5"

@@ -7,6 +7,7 @@ import hashlib
 import random
 from fractions import Fraction as F
 
+from normcert import rings
 from normcert.certify import CertifyStats, certify
 from normcert.extension import SimpleExtension
 from normcert.instances import random_instance
@@ -40,7 +41,7 @@ def _instances():
     yield ext, QuadraticForm(QQ_LOCAL_X, [1, -1]), xs, 0
 
 
-def test_certificates_are_byte_identical():
+def _digest():
     digest = hashlib.sha256()
     stats = CertifyStats()
     for ext, q, xs, seed in _instances():
@@ -48,4 +49,24 @@ def test_certificates_are_byte_identical():
             cert = certify(ext, q, xs, rng=seed, with_trace=with_trace, stats=stats)
             digest.update(dumps(certificate_to_json(ext.ring, cert)).encode())
     assert stats.genpos_tries > stats.genpos_calls
-    assert digest.hexdigest() == GOLDEN_SHA256
+    return digest.hexdigest()
+
+
+def test_certificates_are_byte_identical():
+    assert _digest() == GOLDEN_SHA256
+
+
+def test_modular_gcd_fallback_is_byte_identical(monkeypatch):
+    # the heuristic gcd gives up on every pair, so the modular routine
+    # computes every gcd and cofactor of the Q[x]_(x) cases
+    calls = []
+    modular = rings._zgcd_modular
+
+    def counted(a, b):
+        calls.append(1)
+        return modular(a, b)
+
+    monkeypatch.setattr(rings, "_zgcd_heuristic", lambda a, b: None)
+    monkeypatch.setattr(rings, "_zgcd_modular", counted)
+    assert _digest() == GOLDEN_SHA256
+    assert calls

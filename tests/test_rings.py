@@ -1,10 +1,13 @@
 import random
 from fractions import Fraction
+from math import gcd
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from normcert import rings
 from normcert.errors import NotInvertible, RingMismatch
 from normcert.rings import QQ, QQ_LOCAL_X, RatFunc, get_ring, sample_residue
 
@@ -205,6 +208,41 @@ def _mul_int(a, b):
     return tuple(out)
 
 
+def _trim_int(cs):
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def _modular_zgcd(a, b):
+    """`_zgcd` with the heuristic giving up at once, so the modular routine decides."""
+    with mock.patch.object(rings, "_zgcd_heuristic", lambda a, b: None):
+        return rings._zgcd(a, b)
+
+
+# coefficients of a few digits and past 2^64, of either sign
+_COEFF = st.one_of(st.integers(-9, 9), st.integers(-(2**80), 2**80))
+
+
+def _zpoly(max_degree):
+    return st.lists(_COEFF, min_size=1, max_size=max_degree + 1).map(_trim_int).filter(bool)
+
+
+@st.composite
+def _gcd_inputs(draw):
+    """A planted common factor times two cofactors (total degree <= 20);
+    sometimes equal inputs or a constant input."""
+    common = draw(_zpoly(10))
+    a = _mul_int(common, draw(_zpoly(10)))
+    shape = draw(st.sampled_from(["planted", "planted", "planted", "equal", "constant"]))
+    if shape == "equal":
+        return a, a
+    if shape == "constant":
+        return a, draw(_zpoly(0))
+    return a, _mul_int(common, draw(_zpoly(10)))
+
+
 class TestPolynomialGcd:
     def test_matches_slow_euclid(self):
         from normcert.rings import _zgcd
@@ -216,7 +254,7 @@ class TestPolynomialGcd:
             common = [rng.randint(-9, 9) for _ in range(rng.randint(1, 4))]
             left = _mul_int(a, common)
             right = _mul_int(b, common)
-            got = _zgcd(left, right)
+            got = _zgcd(left, right)[0]
             expected = _slow_poly_gcd(
                 [Fraction(v) for v in left], [Fraction(v) for v in right]
             )
@@ -240,9 +278,20 @@ class TestPolynomialGcd:
                 b = b[:-1]
             if not a or not b:
                 continue
-            g = _zgcd(a, b)
+            g = _zgcd(a, b)[0]
             assert _zdivides(g, a) is not None
             assert _zdivides(g, b) is not None
+
+    @settings(deadline=None)
+    @given(_gcd_inputs())
+    def test_cofactors_property(self, pair):
+        a, b = pair
+        g, qa, qb = rings._zgcd(a, b)
+        assert g[-1] > 0 and gcd(*g) == 1
+        assert _mul_int(g, qa) == a
+        assert _mul_int(g, qb) == b
+        assert _modular_zgcd(qa, qb)[0] == (1,)
+        assert _modular_zgcd(a, b) == (g, qa, qb)
 
 
 def test_get_ring():
