@@ -32,7 +32,7 @@ from .genpos import (
 )
 from .instances import random_instance, run_random_suite
 from .poly import Poly
-from .qform import QuadraticForm, ValueFactor, diagonalize_gram
+from .qform import QuadraticForm, ValueFactor
 from .rings import QQ, QQ_LOCAL_X, RatFunc, get_ring, sample_residue
 
 __version__ = "0.1.0"
@@ -66,7 +66,6 @@ __all__ = [
     "certify",
     "char2_squares_report",
     "char3_vanishing_report",
-    "diagonalize_gram",
     "find_general_position",
     "find_primitive_scaling",
     "get_ring",

@@ -5,10 +5,10 @@ input; verify 0 accept, 1 reject, 3 on bad input; certify, verify and demo
 randsuite 4 on an internal error, an exact identity of the engine that
 failed (a bug, not bad input); demo 0 unless a demo assertion fails or (for
 randsuite) an instance fails to certify.  A malformed command line (an
-unknown flag, `--bound 0`, `--seed x`) is bad input too: every command
-prints argparse's usage message and exits 3, so exit 2 always means an
-exhausted search.  The seed falls back to the NPCERT_SEED environment
-variable, then to 0.
+unknown flag, `--bound 0`, `--seed x`, a randsuite `--count` below 1) is
+bad input too: every command prints argparse's usage message and exits 3,
+so exit 2 always means an exhausted search.  The seed falls back to the
+NPCERT_SEED environment variable, then to 0.
 """
 
 from __future__ import annotations
@@ -230,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     d3.set_defaults(fn=_demo_char3)
 
     rs = kinds.add_parser("randsuite", help="random certify+verify round trips")
-    rs.add_argument("--count", type=int, default=100)
+    rs.add_argument("--count", type=_positive_int, default=100)
     rs.add_argument("--seed", type=int, default=None)
     rs.add_argument("--max-tries", dest="max_tries", type=_positive_int, default=None)
     rs.add_argument("--bound", type=_positive_int, default=None)

@@ -27,7 +27,7 @@ class NotPrimitive(NormCertError):
 
 
 class NotRegular(NormCertError):
-    """Quadratic form (or Gram matrix) fails the regularity requirement."""
+    """Quadratic form fails the regularity requirement."""
 
 
 class CoordinateNotIntegral(NormCertError):

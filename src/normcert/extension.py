@@ -10,16 +10,24 @@ An element b is primitive when {1, b, ..., b^(n-1)} is again a basis over
 the coefficient ring, i.e. when the determinant of its powers matrix is a
 unit; over the local ring that is decided on the residue.
 
-Over Q a product clears each operand's coordinates to integers over one
-denominator, convolves on integers and reduces against an integer table of
-t^n, ..., t^(2n-2) over one common denominator, so only the n resulting
-coordinates are built as Fractions.  Over every other ring the product runs
-coefficient by coefficient in the ring.
+Over Q an element is held as integer numerators over one positive
+denominator that shares no factor with all of them; `coords` builds the
+Fractions on first use.  Sums, scalar multiples and products run on those
+integers (a product convolves them and reduces against an integer table of
+t^n, ..., t^(2n-2) over one common denominator) and end in one multi-gcd,
+which stops as soon as the common factor is 1.  Norms, inverses,
+primitivity and power-basis coordinates take integer columns, each over its
+own denominator, into `linalg.int_det` and `linalg.int_solve` and scale the
+result back by those denominators.  Over every other ring the arithmetic
+runs coefficient by coefficient in the ring.  On every ring column j+1 of
+the multiplication matrix is t times column j: a shift plus one multiple of
+the coordinates of t^n.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, prod
 
 from . import linalg
 from .errors import (
@@ -29,13 +37,15 @@ from .errors import (
     NotPrimitive,
     NotSimple,
 )
-from .linalg import clear_denominators
+from .linalg import clear_denominators, transpose
 from .poly import Poly
 from .rings import QQ
 
 
 class SimpleExtension:
-    __slots__ = ("ring", "modulus", "n", "_gen_red", "_tpow", "_int_tpow", "_residue_ext")
+    __slots__ = (
+        "ring", "modulus", "n", "_rational", "_gen_red", "_tpow", "_int_tpow", "_residue_ext",
+    )
 
     def __init__(self, ring, modulus: Poly):
         if modulus.ring.id != ring.id:
@@ -49,6 +59,8 @@ class SimpleExtension:
         self.ring = ring
         self.modulus = modulus
         self.n = modulus.degree
+        # over Q elements are held as integers over one denominator
+        self._rational = ring.id == QQ.id
         # coordinates of t^n, i.e. minus the lower part of the modulus
         self._gen_red = tuple(-c for c in modulus.coeffs[:-1])
         self._tpow = None
@@ -56,6 +68,8 @@ class SimpleExtension:
         self._residue_ext = None
 
     def __eq__(self, other):
+        if other is self:
+            return True
         if not isinstance(other, SimpleExtension):
             return NotImplemented
         return self.ring.id == other.ring.id and self.modulus == other.modulus
@@ -126,17 +140,58 @@ class SimpleExtension:
         return self._residue_ext
 
 
-class ExtElement:
-    __slots__ = ("ext", "coords", "_mult_matrix", "_norm", "_powers_matrix", "_primitive")
+def _from_ints(ext: SimpleExtension, nums, den: int) -> ExtElement:
+    """The element nums / den of an extension over Q, for any nonzero den."""
+    # one multi-gcd: each step runs against the shrinking common factor,
+    # and math.gcd stops taking gcds once that factor is 1
+    g = gcd(den, *nums)
+    if den < 0:
+        g = -g
+    if g != 1:
+        return ExtElement(ext, None, tuple(v // g for v in nums), den // g)
+    return ExtElement(ext, None, tuple(nums), den)
 
-    def __init__(self, ext: SimpleExtension, coords: tuple):
+
+def _times_t(col, red, dt: int, zero):
+    """The coordinates of t * col, given those of t^n as red / dt: a shift
+    plus top * red.  Over Q they are numerators over dt times the
+    denominator of col; over the other rings dt is 1."""
+    top = col[-1]
+    if dt != 1:
+        col = [v * dt for v in col]
+    if not top:
+        return (zero, *col[:-1])
+    return (top * red[0], *(s + top * r for s, r in zip(col, red[1:])))
+
+
+class ExtElement:
+    __slots__ = ("ext", "_coords", "_nums", "_den", "_mult_cols", "_norm", "_powers",
+                 "_primitive")
+
+    def __init__(self, ext: SimpleExtension, coords: tuple | None, nums=None, den: int = 1):
+        # over Q give either Fraction coords or integer nums over a positive
+        # den sharing no factor with all of them (what _from_ints builds)
         self.ext = ext
-        self.coords = coords
+        if nums is None and ext._rational:
+            # each Fraction is in lowest terms, so over the lcm of the
+            # denominators the numerators share no factor with it
+            nums, den = clear_denominators(coords)
+            nums = tuple(nums)
+        self._coords = coords
+        self._nums = nums
+        self._den = den
         # lazy caches; elements are immutable by convention
-        self._mult_matrix = None
+        self._mult_cols = None
         self._norm = None
-        self._powers_matrix = None
+        self._powers = None
         self._primitive = None
+
+    @property
+    def coords(self) -> tuple:
+        if self._coords is None:
+            den = self._den
+            self._coords = tuple(Fraction(v, den) for v in self._nums)
+        return self._coords
 
     def _same(self, other):
         if isinstance(other, ExtElement):
@@ -148,19 +203,27 @@ class ExtElement:
 
     def __add__(self, other) -> ExtElement:
         other = self._same(other)
-        return ExtElement(self.ext, tuple(a + b for a, b in zip(self.coords, other.coords)))
+        if self._nums is None:
+            return ExtElement(self.ext, tuple(a + b for a, b in zip(self.coords, other.coords)))
+        da, db = self._den, other._den
+        if da == db:
+            return _from_ints(self.ext, [a + b for a, b in zip(self._nums, other._nums)], da)
+        return _from_ints(
+            self.ext, [a * db + b * da for a, b in zip(self._nums, other._nums)], da * db
+        )
 
     __radd__ = __add__
 
     def __sub__(self, other) -> ExtElement:
-        other = self._same(other)
-        return ExtElement(self.ext, tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return self + (-self._same(other))
 
     def __rsub__(self, other) -> ExtElement:
         return self._same(other) - self
 
     def __neg__(self) -> ExtElement:
-        return ExtElement(self.ext, tuple(-a for a in self.coords))
+        if self._nums is None:
+            return ExtElement(self.ext, tuple(-a for a in self.coords))
+        return ExtElement(self.ext, None, tuple(-a for a in self._nums), self._den)
 
     def __mul__(self, other):
         if isinstance(other, ExtElement):
@@ -168,75 +231,53 @@ class ExtElement:
             return self._mul_ext(other)
         # scalar from the coefficient ring
         s = self.ext.ring.element(other)
-        return ExtElement(self.ext, tuple(a * s for a in self.coords))
+        if self._nums is None:
+            return ExtElement(self.ext, tuple(a * s for a in self.coords))
+        p = s.numerator
+        return _from_ints(self.ext, [a * p for a in self._nums], self._den * s.denominator)
 
     __rmul__ = __mul__
 
     def _mul_ext(self, other: ExtElement) -> ExtElement:
-        if self.ext.ring.id == QQ.id:
-            return self._mul_rational(other)
         ext = self.ext
         n = ext.n
-        a, b = self.coords, other.coords
-        conv = [ext.ring.zero] * (2 * n - 1)
+        if self._nums is None:
+            a, b, zero = self.coords, other.coords, ext.ring.zero
+            table, dt = ext._gen_power_table(), 1
+        else:
+            a, b, zero = self._nums, other._nums, 0
+            table, dt = ext._int_power_table()
+        conv = [zero] * (2 * n - 1)
         for i, ai in enumerate(a):
             if ai:
                 for j, bj in enumerate(b):
                     conv[i + j] = conv[i + j] + ai * bj
-        out = conv[:n]
-        table = ext._gen_power_table()
+        # with t^(n+k) = table[k] / dt, out / dt is the product of a and b
+        out = conv[:n] if dt == 1 else [c * dt for c in conv[:n]]
         for k in range(n - 1):
             c = conv[n + k]
             if c:
                 red = table[k]
                 for i in range(n):
                     out[i] = out[i] + c * red[i]
-        return ExtElement(ext, tuple(out))
-
-    def _mul_rational(self, other: ExtElement) -> ExtElement:
-        ext = self.ext
-        n = ext.n
-        a, da = clear_denominators(self.coords)
-        b, db = clear_denominators(other.coords)
-        conv = [0] * (2 * n - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    conv[i + j] += ai * bj
-        table, dt = ext._int_power_table()
-        # the product is out / (da * db * dt), with t^(n+k) = table[k] / dt
-        out = [c * dt for c in conv[:n]]
-        for k in range(n - 1):
-            c = conv[n + k]
-            if c:
-                red = table[k]
-                for i in range(n):
-                    out[i] += c * red[i]
-        den = da * db * dt
-        return ExtElement(ext, tuple(Fraction(v, den) for v in out))
-
-    def __pow__(self, e: int) -> ExtElement:
-        if e < 0:
-            return self.inverse() ** (-e)
-        acc = self.ext.one()
-        base = self
-        while e:
-            if e & 1:
-                acc = acc * base
-            base = base * base
-            e >>= 1
-        return acc
+        if self._nums is None:
+            return ExtElement(ext, tuple(out))
+        return _from_ints(ext, out, self._den * other._den * dt)
 
     def __eq__(self, other):
         if not isinstance(other, ExtElement):
             return NotImplemented
-        return self.ext == other.ext and self.coords == other.coords
+        if self.ext != other.ext:
+            return False
+        if self._nums is None:
+            return self.coords == other.coords
+        return self._den == other._den and self._nums == other._nums
 
     def __hash__(self):
         return hash((self.ext, self.coords))
 
     def __bool__(self):
-        return any(self.coords)
+        return any(self.coords if self._nums is None else self._nums)
 
     def __repr__(self):
         return f"ExtElement{self.coords!r}"
@@ -244,59 +285,98 @@ class ExtElement:
     # ------------------------------------------------------------------
     # the algebraic toolkit
 
-    def _orbit_matrix(self, start: ExtElement):
-        # column j = coordinates of start * self**j, j = 0 .. n-1
-        cols = [start.coords]
-        for _ in range(self.ext.n - 1):
-            start = start * self
-            cols.append(start.coords)
-        return linalg.transpose(cols)
+    def _mult_columns(self):
+        """Column j of the multiplication matrix holds self*t^j.  Returns
+        (columns, None) over a ring other than Q, and over Q the integer
+        columns with their denominators."""
+        if self._mult_cols is None:
+            ext = self.ext
+            if self._nums is None:
+                col, dens = self.coords, None
+                red, dt, zero = ext._gen_red, 1, ext.ring.zero
+            else:
+                col, dens = self._nums, [self._den]
+                (red, *_), dt = ext._int_power_table()
+                zero = 0
+            cols = [col]
+            for _ in range(ext.n - 1):
+                cols.append(_times_t(cols[-1], red, dt, zero))
+                if dens is not None:
+                    dens.append(dens[-1] * dt)
+            self._mult_cols = cols, dens
+        return self._mult_cols
 
     def mult_matrix(self):
         """Matrix of left multiplication by self: column j = coords of self*t^j."""
-        if self._mult_matrix is None:
-            self._mult_matrix = self.ext.gen()._orbit_matrix(self)
-        return self._mult_matrix
+        cols, dens = self._mult_columns()
+        if dens is not None:
+            cols = [[Fraction(v, d) for v in col] for col, d in zip(cols, dens)]
+        return transpose(cols)
 
     def norm(self):
         """Determinant of the left-multiplication matrix."""
         if self._norm is None:
-            self._norm = linalg.det(self.ext.ring, self.mult_matrix())
+            cols, dens = self._mult_columns()
+            if dens is None:
+                self._norm = linalg.det(self.ext.ring, self.mult_matrix())
+            else:
+                # det is invariant under transposition, so the columns serve as rows
+                self._norm = Fraction(linalg.int_det(cols), prod(dens))
         return self._norm
 
     def is_invertible(self) -> bool:
         return self.ext.ring.is_invertible(self.norm())
 
     def inverse(self) -> ExtElement:
-        ring = self.ext.ring
+        ext = self.ext
+        ring = ext.ring
         if not self.is_invertible():
             raise NotInvertible("element is not a unit of the extension")
-        rhs = [ring.one] + [ring.zero] * (self.ext.n - 1)
-        sol = linalg.solve(ring, self.mult_matrix(), rhs)
-        if not all(ring.contains(v) for v in sol):
-            raise InternalAssertion("inverse left the coefficient ring")
-        inv = ExtElement(self.ext, tuple(sol))
-        if inv * self != self.ext.one():
+        cols, dens = self._mult_columns()
+        if dens is None:
+            rhs = [ring.one] + [ring.zero] * (ext.n - 1)
+            sol = linalg.solve(ring, self.mult_matrix(), rhs)
+            if not all(ring.contains(v) for v in sol):
+                raise InternalAssertion("inverse left the coefficient ring")
+            inv = ExtElement(ext, tuple(sol))
+        else:
+            # the matrix is N / dens column by column, so its inverse's first
+            # column is dens * (N^-1 e_1), and N^-1 e_1 = x / d
+            (x,), d = linalg.int_solve(transpose(cols), [[1]] + [[0]] * (ext.n - 1))
+            inv = _from_ints(ext, [e * v for e, v in zip(dens, x)], d)
+        if inv * self != ext.one():
             raise InternalAssertion("inverse verification failed")
         return inv
 
+    def _power_list(self):
+        # [1, self, ..., self^(n-1)]
+        if self._powers is None:
+            n = self.ext.n
+            powers = [self.ext.one(), self]
+            while len(powers) < n:
+                powers.append(powers[-1] * self)
+            self._powers = powers[:n]
+        return self._powers
+
     def powers_matrix(self):
         """Column j = coordinates of self**j, j = 0 .. n-1."""
-        if self._powers_matrix is None:
-            self._powers_matrix = self._orbit_matrix(self.ext.one())
-        return self._powers_matrix
+        return transpose([w.coords for w in self._power_list()])
 
     def is_primitive(self) -> bool:
         if self._primitive is None:
             residue = self.reduce()
+            ring = self.ext.ring
             if residue is not self:
                 # reduction commutes with det, and a unit is a nonzero residue
                 self._primitive = residue.is_primitive()
-            else:
-                ring = self.ext.ring
+            elif self._nums is None:
                 self._primitive = ring.is_invertible(
                     linalg.det(ring, self.powers_matrix())
                 )
+            else:
+                # the integer columns are the power columns times nonzero
+                # denominators, so their det is 0 exactly when that one is
+                self._primitive = linalg.int_det([w._nums for w in self._power_list()]) != 0
         return self._primitive
 
     def coords_in(self, basis_elt: ExtElement):
@@ -305,7 +385,16 @@ class ExtElement:
         if not basis_elt.is_primitive():
             raise NotPrimitive("basis element is not primitive")
         ring = self.ext.ring
-        sol = linalg.solve(ring, basis_elt.powers_matrix(), list(self.coords))
+        if self._nums is None:
+            sol = linalg.solve(ring, basis_elt.powers_matrix(), list(self.coords))
+        else:
+            # with N the integer power columns over dens, N y = nums has
+            # y = x / d, and the coordinates are dens * y / den
+            powers = basis_elt._power_list()
+            a = transpose([w._nums for w in powers])
+            (x,), d = linalg.int_solve(a, [[v] for v in self._nums])
+            d *= self._den
+            sol = [Fraction(w._den * v, d) for w, v in zip(powers, x)]
         if not all(ring.contains(v) for v in sol):
             raise CoordinateNotIntegral(
                 "coordinate left the coefficient ring despite a primitive basis"
@@ -315,7 +404,7 @@ class ExtElement:
     def minimal_polynomial(self) -> Poly:
         """The monic degree-n polynomial vanishing on self (self must be primitive)."""
         ext = self.ext
-        v = (self ** ext.n).coords_in(self)
+        v = (self._power_list()[-1] * self).coords_in(self)
         coeffs = [-c for c in v] + [ext.ring.one]
         p = Poly(ext.ring, coeffs)
         if p(self) != ext.zero():

@@ -1,15 +1,18 @@
 """Exact dense linear algebra over the coefficient rings.
 
-Over Q, `det` and `solve_columns` clear each row's denominators once and
-run one fraction-free Bareiss elimination on Python integers (Bareiss
-1968): every division in it is exact, every entry stays a minor of the
-integer matrix, so intermediate growth is polynomial and no gcd is taken
-until the results are built as Fractions.  Over every other ring -- the
-local ring Q[x]_(x) and the small finite fields -- elimination runs in the
-fraction field via the ring's `fraction_div` hook and results that must
-land back in the ring are membership-checked.  Determinants of order 1 and
-2 are expanded directly over every ring, and of order 3 over every ring
-but Q.
+Integer matrices have one fraction-free elimination, `_bareiss` (Bareiss
+1968), behind two entry points: `int_det` runs it forward and `int_solve`
+runs it Gauss-Jordan.  Every division in it is exact and every entry stays
+a minor of the integer matrix, so intermediate growth is polynomial and no
+gcd is taken at all.  Extension elements over Q call these two entry points
+on their integer columns directly.  `det` and `solve_columns` over Q clear
+each row's denominators once and go through the same two, so a Fraction
+matrix costs a gcd only where the results are built as Fractions.  Over
+every other ring -- the local ring Q[x]_(x) and the small finite fields --
+elimination runs in the fraction field via the ring's `fraction_div` hook
+and results that must land back in the ring are membership-checked.
+Determinants of order 1 and 2 are expanded directly over every ring, and
+of order 3 over every ring but Q.
 
 Matrices are plain lists of row lists of ring elements.
 """
@@ -21,10 +24,6 @@ from math import lcm
 
 from .errors import InternalAssertion
 from .rings import QQ
-
-
-def identity(ring, n: int):
-    return [[ring.one if i == j else ring.zero for j in range(n)] for i in range(n)]
 
 
 def transpose(a):
@@ -118,6 +117,25 @@ def _det_fraction_field(ring, rows):
     return det
 
 
+def int_det(rows) -> int:
+    """Exact determinant of a square integer matrix (left unchanged)."""
+    m = [list(r) for r in rows]
+    sign = _bareiss(m, len(m), above=False)
+    return sign * m[-1][-1]
+
+
+def int_solve(a, b) -> tuple[list[list[int]], int]:
+    """Solve a X = b for a square integer matrix a and integer right-hand
+    columns b (given as rows, like a): returns the integer columns x and the
+    integer d with X = x / d.  a must be nonsingular."""
+    n = len(a)
+    m = [list(ra) + list(rb) for ra, rb in zip(a, b)]
+    if not _bareiss(m, n, above=True):
+        raise InternalAssertion("singular system in an exact solve")
+    # every pivot has ended equal to d
+    return [[row[j] for row in m] for j in range(n, len(m[0]))], m[0][0]
+
+
 def _det_rational(rows) -> Fraction:
     m = []
     scale = 1
@@ -125,8 +143,7 @@ def _det_rational(rows) -> Fraction:
         nums, d = clear_denominators(row)
         m.append(nums)
         scale *= d
-    sign = _bareiss(m, len(m), above=False)
-    return Fraction(sign * m[-1][-1], scale)
+    return Fraction(int_det(m), scale)
 
 
 def det(ring, rows):
@@ -153,17 +170,15 @@ def solve_columns(ring, a, b):
     this; a singular matrix is a broken contract).
     """
     n = len(a)
-    width = len(b[0])
-    m = [list(a[i]) + list(b[i]) for i in range(n)]
     if ring.id == QQ.id:
         # scaling a row of [a | b] leaves the solutions as they are
-        m = [clear_denominators(row)[0] for row in m]
-        if _bareiss(m, n, above=True):
-            d = m[0][0]
-            return [[Fraction(m[i][n + j], d) for i in range(n)] for j in range(width)]
-    elif _eliminate(ring, m, n, above=True):
-        return [[ring.fraction_div(m[i][n + j], m[i][i]) for i in range(n)] for j in range(width)]
-    raise InternalAssertion("singular system in an exact solve")
+        m = [clear_denominators(list(a[i]) + list(b[i]))[0] for i in range(n)]
+        cols, d = int_solve([row[:n] for row in m], [row[n:] for row in m])
+        return [[Fraction(v, d) for v in col] for col in cols]
+    m = [list(a[i]) + list(b[i]) for i in range(n)]
+    if not _eliminate(ring, m, n, above=True):
+        raise InternalAssertion("singular system in an exact solve")
+    return [[ring.fraction_div(m[i][n + j], m[i][i]) for i in range(n)] for j in range(len(b[0]))]
 
 
 def solve(ring, a, rhs):

@@ -4,16 +4,12 @@ A form is a list of invertible diagonal coefficients a_1 .. a_m; it
 evaluates over the base ring or over any extension of it.  Membership in
 the group generated by invertible form values is always carried around as
 an explicit list of (vector, exponent) factors, never decided abstractly.
-
-General symmetric Gram matrices are turned into diagonal forms first by an
-exact congruence (valid over a local ring in which 2 is a unit).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import linalg
 from .errors import InternalAssertion, NotInvertible, NotRegular
 
 
@@ -104,73 +100,3 @@ class QuadraticForm:
             raise InternalAssertion("square factorization identity failed")
         return [first, second]
 
-
-def diagonalize_gram(ring, gram):
-    """Exact congruence of a regular symmetric matrix to a diagonal form.
-
-    Returns (form, c) with c invertible over the ring and c^T gram c equal
-    to the diagonal of the form.  Requires 2 invertible (true for every
-    supported ring) and det(gram) a unit.
-    """
-    n = len(gram)
-    g = [[ring.element(v) for v in row] for row in gram]
-    for i in range(n):
-        if len(g[i]) != n:
-            raise NotRegular("Gram matrix must be square")
-        for j in range(i + 1, n):
-            if g[i][j] != g[j][i]:
-                raise NotRegular("Gram matrix must be symmetric")
-    if not ring.is_invertible(linalg.det(ring, g)):
-        raise NotRegular("Gram determinant is not a unit")
-
-    c = linalg.identity(ring, n)
-
-    def add_multiple(src: int, dst: int, lam):
-        # congruence by I + lam * E_{src,dst}: add lam*(row/col src) to row/col dst
-        for j in range(n):
-            g[dst][j] = g[dst][j] + lam * g[src][j]
-        for i in range(n):
-            g[i][dst] = g[i][dst] + lam * g[i][src]
-        for i in range(n):
-            c[i][dst] = c[i][dst] + lam * c[i][src]
-
-    def swap(i: int, j: int):
-        g[i], g[j] = g[j], g[i]
-        for row in g:
-            row[i], row[j] = row[j], row[i]
-        for row in c:
-            row[i], row[j] = row[j], row[i]
-
-    for k in range(n):
-        if not ring.is_invertible(g[k][k]):
-            pivot = next(
-                (i for i in range(k + 1, n) if ring.is_invertible(g[i][i])), None
-            )
-            if pivot is not None:
-                swap(k, pivot)
-            else:
-                # all trailing diagonal entries are non-units; a unit off-diagonal
-                # entry exists because the trailing block stays regular
-                found = next(
-                    (
-                        (i, j)
-                        for i in range(k, n)
-                        for j in range(k, n)
-                        if i != j and ring.is_invertible(g[i][j])
-                    ),
-                    None,
-                )
-                if found is None:
-                    raise InternalAssertion("regular block without any unit entry")
-                i, j = found
-                add_multiple(j, i, ring.one)
-                if not ring.is_invertible(g[i][i]):
-                    raise InternalAssertion("pivot repair failed on a regular block")
-                if i != k:
-                    swap(k, i)
-        inv_pivot = ring.invert(g[k][k])
-        for i in range(k + 1, n):
-            if g[k][i]:
-                add_multiple(k, i, -(g[k][i] * inv_pivot))
-
-    return QuadraticForm(ring, [g[i][i] for i in range(n)]), c

@@ -9,7 +9,6 @@ searches rely on but never evaluate (see the genpos module docstring).
 
 from fractions import Fraction
 from itertools import permutations
-from math import isqrt
 
 from normcert import linalg
 from normcert.errors import InternalAssertion, NotInvertible, NotPrimitive
@@ -66,15 +65,6 @@ def naive_solve(a, rhs):
         naive_det([row[:i] + [v] + row[i + 1:] for row, v in zip(a, rhs)]) / d
         for i in range(len(a))
     ]
-
-
-def is_rational_square(v: Fraction) -> bool:
-    if v < 0:
-        return False
-    return (
-        isqrt(v.numerator) ** 2 == v.numerator
-        and isqrt(v.denominator) ** 2 == v.denominator
-    )
 
 
 def horner_free_eval(coeffs, point):

@@ -226,10 +226,11 @@ class TestStructure:
         # n = 3, two reduction levels; per level: the norm of q_S(x), the
         # primitivity of c, the search's own unit check of q(x) and the norm
         # of c in the combine identity; then the norm of the degree-one value
-        # and the verifier's independent norm of q_S(x)
+        # and the verifier's independent norm of q_S(x).  Over Q every one of
+        # them is an integer determinant.
         inst = random_instance(QQ, random.Random(0), 3, 2)
-        sizes, det = [], linalg.det
-        monkeypatch.setattr(linalg, "det", lambda r, rows: sizes.append(len(rows)) or det(r, rows))
+        sizes, det = [], linalg.int_det
+        monkeypatch.setattr(linalg, "int_det", lambda rows: sizes.append(len(rows)) or det(rows))
         certify(inst.ext, inst.q, inst.xs, rng=0)
         assert sorted(sizes) == [1] + [2] * 4 + [3] * 5
 

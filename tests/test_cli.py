@@ -261,6 +261,14 @@ class TestDemoCommand:
         assert main(["demo", "randsuite", "--count", "5", "--seed", "7"]) == 0
         assert "5/5 certificates verified" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("count", ["-3", "0", "x"])
+    def test_randsuite_count_below_one_is_usage_error(self, count, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["demo", "randsuite", "--count", count])
+        assert exc.value.code == 3
+        captured = capsys.readouterr()
+        assert "--count" in captured.err and "certificates verified" not in captured.out
+
     def test_randsuite_internal_error_exits_4(self, monkeypatch, capsys):
         monkeypatch.setattr(instances, "certify", engine_bug)
         assert main(["demo", "randsuite", "--count", "2", "--seed", "7"]) == 4

@@ -3,14 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from normcert import linalg
 from normcert.errors import NotInvertible, NotRegular
 from normcert.extension import SimpleExtension
 from normcert.poly import Poly
-from normcert.qform import QuadraticForm, ValueFactor, diagonalize_gram
+from normcert.qform import QuadraticForm, ValueFactor
 from normcert.rings import QQ, QQ_LOCAL_X, RatFunc
-
-from oracles import is_rational_square, mat_mul
 
 F = Fraction
 
@@ -101,81 +98,3 @@ class TestSquareAsProduct:
         with pytest.raises(ValueError):
             ValueFactor((F(1),), True)  # bool is an int, and True == 1
 
-
-class TestDiagonalize:
-    def _check_congruence(self, ring, gram, form, c):
-        gram = [[ring.element(v) for v in row] for row in gram]
-        lhs = mat_mul(ring, linalg.transpose(c), mat_mul(ring, gram, c))
-        n = len(gram)
-        for i in range(n):
-            for j in range(n):
-                expected = form.diag[i] if i == j else ring.zero
-                assert lhs[i][j] == expected
-        assert ring.is_invertible(linalg.det(ring, c))
-
-    def test_complete_the_square(self):
-        form, c = diagonalize_gram(QQ, [[1, 1], [1, 2]])
-        self._check_congruence(QQ, [[1, 1], [1, 2]], form, c)
-        assert form.diag == (F(1), F(1))
-
-    def test_hyperbolic_plane(self):
-        form, c = diagonalize_gram(QQ, [[0, 1], [1, 0]])
-        self._check_congruence(QQ, [[0, 1], [1, 0]], form, c)
-        # xy = ((x+y)/2)^2 - ((x-y)/2)^2: the result is <1,-1> up to squares
-        assert is_rational_square(-form.diag[0] * form.diag[1])
-
-    def test_already_diagonal(self):
-        form, c = diagonalize_gram(QQ, [[3, 0], [0, 5]])
-        assert form.diag == (F(3), F(5))
-        assert c == linalg.identity(QQ, 2)
-
-    def test_rejects_singular(self):
-        with pytest.raises(NotRegular):
-            diagonalize_gram(QQ, [[1, 1], [1, 1]])
-        with pytest.raises(NotRegular):
-            diagonalize_gram(QQ, [[1, 2], [1, 1]])  # not symmetric
-
-    def test_random_rational(self):
-        rng = random.Random(18)
-        done = 0
-        while done < 60:
-            n = rng.randint(1, 4)
-            gram = [[F(rng.randint(-6, 6)) for _ in range(n)] for _ in range(n)]
-            for i in range(n):
-                for j in range(i + 1, n):
-                    gram[j][i] = gram[i][j]
-            if linalg.det(QQ, gram) == 0:
-                continue
-            form, c = diagonalize_gram(QQ, gram)
-            self._check_congruence(QQ, gram, form, c)
-            done += 1
-
-    def test_local_ring_needs_offdiagonal_repair(self):
-        # all diagonal entries in the maximal ideal, determinant a unit
-        ring = QQ_LOCAL_X
-        x = ring.x
-        gram = [[x, ring.one], [ring.one, x]]
-        form, c = diagonalize_gram(ring, gram)
-        self._check_congruence(ring, gram, form, c)
-        for a in form.diag:
-            assert ring.is_invertible(a)
-
-    def test_random_local(self):
-        ring = QQ_LOCAL_X
-        rng = random.Random(19)
-        done = 0
-        while done < 25:
-            n = rng.randint(1, 3)
-            gram = [
-                [RatFunc((rng.randint(-4, 4), rng.randint(-4, 4))) for _ in range(n)]
-                for _ in range(n)
-            ]
-            for i in range(n):
-                for j in range(i + 1, n):
-                    gram[j][i] = gram[i][j]
-            d = linalg.det(ring, [[ring.element(v) for v in row] for row in gram])
-            if not ring.is_invertible(d):
-                continue
-            form, c = diagonalize_gram(ring, gram)
-            self._check_congruence(ring, gram, form, c)
-            done += 1
