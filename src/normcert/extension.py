@@ -11,23 +11,27 @@ the coefficient ring, i.e. when the determinant of its powers matrix is a
 unit; over the local ring that is decided on the residue.
 
 Over Q an element is held as integer numerators over one positive
-denominator that shares no factor with all of them; `coords` builds the
-Fractions on first use.  Sums, scalar multiples and products run on those
-integers (a product convolves them and reduces against an integer table of
-t^n, ..., t^(2n-2) over one common denominator) and end in one multi-gcd,
-which stops as soon as the common factor is 1.  Norms, inverses,
+denominator that shares no factor with all of them, the format of
+polynomials over Q, and `coords` builds the Fractions on first use.  Sums,
+scalar multiples and products run on those integers through the functions
+of `poly` that build that format (a product convolves and reduces against
+an integer table of t^n, ..., t^(2n-2) over one common denominator, built
+by shift and reduce from the integer modulus) and end in one multi-gcd,
+which stops as soon as the common factor is 1.  `from_poly` takes the
+integer remainder of a division by the modulus as it is.  Norms, inverses,
 primitivity and power-basis coordinates take integer columns, each over its
 own denominator, into `linalg.int_det` and `linalg.int_solve` and scale the
-result back by those denominators.  Over every other ring the arithmetic
-runs coefficient by coefficient in the ring.  On every ring column j+1 of
-the multiplication matrix is t times column j: a shift plus one multiple of
-the coordinates of t^n.
+result back by those denominators; the minimal polynomial is built from
+that integer solution and checked by Horner on the integers.  Over every
+other ring the arithmetic runs coefficient by coefficient in the ring.  On
+every ring column j+1 of the multiplication matrix is t times column j: a
+shift plus one multiple of the coordinates of t^n.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, prod
+from math import prod
 
 from . import linalg
 from .errors import (
@@ -38,7 +42,7 @@ from .errors import (
     NotSimple,
 )
 from .linalg import clear_denominators, transpose
-from .poly import Poly
+from .poly import Poly, convolve, int_scale, int_sum, lowest_terms
 from .rings import QQ
 
 
@@ -62,7 +66,7 @@ class SimpleExtension:
         # over Q elements are held as integers over one denominator
         self._rational = ring.id == QQ.id
         # coordinates of t^n, i.e. minus the lower part of the modulus
-        self._gen_red = tuple(-c for c in modulus.coeffs[:-1])
+        self._gen_red = None if self._rational else tuple(-c for c in modulus.coeffs[:-1])
         self._tpow = None
         self._int_tpow = None
         self._residue_ext = None
@@ -103,6 +107,10 @@ class SimpleExtension:
     def from_poly(self, f: Poly) -> ExtElement:
         """Reduce a polynomial modulo the defining modulus."""
         rem = f % self.modulus
+        if self._rational:
+            # the remainder is in lowest terms, and zero padding keeps it so
+            nums, den = rem.int_form
+            return ExtElement(self, None, nums + (0,) * (self.n - len(nums)), den)
         cs = list(rem.coeffs) + [self.ring.zero] * (self.n - len(rem.coeffs))
         return ExtElement(self, tuple(cs))
 
@@ -121,12 +129,19 @@ class SimpleExtension:
         return self._tpow
 
     def _int_power_table(self):
-        # the same table over Q as integer rows over one common denominator
+        # the same table over Q as integer rows over one common denominator:
+        # t^(n+k) is t^(n+k-1) times t, its row over dm^(k+1) when the
+        # modulus is nums / dm
         if self._int_tpow is None:
-            table = self._gen_power_table()
-            nums, den = clear_denominators([c for row in table for c in row])
+            nums, dm = self.modulus.int_form
+            rows = [tuple(-v for v in nums[:-1])]
+            for _ in range(self.n - 2):
+                rows.append(_times_t(rows[-1], rows[0], dm, 0))
+            # over dm^(n-1), reduced by one multi-gcd over the whole table
+            flat = [v * dm ** (len(rows) - 1 - k) for k, row in enumerate(rows) for v in row]
+            flat, den = lowest_terms(flat, dm ** len(rows))
             n = self.n
-            self._int_tpow = [nums[k * n:(k + 1) * n] for k in range(len(table))], den
+            self._int_tpow = [flat[k * n:(k + 1) * n] for k in range(len(rows))], den
         return self._int_tpow
 
     def residue_extension(self) -> SimpleExtension:
@@ -138,18 +153,6 @@ class SimpleExtension:
             pbar = self.modulus.map_coefficients(self.ring.residue, k)
             self._residue_ext = SimpleExtension(k, pbar)
         return self._residue_ext
-
-
-def _from_ints(ext: SimpleExtension, nums, den: int) -> ExtElement:
-    """The element nums / den of an extension over Q, for any nonzero den."""
-    # one multi-gcd: each step runs against the shrinking common factor,
-    # and math.gcd stops taking gcds once that factor is 1
-    g = gcd(den, *nums)
-    if den < 0:
-        g = -g
-    if g != 1:
-        return ExtElement(ext, None, tuple(v // g for v in nums), den // g)
-    return ExtElement(ext, None, tuple(nums), den)
 
 
 def _times_t(col, red, dt: int, zero):
@@ -170,7 +173,7 @@ class ExtElement:
 
     def __init__(self, ext: SimpleExtension, coords: tuple | None, nums=None, den: int = 1):
         # over Q give either Fraction coords or integer nums over a positive
-        # den sharing no factor with all of them (what _from_ints builds)
+        # den sharing no factor with all of them (what poly.lowest_terms builds)
         self.ext = ext
         if nums is None and ext._rational:
             # each Fraction is in lowest terms, so over the lcm of the
@@ -205,12 +208,7 @@ class ExtElement:
         other = self._same(other)
         if self._nums is None:
             return ExtElement(self.ext, tuple(a + b for a, b in zip(self.coords, other.coords)))
-        da, db = self._den, other._den
-        if da == db:
-            return _from_ints(self.ext, [a + b for a, b in zip(self._nums, other._nums)], da)
-        return _from_ints(
-            self.ext, [a * db + b * da for a, b in zip(self._nums, other._nums)], da * db
-        )
+        return ExtElement(self.ext, None, *int_sum(self._nums, self._den, other._nums, other._den))
 
     __radd__ = __add__
 
@@ -230,11 +228,10 @@ class ExtElement:
             other = self._same(other)
             return self._mul_ext(other)
         # scalar from the coefficient ring
-        s = self.ext.ring.element(other)
         if self._nums is None:
+            s = self.ext.ring.element(other)
             return ExtElement(self.ext, tuple(a * s for a in self.coords))
-        p = s.numerator
-        return _from_ints(self.ext, [a * p for a in self._nums], self._den * s.denominator)
+        return ExtElement(self.ext, None, *int_scale(self._nums, self._den, other))
 
     __rmul__ = __mul__
 
@@ -247,11 +244,7 @@ class ExtElement:
         else:
             a, b, zero = self._nums, other._nums, 0
             table, dt = ext._int_power_table()
-        conv = [zero] * (2 * n - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    conv[i + j] = conv[i + j] + ai * bj
+        conv = convolve(a, b, zero)
         # with t^(n+k) = table[k] / dt, out / dt is the product of a and b
         out = conv[:n] if dt == 1 else [c * dt for c in conv[:n]]
         for k in range(n - 1):
@@ -262,7 +255,7 @@ class ExtElement:
                     out[i] = out[i] + c * red[i]
         if self._nums is None:
             return ExtElement(ext, tuple(out))
-        return _from_ints(ext, out, self._den * other._den * dt)
+        return ExtElement(ext, None, *lowest_terms(out, self._den * other._den * dt))
 
     def __eq__(self, other):
         if not isinstance(other, ExtElement):
@@ -343,7 +336,7 @@ class ExtElement:
             # the matrix is N / dens column by column, so its inverse's first
             # column is dens * (N^-1 e_1), and N^-1 e_1 = x / d
             (x,), d = linalg.int_solve(transpose(cols), [[1]] + [[0]] * (ext.n - 1))
-            inv = _from_ints(ext, [e * v for e, v in zip(dens, x)], d)
+            inv = ExtElement(ext, None, *lowest_terms([e * v for e, v in zip(dens, x)], d))
         if inv * self != ext.one():
             raise InternalAssertion("inverse verification failed")
         return inv
@@ -379,22 +372,28 @@ class ExtElement:
                 self._primitive = linalg.int_det([w._nums for w in self._power_list()]) != 0
         return self._primitive
 
+    def _int_coords_in(self, basis_elt: ExtElement):
+        """Over Q, the coordinates of self in the power basis of a primitive
+        element as integer numerators over one denominator."""
+        if not basis_elt.is_primitive():
+            raise NotPrimitive("basis element is not primitive")
+        # with N the integer power columns over dens, N y = nums has
+        # y = x / d, and the coordinates are dens * y / den
+        powers = basis_elt._power_list()
+        a = transpose([w._nums for w in powers])
+        (x,), d = linalg.int_solve(a, [[v] for v in self._nums])
+        return [w._den * v for w, v in zip(powers, x)], d * self._den
+
     def coords_in(self, basis_elt: ExtElement):
         """Coordinates of self in the power basis of a primitive element."""
         basis_elt = self._same(basis_elt)
+        if self._nums is not None:
+            nums, d = self._int_coords_in(basis_elt)
+            return [Fraction(v, d) for v in nums]
         if not basis_elt.is_primitive():
             raise NotPrimitive("basis element is not primitive")
         ring = self.ext.ring
-        if self._nums is None:
-            sol = linalg.solve(ring, basis_elt.powers_matrix(), list(self.coords))
-        else:
-            # with N the integer power columns over dens, N y = nums has
-            # y = x / d, and the coordinates are dens * y / den
-            powers = basis_elt._power_list()
-            a = transpose([w._nums for w in powers])
-            (x,), d = linalg.int_solve(a, [[v] for v in self._nums])
-            d *= self._den
-            sol = [Fraction(w._den * v, d) for w, v in zip(powers, x)]
+        sol = linalg.solve(ring, basis_elt.powers_matrix(), list(self.coords))
         if not all(ring.contains(v) for v in sol):
             raise CoordinateNotIntegral(
                 "coordinate left the coefficient ring despite a primitive basis"
@@ -404,10 +403,14 @@ class ExtElement:
     def minimal_polynomial(self) -> Poly:
         """The monic degree-n polynomial vanishing on self (self must be primitive)."""
         ext = self.ext
-        v = (self._power_list()[-1] * self).coords_in(self)
-        coeffs = [-c for c in v] + [ext.ring.one]
-        p = Poly(ext.ring, coeffs)
-        if p(self) != ext.zero():
+        top = self._power_list()[-1] * self
+        if self._nums is None:
+            p = Poly(ext.ring, [-c for c in top.coords_in(self)] + [ext.ring.one])
+        else:
+            # t^n minus the coordinates of self^n, over their denominator
+            nums, d = top._int_coords_in(self)
+            p = Poly.from_ints([-v for v in nums] + [d], d)
+        if p(self):
             raise InternalAssertion("minimal polynomial does not vanish on its element")
         return p
 

@@ -4,26 +4,23 @@ Integer matrices have one fraction-free elimination, `_bareiss` (Bareiss
 1968), behind two entry points: `int_det` runs it forward and `int_solve`
 runs it Gauss-Jordan.  Every division in it is exact and every entry stays
 a minor of the integer matrix, so intermediate growth is polynomial and no
-gcd is taken at all.  Extension elements over Q call these two entry points
-on their integer columns directly.  `det` and `solve_columns` over Q clear
-each row's denominators once and go through the same two, so a Fraction
-matrix costs a gcd only where the results are built as Fractions.  Over
-every other ring -- the local ring Q[x]_(x) and the small finite fields --
-elimination runs in the fraction field via the ring's `fraction_div` hook
-and results that must land back in the ring are membership-checked.
-Determinants of order 1 and 2 are expanded directly over every ring, and
-of order 3 over every ring but Q.
+gcd is taken at all.  Extension elements over Q, the only Q matrices the
+library builds, hand their integer columns to these two entry points
+directly.  `det` and `solve_columns` run on any ring -- Q, the local ring
+Q[x]_(x) and the small finite fields -- by elimination in the fraction
+field via the ring's `fraction_div` hook, and results that must land back
+in the ring are membership-checked.  Determinants of order 1 to 3 are
+expanded directly.  `clear_denominators` writes Fractions as integer
+numerators over one common denominator.
 
 Matrices are plain lists of row lists of ring elements.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
 
 from .errors import InternalAssertion
-from .rings import QQ
 
 
 def transpose(a):
@@ -136,28 +133,15 @@ def int_solve(a, b) -> tuple[list[list[int]], int]:
     return [[row[j] for row in m] for j in range(n, len(m[0]))], m[0][0]
 
 
-def _det_rational(rows) -> Fraction:
-    m = []
-    scale = 1
-    for row in rows:
-        nums, d = clear_denominators(row)
-        m.append(nums)
-        scale *= d
-    return Fraction(int_det(m), scale)
-
-
 def det(ring, rows):
     """Exact determinant of a square matrix over the ring."""
     n = len(rows)
-    # direct expansion for tiny matrices: over Q too it beats clearing the
-    # denominators, whose final Fraction alone costs a gcd of the full height
+    # direct expansion for tiny matrices
     if n == 1:
         return rows[0][0]
     if n == 2:
         (a, b), (c, d) = rows
         return a * d - b * c
-    if ring.id == QQ.id:
-        return _det_rational(rows)
     return _det_fraction_field(ring, rows)
 
 
@@ -170,11 +154,6 @@ def solve_columns(ring, a, b):
     this; a singular matrix is a broken contract).
     """
     n = len(a)
-    if ring.id == QQ.id:
-        # scaling a row of [a | b] leaves the solutions as they are
-        m = [clear_denominators(list(a[i]) + list(b[i]))[0] for i in range(n)]
-        cols, d = int_solve([row[:n] for row in m], [row[n:] for row in m])
-        return [[Fraction(v, d) for v in col] for col in cols]
     m = [list(a[i]) + list(b[i]) for i in range(n)]
     if not _eliminate(ring, m, n, above=True):
         raise InternalAssertion("singular system in an exact solve")

@@ -31,6 +31,8 @@ class FormatError(ValueError):
 
 
 def _ring_from_json(ring_id):
+    if not isinstance(ring_id, str):
+        raise FormatError(f"ring id must be a string, got {ring_id!r}")
     try:
         return get_ring(ring_id)
     except ValueError as exc:
@@ -83,8 +85,11 @@ def element_from_json(ring, data):
         return ring.element(rational_from_json(data))
     if not isinstance(data, dict) or "num" not in data:
         raise FormatError(f"expected a num/den object, got {data!r}")
-    num = [rational_from_json(c) for c in data["num"]]
-    den = [rational_from_json(c) for c in data.get("den", ["1"])]
+    num, den = data["num"], data.get("den", ["1"])
+    if not isinstance(num, list) or not isinstance(den, list):
+        raise FormatError(f"num and den must be lists, got {data!r}")
+    num = [rational_from_json(c) for c in num]
+    den = [rational_from_json(c) for c in den]
     try:
         return ring.element(RatFunc(num, den))
     except (ZeroDivisionError, RingMismatch) as exc:

@@ -42,20 +42,65 @@ def naive_det(rows):
     return total
 
 
-def naive_ext_mul(modulus, a, b):
-    """Coordinates of a*b in Q[t]/(p), for p monic with ascending
-    coefficients `modulus`: the Fraction product of the two coordinate
-    polynomials, reduced by long division."""
+def naive_poly(coeffs):
+    """Fraction coefficients, ascending, with trailing zeros dropped."""
+    out = [Fraction(c) for c in coeffs]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def naive_poly_add(a, b):
+    out = [Fraction(0)] * max(len(a), len(b))
+    for i, c in enumerate(a):
+        out[i] += c
+    for i, c in enumerate(b):
+        out[i] += c
+    return naive_poly(out)
+
+
+def naive_poly_mul(a, b):
+    """The Fraction product of two coefficient lists (not trimmed)."""
+    if not a or not b:
+        return []
     prod = [Fraction(0)] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         for j, bj in enumerate(b):
             prod[i + j] += ai * bj
+    return prod
+
+
+def naive_poly_divmod(f, modulus):
+    """Quotient and remainder (not trimmed, the remainder of length
+    deg modulus) of f by a monic modulus, by long division in Fractions."""
     n = len(modulus) - 1
-    for k in range(len(prod) - 1, n - 1, -1):
-        c = prod[k]
+    rem = list(f) + [Fraction(0)] * max(0, n - len(f))
+    quo = [Fraction(0)] * max(0, len(f) - n)
+    for k in range(len(rem) - 1, n - 1, -1):
+        c = rem[k]
+        quo[k - n] = c
         for i in range(n + 1):
-            prod[k - n + i] -= c * modulus[i]
-    return prod[:n]
+            rem[k - n + i] -= c * modulus[i]
+    return quo, rem[:n]
+
+
+def naive_ext_mul(modulus, a, b):
+    """Coordinates of a*b in Q[t]/(p), for p monic with ascending
+    coefficients `modulus`: the Fraction product of the two coordinate
+    polynomials, reduced by long division."""
+    return naive_poly_divmod(naive_poly_mul(a, b), modulus)[1]
+
+
+def naive_ext_eval(modulus, coeffs, x):
+    """Coordinates of f(x) in Q[t]/(p) for the coefficient list f, as the
+    power sum of the coefficients times naive powers of x."""
+    n = len(modulus) - 1
+    total = [Fraction(0)] * n
+    power = [Fraction(1)] + [Fraction(0)] * (n - 1)
+    for c in coeffs:
+        total = [t + c * v for t, v in zip(total, power)]
+        power = naive_ext_mul(modulus, power, x)
+    return total
 
 
 def naive_solve(a, rhs):

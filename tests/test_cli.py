@@ -28,6 +28,9 @@ POLE = {"num": ["1"], "den": ["0", "1"]}  # 1/x, not in the local ring
 LOCAL_INSTANCE = {"ring": "Q[x]_(x)", "p": ["1", "0", "1"], "q": ["1"], "x": [["1", "1"]]}
 NOT_SIMPLE_INSTANCE = dict(GAUSS_INSTANCE, p=["0", "0", "1"])  # p(0) = 0
 POLE_INSTANCE = dict(LOCAL_INSTANCE, x=[["1", POLE]])
+# found by tests/test_cli_fuzz.py: both once ended in a TypeError
+LIST_RING_INSTANCE = dict(GAUSS_INSTANCE, ring=[])
+NULL_NUM_INSTANCE = dict(LOCAL_INSTANCE, x=[["1", {"num": None}]])
 BAD_OPTIONS = [
     {"seed": "1"},
     {"seed": True},
@@ -125,7 +128,9 @@ class TestCertifyCommand:
         path = write_json(tmp_path / "inst.json", dict(GAUSS_INSTANCE, q=["1"]))
         assert main(["certify", "--input", path]) == 3
 
-    @pytest.mark.parametrize("bad", [NOT_SIMPLE_INSTANCE, POLE_INSTANCE])
+    @pytest.mark.parametrize(
+        "bad", [NOT_SIMPLE_INSTANCE, POLE_INSTANCE, LIST_RING_INSTANCE, NULL_NUM_INSTANCE]
+    )
     def test_unusable_ring_data_exits_3(self, bad, tmp_path, capsys):
         path = write_json(tmp_path / "inst.json", bad)
         assert main(["certify", "--input", path]) == 3
@@ -195,7 +200,9 @@ class TestVerifyCommand:
         assert verify_tampered(instance_path, tmp_path, to_true) == 3
         assert "invalid input" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("bad", [NOT_SIMPLE_INSTANCE, POLE_INSTANCE])
+    @pytest.mark.parametrize(
+        "bad", [NOT_SIMPLE_INSTANCE, POLE_INSTANCE, LIST_RING_INSTANCE, NULL_NUM_INSTANCE]
+    )
     def test_unusable_ring_data_exits_3(self, bad, instance_path, tmp_path, capsys):
         _, out = run_certify(instance_path, tmp_path)
         path = write_json(tmp_path / "bad.json", bad)
