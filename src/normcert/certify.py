@@ -150,8 +150,7 @@ def _certify_value(ext, q, xs, rng, max_tries, bound, stats):
     c, r = witness.c_new, witness.r
 
     # coordinates of the witness in the power basis of c, read as polynomials
-    tops = tuple(col[-1] for col in witness.columns)
-    x_polys = [Poly(ring, col) for col in witness.columns]
+    tops, x_polys = witness.tops, witness.columns
 
     p = c.minimal_polynomial()
     q_of_x = Poly.zero(ring)

@@ -10,22 +10,32 @@ An element b is primitive when {1, b, ..., b^(n-1)} is again a basis over
 the coefficient ring, i.e. when the determinant of its powers matrix is a
 unit; over the local ring that is decided on the residue.
 
-Over Q an element is held as integer numerators over one positive
-denominator that shares no factor with all of them, the format of
-polynomials over Q, and `coords` builds the Fractions on first use.  Sums,
-scalar multiples and products run on those integers through the functions
-of `poly` that build that format (a product convolves and reduces against
-an integer table of t^n, ..., t^(2n-2) over one common denominator, built
-by shift and reduce from the integer modulus) and end in one multi-gcd,
-which stops as soon as the common factor is 1.  `from_poly` takes the
-integer remainder of a division by the modulus as it is.  Norms, inverses,
-primitivity and power-basis coordinates take integer columns, each over its
-own denominator, into `linalg.int_det` and `linalg.int_solve` and scale the
-result back by those denominators; the minimal polynomial is built from
-that integer solution and checked by Horner on the integers.  Over every
-other ring the arithmetic runs coefficient by coefficient in the ring.  On
-every ring column j+1 of the multiplication matrix is t times column j: a
-shift plus one multiple of the coordinates of t^n.
+Over Q and over Q[x]_(x) an element is held in an integral format:
+numerators over one denominator that shares no factor with all of them.
+Over Q those are integers over a positive integer, the format of
+polynomials over Q.  Over Q[x]_(x) they are integer polynomials (`ZX`)
+over one integer polynomial d with d(0) != 0 and a positive leading
+coefficient, and no integer content and no polynomial factor is common to
+d and all the numerators.  `coords` builds the Fractions or RatFuncs on
+first use, and `reduce` reads the residue off the constant terms.  One
+code path serves both formats, through the small format records
+`_Rationals` and `_LocalFunctions` (zero and one, normalization, sums,
+scalar multiples, splitting a ring scalar and building ring values and
+polynomials back); Python ints keep their native operators.  Sums, scalar
+multiples and products run on the numerators: a product convolves them
+and reduces against a table of t^n, ..., t^(2n-2) over one common
+denominator, built by shift and reduce from the modulus, and normalizes
+once (in degree 1, where t is a scalar, a product is a scalar multiple).
+`from_poly` clears the remainder of a division by the modulus once.
+Norms, inverses, primitivity and power-basis coordinates take the integral
+columns, each over its own denominator, into `linalg.int_det` and
+`linalg.int_solve`, the one fraction-free Bareiss elimination, and scale
+the result back by those denominators, so a norm builds one ring value;
+the minimal polynomial and the general-position columns (`coords_poly_in`)
+are built from that solution.  Over the small finite fields the
+arithmetic runs coefficient by coefficient in the ring.  On every ring
+column j+1 of the multiplication matrix is t times column j: a shift plus
+one multiple of the coordinates of t^n.
 """
 
 from __future__ import annotations
@@ -42,13 +52,100 @@ from .errors import (
     NotSimple,
 )
 from .linalg import clear_denominators, transpose
-from .poly import Poly, convolve, int_scale, int_sum, lowest_terms
-from .rings import QQ
+from .poly import Poly, convolve, int_sum, lowest_terms
+from .rings import (
+    QQ, QQ_LOCAL_X, ZX, ZX_ONE, RatFunc, zx_clear, zx_lowest_terms, zx_scale, zx_sum,
+)
+
+
+class _Rationals:
+    """The integral format over Q: integer numerators over one positive
+    integer denominator."""
+
+    zero, one = 0, 1
+    lowest = staticmethod(lowest_terms)
+    sum = staticmethod(int_sum)
+    value = Fraction
+    poly = staticmethod(Poly.from_ints)
+
+    @staticmethod
+    def scale(nums, den, s_num, s_den):
+        return lowest_terms([v * s_num for v in nums], den * s_den)
+
+    @staticmethod
+    def split(s):
+        if not isinstance(s, (int, Fraction)):
+            s = QQ.element(s)
+        return s.numerator, s.denominator
+
+    @staticmethod
+    def clear(values):
+        # each Fraction is in lowest terms, so over the lcm of the
+        # denominators the numerators share no factor with it
+        nums, den = clear_denominators(values)
+        return tuple(nums), den
+
+    @staticmethod
+    def poly_form(f: Poly):
+        return f.int_form
+
+    @staticmethod
+    def values(nums, den):
+        return [Fraction(v, den) for v in nums]
+
+    @staticmethod
+    def in_ring(den):
+        return True
+
+
+class _LocalFunctions:
+    """The integral format over Q[x]_(x): Z[x] numerators over one Z[x]
+    denominator d with d(0) != 0."""
+
+    zero, one = ZX(), ZX_ONE
+    lowest = staticmethod(zx_lowest_terms)
+    sum = staticmethod(zx_sum)
+    scale = staticmethod(zx_scale)
+    value = staticmethod(RatFunc.from_zx)
+    clear = staticmethod(zx_clear)
+
+    @staticmethod
+    def split(s):
+        return QQ_LOCAL_X.element(s).zx_form
+
+    @staticmethod
+    def poly_form(f: Poly):
+        return zx_clear(f.coeffs)
+
+    @staticmethod
+    def values(nums, den):
+        out = [RatFunc.from_zx(v, den) for v in nums]
+        if not all(v.is_defined_at_zero() for v in out):
+            raise CoordinateNotIntegral("a coordinate left the local ring")
+        return out
+
+    @staticmethod
+    def in_ring(den):
+        # of a vector in lowest terms: a pole at 0 is a root of den
+        return den.c[0] != 0
+
+    @staticmethod
+    def poly(nums, den):
+        return Poly(QQ_LOCAL_X, _LocalFunctions.values(nums, den))
+
+    @staticmethod
+    def residue(nums, den):
+        # evaluation at x = 0, straight into the integer format of Q
+        return lowest_terms([v.c[0] if v else 0 for v in nums], den.c[0])
+
+
+# the rings whose extension elements are held in an integral format
+_FORMATS = {QQ.id: _Rationals, QQ_LOCAL_X.id: _LocalFunctions}
 
 
 class SimpleExtension:
     __slots__ = (
-        "ring", "modulus", "n", "_rational", "_gen_red", "_tpow", "_int_tpow", "_residue_ext",
+        "ring", "modulus", "n", "_fmt", "_gen_red", "_tpow", "_int_tpow", "_residue_ext",
     )
 
     def __init__(self, ring, modulus: Poly):
@@ -63,10 +160,10 @@ class SimpleExtension:
         self.ring = ring
         self.modulus = modulus
         self.n = modulus.degree
-        # over Q elements are held as integers over one denominator
-        self._rational = ring.id == QQ.id
+        # over Q and Q[x]_(x) elements are held in an integral format
+        self._fmt = _FORMATS.get(ring.id)
         # coordinates of t^n, i.e. minus the lower part of the modulus
-        self._gen_red = None if self._rational else tuple(-c for c in modulus.coeffs[:-1])
+        self._gen_red = None if self._fmt else tuple(-c for c in modulus.coeffs[:-1])
         self._tpow = None
         self._int_tpow = None
         self._residue_ext = None
@@ -91,14 +188,19 @@ class SimpleExtension:
         return ExtElement(self, tuple(cs))
 
     def zero(self) -> ExtElement:
-        return ExtElement(self, (self.ring.zero,) * self.n)
+        return self.scalar(self.ring.zero)
 
     def one(self) -> ExtElement:
-        return ExtElement(self, (self.ring.one,) + (self.ring.zero,) * (self.n - 1))
+        return self.scalar(self.ring.one)
 
     def scalar(self, c) -> ExtElement:
         c = self.ring.element(c)
-        return ExtElement(self, (c,) + (self.ring.zero,) * (self.n - 1))
+        fmt = self._fmt
+        if fmt is None:
+            return ExtElement(self, (c,) + (self.ring.zero,) * (self.n - 1))
+        # a ring element split into numerator and denominator is in lowest terms
+        num, den = fmt.split(c)
+        return ExtElement(self, None, (num,) + (fmt.zero,) * (self.n - 1), den)
 
     def gen(self) -> ExtElement:
         """The class of t."""
@@ -107,10 +209,11 @@ class SimpleExtension:
     def from_poly(self, f: Poly) -> ExtElement:
         """Reduce a polynomial modulo the defining modulus."""
         rem = f % self.modulus
-        if self._rational:
-            # the remainder is in lowest terms, and zero padding keeps it so
-            nums, den = rem.int_form
-            return ExtElement(self, None, nums + (0,) * (self.n - len(nums)), den)
+        fmt = self._fmt
+        if fmt is not None:
+            # the remainder in lowest terms, cleared once; zero padding keeps it so
+            nums, den = fmt.poly_form(rem)
+            return ExtElement(self, None, nums + (fmt.zero,) * (self.n - len(nums)), den)
         cs = list(rem.coeffs) + [self.ring.zero] * (self.n - len(rem.coeffs))
         return ExtElement(self, tuple(cs))
 
@@ -129,19 +232,25 @@ class SimpleExtension:
         return self._tpow
 
     def _int_power_table(self):
-        # the same table over Q as integer rows over one common denominator:
-        # t^(n+k) is t^(n+k-1) times t, its row over dm^(k+1) when the
-        # modulus is nums / dm
+        # the same table in the integral format, as rows over one common
+        # denominator: t^(n+k) is t^(n+k-1) times t, its row over dm^(k+1)
+        # when the modulus is nums / dm
         if self._int_tpow is None:
-            nums, dm = self.modulus.int_form
-            rows = [tuple(-v for v in nums[:-1])]
+            fmt = self._fmt
+            nums, dm = fmt.poly_form(self.modulus)
+            # none at all when n = 1, where t is the scalar -p(0)
+            rows = [tuple(-v for v in nums[:-1])] if self.n > 1 else []
             for _ in range(self.n - 2):
-                rows.append(_times_t(rows[-1], rows[0], dm, 0))
+                rows.append(_times_t(rows[-1], rows[0], dm, fmt.zero))
             # over dm^(n-1), reduced by one multi-gcd over the whole table
-            flat = [v * dm ** (len(rows) - 1 - k) for k, row in enumerate(rows) for v in row]
-            flat, den = lowest_terms(flat, dm ** len(rows))
+            k = len(rows)
+            powers = [fmt.one]
+            for _ in range(k):
+                powers.append(powers[-1] * dm)
+            flat = [v * powers[k - 1 - i] for i, row in enumerate(rows) for v in row]
+            flat, den = fmt.lowest(flat, powers[k])
             n = self.n
-            self._int_tpow = [flat[k * n:(k + 1) * n] for k in range(len(rows))], den
+            self._int_tpow = [flat[i * n:(i + 1) * n] for i in range(k)], den
         return self._int_tpow
 
     def residue_extension(self) -> SimpleExtension:
@@ -155,10 +264,10 @@ class SimpleExtension:
         return self._residue_ext
 
 
-def _times_t(col, red, dt: int, zero):
+def _times_t(col, red, dt, zero):
     """The coordinates of t * col, given those of t^n as red / dt: a shift
-    plus top * red.  Over Q they are numerators over dt times the
-    denominator of col; over the other rings dt is 1."""
+    plus top * red.  In an integral format they are numerators over dt
+    times the denominator of col; over the other rings dt is 1."""
     top = col[-1]
     if dt != 1:
         col = [v * dt for v in col]
@@ -171,15 +280,12 @@ class ExtElement:
     __slots__ = ("ext", "_coords", "_nums", "_den", "_mult_cols", "_norm", "_powers",
                  "_primitive")
 
-    def __init__(self, ext: SimpleExtension, coords: tuple | None, nums=None, den: int = 1):
-        # over Q give either Fraction coords or integer nums over a positive
-        # den sharing no factor with all of them (what poly.lowest_terms builds)
+    def __init__(self, ext: SimpleExtension, coords: tuple | None, nums=None, den=1):
+        # in an integral format give either the coords or the numerators
+        # over a denominator in lowest terms (what the format's `lowest` builds)
         self.ext = ext
-        if nums is None and ext._rational:
-            # each Fraction is in lowest terms, so over the lcm of the
-            # denominators the numerators share no factor with it
-            nums, den = clear_denominators(coords)
-            nums = tuple(nums)
+        if nums is None and ext._fmt is not None:
+            nums, den = ext._fmt.clear(coords)
         self._coords = coords
         self._nums = nums
         self._den = den
@@ -192,8 +298,7 @@ class ExtElement:
     @property
     def coords(self) -> tuple:
         if self._coords is None:
-            den = self._den
-            self._coords = tuple(Fraction(v, den) for v in self._nums)
+            self._coords = tuple(self.ext._fmt.values(self._nums, self._den))
         return self._coords
 
     def _same(self, other):
@@ -208,7 +313,8 @@ class ExtElement:
         other = self._same(other)
         if self._nums is None:
             return ExtElement(self.ext, tuple(a + b for a, b in zip(self.coords, other.coords)))
-        return ExtElement(self.ext, None, *int_sum(self._nums, self._den, other._nums, other._den))
+        return ExtElement(self.ext, None, *self.ext._fmt.sum(
+            self._nums, self._den, other._nums, other._den))
 
     __radd__ = __add__
 
@@ -231,18 +337,23 @@ class ExtElement:
         if self._nums is None:
             s = self.ext.ring.element(other)
             return ExtElement(self.ext, tuple(a * s for a in self.coords))
-        return ExtElement(self.ext, None, *int_scale(self._nums, self._den, other))
+        fmt = self.ext._fmt
+        return ExtElement(self.ext, None, *fmt.scale(self._nums, self._den, *fmt.split(other)))
 
     __rmul__ = __mul__
 
     def _mul_ext(self, other: ExtElement) -> ExtElement:
         ext = self.ext
         n = ext.n
+        if n == 1 and self._nums is not None:
+            # a product of scalars
+            return ExtElement(ext, None, *ext._fmt.scale(
+                self._nums, self._den, other._nums[0], other._den))
         if self._nums is None:
             a, b, zero = self.coords, other.coords, ext.ring.zero
             table, dt = ext._gen_power_table(), 1
         else:
-            a, b, zero = self._nums, other._nums, 0
+            a, b, zero = self._nums, other._nums, ext._fmt.zero
             table, dt = ext._int_power_table()
         conv = convolve(a, b, zero)
         # with t^(n+k) = table[k] / dt, out / dt is the product of a and b
@@ -255,7 +366,7 @@ class ExtElement:
                     out[i] = out[i] + c * red[i]
         if self._nums is None:
             return ExtElement(ext, tuple(out))
-        return ExtElement(ext, None, *lowest_terms(out, self._den * other._den * dt))
+        return ExtElement(ext, None, *ext._fmt.lowest(out, self._den * other._den * dt))
 
     def __eq__(self, other):
         if not isinstance(other, ExtElement):
@@ -267,7 +378,9 @@ class ExtElement:
         return self._den == other._den and self._nums == other._nums
 
     def __hash__(self):
-        return hash((self.ext, self.coords))
+        if self._nums is None:
+            return hash((self.ext, self.coords))
+        return hash((self.ext, self._den, self._nums))
 
     def __bool__(self):
         return any(self.coords if self._nums is None else self._nums)
@@ -280,8 +393,8 @@ class ExtElement:
 
     def _mult_columns(self):
         """Column j of the multiplication matrix holds self*t^j.  Returns
-        (columns, None) over a ring other than Q, and over Q the integer
-        columns with their denominators."""
+        (columns, None) over a ring without an integral format, and
+        otherwise the integral columns with their denominators."""
         if self._mult_cols is None:
             ext = self.ext
             if self._nums is None:
@@ -289,8 +402,9 @@ class ExtElement:
                 red, dt, zero = ext._gen_red, 1, ext.ring.zero
             else:
                 col, dens = self._nums, [self._den]
-                (red, *_), dt = ext._int_power_table()
-                zero = 0
+                table, dt = ext._int_power_table()
+                # t^n, which only n > 1 needs
+                red, zero = table and table[0], ext._fmt.zero
             cols = [col]
             for _ in range(ext.n - 1):
                 cols.append(_times_t(cols[-1], red, dt, zero))
@@ -303,7 +417,7 @@ class ExtElement:
         """Matrix of left multiplication by self: column j = coords of self*t^j."""
         cols, dens = self._mult_columns()
         if dens is not None:
-            cols = [[Fraction(v, d) for v in col] for col, d in zip(cols, dens)]
+            cols = [self.ext._fmt.values(col, d) for col, d in zip(cols, dens)]
         return transpose(cols)
 
     def norm(self):
@@ -314,7 +428,7 @@ class ExtElement:
                 self._norm = linalg.det(self.ext.ring, self.mult_matrix())
             else:
                 # det is invariant under transposition, so the columns serve as rows
-                self._norm = Fraction(linalg.int_det(cols), prod(dens))
+                self._norm = self.ext._fmt.value(linalg.int_det(cols), prod(dens))
         return self._norm
 
     def is_invertible(self) -> bool:
@@ -335,8 +449,13 @@ class ExtElement:
         else:
             # the matrix is N / dens column by column, so its inverse's first
             # column is dens * (N^-1 e_1), and N^-1 e_1 = x / d
-            (x,), d = linalg.int_solve(transpose(cols), [[1]] + [[0]] * (ext.n - 1))
-            inv = ExtElement(ext, None, *lowest_terms([e * v for e, v in zip(dens, x)], d))
+            fmt = ext._fmt
+            e1 = [[fmt.one]] + [[fmt.zero]] * (ext.n - 1)
+            (x,), d = linalg.int_solve(transpose(cols), e1)
+            nums, den = fmt.lowest([e * v for e, v in zip(dens, x)], d)
+            if not fmt.in_ring(den):
+                raise InternalAssertion("inverse left the coefficient ring")
+            inv = ExtElement(ext, None, nums, den)
         if inv * self != ext.one():
             raise InternalAssertion("inverse verification failed")
         return inv
@@ -373,11 +492,11 @@ class ExtElement:
         return self._primitive
 
     def _int_coords_in(self, basis_elt: ExtElement):
-        """Over Q, the coordinates of self in the power basis of a primitive
-        element as integer numerators over one denominator."""
+        """In an integral format, the coordinates of self in the power basis
+        of a primitive element as numerators over one denominator."""
         if not basis_elt.is_primitive():
             raise NotPrimitive("basis element is not primitive")
-        # with N the integer power columns over dens, N y = nums has
+        # with N the integral power columns over dens, N y = nums has
         # y = x / d, and the coordinates are dens * y / den
         powers = basis_elt._power_list()
         a = transpose([w._nums for w in powers])
@@ -388,8 +507,7 @@ class ExtElement:
         """Coordinates of self in the power basis of a primitive element."""
         basis_elt = self._same(basis_elt)
         if self._nums is not None:
-            nums, d = self._int_coords_in(basis_elt)
-            return [Fraction(v, d) for v in nums]
+            return self.ext._fmt.values(*self._int_coords_in(basis_elt))
         if not basis_elt.is_primitive():
             raise NotPrimitive("basis element is not primitive")
         ring = self.ext.ring
@@ -400,6 +518,15 @@ class ExtElement:
             )
         return sol
 
+    def coords_poly_in(self, basis_elt: ExtElement) -> Poly:
+        """The polynomial x(t) of degree < n with self = x(basis_elt), for a
+        primitive basis_elt: its coefficients are the coordinates of self in
+        the power basis of basis_elt."""
+        basis_elt = self._same(basis_elt)
+        if self._nums is None:
+            return Poly(self.ext.ring, self.coords_in(basis_elt))
+        return self.ext._fmt.poly(*self._int_coords_in(basis_elt))
+
     def minimal_polynomial(self) -> Poly:
         """The monic degree-n polynomial vanishing on self (self must be primitive)."""
         ext = self.ext
@@ -409,7 +536,7 @@ class ExtElement:
         else:
             # t^n minus the coordinates of self^n, over their denominator
             nums, d = top._int_coords_in(self)
-            p = Poly.from_ints([-v for v in nums] + [d], d)
+            p = ext._fmt.poly([-v for v in nums] + [d], d)
         if p(self):
             raise InternalAssertion("minimal polynomial does not vanish on its element")
         return p
@@ -419,8 +546,7 @@ class ExtElement:
         rext = self.ext.residue_extension()
         if rext is self.ext:
             return self
-        ring = self.ext.ring
-        return ExtElement(rext, tuple(ring.residue(c) for c in self.coords))
+        return ExtElement(rext, None, *self.ext._fmt.residue(self._nums, self._den))
 
     def lift_to(self, ext: SimpleExtension) -> ExtElement:
         """Coordinatewise constant lift into an extension with this residue

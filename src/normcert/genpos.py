@@ -46,13 +46,15 @@ _BOUND_DOUBLING_PERIOD = 8
 class GenPosWitness:
     """A verified general-position scaling: c_new = c*b^2 primitive,
     x_new = x*b^(-1), columns the coordinates of each x_new in the power
-    basis of c_new, and r = q(last entries of the columns) a unit of the
+    basis of c_new as polynomials x(t) of degree < n (x_new = x(c_new)),
+    tops their coefficients of t^(n-1), and r = q(tops) a unit of the
     coefficient ring."""
 
     b: ExtElement
     c_new: ExtElement
     x_new: tuple
     columns: tuple
+    tops: tuple
     r: object
     tries_used: int
 
@@ -122,11 +124,12 @@ def find_general_position(
         raise ValueNotUnit("the form value q(x) must be a unit of the extension")
 
     def witness(b, c_new, x_new, tries):
-        columns = tuple(x.coords_in(c_new) for x in x_new)
-        r = q.evaluate([col[-1] for col in columns])
+        columns = tuple(x.coords_poly_in(c_new) for x in x_new)
+        tops = tuple(col.leading if col.degree == ext.n - 1 else ring.zero for col in columns)
+        r = q.evaluate(tops)
         if not ring.is_invertible(r):
             return None
-        return GenPosWitness(b, c_new, tuple(x_new), columns, r, tries)
+        return GenPosWitness(b, c_new, tuple(x_new), columns, tops, r, tries)
 
     # deterministic probe: b = 1
     found = witness(ext.one(), c, xs, 1)

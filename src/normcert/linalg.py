@@ -1,17 +1,21 @@
 """Exact dense linear algebra over the coefficient rings.
 
-Integer matrices have one fraction-free elimination, `_bareiss` (Bareiss
-1968), behind two entry points: `int_det` runs it forward and `int_solve`
-runs it Gauss-Jordan.  Every division in it is exact and every entry stays
-a minor of the integer matrix, so intermediate growth is polynomial and no
-gcd is taken at all.  Extension elements over Q, the only Q matrices the
-library builds, hand their integer columns to these two entry points
-directly.  `det` and `solve_columns` run on any ring -- Q, the local ring
-Q[x]_(x) and the small finite fields -- by elimination in the fraction
-field via the ring's `fraction_div` hook, and results that must land back
-in the ring are membership-checked.  Determinants of order 1 to 3 are
-expanded directly.  `clear_denominators` writes Fractions as integer
-numerators over one common denominator.
+Integral matrices -- of Python ints, or of integer polynomials (`rings.ZX`)
+-- have one fraction-free elimination, `_bareiss` (Bareiss 1968), behind
+two entry points: `int_det` runs it forward and `int_solve` runs it
+Gauss-Jordan.  Every division in it is exact over any integral domain and
+every entry stays a minor of the matrix, so intermediate growth is
+polynomial and no gcd is taken at all.  On ints `//` is the native floor
+division; on `ZX` it is the quotient of `rings._zdivides`, and a division
+that leaves a remainder raises InternalAssertion.  Extension elements over
+Q and over Q[x]_(x), the only such matrices the library builds, hand their
+integral columns to these two entry points directly.  `det` and
+`solve_columns` run on any ring by elimination in the fraction field via
+the ring's `fraction_div` hook; the library calls them only over the
+small finite fields, and results that must land back in the ring are
+membership-checked.  Determinants of order 1 to 3 are expanded directly.
+`clear_denominators` writes Fractions as integer numerators over one
+common denominator.
 
 Matrices are plain lists of row lists of ring elements.
 """
@@ -36,7 +40,7 @@ def clear_denominators(values) -> tuple[list[int], int]:
 
 
 def _bareiss(m: list[list[int]], n: int, above: bool) -> int:
-    """Fraction-free elimination on the first n columns of the integer
+    """Fraction-free elimination on the first n columns of the integral
     matrix m, in place: each pivot column is cleared below the pivot, and
     above it too when `above`.  After step k every touched entry is a
     (k+1)-minor of the row-swapped m, so the divisions by the previous pivot
@@ -115,16 +119,16 @@ def _det_fraction_field(ring, rows):
 
 
 def int_det(rows) -> int:
-    """Exact determinant of a square integer matrix (left unchanged)."""
+    """Exact determinant of a square integral matrix (left unchanged)."""
     m = [list(r) for r in rows]
     sign = _bareiss(m, len(m), above=False)
     return sign * m[-1][-1]
 
 
 def int_solve(a, b) -> tuple[list[list[int]], int]:
-    """Solve a X = b for a square integer matrix a and integer right-hand
-    columns b (given as rows, like a): returns the integer columns x and the
-    integer d with X = x / d.  a must be nonsingular."""
+    """Solve a X = b for a square integral matrix a and integral right-hand
+    columns b (given as rows, like a): returns the integral columns x and d
+    with X = x / d.  a must be nonsingular."""
     n = len(a)
     m = [list(ra) + list(rb) for ra, rb in zip(a, b)]
     if not _bareiss(m, n, above=True):

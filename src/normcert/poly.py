@@ -9,8 +9,8 @@ Over Q a polynomial is held as integer numerators over one positive
 denominator that shares no factor with all of them, and `coeffs` builds the
 Fractions on first use; `int_form` and `from_ints` are its integer view.
 Extension elements over Q share this format, and the functions below that
-build it (`lowest_terms`, `int_sum`, `int_scale`, and `convolve` on every
-ring) serve both.  Sums, differences, negation, products, scalar multiples,
+build it (`lowest_terms`, `int_sum`, and `convolve` on every ring) serve
+both.  Sums, differences, negation, products, scalar multiples,
 shifts, division by a monic divisor, `==`/`hash` and evaluation run on
 those integers: a division keeps its remainder over a denominator that
 grows by the divisor's denominator per quotient term and normalizes once at

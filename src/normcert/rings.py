@@ -26,6 +26,17 @@ so no caller divides again.  The coprime case costs two evaluations and one
 integer gcd.  When six evaluation points all fail, the modular routine
 (images mod 31-bit primes, CRT, trial-division certificate) decides, so no
 intermediate ever outgrows the inputs (naive Euclid over Q explodes).
+In a product of integer polynomials a constant operand only scales the
+other.
+
+``ZX`` wraps an integer polynomial as an immutable value with ``+ - *``,
+exact ``//`` (an inexact division raises InternalAssertion) and ``bool``,
+and Python ints mix in as constants.  Extension elements over Q[x]_(x)
+are ``ZX`` numerators over one ``ZX`` denominator; ``zx_lowest_terms``,
+``zx_sum``, ``zx_scale`` and ``zx_clear`` build that format (one gcd
+chain through ``_zgcd`` that stops at the first constant gcd, then the
+integer content), and ``RatFunc.zx_form`` / ``RatFunc.from_zx`` convert
+one value each way.
 
 ``RatFunc`` covers all of Q(x); intermediates of fraction-field linear
 algebra may leave the local ring, and membership is re-checked wherever it
@@ -38,7 +49,7 @@ import random
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
-from .errors import NotInvertible, RingMismatch
+from .errors import InternalAssertion, NotInvertible, RingMismatch
 
 # ---------------------------------------------------------------------------
 # integer polynomials: coefficient tuples, ascending degree, no trailing
@@ -57,6 +68,12 @@ def _ztrim(cs):
 def _zmul(a, b):
     if not a or not b:
         return ()
+    # a constant operand (most often the denominator 1) only scales the other
+    if len(a) == 1:
+        a, b = b, a
+    if len(b) == 1:
+        k = b[0]
+        return tuple(a) if k == 1 else tuple([k * v for v in a])
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
@@ -278,6 +295,174 @@ def _zgcd(a, b):
     return g, qa, qb
 
 
+class ZX:
+    """An integer polynomial as an immutable ring value: `c` holds the
+    coefficients (ascending, no trailing zero, () for zero).  It has
+    `+ - *`, exact `//` and `bool`, and a Python int on either side is a
+    constant polynomial, so the integer Bareiss elimination and the product
+    loops of `extension` run on it unchanged."""
+
+    __slots__ = ("c",)
+
+    def __init__(self, c=()):
+        self.c = c
+
+    def __add__(self, other):
+        a, b = self.c, other.c if other.__class__ is ZX else _zconst(other)
+        if len(a) < len(b):
+            a, b = b, a
+        if not b:
+            return ZX(a)
+        out = list(a)
+        for i, v in enumerate(b):
+            out[i] += v
+        return ZX(_ztrim(out) if len(a) == len(b) else tuple(out))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return ZX(tuple([-v for v in self.c]))
+
+    def __sub__(self, other):
+        return self + (-other if other.__class__ is ZX else ZX(_zconst(-other)))
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        return ZX(_zmul(self.c, other.c if other.__class__ is ZX else _zconst(other)))
+
+    __rmul__ = __mul__
+
+    def __floordiv__(self, other):
+        """The exact quotient; a division that leaves a remainder is a bug."""
+        g = other.c if other.__class__ is ZX else _zconst(other)
+        if not g:
+            raise ZeroDivisionError("division by the zero polynomial")
+        if g == _ONE_POLY or not self.c:
+            return self
+        quo = _zdivides(g, self.c)
+        if quo is None:
+            raise InternalAssertion("inexact division in Z[x]")
+        return ZX(quo)
+
+    def __bool__(self):
+        return bool(self.c)
+
+    def __eq__(self, other):
+        if other.__class__ is ZX:
+            return self.c == other.c
+        if isinstance(other, int):
+            return self.c == _zconst(other)
+        return NotImplemented
+
+    def __hash__(self):
+        # a constant hashes like the int it equals
+        c = self.c
+        return hash(c if len(c) > 1 else c[0] if c else 0)
+
+    def __repr__(self):
+        return f"ZX({_zstr(self.c)})"
+
+
+def _zconst(k: int):
+    return (k,) if k else ()
+
+
+ZX_ONE = ZX(_ONE_POLY)
+
+
+def zx_lowest_terms(nums, den: ZX) -> tuple[tuple, ZX]:
+    """nums / den over a denominator of positive leading coefficient that
+    shares no factor, integer content included, with all the numerators."""
+    return _zx_content(*_zx_cancel(nums, den))
+
+
+def _zx_cancel(nums, den: ZX, within: ZX | None = None):
+    """nums / den with the polynomial factors common to den and all the
+    numerators cancelled (integer content is left alone).  A caller that
+    knows a divisor of den that every such factor divides passes it as
+    `within`."""
+    # one gcd chain over the primitive parts; it stops at the first
+    # constant gcd, which a constant denominator already is.  Each entry
+    # seen is kept as its cofactor q with entry = q * g, so a shrinking g
+    # costs products, never divisions
+    g = (den if within is None else within).c
+    quos = None
+    for i, v in enumerate(nums):
+        if len(g) == 1:
+            return nums, den
+        if v.c:
+            g, shrink, quo = _zgcd(g, v.c)
+            if quos is None:
+                # the first gcd is taken against den (or `within`) itself
+                quos, qden = [()] * len(nums), shrink
+            elif shrink != _ONE_POLY:
+                quos = [_zmul(q, shrink) for q in quos]
+                qden = _zmul(qden, shrink)
+            quos[i] = quo
+    if quos is None:
+        # every numerator is zero
+        return nums, ZX_ONE
+    if len(g) == 1:
+        return nums, den
+    # every entry has been seen, and g divides them all
+    return [ZX(q) for q in quos], ZX(qden) if within is None else den // ZX(g)
+
+
+def _zx_content(nums, den: ZX) -> tuple[tuple, ZX]:
+    """nums / den with the integer content common to all of them divided
+    out, and den of positive leading coefficient."""
+    k = gcd(*den.c)
+    for v in nums:
+        if k == 1:
+            break
+        k = gcd(k, *v.c)
+    if den.c[-1] < 0:
+        k = -k
+    if k != 1:
+        nums = [ZX(tuple([c // k for c in v.c])) for v in nums]
+        den = ZX(tuple([c // k for c in den.c]))
+    return tuple(nums), den
+
+
+def zx_scale(nums, den: ZX, s_num: ZX, s_den: ZX) -> tuple[tuple, ZX]:
+    """nums / den times s_num / s_den in lowest terms, for a vector and a
+    scalar each in lowest terms: a factor can then only cancel between
+    s_den and all of nums, or between s_num and den."""
+    if not s_num or not any(nums):
+        return (ZX(),) * len(nums), ZX_ONE
+    nums, s_den = _zx_cancel(nums, s_den)
+    (s_num,), den = _zx_cancel((s_num,), den)
+    return _zx_content([v * s_num for v in nums], den * s_den)
+
+
+def zx_sum(a, da: ZX, b, db: ZX) -> tuple[tuple, ZX]:
+    """a / da + b / db in lowest terms, for two vectors in lowest terms
+    (the shorter padded with zeros).  Over the lcm g * ea * eb of
+    da = g * ea and db = g * eb, an irreducible factor common to the sum
+    and ea would divide every entry of a (ea and eb are coprime), so every
+    polynomial factor left to cancel divides g."""
+    if len(a) < len(b):
+        a, da, b, db = b, db, a, da
+    g, ea, eb = _zgcd(da.c, db.c)
+    ea, eb = ZX(ea), ZX(eb)
+    out = [v * eb for v in a]
+    for i, v in enumerate(b):
+        out[i] += v * ea
+    return _zx_content(*_zx_cancel(out, da * eb, ZX(g)))
+
+
+def zx_clear(values) -> tuple[tuple, ZX]:
+    """Numerators over one denominator, in lowest terms, of RatFunc values."""
+    pairs = [v.zx_form for v in values]
+    den = ZX_ONE
+    for _, d in pairs:
+        if _zdivides(d.c, den.c) is None:
+            den = den * d
+    return zx_lowest_terms([num * (den // d) for num, d in pairs], den)
+
+
 def _from_fraction_coeffs(cs):
     """(scalar, P) with P primitive positive-lc integer and cs = scalar*P over Q."""
     cs = _ztrim([Fraction(c) for c in cs])
@@ -319,7 +504,7 @@ class RatFunc:
     den(0) = 1 normalization, so equality of ring elements is structural.
     """
 
-    __slots__ = ("scalar", "npoly", "dpoly", "_view")
+    __slots__ = ("scalar", "npoly", "dpoly", "_view", "_zx")
 
     def __init__(self, num, den=(1,)):
         sn, npoly = _from_fraction_coeffs(num)
@@ -334,6 +519,7 @@ class RatFunc:
         self.npoly = npoly
         self.dpoly = dpoly
         self._view = None
+        self._zx = None
 
     @classmethod
     def _make(cls, scalar: Fraction, npoly, dpoly) -> RatFunc:
@@ -345,7 +531,29 @@ class RatFunc:
         self.npoly = npoly
         self.dpoly = dpoly
         self._view = None
+        self._zx = None
         return self
+
+    @classmethod
+    def from_zx(cls, num: ZX, den: ZX) -> RatFunc:
+        """num / den for integer polynomials, den nonzero."""
+        cn, pn = _zsplit(num.c)
+        if not pn:
+            return cls._make(Fraction(0), (), _ONE_POLY)
+        cd, pd = _zsplit(den.c)
+        _, pn, pd = _zgcd(pn, pd)
+        return cls._make(Fraction(cn, cd), pn, pd)
+
+    @property
+    def zx_form(self) -> tuple[ZX, ZX]:
+        """The integer polynomials (num, den) with self = num / den, sharing
+        no factor, integer content included, and den of positive leading
+        coefficient."""
+        if self._zx is None:
+            s = self.scalar
+            self._zx = (ZX(_zmul(self.npoly, _zconst(s.numerator))),
+                        ZX(_zmul(self.dpoly, (s.denominator,))))
+        return self._zx
 
     @staticmethod
     def constant(v) -> RatFunc:
@@ -358,7 +566,9 @@ class RatFunc:
                 self._view = ((), (Fraction(1),))
             else:
                 pivot = next(c for c in self.dpoly if c)
-                num = tuple(self.scalar * c / pivot for c in self.npoly)
+                # scalar * c / pivot as one Fraction each
+                top, bottom = self.scalar.numerator, self.scalar.denominator * pivot
+                num = tuple(Fraction(top * c, bottom) for c in self.npoly)
                 den = tuple(Fraction(c, pivot) for c in self.dpoly)
                 self._view = (num, den)
         return self._view

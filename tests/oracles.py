@@ -59,23 +59,25 @@ def naive_poly_add(a, b):
     return naive_poly(out)
 
 
-def naive_poly_mul(a, b):
-    """The Fraction product of two coefficient lists (not trimmed)."""
+def naive_poly_mul(a, b, zero=Fraction(0)):
+    """The product of two coefficient lists (not trimmed), in Fractions
+    or in the ring of `zero`."""
     if not a or not b:
         return []
-    prod = [Fraction(0)] * (len(a) + len(b) - 1)
+    prod = [zero] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         for j, bj in enumerate(b):
             prod[i + j] += ai * bj
     return prod
 
 
-def naive_poly_divmod(f, modulus):
+def naive_poly_divmod(f, modulus, zero=Fraction(0)):
     """Quotient and remainder (not trimmed, the remainder of length
-    deg modulus) of f by a monic modulus, by long division in Fractions."""
+    deg modulus) of f by a monic modulus, by long division in Fractions
+    or in the ring of `zero`."""
     n = len(modulus) - 1
-    rem = list(f) + [Fraction(0)] * max(0, n - len(f))
-    quo = [Fraction(0)] * max(0, len(f) - n)
+    rem = list(f) + [zero] * max(0, n - len(f))
+    quo = [zero] * max(0, len(f) - n)
     for k in range(len(rem) - 1, n - 1, -1):
         c = rem[k]
         quo[k - n] = c
@@ -84,11 +86,39 @@ def naive_poly_divmod(f, modulus):
     return quo, rem[:n]
 
 
-def naive_ext_mul(modulus, a, b):
-    """Coordinates of a*b in Q[t]/(p), for p monic with ascending
-    coefficients `modulus`: the Fraction product of the two coordinate
-    polynomials, reduced by long division."""
-    return naive_poly_divmod(naive_poly_mul(a, b), modulus)[1]
+def naive_ext_mul(modulus, a, b, zero=Fraction(0)):
+    """Coordinates of a*b in R[t]/(p), for p monic with ascending
+    coefficients `modulus`: the coordinatewise product of the two
+    coordinate polynomials, reduced by long division, in Fractions or (with
+    zero = QQ_LOCAL_X.zero) in RatFunc."""
+    return naive_poly_divmod(naive_poly_mul(a, b, zero), modulus, zero)[1]
+
+
+def naive_poly_gcd(a, b):
+    """The monic gcd over Q of two coefficient lists, by Euclid in Fractions."""
+    a = [Fraction(c) for c in a]
+    b = [Fraction(c) for c in b]
+
+    def trim(v):
+        while v and v[-1] == 0:
+            v.pop()
+        return v
+
+    def rem(f, g):
+        f = trim(list(f))
+        dg = len(g) - 1
+        while len(f) - 1 >= dg:
+            c = f[-1] / g[-1]
+            for i in range(dg + 1):
+                f[len(f) - 1 - dg + i] -= c * g[i]
+            f.pop()
+            trim(f)
+        return f
+
+    a, b = trim(a), trim(b)
+    while b:
+        a, b = b, rem(a, b)
+    return tuple(c / a[-1] for c in a) if a else ()
 
 
 def naive_ext_eval(modulus, coeffs, x):

@@ -273,8 +273,12 @@ class TestGeneralPositionSearch:
             assert list(w.x_new) == [x * binv for x in xs]
             assert w.c_new.is_primitive()
             assert QQ.is_invertible(w.r)
-            assert list(w.columns) == [x.coords_in(w.c_new) for x in w.x_new]
-            assert w.r == q.evaluate([col[-1] for col in w.columns])
+            columns = [x.coords_in(w.c_new) for x in w.x_new]
+            # the witness columns are those coordinates read as polynomials
+            padded = [list(col.coeffs) + [QQ.zero] * (n - 1 - col.degree) for col in w.columns]
+            assert padded == columns
+            assert list(w.tops) == [col[-1] for col in columns]
+            assert w.r == q.evaluate([col[-1] for col in columns])
             assert 1 <= w.tries_used
 
     def test_rejects_bad_inputs(self):

@@ -16,7 +16,7 @@ from normcert.qform import QuadraticForm
 from normcert.rings import QQ, QQ_LOCAL_X
 from normcert.serialize import certificate_to_json, dumps
 
-GOLDEN_SHA256 = "447fb772786367f1dfc4dc41d1c783f6ca0ad1685c021131c8fa59562ca4320b"
+GOLDEN_SHA256 = "e756deea58e3f407bae8c8310ca912e89ff5afaec1aba9b99feb4c346626ec0d"
 
 # (ring, n, m, seed): random_instance(ring, Random(seed), n, m), certified with rng=seed
 RANDOM_CASES = (
@@ -25,6 +25,8 @@ RANDOM_CASES = (
     # the q-tall benchmark shape: four reduction levels, 5x5 eliminations
     + [(QQ, 5, 1, 0), (QQ, 5, 1, 1)]
     + [(QQ_LOCAL_X, 2, m, seed) for m, seed in ((1, 0), (2, 1), (3, 2))]
+    # 3x3 eliminations over Z[x], whose Bareiss steps divide by polynomials
+    + [(QQ_LOCAL_X, 3, 1, 0)]
 )
 
 

@@ -1,10 +1,12 @@
-"""The integer kernels over Q against naive Fraction references: products
+"""The integral kernels against naive coordinatewise references: products
 in Q[t]/(p), determinants and solves, with zero entries, moduli with
 non-integer coefficients (as the sub-level moduli g = h/r have) and
 systems whose first pivot is 0.  Extension elements over Q are integers
-over one denominator: every way of building one must leave them
-normalized, and their norms, inverses, power-basis coordinates and minimal
-polynomials must match the same references."""
+over one denominator, and over Q[x]_(x) Z[x] numerators over one Z[x]
+denominator: every way of building one must leave them normalized, and
+their norms, inverses, power-basis coordinates and minimal polynomials
+must match the Fraction and RatFunc references.  The one fraction-free
+elimination runs on Z[x] entries too, where every division must be exact."""
 
 from fractions import Fraction
 from math import gcd
@@ -17,9 +19,9 @@ from normcert import linalg
 from normcert.errors import InternalAssertion, NotInvertible, NotPrimitive
 from normcert.extension import SimpleExtension
 from normcert.poly import Poly
-from normcert.rings import QQ
+from normcert.rings import QQ, QQ_LOCAL_X, ZX, RatFunc
 
-from oracles import naive_det, naive_ext_mul, naive_solve
+from oracles import naive_det, naive_ext_mul, naive_poly_gcd, naive_solve
 
 ZERO = Fraction(0)
 nonzero = st.fractions(min_value=-(10**9), max_value=10**9, max_denominator=10**9).filter(bool)
@@ -49,7 +51,7 @@ def assert_normalized(e, coords):
     assert den > 0 and gcd(den, *nums) == 1
     assert [Fraction(v, den) for v in nums] == list(coords)
     fresh = e.ext.element(coords)
-    assert e == fresh and hash(e) == hash(fresh) == hash((e.ext, tuple(coords)))
+    assert e == fresh and hash(e) == hash(fresh)
 
 
 def naive_matrix(columns):
@@ -149,3 +151,154 @@ def test_zero_first_pivot_swaps_rows():
     rhs = [Fraction(1), Fraction(-2, 9), Fraction(4)]
     assert linalg.det(QQ, a) == naive_det(a)
     assert linalg.solve(QQ, a, rhs) == naive_solve(a, rhs)
+
+
+# ---------------------------------------------------------------------------
+# Q[x]_(x): Z[x] numerators over one Z[x] denominator
+
+LOCAL = QQ_LOCAL_X
+small = st.integers(-4, 4)
+small_polys = st.lists(small, max_size=3)
+
+
+@st.composite
+def local_values(draw, unit=False):
+    """num/den with small integer coefficients and den(0) != 0; num(0) != 0
+    too when `unit`."""
+    num = draw(st.lists(small, min_size=1, max_size=3))
+    if unit:
+        num[0] = draw(small.filter(bool))
+    den = [draw(small.filter(bool))] + draw(st.lists(small, max_size=2))
+    return RatFunc(num, den)
+
+
+# about half the coordinates are 0
+local_entries = st.one_of(st.just(LOCAL.zero), local_values())
+
+
+@st.composite
+def local_elements(draw):
+    n = draw(st.integers(1, 4))
+    lower = [draw(local_values(unit=True))] + draw(
+        st.lists(local_entries, min_size=n - 1, max_size=n - 1))
+    a = draw(st.lists(local_entries, min_size=n, max_size=n))
+    b = draw(st.lists(local_entries, min_size=n, max_size=n))
+    return lower + [LOCAL.one], a, b, draw(local_values())
+
+
+def local_mul(modulus, a, b):
+    return naive_ext_mul(modulus, a, b, LOCAL.zero)
+
+
+def assert_local_normalized(e, coords):
+    # the denominator has d(0) != 0 and a positive leading coefficient, and
+    # no integer and no polynomial factor is common to it and all the
+    # numerators, so equal elements store equal polynomials
+    nums, den = e._nums, e._den
+    assert den.c[0] != 0 and den.c[-1] > 0
+    assert gcd(*den.c, *(c for v in nums for c in v.c)) == 1
+    common = den.c
+    for v in nums:
+        if v:
+            common = naive_poly_gcd(common, v.c)
+    assert len(common) == 1
+    assert [RatFunc(v.c, den.c) for v in nums] == list(coords)
+    fresh = e.ext.element(coords)
+    assert e == fresh and hash(e) == hash(fresh)
+
+
+@settings(max_examples=60, deadline=None)
+@given(local_elements())
+def test_local_elements_match_coordinatewise_ratfuncs(case):
+    modulus, a, b, s = case
+    ext = SimpleExtension(LOCAL, Poly(LOCAL, modulus))
+    x, y = ext.element(a), ext.element(b)
+    assert_local_normalized(x, a)
+    assert_local_normalized(x * y, local_mul(modulus, a, b))
+    assert_local_normalized(x + y, [u + v for u, v in zip(a, b)])
+    assert_local_normalized(x - y, [u - v for u, v in zip(a, b)])
+    assert_local_normalized(-x, [-u for u in a])
+    assert_local_normalized(x * s, [u * s for u in a])
+    assert_local_normalized(s + x, [a[0] + s] + a[1:])
+    assert (x == y) == (a == b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(local_elements())
+def test_local_norm_inverse_and_basis_match_coordinatewise_ratfuncs(case):
+    modulus, a, b, _ = case
+    n = len(a)
+    ext = SimpleExtension(LOCAL, Poly(LOCAL, modulus))
+    x, y = ext.element(a), ext.element(b)
+    units = [[LOCAL.one if i == j else LOCAL.zero for i in range(n)] for j in range(n)]
+    mult = naive_matrix([local_mul(modulus, a, e) for e in units])
+    norm = naive_det(mult)
+    assert x.norm() == norm
+    if LOCAL.is_invertible(norm):
+        inverse = x.inverse()
+        assert list(inverse.coords) == naive_solve(mult, units[0])
+        assert_local_normalized(inverse, inverse.coords)
+    else:
+        with pytest.raises(NotInvertible):
+            x.inverse()
+    powers = [units[0]]
+    for _ in range(n):
+        powers.append(local_mul(modulus, powers[-1], b))
+    basis = naive_matrix(powers[:n])
+    if LOCAL.is_invertible(naive_det(basis)):
+        assert y.is_primitive()
+        assert x.coords_in(y) == naive_solve(basis, a)
+        top = naive_solve(basis, powers[n])
+        assert list(y.minimal_polynomial().coeffs) == [-v for v in top] + [LOCAL.one]
+    else:
+        assert not y.is_primitive()
+        with pytest.raises(NotPrimitive):
+            x.coords_in(y)
+
+
+def _trim(cs):
+    cs = list(cs)
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple(cs)
+
+
+zx_entries = small_polys.map(lambda cs: ZX(_trim(cs)))
+
+
+@st.composite
+def zx_systems(draw):
+    n = draw(st.integers(1, 4))
+    a = [draw(st.lists(zx_entries, min_size=n, max_size=n)) for _ in range(n)]
+    if draw(st.booleans()):
+        a[0][0] = ZX()
+    width = draw(st.integers(1, 2))
+    b = [draw(st.lists(zx_entries, min_size=width, max_size=width)) for _ in range(n)]
+    return a, b
+
+
+@settings(max_examples=60, deadline=None)
+@given(zx_systems())
+def test_bareiss_on_zx_matches_naive(case):
+    a, b = case
+    d = linalg.int_det(a)
+    assert d == naive_det(a)
+    if not d:
+        with pytest.raises(InternalAssertion):
+            linalg.int_solve(a, b)
+        return
+    cols, den = linalg.int_solve(a, b)
+    as_ratfuncs = [[RatFunc(v.c) for v in row] for row in a]
+    for j, col in enumerate(cols):
+        expected = naive_solve(as_ratfuncs, [RatFunc(row[j].c) for row in b])
+        assert [RatFunc.from_zx(v, den) for v in col] == expected
+
+
+@given(zx_entries, zx_entries, zx_entries)
+def test_zx_division_is_exact_or_refused(a, b, r):
+    if b:
+        assert (a * b) // b == a
+    # a remainder of lower degree than a nonconstant divisor is never exact
+    if len(b.c) > 1 and r and len(r.c) < len(b.c):
+        with pytest.raises(InternalAssertion):
+            (a * b + r) // b

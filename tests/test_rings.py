@@ -11,7 +11,7 @@ from normcert import rings
 from normcert.errors import NotInvertible, RingMismatch
 from normcert.rings import QQ, QQ_LOCAL_X, RatFunc, get_ring, sample_residue
 
-from oracles import horner_free_eval
+from oracles import horner_free_eval, naive_poly_gcd
 
 
 def rf(num, den=(1,)):
@@ -173,31 +173,6 @@ class TestRatFuncArithmetic:
         assert one_over_x * X == QQ_LOCAL_X.one
 
 
-def _slow_poly_gcd(a, b):
-    # monic Euclid over Q on Fraction lists: the independent gcd oracle
-    a, b = list(a), list(b)
-
-    def trim(v):
-        while v and v[-1] == 0:
-            v.pop()
-        return v
-
-    def rem(f, g):
-        f = list(f)
-        dg = len(g) - 1
-        while len(f) - 1 >= dg and trim(f):
-            c = f[-1] / g[-1]
-            for i in range(dg + 1):
-                f[len(f) - 1 - dg + i] -= c * g[i]
-            f.pop()
-        return trim(f)
-
-    a, b = trim(a), trim(b)
-    while b:
-        a, b = b, rem(a, b)
-    return tuple(c / a[-1] for c in a) if a else ()
-
-
 def _mul_int(a, b):
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
@@ -255,7 +230,7 @@ class TestPolynomialGcd:
             left = _mul_int(a, common)
             right = _mul_int(b, common)
             got = _zgcd(left, right)[0]
-            expected = _slow_poly_gcd(
+            expected = naive_poly_gcd(
                 [Fraction(v) for v in left], [Fraction(v) for v in right]
             )
             if not expected:
