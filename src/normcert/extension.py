@@ -143,6 +143,12 @@ class _LocalFunctions:
 _FORMATS = {QQ.id: _Rationals, QQ_LOCAL_X.id: _LocalFunctions}
 
 
+def integral_format(ring):
+    """The integral format record of `ring`, or None for a ring whose
+    arithmetic runs coefficient by coefficient (the small finite fields)."""
+    return _FORMATS.get(ring.id)
+
+
 class SimpleExtension:
     __slots__ = (
         "ring", "modulus", "n", "_fmt", "_gen_red", "_tpow", "_int_tpow", "_residue_ext",
@@ -161,7 +167,7 @@ class SimpleExtension:
         self.modulus = modulus
         self.n = modulus.degree
         # over Q and Q[x]_(x) elements are held in an integral format
-        self._fmt = _FORMATS.get(ring.id)
+        self._fmt = integral_format(ring)
         # coordinates of t^n, i.e. minus the lower part of the modulus
         self._gen_red = None if self._fmt else tuple(-c for c in modulus.coeffs[:-1])
         self._tpow = None

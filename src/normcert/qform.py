@@ -4,6 +4,14 @@ A form is a list of invertible diagonal coefficients a_1 .. a_m; it
 evaluates over the base ring or over any extension of it.  Membership in
 the group generated by invertible form values is always carried around as
 an explicit list of (vector, exponent) factors, never decided abstractly.
+
+Over Q and Q[x]_(x) a value over the base ring is computed in the integral
+format of `extension` (integer or Z[x] numerators over one denominator):
+the diagonal is cleared once, to A_j / E, when the form is built, and a
+vector y to n_j / d, so q(y) = (sum of A_j n_j^2) / (E d^2), normalized
+once into one Fraction or RatFunc.  Over the small finite fields the sum
+runs coordinate by coordinate.  Values over an extension are sums of
+extension elements, whose products run in that same format.
 """
 
 from __future__ import annotations
@@ -11,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InternalAssertion, NotInvertible, NotRegular
+from .extension import integral_format
 
 
 @dataclass(frozen=True)
@@ -27,7 +36,7 @@ class ValueFactor:
 
 
 class QuadraticForm:
-    __slots__ = ("ring", "diag")
+    __slots__ = ("ring", "diag", "_fmt", "_cleared")
 
     def __init__(self, ring, diag):
         cs = tuple(ring.element(c) for c in diag)
@@ -38,6 +47,9 @@ class QuadraticForm:
                 raise NotRegular(f"diagonal entry {c!r} is not a unit")
         self.ring = ring
         self.diag = cs
+        # the diagonal as numerators over one denominator, for `evaluate`
+        self._fmt = fmt = integral_format(ring)
+        self._cleared = fmt.clear(cs) if fmt is not None else None
 
     @property
     def rank(self) -> int:
@@ -56,10 +68,20 @@ class QuadraticForm:
         ys = [self.ring.element(y) for y in ys]
         if len(ys) != self.rank:
             raise ValueError(f"expected {self.rank} coordinates, got {len(ys)}")
-        acc = self.ring.zero
-        for a, y in zip(self.diag, ys):
-            acc = acc + a * y * y
-        return acc
+        fmt = self._fmt
+        if fmt is None:
+            acc = self.ring.zero
+            for a, y in zip(self.diag, ys):
+                acc = acc + a * y * y
+            return acc
+        # a_j = coeffs[j] / e and y_j = nums[j] / d
+        coeffs, e = self._cleared
+        nums, d = fmt.clear(ys)
+        acc = fmt.zero
+        for a, v in zip(coeffs, nums):
+            if v:
+                acc = acc + a * (v * v)
+        return fmt.value(acc, e * (d * d))
 
     def evaluate_ext(self, xs):
         """Sum of a_j x_j^2 computed in the extension the x_j live in."""

@@ -560,17 +560,21 @@ class RatFunc:
         v = Fraction(v)
         return RatFunc._make(v, _ONE_POLY if v else (), _ONE_POLY)
 
+    def canonical_ratios(self):
+        """The coefficients of `num` and `den` as (top, bottom) integer
+        pairs, not reduced, with bottom nonzero."""
+        if not self.npoly:
+            return (), ((1, 1),)
+        pivot = next(c for c in self.dpoly if c)
+        # scalar * c / pivot as one ratio each
+        top, bottom = self.scalar.numerator, self.scalar.denominator * pivot
+        return (tuple((top * c, bottom) for c in self.npoly),
+                tuple((c, pivot) for c in self.dpoly))
+
     def _canonical_view(self):
         if self._view is None:
-            if not self.npoly:
-                self._view = ((), (Fraction(1),))
-            else:
-                pivot = next(c for c in self.dpoly if c)
-                # scalar * c / pivot as one Fraction each
-                top, bottom = self.scalar.numerator, self.scalar.denominator * pivot
-                num = tuple(Fraction(top * c, bottom) for c in self.npoly)
-                den = tuple(Fraction(c, pivot) for c in self.dpoly)
-                self._view = (num, den)
+            num, den = self.canonical_ratios()
+            self._view = (tuple(Fraction(*r) for r in num), tuple(Fraction(*r) for r in den))
         return self._view
 
     @property

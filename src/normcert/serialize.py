@@ -8,6 +8,14 @@ digit limit go through `decimal.Decimal`, which has no such limit.  Every
 malformed input, a pole at 0 or a modulus that is not simple included, is a
 FormatError.  Emission is deterministic (sorted keys, fixed separators) so
 identical inputs and seeds produce byte-identical artifacts.
+
+A string of the form -?[0-9]+(/[0-9]+)? is read straight into an integer
+pair; every other string goes through `Fraction`, so the accepted strings
+and the refused ones are those of a parser with one `Fraction` per string.
+Over Q the pair becomes one `Fraction`.  A local rational function is
+built from its cleared integer-polynomial numerator and denominator (one
+lcm per list, one polynomial gcd), and written back from its integer form
+with one gcd per coefficient.
 """
 
 from __future__ import annotations
@@ -17,13 +25,14 @@ import re
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from math import gcd, lcm
 
 from .certify import NormCertificate, ReductionStep
 from .errors import NotRegular, NotSimple, RingMismatch
 from .extension import SimpleExtension
 from .poly import Poly
 from .qform import QuadraticForm, ValueFactor
-from .rings import QQ, RatFunc, get_ring
+from .rings import QQ, ZX, RatFunc, get_ring
 
 
 class FormatError(ValueError):
@@ -39,42 +48,79 @@ def _ring_from_json(ring_id):
         raise FormatError(str(exc)) from None
 
 
-_LONG_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+# the rational strings read straight into integers; any other string goes
+# through Fraction, which also takes signs, spaces, decimals and exponents
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def _int_to_json(k: int) -> str:
+    try:
+        return str(k)
+    except ValueError:
+        # past the int/str digit limit
+        return str(Decimal(k))
+
+
+def _ratio_to_json(top: int, bottom: int) -> str:
+    """top / bottom in lowest terms as a rational string, bottom nonzero."""
+    g = gcd(top, bottom)
+    if bottom < 0:
+        g = -g
+    num = _int_to_json(top // g)
+    return num if bottom == g else f"{num}/{_int_to_json(bottom // g)}"
 
 
 def rational_to_json(v: Fraction) -> str:
+    num = _int_to_json(v.numerator)
+    return num if v.denominator == 1 else f"{num}/{_int_to_json(v.denominator)}"
+
+
+def _rational_pair(data) -> tuple[int, int]:
+    """(p, q) with q > 0 and p / q the value of a rational string, not
+    necessarily in lowest terms."""
+    if not isinstance(data, str):
+        raise FormatError(f"expected a rational string, got {data!r}")
+    match = _RATIONAL.fullmatch(data)
+    if match is None:
+        try:
+            v = Fraction(data)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise FormatError(f"bad rational {data!r}: {exc}") from None
+        return v.numerator, v.denominator
+    num, den = match.groups()
     try:
-        return str(v)
+        p, q = int(num), int(den or "1")
     except ValueError:
-        # past the int/str digit limit
-        num = str(Decimal(v.numerator))
-        return num if v.denominator == 1 else f"{num}/{Decimal(v.denominator)}"
+        # past the int/str digit limit, which Decimal does not have
+        p, q = int(Decimal(num)), int(Decimal(den or "1"))
+    if not q:
+        raise FormatError(f"bad rational {data!r}: zero denominator")
+    return p, q
 
 
 def rational_from_json(data) -> Fraction:
-    if not isinstance(data, str):
-        raise FormatError(f"expected a rational string, got {data!r}")
-    try:
-        try:
-            return Fraction(data)
-        except ValueError:
-            # Fraction refuses integers past the int/str digit limit
-            match = _LONG_RATIONAL.fullmatch(data)
-            if match is None:
-                raise
-            num, den = match.groups()
-            return Fraction(int(Decimal(num)), int(Decimal(den or "1")))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise FormatError(f"bad rational {data!r}: {exc}") from None
+    return Fraction(*_rational_pair(data))
 
 
 def element_to_json(ring, a):
     if ring.id == QQ.id:
         return rational_to_json(a)
+    num, den = a.canonical_ratios()
     return {
-        "num": [rational_to_json(c) for c in a.num],
-        "den": [rational_to_json(c) for c in a.den],
+        "num": [_ratio_to_json(*r) for r in num],
+        "den": [_ratio_to_json(*r) for r in den],
     }
+
+
+def _int_poly(data) -> tuple[ZX, int]:
+    """A list of rational strings as an integer polynomial over the lcm of
+    their denominators."""
+    pairs = [_rational_pair(c) for c in data]
+    den = lcm(*(q for _, q in pairs))
+    cs = [p * (den // q) for p, q in pairs]
+    while cs and not cs[-1]:
+        cs.pop()
+    return ZX(tuple(cs)), den
 
 
 def element_from_json(ring, data):
@@ -88,11 +134,13 @@ def element_from_json(ring, data):
     num, den = data["num"], data.get("den", ["1"])
     if not isinstance(num, list) or not isinstance(den, list):
         raise FormatError(f"num and den must be lists, got {data!r}")
-    num = [rational_from_json(c) for c in num]
-    den = [rational_from_json(c) for c in den]
+    (num, dn), (den, dd) = _int_poly(num), _int_poly(den)
+    if not den:
+        raise FormatError("rational function with zero denominator")
+    # (num / dn) / (den / dd), normalized once
     try:
-        return ring.element(RatFunc(num, den))
-    except (ZeroDivisionError, RingMismatch) as exc:
+        return ring.check(RatFunc.from_zx(num * dd, den * dn))
+    except RingMismatch as exc:
         raise FormatError(str(exc)) from None
 
 

@@ -4,14 +4,20 @@ The oracles deliberately avoid the library's computational routes:
 determinants by permutation expansion instead of elimination, evaluation
 instead of coefficient manipulation, brute reconstruction instead of solving.
 The system-matrix helpers state the general-position lemma that the library's
-searches rely on but never evaluate (see the genpos module docstring).
+searches rely on but never evaluate (see the genpos module docstring).  The
+JSON number parsers read each rational string through one Fraction, as the
+serializer did before it read them as integer pairs.
 """
 
+import re
+from decimal import Decimal
 from fractions import Fraction
 from itertools import permutations
 
 from normcert import linalg
-from normcert.errors import InternalAssertion, NotInvertible, NotPrimitive
+from normcert.errors import InternalAssertion, NotInvertible, NotPrimitive, RingMismatch
+from normcert.rings import QQ, RatFunc
+from normcert.serialize import FormatError
 
 
 def naive_det(rows):
@@ -236,3 +242,43 @@ def last_column_minors(c, b):
     if n == 1:
         return [ring.one]
     return [linalg.det(ring, minor(a, n - 1 - i, n - 1)) for i in range(n)]
+
+
+_LONG_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def fraction_rational_from_json(data) -> Fraction:
+    """A rational string parsed by Fraction, and through Decimal past the
+    int/str digit limit, which Fraction refuses."""
+    if not isinstance(data, str):
+        raise FormatError(f"expected a rational string, got {data!r}")
+    try:
+        try:
+            return Fraction(data)
+        except ValueError:
+            match = _LONG_RATIONAL.fullmatch(data)
+            if match is None:
+                raise
+            num, den = match.groups()
+            return Fraction(int(Decimal(num)), int(Decimal(den or "1")))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise FormatError(f"bad rational {data!r}: {exc}") from None
+
+
+def fraction_element_from_json(ring, data):
+    """A ring element from JSON with one Fraction per coefficient."""
+    if ring.id == QQ.id:
+        return fraction_rational_from_json(data)
+    if isinstance(data, str):
+        return ring.element(fraction_rational_from_json(data))
+    if not isinstance(data, dict) or "num" not in data:
+        raise FormatError(f"expected a num/den object, got {data!r}")
+    num, den = data["num"], data.get("den", ["1"])
+    if not isinstance(num, list) or not isinstance(den, list):
+        raise FormatError(f"num and den must be lists, got {data!r}")
+    num = [fraction_rational_from_json(c) for c in num]
+    den = [fraction_rational_from_json(c) for c in den]
+    try:
+        return ring.element(RatFunc(num, den))
+    except (ZeroDivisionError, RingMismatch) as exc:
+        raise FormatError(str(exc)) from None

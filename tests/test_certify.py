@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from normcert import linalg
+from normcert.charp import GF
 from normcert.certify import (
     CertifyStats,
     NormCertificate,
@@ -135,7 +136,38 @@ class TestVerifier:
         tampered = NormCertificate(target=cert.target, factors=(flipped,) + cert.factors[1:])
         outcome = verify(ext, q, xs, tampered)
         assert not outcome.ok
-        assert "product" in outcome.failure
+        # the message shows the product in lowest terms
+        assert f"factor product {factor_product(q, tampered)} does" in outcome.failure
+
+    def test_local_product_is_compared_exactly(self):
+        inst = random_instance(QQ_LOCAL_X, random.Random(5), 2, 2)
+        cert = certify(inst.ext, inst.q, inst.xs, rng=5)
+        assert verify(inst.ext, inst.q, inst.xs, cert)
+        x = QQ_LOCAL_X.x
+        for target in (cert.target * (1 + x), cert.target * (1 + x) / (1 + x + x * x)):
+            tampered = NormCertificate(target=target, factors=cert.factors)
+            outcome = verify(inst.ext, inst.q, inst.xs, tampered)
+            assert not outcome.ok and "factor product" in outcome.failure
+        # a factor and its inverse change nothing
+        extra = cert.factors[0]
+        padded = NormCertificate(
+            target=cert.target,
+            factors=cert.factors + (extra, ValueFactor(extra.vector, -extra.exponent)),
+        )
+        assert verify(inst.ext, inst.q, inst.xs, padded)
+
+    def test_finite_field_certificate(self):
+        # no integral format over GF(5): the values are multiplied whole
+        k = GF(5)
+        ext = SimpleExtension(k, Poly(k, [k.element(2), k.one]))
+        q = QuadraticForm(k, [k.one, k.element(2)])
+        xs = [ext.element([k.element(1)]), ext.element([k.element(1)])]
+        factors = (ValueFactor((k.element(1), k.element(1)), 1),
+                   ValueFactor((k.element(2), k.zero), 1),
+                   ValueFactor((k.element(2), k.zero), -1))
+        assert verify(ext, q, xs, NormCertificate(target=k.element(3), factors=factors))
+        outcome = verify(ext, q, xs, NormCertificate(target=k.element(4), factors=factors))
+        assert not outcome.ok and "factor product F5(3) " in outcome.failure
 
     def test_rejects_isotropic_factor(self, hyperbolic_instance):
         ext, q, xs = hyperbolic_instance

@@ -1,8 +1,13 @@
-"""Fuzzing `normcert verify` in-process: every instance and certificate text
-must end in a documented exit code (0 accept, 1 reject, 3 bad input, 4
-internal error) with no traceback, and a valid certificate with one factor
-coordinate, the target or one exponent changed so that its claim is false
-must be rejected with exit 1."""
+"""Fuzzing the command line and its number parser in-process.
+
+Every instance and certificate text given to `normcert verify` must end in
+a documented exit code (0 accept, 1 reject, 3 bad input, 4 internal error)
+with no traceback, and a valid certificate with one factor coordinate, the
+target or one exponent changed so that its claim is false must be rejected
+with exit 1.  Every instance text given to `normcert certify` must end in
+0, 2 (search exhausted), 3 or 4, with no traceback.  The serializer reads
+rational strings as integer pairs; it must return the values, and refuse
+the inputs, that a parser with one Fraction per string does."""
 
 import io
 import json
@@ -10,7 +15,7 @@ import random
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from normcert.certify import certify
@@ -18,64 +23,86 @@ from normcert.cli import main
 from normcert.instances import random_instance
 from normcert.rings import QQ, QQ_LOCAL_X
 from normcert.serialize import (
+    FormatError,
     InstanceSpec,
     certificate_from_json,
     certificate_to_json,
     element_from_json,
     instance_to_json,
+    rational_from_json,
 )
 
+from oracles import fraction_element_from_json, fraction_rational_from_json
+
 DOCUMENTED_VERIFY_EXITS = {0, 1, 3, 4}
+DOCUMENTED_CERTIFY_EXITS = {0, 2, 3, 4}
 
 rationals = st.fractions(max_denominator=10**6).map(str)
 # strings a number parser may trip over: signs, slashes, zero denominators,
 # exponents, whitespace, words, and integers past the int/str digit limit
-awkward = st.sampled_from(
-    ["0", "-0", "1/0", "0/0", "1/-2", "-1/2", " 1", "1e5", "1.5", "inf", "nan", "x",
-     "", "/", "--1", "9" * 5000, "-" + "7" * 4400 + "/3"]
-)
+SHORT_AWKWARD = ["0", "-0", "1/0", "0/0", "1/-2", "-1/2", " 1", "1e5", "1.5", "inf", "nan",
+                 "x", "", "/", "--1"]
+LONG_AWKWARD = ["9" * 5000, "-" + "7" * 4400 + "/3"]
+awkward = st.sampled_from(SHORT_AWKWARD + LONG_AWKWARD)
 numbers = rationals | awkward
-scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6) | numbers
-json_values = st.recursive(
-    scalars,
-    lambda inner: st.lists(inner, max_size=4)
-    | st.dictionaries(st.text(max_size=6) | st.sampled_from(["num", "den", "ring"]), inner,
-                      max_size=4),
-    max_leaves=12,
-)
-local_elements = st.fixed_dictionaries(
-    {"num": st.lists(numbers, max_size=3)}, optional={"den": st.lists(numbers, max_size=3)}
-)
-elements = numbers | local_elements
+short_numbers = rationals | st.sampled_from(SHORT_AWKWARD)
 
 
-def maybe(strategy):
+def json_values_of(numbers):
+    scalars = (st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+               | numbers)
+    return st.recursive(
+        scalars,
+        lambda inner: st.lists(inner, max_size=4)
+        | st.dictionaries(st.text(max_size=6) | st.sampled_from(["num", "den", "ring"]), inner,
+                          max_size=4),
+        max_leaves=12,
+    )
+
+
+def elements_of(numbers):
+    local = st.fixed_dictionaries(
+        {"num": st.lists(numbers, max_size=3)}, optional={"den": st.lists(numbers, max_size=3)}
+    )
+    return numbers | local
+
+
+json_values = json_values_of(numbers)
+elements = elements_of(numbers)
+# no integer past the int/str digit limit, for runs that certify
+short_json_values = json_values_of(short_numbers)
+short_elements = elements_of(short_numbers)
+
+
+def maybe(strategy, other=json_values):
     """The strategy most of the time, otherwise any JSON value."""
-    return st.one_of(strategy, strategy, strategy, json_values)
+    return st.one_of(strategy, strategy, strategy, other)
 
 
 @st.composite
-def instance_texts(draw):
-    n = draw(st.integers(1, 3))
+def instance_texts(draw, max_n=3, elements=elements, any_json=json_values):
+    n = draw(st.integers(1, max_n))
     m = draw(st.integers(1, 3))
-    coeffs = draw(st.lists(maybe(elements), min_size=n, max_size=n)) + ["1"]
-    ring = draw(maybe(st.sampled_from(["Q", "Q[x]_(x)", "Z", "F5"])))
+    entry = maybe(elements, any_json)
+    coeffs = draw(st.lists(entry, min_size=n, max_size=n)) + ["1"]
+    ring = draw(maybe(st.sampled_from(["Q", "Q[x]_(x)", "Z", "F5"]), any_json))
     p = draw(st.sampled_from([coeffs, {"ring": ring, "coeffs": coeffs}]))
     data = {
         "ring": ring,
-        "p": draw(maybe(st.just(p))),
-        "q": draw(maybe(st.lists(maybe(elements), min_size=m, max_size=m))),
-        "x": draw(maybe(st.lists(st.lists(maybe(elements), min_size=n, max_size=n),
-                                 min_size=m, max_size=m))),
+        "p": draw(maybe(st.just(p), any_json)),
+        "q": draw(maybe(st.lists(entry, min_size=m, max_size=m), any_json)),
+        "x": draw(maybe(st.lists(st.lists(entry, min_size=n, max_size=n),
+                                 min_size=m, max_size=m), any_json)),
     }
     if draw(st.booleans()):
         data["options"] = draw(maybe(st.dictionaries(
-            st.sampled_from(["seed", "max_tries", "bound", "trace"]), json_values, max_size=2)))
+            st.sampled_from(["seed", "max_tries", "bound", "trace"]), any_json, max_size=2),
+            any_json))
     for key in draw(st.lists(st.sampled_from(sorted(data)), max_size=2, unique=True)):
         del data[key]
     text = json.dumps(data)
     # mostly the structured text, sometimes cut short, any JSON or any text
-    return draw(st.sampled_from([text, text, text[:-1]]) | json_values.map(json.dumps)
+    return draw(st.sampled_from([text, text, text[:-1]]) | any_json.map(json.dumps)
                 | st.text(max_size=20))
 
 
@@ -186,3 +213,79 @@ def test_false_claims_are_rejected(workdir, data):
     assert code == 1, (kind, err)
     assert err.startswith("certificate rejected") and "Traceback" not in err
 
+
+
+def run_certify(directory, instance_text: str):
+    """Exit code and standard error of an in-process `normcert certify`."""
+    instance = directory / "certify-instance.json"
+    instance.write_text(instance_text, encoding="utf-8")
+    err = io.StringIO()
+    with redirect_stderr(err), redirect_stdout(io.StringIO()):
+        code = main(["certify", "--input", str(instance), "--max-tries", "4"])
+    return code, err.getvalue()
+
+
+small_rationals = st.fractions(min_value=-50, max_value=50, max_denominator=50).map(str)
+
+
+@st.composite
+def well_formed_instance_texts(draw):
+    """Instances with every field of the right shape and small numbers, so
+    that most of them reach the engine."""
+    ring = draw(st.sampled_from(["Q", "Q[x]_(x)"]))
+    entry = small_rationals if ring == "Q" else elements_of(small_rationals)
+    n, m = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    data = {
+        "ring": ring,
+        "p": draw(st.lists(entry, min_size=n, max_size=n)) + ["1"],
+        "q": draw(st.lists(entry, min_size=m, max_size=m)),
+        "x": draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m)),
+        "options": {"seed": draw(st.integers(0, 2**31)), "bound": draw(st.integers(1, 3))},
+    }
+    return json.dumps(data)
+
+
+@FUZZ
+@given(well_formed_instance_texts()
+       | instance_texts(max_n=2, elements=short_elements, any_json=short_json_values))
+def test_certify_gives_a_documented_exit_code(workdir, instance_text):
+    code, err = run_certify(workdir, instance_text)
+    assert code in DOCUMENTED_CERTIFY_EXITS
+    assert "Traceback" not in err
+
+
+def parsed(parse, *args):
+    """parse(*args), or FormatError when it refuses the input."""
+    try:
+        return parse(*args)
+    except FormatError:
+        return FormatError
+
+
+# unreduced, signed, padded, decimal, exponent and non-ASCII digit strings,
+# zero denominators, and integers just past and far past the digit limit
+PARSER_CASES = ["2/4", "-0/7", "007/010", "+3", " 1", "1 ", "1.5", "1e3", "٣", "1/0",
+                "-1/00", "9" * 4301, "1" * 5000 + "/7", "3/" + "2" * 4400,
+                "-" + "0" * 4400 + "5", "1" * 5000 + "/0"]
+rational_texts = (numbers | st.sampled_from(PARSER_CASES) | st.text(max_size=8)
+                  | st.from_regex(r"-?[0-9]{1,40}(/[0-9]{1,40})?", fullmatch=True))
+element_texts = elements_of(rational_texts) | json_values
+
+
+@FUZZ
+@given(rational_texts | json_values)
+def test_rational_parser_matches_the_fraction_parser(data):
+    new, old = parsed(rational_from_json, data), parsed(fraction_rational_from_json, data)
+    assert type(new) is type(old) and new == old
+
+
+@FUZZ
+@given(st.sampled_from([QQ, QQ_LOCAL_X]), element_texts)
+@example(QQ_LOCAL_X, {"num": ["1/0"]})
+@example(QQ_LOCAL_X, {"num": ["1"], "den": ["1/0"]})
+@example(QQ_LOCAL_X, {"num": ["1"], "den": ["0", "0"]})
+@example(QQ_LOCAL_X, {"num": ["2/4", "007/010"], "den": ["-0/7", "3/6"]})
+def test_element_parser_matches_the_fraction_parser(ring, data):
+    new = parsed(element_from_json, ring, data)
+    old = parsed(fraction_element_from_json, ring, data)
+    assert type(new) is type(old) and new == old

@@ -2,7 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from normcert.charp import GF
 from normcert.errors import NotInvertible, NotRegular
 from normcert.extension import SimpleExtension
 from normcert.poly import Poly
@@ -39,6 +42,13 @@ class TestEvaluate:
         with pytest.raises(NotRegular):
             QuadraticForm(QQ, [])
 
+    def test_finite_field_values_are_coordinatewise(self):
+        k = GF(9)
+        q = QuadraticForm(k, [k.one, k.element((0, 1))])
+        for y1 in k.elements():
+            for y2 in k.elements():
+                assert q.evaluate([y1, y2]) == y1 * y1 + q.diag[1] * y2 * y2
+
     def test_dimension_checks(self):
         q = QuadraticForm(QQ, [1, 1])
         with pytest.raises(ValueError):
@@ -61,6 +71,54 @@ class TestEvaluate:
             lhs = q.evaluate_ext(xs).reduce()
             rhs = q.residue_form().evaluate_ext([x.reduce() for x in xs])
             assert lhs == rhs
+
+
+small = st.integers(-30, 30)
+
+
+@st.composite
+def forms_and_vectors(draw):
+    """A form of rank 1..4 whose diagonal has non-trivial denominators, and
+    a vector with zero coordinates and coordinates over a shared and over
+    their own denominators."""
+    ring = draw(st.sampled_from([QQ, QQ_LOCAL_X]))
+    m = draw(st.integers(1, 4))
+    if ring is QQ:
+        def den():
+            return draw(st.integers(1, 40))
+
+        def value(d, unit=False):
+            return Fraction(draw(small.filter(bool) if unit else small), d)
+    else:
+        def den():
+            # a denominator with d(0) != 0, of degree 0..2
+            return [draw(small.filter(bool))] + draw(st.lists(small, max_size=2))
+
+        def value(d, unit=False):
+            num = draw(st.lists(small, min_size=1, max_size=3))
+            if unit and not num[0]:
+                num[0] = 1
+            return RatFunc(num, d)
+    diag = [value(den(), unit=True) for _ in range(m)]
+    shared = den()
+    ys = []
+    for _ in range(m):
+        kind = draw(st.sampled_from(["zero", "shared", "own"]))
+        ys.append(ring.zero if kind == "zero" else value(shared if kind == "shared" else den()))
+    return ring, diag, ys
+
+
+@settings(max_examples=200, deadline=None)
+@given(forms_and_vectors())
+def test_values_match_coordinatewise_sums(case):
+    # equality of Fractions and of RatFuncs compares their normalized
+    # parts, so an unnormalized value fails it
+    ring, diag, ys = case
+    expected = ring.zero
+    for a, y in zip(diag, ys):
+        expected = expected + a * y * y
+    value = QuadraticForm(ring, diag).evaluate(ys)
+    assert type(value) is type(expected) and value == expected
 
 
 class TestSquareAsProduct:

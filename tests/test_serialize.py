@@ -2,6 +2,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from normcert.certify import certify
 from normcert.poly import Poly
@@ -65,6 +67,24 @@ class TestElements:
         a = QQ_LOCAL_X.element(RatFunc((0, 1), (1, 1)))  # x/(1+x)
         data = element_to_json(QQ_LOCAL_X, a)
         assert data == {"num": ["0", "1"], "den": ["1", "1"]}
+        assert element_from_json(QQ_LOCAL_X, data) == a
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.fractions(max_denominator=10**6), max_size=4),
+           st.lists(st.fractions(max_denominator=10**6), min_size=1, max_size=3)
+           .filter(lambda d: d[0] != 0))
+    def test_local_encoding_matches_the_fraction_view(self, num, den):
+        # written from the integer form, the bytes of the Fraction view
+        a = QQ_LOCAL_X.element(RatFunc(num, den))
+        data = element_to_json(QQ_LOCAL_X, a)
+        assert data == {"num": [str(c) for c in a.num], "den": [str(c) for c in a.den]}
+        assert element_from_json(QQ_LOCAL_X, data) == a
+
+    def test_local_element_past_the_int_str_digit_limit(self):
+        big = F(-(10**4999) - 7, 3**10478)
+        a = QQ_LOCAL_X.element(RatFunc((big, 1), (F(-2, 3), 1, 5)))
+        data = element_to_json(QQ_LOCAL_X, a)
+        assert max(len(c) for c in data["num"]) > 5000
         assert element_from_json(QQ_LOCAL_X, data) == a
 
     def test_local_constant_shorthand(self):
