@@ -240,14 +240,9 @@ def verify(ext: SimpleExtension, q: QuadraticForm, xs, cert: NormCertificate) ->
     if not ring.contains(cert.target):
         return VerifyResult(False, "target is not an element of the coefficient ring")
     # the factor product as top / bottom, compared with the target by
-    # cross-multiplication; a ring with no integral format keeps each
-    # value whole, over 1
+    # cross-multiplication
     fmt = integral_format(ring)
-    if fmt is None:
-        split, one, ratio = (lambda v: (v, ring.one)), ring.one, ring.fraction_div
-    else:
-        split, one, ratio = fmt.split, fmt.one, fmt.value
-    top = bottom = one
+    top = bottom = fmt.one
     for i, f in enumerate(cert.factors):
         if f.exponent not in (1, -1):
             return VerifyResult(False, f"factor {i} has exponent {f.exponent}")
@@ -257,13 +252,13 @@ def verify(ext: SimpleExtension, q: QuadraticForm, xs, cert: NormCertificate) ->
             return VerifyResult(False, f"factor {i} cannot be evaluated: {exc}")
         if not ring.is_invertible(value):
             return VerifyResult(False, f"factor {i} value {_shown(value)} is not a unit")
-        num, den = split(value)
+        num, den = fmt.split(value)
         if f.exponent == -1:
             num, den = den, num
         top, bottom = top * num, bottom * den
-    t_num, t_den = split(cert.target)
+    t_num, t_den = fmt.split(cert.target)
     if top * t_den != t_num * bottom:
-        product = ratio(top, bottom)
+        product = fmt.value(top, bottom)
         return VerifyResult(
             False,
             f"factor product {_shown(product)} does not equal target {_shown(cert.target)}",

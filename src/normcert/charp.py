@@ -8,8 +8,11 @@ F9: s^2+1, F27: s^3-s+1); any other extension derives the
 lexicographically smallest monic irreducible, deterministically.
 
 A finite field satisfies the same interface as the exact rings (it is its
-own residue field), so the quotient-algebra machinery runs over it
-unchanged; that is what both demos lean on.
+own residue field), and its elements divide exactly (`/`, and `//` as an
+alias), so the quotient-algebra machinery runs over it unchanged: its
+elements are held in the integral format of `extension` (the coordinates
+over one), and the one Bareiss elimination of `linalg` takes their norms,
+inverses and power-basis coordinates.  That is what both demos lean on.
 
 demo 1 (characteristic 2): in the two-dimensional algebra k[t]/(t^2) every
 square collapses onto the line k*1, which consists exactly of the
@@ -120,11 +123,32 @@ class FFElement:
 
     __rmul__ = __mul__
 
+    def __truediv__(self, other):
+        # field division, so that the fraction-free elimination of `linalg`
+        # runs over a finite field unchanged
+        code = (
+            other.code
+            if type(other) is FFElement and other.field is self.field
+            else self._code_of(other)
+        )
+        if code is None:
+            return NotImplemented
+        if not code:
+            raise ZeroDivisionError(f"division by zero in {self.field.id}")
+        field = self.field
+        return FFElement(field, field.mul_table[self.code][field.inv_table[code]])
+
+    __floordiv__ = __truediv__
+
     def __bool__(self):
         return self.code != 0
 
     def __eq__(self, other):
-        code = self._code_of(other)
+        code = (
+            other.code
+            if type(other) is FFElement and other.field is self.field
+            else self._code_of(other)
+        )
         if code is None:
             return NotImplemented
         return self.code == code
@@ -235,9 +259,6 @@ class FiniteField:
         if a.code == 0:
             raise NotInvertible(f"0 has no inverse in {self.id}")
         return FFElement(self, self.inv_table[a.code])
-
-    def fraction_div(self, a, b):
-        return a * self.invert(b)
 
     def residue(self, a):
         return self.check(a)

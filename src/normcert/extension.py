@@ -2,40 +2,40 @@
 
 Elements are coordinate vectors in the canonical basis {1, t, ..., t^(n-1)}
 where t is the class of the indeterminate.  Everything an element can do --
-multiplication matrices, norms (determinant of left multiplication),
-inverses, power bases, primitivity, coordinates in another element's power
-basis, minimal polynomials, reduction to the residue field -- lives here.
+norms (determinant of left multiplication), inverses, primitivity,
+coordinates in another element's power basis, minimal polynomials,
+reduction to the residue field -- lives here.
 
 An element b is primitive when {1, b, ..., b^(n-1)} is again a basis over
 the coefficient ring, i.e. when the determinant of its powers matrix is a
 unit; over the local ring that is decided on the residue.
 
-Over Q and over Q[x]_(x) an element is held in an integral format:
-numerators over one denominator that shares no factor with all of them.
-Over Q those are integers over a positive integer, the format of
-polynomials over Q.  Over Q[x]_(x) they are integer polynomials (`ZX`)
-over one integer polynomial d with d(0) != 0 and a positive leading
-coefficient, and no integer content and no polynomial factor is common to
-d and all the numerators.  `coords` builds the Fractions or RatFuncs on
-first use, and `reduce` reads the residue off the constant terms.  One
-code path serves both formats, through the small format records
-`_Rationals` and `_LocalFunctions` (zero and one, normalization, sums,
-scalar multiples, splitting a ring scalar and building ring values and
-polynomials back); Python ints keep their native operators.  Sums, scalar
-multiples and products run on the numerators: a product convolves them
-and reduces against a table of t^n, ..., t^(2n-2) over one common
-denominator, built by shift and reduce from the modulus, and normalizes
-once (in degree 1, where t is a scalar, a product is a scalar multiple).
-`from_poly` clears the remainder of a division by the modulus once.
-Norms, inverses, primitivity and power-basis coordinates take the integral
-columns, each over its own denominator, into `linalg.int_det` and
-`linalg.int_solve`, the one fraction-free Bareiss elimination, and scale
-the result back by those denominators, so a norm builds one ring value;
-the minimal polynomial and the general-position columns (`coords_poly_in`)
-are built from that solution.  Over the small finite fields the
-arithmetic runs coefficient by coefficient in the ring.  On every ring
-column j+1 of the multiplication matrix is t times column j: a shift plus
-one multiple of the coordinates of t^n.
+Every element is held in an integral format: numerators over one
+denominator that shares no factor with all of them.  Over Q those are
+integers over a positive integer, the format of polynomials over Q.  Over
+Q[x]_(x) they are integer polynomials (`ZX`) over one integer polynomial d
+with d(0) != 0 and a positive leading coefficient, and no integer content
+and no polynomial factor is common to d and all the numerators.  Over a
+small finite field they are the coordinates themselves over the field's
+one: lowest terms multiply by the inverse of the denominator.  `coords`
+builds the ring values on first use, and `reduce` reads the residue off
+the constant terms.  One code path serves every ring, through the small
+format records `_Rationals`, `_LocalFunctions` and `_FiniteFieldFormat`
+(zero and one, normalization, sums, scalar multiples, splitting a ring
+scalar and building ring values and polynomials back); Python ints keep
+their native operators.  Sums, scalar multiples and products run on the
+numerators: a product convolves them and reduces against a table of t^n,
+..., t^(2n-2) over one common denominator, built by shift and reduce from
+the modulus, and normalizes once (in degree 1, where t is a scalar, a
+product is a scalar multiple).  `from_poly` clears the remainder of a
+division by the modulus once.  Norms, inverses, primitivity and
+power-basis coordinates take the integral columns, each over its own
+denominator, into `linalg.det` and `linalg.solve_columns`, the one
+fraction-free Bareiss elimination, and scale the result back by those
+denominators, so a norm builds one ring value; the minimal polynomial and
+the general-position columns (`coords_poly_in`) are built from that
+solution.  Column j+1 of the multiplication matrix is t times column j: a
+shift plus one multiple of the coordinates of t^n.
 """
 
 from __future__ import annotations
@@ -139,20 +139,70 @@ class _LocalFunctions:
         return lowest_terms([v.c[0] if v else 0 for v in nums], den.c[0])
 
 
-# the rings whose extension elements are held in an integral format
+class _FiniteFieldFormat:
+    """The integral format over a small finite field: the coordinates over
+    the field's one.  A vector in lowest terms is over one, and `lowest`
+    gets it there by multiplying by the inverse of the denominator."""
+
+    __slots__ = ("field", "zero", "one")
+
+    def __init__(self, field):
+        self.field, self.zero, self.one = field, field.zero, field.one
+
+    def lowest(self, nums, den):
+        if den != self.one:
+            inv = self.one / den
+            nums = [v * inv for v in nums]
+        return tuple(nums), self.one
+
+    def sum(self, a, da, b, db):
+        # both vectors are in lowest terms, so over one
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, v in enumerate(b):
+            out[i] = out[i] + v
+        return tuple(out), self.one
+
+    def scale(self, nums, den, s_num, s_den):
+        return self.lowest([v * s_num for v in nums], den * s_den)
+
+    def split(self, s):
+        return self.field.element(s), self.one
+
+    @staticmethod
+    def value(num, den):
+        return num / den
+
+    def clear(self, values):
+        return tuple(values), self.one
+
+    def poly_form(self, f: Poly):
+        return f.coeffs, self.one
+
+    def values(self, nums, den):
+        return list(self.lowest(nums, den)[0])
+
+    @staticmethod
+    def in_ring(den):
+        return True
+
+    def poly(self, nums, den):
+        return Poly(self.field, self.values(nums, den))
+
+
+# the format records of Q and Q[x]_(x); a finite field gets its own, built
+# from the field object, since two FiniteField(p, e) objects share an id
 _FORMATS = {QQ.id: _Rationals, QQ_LOCAL_X.id: _LocalFunctions}
 
 
 def integral_format(ring):
-    """The integral format record of `ring`, or None for a ring whose
-    arithmetic runs coefficient by coefficient (the small finite fields)."""
-    return _FORMATS.get(ring.id)
+    """The integral format record of `ring`."""
+    return _FORMATS.get(ring.id) or _FiniteFieldFormat(ring)
 
 
 class SimpleExtension:
-    __slots__ = (
-        "ring", "modulus", "n", "_fmt", "_gen_red", "_tpow", "_int_tpow", "_residue_ext",
-    )
+    __slots__ = ("ring", "modulus", "n", "_fmt", "_table", "_residue_ext")
 
     def __init__(self, ring, modulus: Poly):
         if modulus.ring.id != ring.id:
@@ -166,12 +216,8 @@ class SimpleExtension:
         self.ring = ring
         self.modulus = modulus
         self.n = modulus.degree
-        # over Q and Q[x]_(x) elements are held in an integral format
         self._fmt = integral_format(ring)
-        # coordinates of t^n, i.e. minus the lower part of the modulus
-        self._gen_red = None if self._fmt else tuple(-c for c in modulus.coeffs[:-1])
-        self._tpow = None
-        self._int_tpow = None
+        self._table = None
         self._residue_ext = None
 
     def __eq__(self, other):
@@ -202,8 +248,6 @@ class SimpleExtension:
     def scalar(self, c) -> ExtElement:
         c = self.ring.element(c)
         fmt = self._fmt
-        if fmt is None:
-            return ExtElement(self, (c,) + (self.ring.zero,) * (self.n - 1))
         # a ring element split into numerator and denominator is in lowest terms
         num, den = fmt.split(c)
         return ExtElement(self, None, (num,) + (fmt.zero,) * (self.n - 1), den)
@@ -214,34 +258,16 @@ class SimpleExtension:
 
     def from_poly(self, f: Poly) -> ExtElement:
         """Reduce a polynomial modulo the defining modulus."""
-        rem = f % self.modulus
         fmt = self._fmt
-        if fmt is not None:
-            # the remainder in lowest terms, cleared once; zero padding keeps it so
-            nums, den = fmt.poly_form(rem)
-            return ExtElement(self, None, nums + (fmt.zero,) * (self.n - len(nums)), den)
-        cs = list(rem.coeffs) + [self.ring.zero] * (self.n - len(rem.coeffs))
-        return ExtElement(self, tuple(cs))
+        # the remainder in lowest terms, cleared once; zero padding keeps it so
+        nums, den = fmt.poly_form(f % self.modulus)
+        return ExtElement(self, None, nums + (fmt.zero,) * (self.n - len(nums)), den)
 
-    def _gen_power_table(self):
-        # coordinates of t^(n+k) for k = 0 .. n-2 (everything a product can need)
-        if self._tpow is None:
-            table = [self._gen_red]
-            for _ in range(self.n - 2):
-                prev = table[-1]
-                shifted = (self.ring.zero,) + prev[:-1]
-                top = prev[-1]
-                table.append(
-                    tuple(s + top * r for s, r in zip(shifted, self._gen_red))
-                )
-            self._tpow = table
-        return self._tpow
-
-    def _int_power_table(self):
-        # the same table in the integral format, as rows over one common
-        # denominator: t^(n+k) is t^(n+k-1) times t, its row over dm^(k+1)
-        # when the modulus is nums / dm
-        if self._int_tpow is None:
+    def _power_table(self):
+        # the coordinates of t^(n+k) for k = 0 .. n-2 (everything a product
+        # can need), as rows over one common denominator: t^(n+k) is
+        # t^(n+k-1) times t, its row over dm^(k+1) when the modulus is nums / dm
+        if self._table is None:
             fmt = self._fmt
             nums, dm = fmt.poly_form(self.modulus)
             # none at all when n = 1, where t is the scalar -p(0)
@@ -256,8 +282,8 @@ class SimpleExtension:
             flat = [v * powers[k - 1 - i] for i, row in enumerate(rows) for v in row]
             flat, den = fmt.lowest(flat, powers[k])
             n = self.n
-            self._int_tpow = [flat[i * n:(i + 1) * n] for i in range(k)], den
-        return self._int_tpow
+            self._table = [flat[i * n:(i + 1) * n] for i in range(k)], den
+        return self._table
 
     def residue_extension(self) -> SimpleExtension:
         """The reduced algebra over the residue field (self when R is a field)."""
@@ -272,8 +298,7 @@ class SimpleExtension:
 
 def _times_t(col, red, dt, zero):
     """The coordinates of t * col, given those of t^n as red / dt: a shift
-    plus top * red.  In an integral format they are numerators over dt
-    times the denominator of col; over the other rings dt is 1."""
+    plus top * red, as numerators over dt times the denominator of col."""
     top = col[-1]
     if dt != 1:
         col = [v * dt for v in col]
@@ -287,10 +312,10 @@ class ExtElement:
                  "_primitive")
 
     def __init__(self, ext: SimpleExtension, coords: tuple | None, nums=None, den=1):
-        # in an integral format give either the coords or the numerators
-        # over a denominator in lowest terms (what the format's `lowest` builds)
+        # give either the coords or the numerators over a denominator in
+        # lowest terms (what the format's `lowest` builds)
         self.ext = ext
-        if nums is None and ext._fmt is not None:
+        if nums is None:
             nums, den = ext._fmt.clear(coords)
         self._coords = coords
         self._nums = nums
@@ -317,8 +342,6 @@ class ExtElement:
 
     def __add__(self, other) -> ExtElement:
         other = self._same(other)
-        if self._nums is None:
-            return ExtElement(self.ext, tuple(a + b for a, b in zip(self.coords, other.coords)))
         return ExtElement(self.ext, None, *self.ext._fmt.sum(
             self._nums, self._den, other._nums, other._den))
 
@@ -331,8 +354,6 @@ class ExtElement:
         return self._same(other) - self
 
     def __neg__(self) -> ExtElement:
-        if self._nums is None:
-            return ExtElement(self.ext, tuple(-a for a in self.coords))
         return ExtElement(self.ext, None, tuple(-a for a in self._nums), self._den)
 
     def __mul__(self, other):
@@ -340,9 +361,6 @@ class ExtElement:
             other = self._same(other)
             return self._mul_ext(other)
         # scalar from the coefficient ring
-        if self._nums is None:
-            s = self.ext.ring.element(other)
-            return ExtElement(self.ext, tuple(a * s for a in self.coords))
         fmt = self.ext._fmt
         return ExtElement(self.ext, None, *fmt.scale(self._nums, self._den, *fmt.split(other)))
 
@@ -351,17 +369,13 @@ class ExtElement:
     def _mul_ext(self, other: ExtElement) -> ExtElement:
         ext = self.ext
         n = ext.n
-        if n == 1 and self._nums is not None:
+        fmt = ext._fmt
+        if n == 1:
             # a product of scalars
-            return ExtElement(ext, None, *ext._fmt.scale(
+            return ExtElement(ext, None, *fmt.scale(
                 self._nums, self._den, other._nums[0], other._den))
-        if self._nums is None:
-            a, b, zero = self.coords, other.coords, ext.ring.zero
-            table, dt = ext._gen_power_table(), 1
-        else:
-            a, b, zero = self._nums, other._nums, ext._fmt.zero
-            table, dt = ext._int_power_table()
-        conv = convolve(a, b, zero)
+        table, dt = ext._power_table()
+        conv = convolve(self._nums, other._nums, fmt.zero)
         # with t^(n+k) = table[k] / dt, out / dt is the product of a and b
         out = conv[:n] if dt == 1 else [c * dt for c in conv[:n]]
         for k in range(n - 1):
@@ -370,26 +384,20 @@ class ExtElement:
                 red = table[k]
                 for i in range(n):
                     out[i] = out[i] + c * red[i]
-        if self._nums is None:
-            return ExtElement(ext, tuple(out))
-        return ExtElement(ext, None, *ext._fmt.lowest(out, self._den * other._den * dt))
+        return ExtElement(ext, None, *fmt.lowest(out, self._den * other._den * dt))
 
     def __eq__(self, other):
         if not isinstance(other, ExtElement):
             return NotImplemented
         if self.ext != other.ext:
             return False
-        if self._nums is None:
-            return self.coords == other.coords
         return self._den == other._den and self._nums == other._nums
 
     def __hash__(self):
-        if self._nums is None:
-            return hash((self.ext, self.coords))
         return hash((self.ext, self._den, self._nums))
 
     def __bool__(self):
-        return any(self.coords if self._nums is None else self._nums)
+        return any(self._nums)
 
     def __repr__(self):
         return f"ExtElement{self.coords!r}"
@@ -398,43 +406,27 @@ class ExtElement:
     # the algebraic toolkit
 
     def _mult_columns(self):
-        """Column j of the multiplication matrix holds self*t^j.  Returns
-        (columns, None) over a ring without an integral format, and
-        otherwise the integral columns with their denominators."""
+        """Column j of the multiplication matrix holds self*t^j: the integral
+        columns with their denominators."""
         if self._mult_cols is None:
             ext = self.ext
-            if self._nums is None:
-                col, dens = self.coords, None
-                red, dt, zero = ext._gen_red, 1, ext.ring.zero
-            else:
-                col, dens = self._nums, [self._den]
-                table, dt = ext._int_power_table()
-                # t^n, which only n > 1 needs
-                red, zero = table and table[0], ext._fmt.zero
+            col, dens = self._nums, [self._den]
+            table, dt = ext._power_table()
+            # t^n, which only n > 1 needs
+            red = table and table[0]
             cols = [col]
             for _ in range(ext.n - 1):
-                cols.append(_times_t(cols[-1], red, dt, zero))
-                if dens is not None:
-                    dens.append(dens[-1] * dt)
+                cols.append(_times_t(cols[-1], red, dt, ext._fmt.zero))
+                dens.append(dens[-1] * dt)
             self._mult_cols = cols, dens
         return self._mult_cols
-
-    def mult_matrix(self):
-        """Matrix of left multiplication by self: column j = coords of self*t^j."""
-        cols, dens = self._mult_columns()
-        if dens is not None:
-            cols = [self.ext._fmt.values(col, d) for col, d in zip(cols, dens)]
-        return transpose(cols)
 
     def norm(self):
         """Determinant of the left-multiplication matrix."""
         if self._norm is None:
             cols, dens = self._mult_columns()
-            if dens is None:
-                self._norm = linalg.det(self.ext.ring, self.mult_matrix())
-            else:
-                # det is invariant under transposition, so the columns serve as rows
-                self._norm = self.ext._fmt.value(linalg.int_det(cols), prod(dens))
+            # det is invariant under transposition, so the columns serve as rows
+            self._norm = self.ext._fmt.value(linalg.det(cols), prod(dens))
         return self._norm
 
     def is_invertible(self) -> bool:
@@ -442,26 +434,18 @@ class ExtElement:
 
     def inverse(self) -> ExtElement:
         ext = self.ext
-        ring = ext.ring
         if not self.is_invertible():
             raise NotInvertible("element is not a unit of the extension")
         cols, dens = self._mult_columns()
-        if dens is None:
-            rhs = [ring.one] + [ring.zero] * (ext.n - 1)
-            sol = linalg.solve(ring, self.mult_matrix(), rhs)
-            if not all(ring.contains(v) for v in sol):
-                raise InternalAssertion("inverse left the coefficient ring")
-            inv = ExtElement(ext, tuple(sol))
-        else:
-            # the matrix is N / dens column by column, so its inverse's first
-            # column is dens * (N^-1 e_1), and N^-1 e_1 = x / d
-            fmt = ext._fmt
-            e1 = [[fmt.one]] + [[fmt.zero]] * (ext.n - 1)
-            (x,), d = linalg.int_solve(transpose(cols), e1)
-            nums, den = fmt.lowest([e * v for e, v in zip(dens, x)], d)
-            if not fmt.in_ring(den):
-                raise InternalAssertion("inverse left the coefficient ring")
-            inv = ExtElement(ext, None, nums, den)
+        # the matrix is N / dens column by column, so its inverse's first
+        # column is dens * (N^-1 e_1), and N^-1 e_1 = x / d
+        fmt = ext._fmt
+        e1 = [[fmt.one]] + [[fmt.zero]] * (ext.n - 1)
+        (x,), d = linalg.solve_columns(transpose(cols), e1)
+        nums, den = fmt.lowest([e * v for e, v in zip(dens, x)], d)
+        if not fmt.in_ring(den):
+            raise InternalAssertion("inverse left the coefficient ring")
+        inv = ExtElement(ext, None, nums, den)
         if inv * self != ext.one():
             raise InternalAssertion("inverse verification failed")
         return inv
@@ -476,73 +460,49 @@ class ExtElement:
             self._powers = powers[:n]
         return self._powers
 
-    def powers_matrix(self):
-        """Column j = coordinates of self**j, j = 0 .. n-1."""
-        return transpose([w.coords for w in self._power_list()])
-
     def is_primitive(self) -> bool:
         if self._primitive is None:
             residue = self.reduce()
-            ring = self.ext.ring
             if residue is not self:
                 # reduction commutes with det, and a unit is a nonzero residue
                 self._primitive = residue.is_primitive()
-            elif self._nums is None:
-                self._primitive = ring.is_invertible(
-                    linalg.det(ring, self.powers_matrix())
-                )
             else:
-                # the integer columns are the power columns times nonzero
+                # the integral columns are the power columns times nonzero
                 # denominators, so their det is 0 exactly when that one is
-                self._primitive = linalg.int_det([w._nums for w in self._power_list()]) != 0
+                self._primitive = bool(linalg.det([w._nums for w in self._power_list()]))
         return self._primitive
 
     def _int_coords_in(self, basis_elt: ExtElement):
-        """In an integral format, the coordinates of self in the power basis
-        of a primitive element as numerators over one denominator."""
+        """The coordinates of self in the power basis of a primitive element
+        as numerators over one denominator."""
         if not basis_elt.is_primitive():
             raise NotPrimitive("basis element is not primitive")
         # with N the integral power columns over dens, N y = nums has
         # y = x / d, and the coordinates are dens * y / den
         powers = basis_elt._power_list()
         a = transpose([w._nums for w in powers])
-        (x,), d = linalg.int_solve(a, [[v] for v in self._nums])
+        (x,), d = linalg.solve_columns(a, [[v] for v in self._nums])
         return [w._den * v for w, v in zip(powers, x)], d * self._den
 
     def coords_in(self, basis_elt: ExtElement):
         """Coordinates of self in the power basis of a primitive element."""
         basis_elt = self._same(basis_elt)
-        if self._nums is not None:
-            return self.ext._fmt.values(*self._int_coords_in(basis_elt))
-        if not basis_elt.is_primitive():
-            raise NotPrimitive("basis element is not primitive")
-        ring = self.ext.ring
-        sol = linalg.solve(ring, basis_elt.powers_matrix(), list(self.coords))
-        if not all(ring.contains(v) for v in sol):
-            raise CoordinateNotIntegral(
-                "coordinate left the coefficient ring despite a primitive basis"
-            )
-        return sol
+        return self.ext._fmt.values(*self._int_coords_in(basis_elt))
 
     def coords_poly_in(self, basis_elt: ExtElement) -> Poly:
         """The polynomial x(t) of degree < n with self = x(basis_elt), for a
         primitive basis_elt: its coefficients are the coordinates of self in
         the power basis of basis_elt."""
         basis_elt = self._same(basis_elt)
-        if self._nums is None:
-            return Poly(self.ext.ring, self.coords_in(basis_elt))
         return self.ext._fmt.poly(*self._int_coords_in(basis_elt))
 
     def minimal_polynomial(self) -> Poly:
         """The monic degree-n polynomial vanishing on self (self must be primitive)."""
         ext = self.ext
         top = self._power_list()[-1] * self
-        if self._nums is None:
-            p = Poly(ext.ring, [-c for c in top.coords_in(self)] + [ext.ring.one])
-        else:
-            # t^n minus the coordinates of self^n, over their denominator
-            nums, d = top._int_coords_in(self)
-            p = ext._fmt.poly([-v for v in nums] + [d], d)
+        # t^n minus the coordinates of self^n, over their denominator
+        nums, d = top._int_coords_in(self)
+        p = ext._fmt.poly([-v for v in nums] + [d], d)
         if p(self):
             raise InternalAssertion("minimal polynomial does not vanish on its element")
         return p

@@ -5,13 +5,13 @@ evaluates over the base ring or over any extension of it.  Membership in
 the group generated by invertible form values is always carried around as
 an explicit list of (vector, exponent) factors, never decided abstractly.
 
-Over Q and Q[x]_(x) a value over the base ring is computed in the integral
-format of `extension` (integer or Z[x] numerators over one denominator):
-the diagonal is cleared once, to A_j / E, when the form is built, and a
-vector y to n_j / d, so q(y) = (sum of A_j n_j^2) / (E d^2), normalized
-once into one Fraction or RatFunc.  Over the small finite fields the sum
-runs coordinate by coordinate.  Values over an extension are sums of
-extension elements, whose products run in that same format.
+A value over the base ring is computed in the integral format of
+`extension` (integer or Z[x] numerators over one denominator, or over a
+small finite field the coordinates over one): the diagonal is cleared
+once, to A_j / E, when the form is built, and a vector y to n_j / d, so
+q(y) = (sum of A_j n_j^2) / (E d^2), normalized once into one ring value.
+Values over an extension are sums of extension elements, whose products
+run in that same format.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ class QuadraticForm:
         self.diag = cs
         # the diagonal as numerators over one denominator, for `evaluate`
         self._fmt = fmt = integral_format(ring)
-        self._cleared = fmt.clear(cs) if fmt is not None else None
+        self._cleared = fmt.clear(cs)
 
     @property
     def rank(self) -> int:
@@ -69,11 +69,6 @@ class QuadraticForm:
         if len(ys) != self.rank:
             raise ValueError(f"expected {self.rank} coordinates, got {len(ys)}")
         fmt = self._fmt
-        if fmt is None:
-            acc = self.ring.zero
-            for a, y in zip(self.diag, ys):
-                acc = acc + a * y * y
-            return acc
         # a_j = coeffs[j] / e and y_j = nums[j] / d
         coeffs, e = self._cleared
         nums, d = fmt.clear(ys)

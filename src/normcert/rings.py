@@ -38,9 +38,8 @@ chain through ``_zgcd`` that stops at the first constant gcd, then the
 integer content), and ``RatFunc.zx_form`` / ``RatFunc.from_zx`` convert
 one value each way.
 
-``RatFunc`` covers all of Q(x); intermediates of fraction-field linear
-algebra may leave the local ring, and membership is re-checked wherever it
-matters.  The two ring objects are singletons, ``QQ`` and ``QQ_LOCAL_X``.
+``RatFunc`` covers all of Q(x); a quotient may leave the local ring, and
+membership is re-checked wherever it matters.  The two ring objects are singletons, ``QQ`` and ``QQ_LOCAL_X``.
 """
 
 from __future__ import annotations
@@ -739,12 +738,6 @@ class RationalField:
             raise NotInvertible("0 has no inverse in Q")
         return 1 / a
 
-    def fraction_div(self, a, b):
-        # division in the fraction field (same as the ring for a field)
-        if b == 0:
-            raise ZeroDivisionError("division by zero in Q")
-        return a / b
-
     def residue(self, a) -> Fraction:
         return self.check(a)
 
@@ -802,10 +795,6 @@ class LocalRationalFunctions:
         if not a.npoly or a.npoly[0] == 0:
             raise NotInvertible(f"{a!r} lies in the maximal ideal (x)")
         return a.reciprocal()
-
-    def fraction_div(self, a, b):
-        # division in Q(x); the result may leave the local ring
-        return a / b
 
     def residue(self, a) -> Fraction:
         return self.check(a).at_zero()

@@ -1,9 +1,11 @@
 """Independent oracles and paper-lemma helpers shared by the test modules.
 
 The oracles deliberately avoid the library's computational routes:
-determinants by permutation expansion instead of elimination, evaluation
-instead of coefficient manipulation, brute reconstruction instead of solving.
-The system-matrix helpers state the general-position lemma that the library's
+determinants by permutation expansion instead of elimination, solutions by
+Cramer's rule over it, evaluation instead of coefficient manipulation, brute
+reconstruction instead of solving.  The multiplication and powers matrices
+of an element are read off its products with t^j and its powers.  The
+system-matrix helpers state the general-position lemma that the library's
 searches rely on but never evaluate (see the genpos module docstring).  The
 JSON number parsers read each rational string through one Fraction, as the
 serializer did before it read them as integer pairs.
@@ -13,9 +15,10 @@ import re
 from decimal import Decimal
 from fractions import Fraction
 from itertools import permutations
+from operator import truediv
 
-from normcert import linalg
 from normcert.errors import InternalAssertion, NotInvertible, NotPrimitive, RingMismatch
+from normcert.linalg import transpose
 from normcert.rings import QQ, RatFunc
 from normcert.serialize import FormatError
 
@@ -139,13 +142,33 @@ def naive_ext_eval(modulus, coeffs, x):
     return total
 
 
-def naive_solve(a, rhs):
-    """The solution of a x = rhs by Cramer's rule over naive_det."""
+def naive_solve(a, rhs, div=truediv):
+    """The solution of a x = rhs by Cramer's rule over naive_det, each
+    quotient taken by `div` (over a finite field, pass one built on the
+    field's inverse table)."""
     d = naive_det(a)
     return [
-        naive_det([row[:i] + [v] + row[i + 1:] for row, v in zip(a, rhs)]) / d
+        div(naive_det([row[:i] + [v] + row[i + 1:] for row, v in zip(a, rhs)]), d)
         for i in range(len(a))
     ]
+
+
+def mult_matrix(x):
+    """The matrix of left multiplication by x: column j holds the
+    coordinates of x * t^j."""
+    t = x.ext.gen()
+    cols = [x]
+    while len(cols) < x.ext.n:
+        cols.append(cols[-1] * t)
+    return transpose([w.coords for w in cols])
+
+
+def powers_matrix(x):
+    """Column j holds the coordinates of x^j, j = 0 .. n-1."""
+    cols = [x.ext.one()]
+    while len(cols) < x.ext.n:
+        cols.append(cols[-1] * x)
+    return transpose([w.coords for w in cols])
 
 
 def horner_free_eval(coeffs, point):
@@ -164,8 +187,9 @@ def mat_mul(ring, a, b):
     return [[sum((x * y for x, y in zip(row, col)), ring.zero) for col in cols] for row in a]
 
 
-def rank(ring, rows) -> int:
-    """Exact rank via fraction-field elimination (works for non-square)."""
+def rank(rows) -> int:
+    """Exact rank by elimination in the fraction field of the entries, with
+    their own `/` (works for non-square)."""
     if not rows:
         return 0
     m = [list(r) for r in rows]
@@ -178,7 +202,7 @@ def rank(ring, rows) -> int:
         m[r], m[pivot] = m[pivot], m[r]
         for i in range(r + 1, nrows):
             if m[i][col]:
-                f = ring.fraction_div(m[i][col], m[r][col])
+                f = m[i][col] / m[r][col]
                 for j in range(col, ncols):
                     m[i][j] = m[i][j] - f * m[r][j]
         r += 1
@@ -205,15 +229,13 @@ def system_matrix(c, b):
     ext = c.ext
     ring = ext.ring
     step = c * b * b
-    cols = []
+    basis = powers_matrix(c)
+    sol = []
     w = b
     for _ in range(ext.n):
-        cols.append(w.coords)
+        sol.append(naive_solve(basis, list(w.coords)))
         w = w * step
-    raw = linalg.transpose(cols)
-    # one batched solve against the powers matrix of c
-    sol = linalg.solve_columns(ring, c.powers_matrix(), raw)
-    out = linalg.transpose(sol)
+    out = transpose(sol)
     if not all(ring.contains(v) for row in out for v in row):
         raise InternalAssertion("system matrix entry left the ring")
     return out
@@ -223,13 +245,12 @@ def system_determinants(c, b, xs):
     """det A together with, per witness coordinate, det of A with its last
     column replaced by that coordinate's power-basis coordinates."""
     a = system_matrix(c, b)
-    ring = c.ext.ring
-    det_a = linalg.det(ring, a)
+    det_a = naive_det(a)
     dets = []
     for x in xs:
         col = x.coords_in(c)
         replaced = [row[:-1] + [col[i]] for i, row in enumerate(a)]
-        dets.append(linalg.det(ring, replaced))
+        dets.append(naive_det(replaced))
     return det_a, dets
 
 
@@ -241,7 +262,7 @@ def last_column_minors(c, b):
     ring, n = c.ext.ring, c.ext.n
     if n == 1:
         return [ring.one]
-    return [linalg.det(ring, minor(a, n - 1 - i, n - 1)) for i in range(n)]
+    return [naive_det(minor(a, n - 1 - i, n - 1)) for i in range(n)]
 
 
 _LONG_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")

@@ -1,0 +1,30 @@
+"""The benchmark's per-layer tracer wraps library functions by name
+(`vars(owner)[attr]` in `bench/layers.py`), so a library rename breaks
+`bench/run.py --trace 1`.  This loads that module from its path, without
+importing the benchmark as a package, and checks that every target still
+resolves."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+LAYERS = Path(__file__).resolve().parent.parent / "bench" / "layers.py"
+
+
+def _load_layers():
+    spec = importlib.util.spec_from_file_location("bench_layers", LAYERS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_library_target_resolves():
+    layers = _load_layers()
+    assert layers.LIBRARY_TARGETS
+    for layer, module, cls, attrs in layers.LIBRARY_TARGETS:
+        owner, name = importlib.import_module(module), module
+        if cls is not None:
+            assert cls in set(vars(owner)), f"{layer}: {module}.{cls} is gone"
+            owner, name = vars(owner)[cls], f"{module}.{cls}"
+        for attr in attrs:
+            assert attr in set(vars(owner)), f"{layer}: {name}.{attr} is gone"

@@ -66,6 +66,23 @@ class TestFiniteFields:
                     continue
                 assert a * field.invert(a) == field.one
 
+    def test_division_exhaustive(self):
+        for order in (2, 4, 5, 9):
+            field = GF(order)
+            for a in field.elements():
+                for b in field.elements():
+                    if not b:
+                        with pytest.raises(ZeroDivisionError):
+                            a / b
+                        with pytest.raises(ZeroDivisionError):
+                            a // b
+                        continue
+                    assert (a / b) * b == a
+                    assert a // b == a / b == a * field.invert(b)
+            with pytest.raises(ZeroDivisionError):
+                field.one / 0
+            assert field.one / 1 == field.one
+
     def test_axioms_spot_checks(self):
         rng = random.Random(36)
         for order in (4, 8, 9, 25, 27, 49):

@@ -8,7 +8,7 @@ from normcert.extension import SimpleExtension
 from normcert.poly import Poly
 from normcert.rings import QQ, QQ_LOCAL_X, RatFunc
 
-from oracles import naive_det
+from oracles import mult_matrix, naive_det, powers_matrix
 
 F = Fraction
 
@@ -65,19 +65,19 @@ class TestArithmetic:
 
     def test_mult_matrix_examples(self, sqrt2, gauss):
         t = sqrt2.gen()
-        assert t.mult_matrix() == [[F(0), F(2)], [F(1), F(0)]]
-        assert sqrt2.one().mult_matrix() == [[F(1), F(0)], [F(0), F(1)]]
+        assert mult_matrix(t) == [[F(0), F(2)], [F(1), F(0)]]
+        assert mult_matrix(sqrt2.one()) == [[F(1), F(0)], [F(0), F(1)]]
         a = gauss.element([2, 1])  # 2 + t with t^2 = -1
-        assert a.mult_matrix() == [[F(2), F(-1)], [F(1), F(2)]]
+        assert mult_matrix(a) == [[F(2), F(-1)], [F(1), F(2)]]
 
     def test_norm_examples(self, sqrt2, gauss):
         # frozen from the permutation-expansion oracle
         t = sqrt2.gen()
-        assert naive_det(t.mult_matrix()) == -2
+        assert naive_det(mult_matrix(t)) == -2
         assert t.norm() == -2
         assert sqrt2.one().norm() == 1
         a = gauss.element([2, 1])
-        assert naive_det(a.mult_matrix()) == 5
+        assert naive_det(mult_matrix(a)) == 5
         assert a.norm() == 5
 
     def test_inverse_example(self, gauss):
@@ -103,10 +103,10 @@ class TestArithmetic:
 class TestPrimitivity:
     def test_powers_matrix_examples(self, sqrt2):
         scalar3 = sqrt2.scalar(3)
-        assert scalar3.powers_matrix() == [[F(1), F(3)], [F(0), F(0)]]
+        assert powers_matrix(scalar3) == [[F(1), F(3)], [F(0), F(0)]]
         assert not scalar3.is_primitive()
         b = sqrt2.element([1, 1])
-        assert b.powers_matrix() == [[F(1), F(1)], [F(0), F(1)]]
+        assert powers_matrix(b) == [[F(1), F(1)], [F(0), F(1)]]
         assert b.is_primitive()
 
     def test_generator_is_primitive(self, gauss):

@@ -2,11 +2,13 @@
 in Q[t]/(p), determinants and solves, with zero entries, moduli with
 non-integer coefficients (as the sub-level moduli g = h/r have) and
 systems whose first pivot is 0.  Extension elements over Q are integers
-over one denominator, and over Q[x]_(x) Z[x] numerators over one Z[x]
-denominator: every way of building one must leave them normalized, and
-their norms, inverses, power-basis coordinates and minimal polynomials
-must match the Fraction and RatFunc references.  The one fraction-free
-elimination runs on Z[x] entries too, where every division must be exact."""
+over one denominator, over Q[x]_(x) Z[x] numerators over one Z[x]
+denominator, and over a small finite field their coordinates over one:
+every way of building one must leave them normalized, and their norms,
+inverses, power-basis coordinates and minimal polynomials must match the
+Fraction, RatFunc and finite-field references.  The one fraction-free
+elimination runs on int, Z[x] and finite-field entries, where every
+division must be exact."""
 
 from fractions import Fraction
 from math import gcd
@@ -16,12 +18,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from normcert import linalg
+from normcert.charp import GF
 from normcert.errors import InternalAssertion, NotInvertible, NotPrimitive
 from normcert.extension import SimpleExtension
 from normcert.poly import Poly
 from normcert.rings import QQ, QQ_LOCAL_X, ZX, RatFunc
 
-from oracles import naive_det, naive_ext_mul, naive_poly_gcd, naive_solve
+from oracles import mult_matrix, naive_det, naive_ext_mul, naive_poly_gcd, naive_solve
 
 ZERO = Fraction(0)
 nonzero = st.fractions(min_value=-(10**9), max_value=10**9, max_denominator=10**9).filter(bool)
@@ -66,15 +69,37 @@ def naive_powers(modulus, b):
     return cols  # b^0 .. b^n
 
 
+# the finite fields of orders 2 to 9 and 27, those of the char-p demos among them
+FIELDS = [GF(order) for order in (2, 3, 4, 5, 7, 8, 9, 27)]
+# about half the entries are 0
+ints = st.one_of(st.just(0), st.integers(-(10**9), 10**9))
+
+
 @st.composite
 def systems(draw):
+    """A square matrix and right-hand columns (as rows), of ints or of the
+    elements of one finite field (None for the ints)."""
+    field = draw(st.sampled_from([None, *FIELDS]))
+    entry = ints if field is None else st.sampled_from(field.elements())
     n = draw(st.integers(1, 6))
-    a = [draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(n)]
+    a = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
     if draw(st.booleans()):
-        a[0][0] = ZERO
+        a[0][0] = 0 if field is None else field.zero
     width = draw(st.integers(1, 3))
-    b = [draw(st.lists(entries, min_size=width, max_size=width)) for _ in range(n)]
-    return a, b
+    b = [draw(st.lists(entry, min_size=width, max_size=width)) for _ in range(n)]
+    return a, b, field
+
+
+def field_div(field):
+    """Division in the finite field through its inverse table (not `/`)."""
+    return lambda u, v: u * field.invert(v)
+
+
+def exact_solution(a, rhs, field):
+    """The solution of a x = rhs over Q (for ints) or over the field."""
+    if field is None:
+        return naive_solve([[Fraction(v) for v in row] for row in a], [Fraction(v) for v in rhs])
+    return naive_solve(a, rhs, field_div(field))
 
 
 @given(products())
@@ -130,27 +155,36 @@ def test_norm_inverse_and_basis_match_naive(case):
             x.coords_in(y)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(systems())
 def test_det_and_solve_match_naive(case):
-    a, b = case
-    d = linalg.det(QQ, a)
+    a, b, field = case
+    d = linalg.det(a)
     assert d == naive_det(a)
-    if d == 0:
+    if not d:
         with pytest.raises(InternalAssertion):
-            linalg.solve_columns(QQ, a, b)
+            linalg.solve_columns(a, b)
         return
-    cols = linalg.solve_columns(QQ, a, b)
-    assert cols == [naive_solve(a, [row[j] for row in b]) for j in range(len(b[0]))]
+    cols, den = linalg.solve_columns(a, b)
+    ratio = Fraction if field is None else field_div(field)
+    for j, col in enumerate(cols):
+        assert [ratio(v, den) for v in col] == exact_solution(a, [row[j] for row in b], field)
 
 
 def test_zero_first_pivot_swaps_rows():
-    a = [[ZERO, Fraction(2), Fraction(1, 3)],
-         [Fraction(1, 2), ZERO, Fraction(5)],
-         [Fraction(-7), Fraction(3, 4), ZERO]]
-    rhs = [Fraction(1), Fraction(-2, 9), Fraction(4)]
-    assert linalg.det(QQ, a) == naive_det(a)
-    assert linalg.solve(QQ, a, rhs) == naive_solve(a, rhs)
+    # nonsingular over Z (det -58) and modulo 3 and 5; in characteristic 3
+    # the first column has a second zero, so the swap skips a row
+    a = [[0, 2, 1], [3, 0, 5], [-7, 4, 0]]
+    rhs = [1, -2, 4]
+    for field in (None, GF(5), GF(9)):
+        m, v = a, rhs
+        if field is not None:
+            m = [[field.from_int(e) for e in row] for row in a]
+            v = [field.from_int(e) for e in rhs]
+        assert linalg.det(m) == naive_det(m)
+        (x,), den = linalg.solve_columns(m, [[e] for e in v])
+        ratio = Fraction if field is None else field_div(field)
+        assert [ratio(e, den) for e in x] == exact_solution(m, v, field)
 
 
 # ---------------------------------------------------------------------------
@@ -281,13 +315,13 @@ def zx_systems(draw):
 @given(zx_systems())
 def test_bareiss_on_zx_matches_naive(case):
     a, b = case
-    d = linalg.int_det(a)
+    d = linalg.det(a)
     assert d == naive_det(a)
     if not d:
         with pytest.raises(InternalAssertion):
-            linalg.int_solve(a, b)
+            linalg.solve_columns(a, b)
         return
-    cols, den = linalg.int_solve(a, b)
+    cols, den = linalg.solve_columns(a, b)
     as_ratfuncs = [[RatFunc(v.c) for v in row] for row in a]
     for j, col in enumerate(cols):
         expected = naive_solve(as_ratfuncs, [RatFunc(row[j].c) for row in b])
@@ -302,3 +336,52 @@ def test_zx_division_is_exact_or_refused(a, b, r):
     if len(b.c) > 1 and r and len(r.c) < len(b.c):
         with pytest.raises(InternalAssertion):
             (a * b + r) // b
+
+
+# ---------------------------------------------------------------------------
+# small finite fields: the coordinates over one
+
+
+@st.composite
+def field_elements(draw):
+    field = draw(st.sampled_from(FIELDS))
+    n = draw(st.integers(1, 4))
+    elems = field.elements()
+    coords = st.lists(st.sampled_from(elems), min_size=n, max_size=n)
+    lower = [draw(st.sampled_from(elems[1:]))] + draw(coords)[1:]
+    return field, lower + [field.one], draw(coords), draw(coords)
+
+
+@settings(max_examples=80, deadline=None)
+@given(field_elements())
+def test_finite_field_elements_match_naive(case):
+    field, modulus, a, b = case
+    n, zero, div = len(a), field.zero, field_div(field)
+    ext = SimpleExtension(field, Poly(field, modulus))
+    x, y = ext.element(a), ext.element(b)
+    product = naive_ext_mul(modulus, a, b, zero)
+    assert list((x * y).coords) == product
+    # built from its coordinates, the product is the same element
+    fresh = ext.element(product)
+    assert x * y == fresh and hash(x * y) == hash(fresh)
+    assert (x == y) == (a == b)
+    norm = naive_det(mult_matrix(x))
+    assert x.norm() == norm
+    if norm:
+        assert x.inverse() * x == ext.one()
+    else:
+        with pytest.raises(NotInvertible):
+            x.inverse()
+    powers = [[field.one] + [zero] * (n - 1)]
+    for _ in range(n):
+        powers.append(naive_ext_mul(modulus, powers[-1], b, zero))
+    basis = naive_matrix(powers[:n])
+    if naive_det(basis):
+        assert y.is_primitive()
+        assert list(x.coords_in(y)) == naive_solve(basis, a, div)
+        top = naive_solve(basis, powers[n], div)
+        assert list(y.minimal_polynomial().coeffs) == [-v for v in top] + [field.one]
+    else:
+        assert not y.is_primitive()
+        with pytest.raises(NotPrimitive):
+            x.coords_in(y)
