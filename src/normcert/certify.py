@@ -33,14 +33,14 @@ import random
 from dataclasses import dataclass
 
 from .errors import InternalAssertion, NotSimple, SearchExhausted, ValueNotUnit
-from .extension import ExtElement, SimpleExtension, integral_format
+from .extension import ExtElement, SimpleExtension
 from .genpos import (
     DEFAULT_BOUND,
     DEFAULT_MAX_TRIES,
     find_general_position,
     find_primitive_scaling,
 )
-from .poly import Poly
+from .poly import Poly, integral_format
 from .qform import QuadraticForm, ValueFactor
 
 
@@ -54,7 +54,6 @@ class ReductionStep:
     r: object
     g: Poly
     b: ExtElement
-    next_witness: tuple
 
 
 @dataclass(frozen=True)
@@ -196,7 +195,7 @@ def _certify_value(ext, q, xs, rng, max_tries, bound, stats):
 
     # hence N(q_S(x)) = r * N_T(u) * N(b)^2 over the discarded scalings b
     factors = [ValueFactor(tops, 1), *sub_factors, *square_factors]
-    step = ReductionStep(n=n, p=p, h=h, r=r, g=g, b=witness.b, next_witness=tuple(ys))
+    step = ReductionStep(n=n, p=p, h=h, r=r, g=g, b=witness.b)
     return factors, norm, [step] + sub_steps
 
 

@@ -10,7 +10,7 @@ lexicographically smallest monic irreducible, deterministically.
 A finite field satisfies the same interface as the exact rings (it is its
 own residue field), and its elements divide exactly (`/`, and `//` as an
 alias), so the quotient-algebra machinery runs over it unchanged: its
-elements are held in the integral format of `extension` (the coordinates
+elements are held in the integral format of `poly` (the coordinates
 over one), and the one Bareiss elimination of `linalg` takes their norms,
 inverses and power-basis coordinates.  That is what both demos lean on.
 
@@ -144,17 +144,18 @@ class FFElement:
         return self.code != 0
 
     def __eq__(self, other):
-        code = (
-            other.code
-            if type(other) is FFElement and other.field is self.field
-            else self._code_of(other)
-        )
-        if code is None:
-            return NotImplemented
-        return self.code == code
+        # elements of another field are unequal, and an int k equals only the
+        # element k * 1 for 0 <= k < p, the prime-subfield element hashing like k
+        if type(other) is FFElement:
+            return other.field is self.field and other.code == self.code
+        if isinstance(other, int):
+            return 0 <= other < self.field.p and other == self.code
+        return NotImplemented
 
     def __hash__(self):
-        return hash((id(self.field), self.code))
+        # the codes 0 .. p-1 are the prime subfield
+        code = self.code
+        return code if code < self.field.p else hash((id(self.field), code))
 
     def __repr__(self):
         return f"{self.field.id}({self.code})"

@@ -10,195 +10,37 @@ An element b is primitive when {1, b, ..., b^(n-1)} is again a basis over
 the coefficient ring, i.e. when the determinant of its powers matrix is a
 unit; over the local ring that is decided on the residue.
 
-Every element is held in an integral format: numerators over one
-denominator that shares no factor with all of them.  Over Q those are
-integers over a positive integer, the format of polynomials over Q.  Over
-Q[x]_(x) they are integer polynomials (`ZX`) over one integer polynomial d
-with d(0) != 0 and a positive leading coefficient, and no integer content
-and no polynomial factor is common to d and all the numerators.  Over a
-small finite field they are the coordinates themselves over the field's
-one: lowest terms multiply by the inverse of the denominator.  `coords`
-builds the ring values on first use, and `reduce` reads the residue off
-the constant terms.  One code path serves every ring, through the small
-format records `_Rationals`, `_LocalFunctions` and `_FiniteFieldFormat`
-(zero and one, normalization, sums, scalar multiples, splitting a ring
-scalar and building ring values and polynomials back); Python ints keep
-their native operators.  Sums, scalar multiples and products run on the
-numerators: a product convolves them and reduces against a table of t^n,
-..., t^(2n-2) over one common denominator, built by shift and reduce from
-the modulus, and normalizes once (in degree 1, where t is a scalar, a
-product is a scalar multiple).  `from_poly` clears the remainder of a
-division by the modulus once.  Norms, inverses, primitivity and
-power-basis coordinates take the integral columns, each over its own
-denominator, into `linalg.det` and `linalg.solve_columns`, the one
-fraction-free Bareiss elimination, and scale the result back by those
-denominators, so a norm builds one ring value; the minimal polynomial and
-the general-position columns (`coords_poly_in`) are built from that
-solution.  Column j+1 of the multiplication matrix is t times column j: a
-shift plus one multiple of the coordinates of t^n.
+Every element is held in the integral format of its ring, the format of
+`poly` and its format records (`poly.integral_format`): numerators over
+one denominator that shares no factor with all of them -- integers over
+Q, integer polynomials (`ZX`) over Q[x]_(x), and over a small finite
+field the coordinates themselves over the field's one.  `coords` builds
+the ring values on first use, and `reduce` reads the residue off the
+constant terms.  One code path serves every ring.  Sums, scalar
+multiples and products run on the numerators: a product convolves them
+and reduces against a table of t^n, ..., t^(2n-2) over one common
+denominator, built by shift and reduce from the modulus, and normalizes
+once (in degree 1, where t is a scalar, a product is a scalar multiple).
+`from_poly` takes the remainder of a division by the modulus as it is.
+Norms, inverses, primitivity and power-basis coordinates take the
+integral columns, each over its own denominator, into `linalg.det` and
+`linalg.solve_columns`, the one fraction-free Bareiss elimination, and
+scale the result back by those denominators, so a norm builds one ring
+value; the minimal polynomial and the general-position columns
+(`coords_poly_in`) go from that solution to `Poly.from_integral`, which
+normalizes once and refuses a coefficient outside the ring.  Column j+1
+of the multiplication matrix is t times column j: a shift plus one
+multiple of the coordinates of t^n.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import prod
 
 from . import linalg
-from .errors import (
-    CoordinateNotIntegral,
-    InternalAssertion,
-    NotInvertible,
-    NotPrimitive,
-    NotSimple,
-)
-from .linalg import clear_denominators, transpose
-from .poly import Poly, convolve, int_sum, lowest_terms
-from .rings import (
-    QQ, QQ_LOCAL_X, ZX, ZX_ONE, RatFunc, zx_clear, zx_lowest_terms, zx_scale, zx_sum,
-)
-
-
-class _Rationals:
-    """The integral format over Q: integer numerators over one positive
-    integer denominator."""
-
-    zero, one = 0, 1
-    lowest = staticmethod(lowest_terms)
-    sum = staticmethod(int_sum)
-    value = Fraction
-    poly = staticmethod(Poly.from_ints)
-
-    @staticmethod
-    def scale(nums, den, s_num, s_den):
-        return lowest_terms([v * s_num for v in nums], den * s_den)
-
-    @staticmethod
-    def split(s):
-        if not isinstance(s, (int, Fraction)):
-            s = QQ.element(s)
-        return s.numerator, s.denominator
-
-    @staticmethod
-    def clear(values):
-        # each Fraction is in lowest terms, so over the lcm of the
-        # denominators the numerators share no factor with it
-        nums, den = clear_denominators(values)
-        return tuple(nums), den
-
-    @staticmethod
-    def poly_form(f: Poly):
-        return f.int_form
-
-    @staticmethod
-    def values(nums, den):
-        return [Fraction(v, den) for v in nums]
-
-    @staticmethod
-    def in_ring(den):
-        return True
-
-
-class _LocalFunctions:
-    """The integral format over Q[x]_(x): Z[x] numerators over one Z[x]
-    denominator d with d(0) != 0."""
-
-    zero, one = ZX(), ZX_ONE
-    lowest = staticmethod(zx_lowest_terms)
-    sum = staticmethod(zx_sum)
-    scale = staticmethod(zx_scale)
-    value = staticmethod(RatFunc.from_zx)
-    clear = staticmethod(zx_clear)
-
-    @staticmethod
-    def split(s):
-        return QQ_LOCAL_X.element(s).zx_form
-
-    @staticmethod
-    def poly_form(f: Poly):
-        return zx_clear(f.coeffs)
-
-    @staticmethod
-    def values(nums, den):
-        out = [RatFunc.from_zx(v, den) for v in nums]
-        if not all(v.is_defined_at_zero() for v in out):
-            raise CoordinateNotIntegral("a coordinate left the local ring")
-        return out
-
-    @staticmethod
-    def in_ring(den):
-        # of a vector in lowest terms: a pole at 0 is a root of den
-        return den.c[0] != 0
-
-    @staticmethod
-    def poly(nums, den):
-        return Poly(QQ_LOCAL_X, _LocalFunctions.values(nums, den))
-
-    @staticmethod
-    def residue(nums, den):
-        # evaluation at x = 0, straight into the integer format of Q
-        return lowest_terms([v.c[0] if v else 0 for v in nums], den.c[0])
-
-
-class _FiniteFieldFormat:
-    """The integral format over a small finite field: the coordinates over
-    the field's one.  A vector in lowest terms is over one, and `lowest`
-    gets it there by multiplying by the inverse of the denominator."""
-
-    __slots__ = ("field", "zero", "one")
-
-    def __init__(self, field):
-        self.field, self.zero, self.one = field, field.zero, field.one
-
-    def lowest(self, nums, den):
-        if den != self.one:
-            inv = self.one / den
-            nums = [v * inv for v in nums]
-        return tuple(nums), self.one
-
-    def sum(self, a, da, b, db):
-        # both vectors are in lowest terms, so over one
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, v in enumerate(b):
-            out[i] = out[i] + v
-        return tuple(out), self.one
-
-    def scale(self, nums, den, s_num, s_den):
-        return self.lowest([v * s_num for v in nums], den * s_den)
-
-    def split(self, s):
-        return self.field.element(s), self.one
-
-    @staticmethod
-    def value(num, den):
-        return num / den
-
-    def clear(self, values):
-        return tuple(values), self.one
-
-    def poly_form(self, f: Poly):
-        return f.coeffs, self.one
-
-    def values(self, nums, den):
-        return list(self.lowest(nums, den)[0])
-
-    @staticmethod
-    def in_ring(den):
-        return True
-
-    def poly(self, nums, den):
-        return Poly(self.field, self.values(nums, den))
-
-
-# the format records of Q and Q[x]_(x); a finite field gets its own, built
-# from the field object, since two FiniteField(p, e) objects share an id
-_FORMATS = {QQ.id: _Rationals, QQ_LOCAL_X.id: _LocalFunctions}
-
-
-def integral_format(ring):
-    """The integral format record of `ring`."""
-    return _FORMATS.get(ring.id) or _FiniteFieldFormat(ring)
+from .errors import InternalAssertion, NotInvertible, NotPrimitive, NotSimple
+from .linalg import transpose
+from .poly import Poly, convolve, integral_format
 
 
 class SimpleExtension:
@@ -246,7 +88,6 @@ class SimpleExtension:
         return self.scalar(self.ring.one)
 
     def scalar(self, c) -> ExtElement:
-        c = self.ring.element(c)
         fmt = self._fmt
         # a ring element split into numerator and denominator is in lowest terms
         num, den = fmt.split(c)
@@ -259,8 +100,8 @@ class SimpleExtension:
     def from_poly(self, f: Poly) -> ExtElement:
         """Reduce a polynomial modulo the defining modulus."""
         fmt = self._fmt
-        # the remainder in lowest terms, cleared once; zero padding keeps it so
-        nums, den = fmt.poly_form(f % self.modulus)
+        # the remainder is in lowest terms, and zero padding keeps it so
+        nums, den = (f % self.modulus).integral
         return ExtElement(self, None, nums + (fmt.zero,) * (self.n - len(nums)), den)
 
     def _power_table(self):
@@ -269,7 +110,7 @@ class SimpleExtension:
         # t^(n+k-1) times t, its row over dm^(k+1) when the modulus is nums / dm
         if self._table is None:
             fmt = self._fmt
-            nums, dm = fmt.poly_form(self.modulus)
+            nums, dm = self.modulus.integral
             # none at all when n = 1, where t is the scalar -p(0)
             rows = [tuple(-v for v in nums[:-1])] if self.n > 1 else []
             for _ in range(self.n - 2):
@@ -291,8 +132,8 @@ class SimpleExtension:
             return self
         if self._residue_ext is None:
             k = self.ring.residue_ring
-            pbar = self.modulus.map_coefficients(self.ring.residue, k)
-            self._residue_ext = SimpleExtension(k, pbar)
+            pbar = self._fmt.residue(*self.modulus.integral)
+            self._residue_ext = SimpleExtension(k, Poly.from_integral(k, *pbar))
         return self._residue_ext
 
 
@@ -494,7 +335,7 @@ class ExtElement:
         primitive basis_elt: its coefficients are the coordinates of self in
         the power basis of basis_elt."""
         basis_elt = self._same(basis_elt)
-        return self.ext._fmt.poly(*self._int_coords_in(basis_elt))
+        return Poly.from_integral(self.ext.ring, *self._int_coords_in(basis_elt))
 
     def minimal_polynomial(self) -> Poly:
         """The monic degree-n polynomial vanishing on self (self must be primitive)."""
@@ -502,7 +343,7 @@ class ExtElement:
         top = self._power_list()[-1] * self
         # t^n minus the coordinates of self^n, over their denominator
         nums, d = top._int_coords_in(self)
-        p = ext._fmt.poly([-v for v in nums] + [d], d)
+        p = Poly.from_integral(ext.ring, [-v for v in nums] + [d], d)
         if p(self):
             raise InternalAssertion("minimal polynomial does not vanish on its element")
         return p

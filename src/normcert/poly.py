@@ -1,22 +1,35 @@
-"""Dense univariate polynomials over a coefficient ring.
+"""Dense univariate polynomials over a coefficient ring, and the integral
+format that polynomials and extension elements share.
 
-Coefficients are stored ascending by degree with no trailing zeros; the
-zero polynomial is the empty tuple (degree -1 by convention, which keeps
-division free of special cases).  Division is only ever needed by a monic
-divisor, where it is exact over any ring.
+Coefficients are ascending by degree with no trailing zeros; the zero
+polynomial has none (degree -1 by convention, which keeps division free of
+special cases).  Division is only ever needed by a monic divisor, where it
+is exact over any ring.
 
-Over Q a polynomial is held as integer numerators over one positive
-denominator that shares no factor with all of them, and `coeffs` builds the
-Fractions on first use; `int_form` and `from_ints` are its integer view.
-Extension elements over Q share this format, and the functions below that
-build it (`lowest_terms`, `int_sum`, and `convolve` on every ring) serve
-both.  Sums, differences, negation, products, scalar multiples,
-shifts, division by a monic divisor, `==`/`hash` and evaluation run on
-those integers: a division keeps its remainder over a denominator that
-grows by the divisor's denominator per quotient term and normalizes once at
-the end, and evaluation is Horner on the integer numerators with one
-multiplication by 1/denominator at the end.  Over every other ring the
-arithmetic runs coefficient by coefficient.
+A polynomial is held in the integral format of its ring: numerators over
+one denominator that shares no factor with all of them.  Over Q those are
+integers over a positive integer.  Over Q[x]_(x) they are integer
+polynomials (`ZX`) over one integer polynomial d with d(0) != 0 and a
+positive leading coefficient, and no integer content and no polynomial
+factor is common to d and all the numerators.  Over a small finite field
+they are the coefficients themselves over the field's one: lowest terms
+multiply by the inverse of the denominator.  A format record per ring
+(`_Rationals`, `_LocalFunctions`, `_FiniteFieldFormat`, found by
+`integral_format`) holds zero and one, normalization (`lowest`), sums,
+scalar multiples, splitting a ring scalar and building ring values back;
+`extension` holds its elements in the same records.  Python ints keep
+their native operators, and over Q the record keeps the integer shortcuts:
+a sum over equal denominators adds the numerators, and every result takes
+one multi-gcd.
+
+Every operation has one body for every ring.  Sums, differences,
+negation, products (`convolve`), scalar multiples, shifts and `==`/`hash`
+run on the numerators.  A division keeps its remainder over a denominator
+that grows by the divisor's denominator per quotient term and normalizes
+once at the end.  Evaluation is Horner on the numerators (the leading
+one as a ring value) with one multiplication by 1/denominator at the end.  `coeffs` builds the ring
+values on first use; `integral` is the format's view of a polynomial and
+`from_integral` builds one from it.
 """
 
 from __future__ import annotations
@@ -24,47 +37,166 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .errors import NotInvertible
+from .errors import CoordinateNotIntegral, NotInvertible
 from .linalg import clear_denominators
-from .rings import QQ
+from .rings import (
+    QQ, QQ_LOCAL_X, ZX, ZX_ONE, RatFunc, zx_clear, zx_lowest_terms, zx_scale, zx_sum,
+)
 
 _set = object.__setattr__
 
 
-def lowest_terms(nums, den: int) -> tuple[tuple, int]:
-    """nums / den over a positive denominator sharing no factor with all of
-    the numerators, for any nonzero den."""
-    # one multi-gcd: each step runs against the shrinking common factor,
-    # and math.gcd stops taking gcds once that factor is 1
-    g = gcd(den, *nums)
-    if den < 0:
-        g = -g
-    if g != 1:
-        return tuple(v // g for v in nums), den // g
-    return tuple(nums), den
+class _Rationals:
+    """The integral format over Q: integer numerators over one positive
+    integer denominator."""
+
+    zero, one = 0, 1
+    value = Fraction
+
+    @staticmethod
+    def lowest(nums, den: int) -> tuple[tuple, int]:
+        """nums / den over a positive denominator sharing no factor with all
+        of the numerators, for any nonzero den."""
+        # one multi-gcd: each step runs against the shrinking common factor,
+        # and math.gcd stops taking gcds once that factor is 1
+        g = gcd(den, *nums)
+        if den < 0:
+            g = -g
+        if g != 1:
+            return tuple(v // g for v in nums), den // g
+        return tuple(nums), den
+
+    @staticmethod
+    def sum(a, da: int, b, db: int) -> tuple[tuple, int]:
+        """a / da + b / db in lowest terms, the shorter padded with zeros."""
+        if len(a) < len(b):
+            a, da, b, db = b, db, a, da
+        if da == db:
+            out = list(a)
+            for i, v in enumerate(b):
+                out[i] += v
+            return _Rationals.lowest(out, da)
+        out = [v * db for v in a]
+        for i, v in enumerate(b):
+            out[i] += v * da
+        return _Rationals.lowest(out, da * db)
+
+    @staticmethod
+    def scale(nums, den, s_num, s_den):
+        return _Rationals.lowest([v * s_num for v in nums], den * s_den)
+
+    @staticmethod
+    def split(s):
+        if not isinstance(s, (int, Fraction)):
+            s = QQ.element(s)
+        return s.numerator, s.denominator
+
+    @staticmethod
+    def clear(values):
+        # each Fraction is in lowest terms, so over the lcm of the
+        # denominators the numerators share no factor with it
+        nums, den = clear_denominators(values)
+        return tuple(nums), den
+
+    @staticmethod
+    def values(nums, den):
+        return [Fraction(v, den) for v in nums]
+
+    @staticmethod
+    def in_ring(den):
+        return True
 
 
-def int_sum(a, da: int, b, db: int) -> tuple[tuple, int]:
-    """a / da + b / db in lowest terms, the shorter padded with zeros."""
-    if len(a) < len(b):
-        a, da, b, db = b, db, a, da
-    if da == db:
+class _LocalFunctions:
+    """The integral format over Q[x]_(x): Z[x] numerators over one Z[x]
+    denominator d with d(0) != 0."""
+
+    zero, one = ZX(), ZX_ONE
+    lowest = staticmethod(zx_lowest_terms)
+    sum = staticmethod(zx_sum)
+    scale = staticmethod(zx_scale)
+    value = staticmethod(RatFunc.from_zx)
+    clear = staticmethod(zx_clear)
+
+    @staticmethod
+    def split(s):
+        # a ZX numerator, which Horner evaluation adds, is over one
+        if s.__class__ is ZX:
+            return s, ZX_ONE
+        return QQ_LOCAL_X.element(s).zx_form
+
+    @staticmethod
+    def values(nums, den):
+        out = [RatFunc.from_zx(v, den) for v in nums]
+        if not all(v.is_defined_at_zero() for v in out):
+            raise CoordinateNotIntegral("a coordinate left the local ring")
+        return out
+
+    @staticmethod
+    def in_ring(den):
+        # of a vector in lowest terms: a pole at 0 is a root of den
+        return den.c[0] != 0
+
+    @staticmethod
+    def residue(nums, den):
+        # evaluation at x = 0, straight into the integer format of Q
+        return _Rationals.lowest([v.c[0] if v else 0 for v in nums], den.c[0])
+
+
+class _FiniteFieldFormat:
+    """The integral format over a small finite field: the coordinates over
+    the field's one.  A vector in lowest terms is over one, and `lowest`
+    gets it there by multiplying by the inverse of the denominator."""
+
+    __slots__ = ("field", "zero", "one")
+
+    def __init__(self, field):
+        self.field, self.zero, self.one = field, field.zero, field.one
+
+    def lowest(self, nums, den):
+        if den != self.one:
+            inv = self.one / den
+            nums = [v * inv for v in nums]
+        return tuple(nums), self.one
+
+    def sum(self, a, da, b, db):
+        # both vectors are in lowest terms, so over one
+        if len(a) < len(b):
+            a, b = b, a
         out = list(a)
         for i, v in enumerate(b):
-            out[i] += v
-        return lowest_terms(out, da)
-    out = [v * db for v in a]
-    for i, v in enumerate(b):
-        out[i] += v * da
-    return lowest_terms(out, da * db)
+            out[i] = out[i] + v
+        return tuple(out), self.one
+
+    def scale(self, nums, den, s_num, s_den):
+        return self.lowest([v * s_num for v in nums], den * s_den)
+
+    def split(self, s):
+        return self.field.element(s), self.one
+
+    @staticmethod
+    def value(num, den):
+        return num / den
+
+    def clear(self, values):
+        return tuple(values), self.one
+
+    def values(self, nums, den):
+        return list(self.lowest(nums, den)[0])
+
+    @staticmethod
+    def in_ring(den):
+        return True
 
 
-def int_scale(nums, den: int, s) -> tuple[tuple, int]:
-    """nums / den times the rational s in lowest terms."""
-    if not isinstance(s, (int, Fraction)):
-        s = QQ.element(s)
-    num = s.numerator
-    return lowest_terms([v * num for v in nums], den * s.denominator)
+# the format records of Q and Q[x]_(x); a finite field gets its own, built
+# from the field object, since two FiniteField(p, e) objects share an id
+_FORMATS = {QQ.id: _Rationals, QQ_LOCAL_X.id: _LocalFunctions}
+
+
+def integral_format(ring):
+    """The integral format record of `ring`."""
+    return _FORMATS.get(ring.id) or _FiniteFieldFormat(ring)
 
 
 def convolve(a, b, zero) -> list:
@@ -84,46 +216,48 @@ def _trimmed(cs) -> list:
     return cs[:n]
 
 
+def _poly(ring, fmt, nums, den) -> Poly:
+    """The polynomial nums / den over `ring`, for nums in lowest terms
+    against den in the format `fmt` of that ring."""
+    nums = tuple(_trimmed(nums))
+    self = object.__new__(Poly)
+    _set(self, "ring", ring)
+    _set(self, "_fmt", fmt)
+    _set(self, "_nums", nums)
+    # lowest terms of zero over any den are zero over one
+    _set(self, "_den", den if nums else fmt.one)
+    _set(self, "_coeffs", None)
+    return self
+
+
 class Poly:
-    __slots__ = ("ring", "_coeffs", "_nums", "_den")
+    __slots__ = ("ring", "_fmt", "_nums", "_den", "_coeffs")
 
     def __init__(self, ring, coeffs):
         cs = _trimmed([ring.element(c) for c in coeffs])
+        fmt = integral_format(ring)
+        nums, den = fmt.clear(cs)
         _set(self, "ring", ring)
-        _set(self, "_coeffs", tuple(cs))
-        if ring.id == QQ.id:
-            # each Fraction is in lowest terms, so over the lcm of the
-            # denominators the numerators share no factor with it
-            nums, den = clear_denominators(cs)
-            _set(self, "_nums", tuple(nums))
-            _set(self, "_den", den)
-        else:
-            _set(self, "_nums", None)
-            _set(self, "_den", 1)
-
-    @classmethod
-    def _of_ints(cls, nums, den: int) -> Poly:
-        """nums / den over Q, for a tuple nums already in lowest terms
-        against den > 0."""
-        nums = _trimmed(nums)
-        self = object.__new__(cls)
-        _set(self, "ring", QQ)
-        _set(self, "_coeffs", None)
+        _set(self, "_fmt", fmt)
         _set(self, "_nums", nums)
-        # lowest terms of zero over any den are zero over 1
-        _set(self, "_den", den if nums else 1)
-        return self
+        _set(self, "_den", den)
+        _set(self, "_coeffs", tuple(cs))
 
     @classmethod
-    def from_ints(cls, nums, den: int = 1) -> Poly:
-        """The polynomial over Q with coefficients nums[i] / den, for
-        integers nums and a nonzero integer den."""
-        return cls._of_ints(*lowest_terms(nums, den))
+    def from_integral(cls, ring, nums, den) -> Poly:
+        """The polynomial over `ring` with coefficients nums[i] / den, for
+        numerators and a nonzero denominator of the ring's integral format;
+        CoordinateNotIntegral when a coefficient leaves the ring."""
+        fmt = integral_format(ring)
+        nums, den = fmt.lowest(nums, den)
+        if not fmt.in_ring(den):
+            raise CoordinateNotIntegral("a coefficient left the coefficient ring")
+        return _poly(ring, fmt, nums, den)
 
     @property
-    def int_form(self) -> tuple[tuple, int]:
-        """Over Q, the integer numerators (no trailing zero) and the positive
-        denominator sharing no factor with all of them."""
+    def integral(self) -> tuple:
+        """The numerators (no trailing zero) and the denominator, in lowest
+        terms in the integral format of the ring."""
         return self._nums, self._den
 
     def __setattr__(self, *_):
@@ -132,8 +266,7 @@ class Poly:
     @property
     def coeffs(self) -> tuple:
         if self._coeffs is None:
-            den = self._den
-            _set(self, "_coeffs", tuple(Fraction(v, den) for v in self._nums))
+            _set(self, "_coeffs", tuple(self._fmt.values(self._nums, self._den)))
         return self._coeffs
 
     @staticmethod
@@ -146,121 +279,110 @@ class Poly:
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs if self._nums is None else self._nums) - 1
+        return len(self._nums) - 1
 
     @property
     def leading(self):
-        if self._nums is not None:
-            return Fraction(self._nums[-1], self._den) if self._nums else QQ.zero
-        return self.coeffs[-1] if self.coeffs else self.ring.zero
+        return self._fmt.value(self._nums[-1], self._den) if self._nums else self.ring.zero
 
     @property
     def constant_term(self):
-        if self._nums is not None:
-            return Fraction(self._nums[0], self._den) if self._nums else QQ.zero
-        return self.coeffs[0] if self.coeffs else self.ring.zero
+        return self._fmt.value(self._nums[0], self._den) if self._nums else self.ring.zero
 
     def is_monic(self) -> bool:
-        if self._nums is not None:
-            return bool(self._nums) and self._nums[-1] == self._den
-        return bool(self.coeffs) and self.leading == self.ring.one
+        return bool(self._nums) and self._nums[-1] == self._den
 
     def __bool__(self):
-        return bool(self.coeffs if self._nums is None else self._nums)
+        return bool(self._nums)
 
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
         if self.ring.id != other.ring.id:
             return False
-        if self._nums is None:
-            return self.coeffs == other.coeffs
         return self._den == other._den and self._nums == other._nums
 
     def __hash__(self):
-        if self._nums is None:
-            return hash((self.ring.id, self.coeffs))
         return hash((self.ring.id, self._den, self._nums))
 
     def __add__(self, other: Poly) -> Poly:
-        if self._nums is None:
-            a, b = self.coeffs, other.coeffs
-            if len(a) < len(b):
-                a, b = b, a
-            out = list(a)
-            for i, c in enumerate(b):
-                out[i] = out[i] + c
-            return Poly(self.ring, out)
-        return Poly._of_ints(*int_sum(self._nums, self._den, other._nums, other._den))
+        fmt = self._fmt
+        return _poly(self.ring, fmt, *fmt.sum(self._nums, self._den, other._nums, other._den))
 
     def __sub__(self, other: Poly) -> Poly:
         return self + (-other)
 
     def __neg__(self) -> Poly:
-        if self._nums is None:
-            return Poly(self.ring, tuple(-c for c in self.coeffs))
-        return Poly._of_ints(tuple(-v for v in self._nums), self._den)
+        return _poly(self.ring, self._fmt, tuple(-v for v in self._nums), self._den)
 
     def __mul__(self, other: Poly) -> Poly:
-        if self._nums is None:
-            return Poly(self.ring, convolve(self.coeffs, other.coeffs, self.ring.zero))
-        return Poly.from_ints(convolve(self._nums, other._nums, 0), self._den * other._den)
+        fmt = self._fmt
+        return _poly(self.ring, fmt, *fmt.lowest(
+            convolve(self._nums, other._nums, fmt.zero), self._den * other._den))
 
     def scale(self, s) -> Poly:
-        if self._nums is None:
-            return Poly(self.ring, tuple(c * s for c in self.coeffs))
-        return Poly._of_ints(*int_scale(self._nums, self._den, s))
+        fmt = self._fmt
+        return _poly(self.ring, fmt, *fmt.scale(self._nums, self._den, *fmt.split(s)))
 
     def shift(self, k: int) -> Poly:
         """Multiply by t^k."""
         if not self:
             return self
-        if self._nums is None:
-            return Poly(self.ring, (self.ring.zero,) * k + self.coeffs)
-        return Poly._of_ints((0,) * k + self._nums, self._den)
+        fmt = self._fmt
+        return _poly(self.ring, fmt, (fmt.zero,) * k + self._nums, self._den)
 
     def __call__(self, v):
         """Evaluate at v (a ring element, or anything with +/* and scalars)."""
-        if not self:
+        nums, den, fmt = self._nums, self._den, self._fmt
+        if not nums:
             return self.ring.zero
-        if self._nums is None:
-            acc = self.coeffs[-1]
-            for c in reversed(self.coeffs[:-1]):
-                acc = acc * v + c
-            return acc
-        nums, den = self._nums, self._den
-        if len(nums) == 1:
-            return self.coeffs[0]
-        acc = nums[-1]
+        # the leading numerator as a ring value, so that every product is
+        # v times a ring value or an extension element
+        acc = fmt.value(nums[-1], fmt.one)
         for c in reversed(nums[:-1]):
-            acc = acc * v + c
-        return acc if den == 1 else acc * Fraction(1, den)
+            acc = v * acc + c
+        return acc if den == fmt.one else acc * fmt.value(fmt.one, den)
 
     def __divmod__(self, divisor: Poly):
         """Exact division by a monic divisor: self = divisor*q + r, deg r < deg divisor."""
         if not divisor.is_monic():
             raise NotInvertible("division requires a monic divisor")
-        d = divisor.degree
-        if self.degree < d:
-            return Poly.zero(self.ring), self
-        if self._nums is not None:
-            return _int_divmod(self._nums, self._den, divisor._nums, divisor._den)
-        rem = list(self.coeffs)
-        quo = [self.ring.zero] * (len(rem) - d)
-        for k in range(len(rem) - 1, d - 1, -1):
+        ring, fmt = self.ring, self._fmt
+        a, da = self._nums, self._den
+        b, db = divisor._nums, divisor._den
+        d = len(b) - 1
+        if len(a) <= d:
+            return _poly(ring, fmt, (), fmt.one), self
+        scaled = db != fmt.one
+        rem = list(a)
+        quo = []
+        # b[-1] == db; before the step that clears rem[k], the remainder is
+        # rem / (da * db^s) after s steps, and taking c / (da * db^s) times
+        # t^(k-d) * b / db off it leaves (rem * db - c * t^(k-d) * b) / (da * db^(s+1))
+        for k in range(len(a) - 1, d - 1, -1):
             c = rem[k]
-            if not c:
-                continue
-            quo[k - d] = c
-            for i in range(d + 1):
-                rem[k - d + i] = rem[k - d + i] - c * divisor.coeffs[i]
-        return Poly(self.ring, quo), Poly(self.ring, rem)
+            quo.append(c)
+            if scaled:
+                for i in range(k):
+                    rem[i] *= db
+            if c:
+                j = k - d
+                for i in range(d):
+                    rem[j + i] -= c * b[i]
+        # the quotient term of t^j was found at step s = m-1-j, over
+        # da * db^s; over da * db^(m-1) its numerator is c * db^j
+        quo.reverse()
+        power = fmt.one
+        if scaled:
+            for j in range(1, len(quo)):
+                power *= db
+                quo[j] *= power
+        top = da * power
+        return (_poly(ring, fmt, *fmt.lowest(quo, top)),
+                _poly(ring, fmt, *fmt.lowest(rem[:d], top * db)))
 
     def __mod__(self, divisor: Poly) -> Poly:
         return divmod(self, divisor)[1]
-
-    def map_coefficients(self, fn, new_ring) -> Poly:
-        return Poly(new_ring, tuple(fn(c) for c in self.coeffs))
 
     def __repr__(self):
         if not self:
@@ -275,35 +397,3 @@ class Poly:
                 head = "" if c == self.ring.one else f"{c}*"
                 terms.append(f"{head}t" + (f"^{i}" if i > 1 else ""))
         return f"Poly<{' + '.join(terms)}>"
-
-
-def _int_divmod(a, da: int, b, db: int):
-    """Quotient and remainder of a / da by the monic b / db (so b[-1] == db)
-    over Q, for len(a) >= len(b)."""
-    d = len(b) - 1
-    rem = list(a)
-    quo = []
-    # before the step that clears rem[k], the remainder is rem / (da * db^s)
-    # after s steps; taking c / (da * db^s) times t^(k-d) * b / db off it
-    # leaves (rem * db - c * t^(k-d) * b) / (da * db^(s+1))
-    for k in range(len(a) - 1, d - 1, -1):
-        c = rem[k]
-        quo.append(c)
-        if db != 1:
-            for i in range(k):
-                rem[i] *= db
-        if c:
-            j = k - d
-            for i in range(d):
-                rem[j + i] -= c * b[i]
-    # the quotient term of t^j was found at step s = m-1-j, over da * db^s;
-    # over da * db^(m-1) its numerator is c * db^j
-    quo.reverse()
-    m = len(quo)
-    if db != 1:
-        power = 1
-        for j in range(1, m):
-            power *= db
-            quo[j] *= power
-    top = da * db ** (m - 1)
-    return Poly.from_ints(quo, top), Poly.from_ints(rem[:d], top * db)

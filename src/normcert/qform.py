@@ -6,7 +6,7 @@ the group generated by invertible form values is always carried around as
 an explicit list of (vector, exponent) factors, never decided abstractly.
 
 A value over the base ring is computed in the integral format of
-`extension` (integer or Z[x] numerators over one denominator, or over a
+`poly` (integer or Z[x] numerators over one denominator, or over a
 small finite field the coordinates over one): the diagonal is cleared
 once, to A_j / E, when the form is built, and a vector y to n_j / d, so
 q(y) = (sum of A_j n_j^2) / (E d^2), normalized once into one ring value.
@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InternalAssertion, NotInvertible, NotRegular
-from .extension import integral_format
+from .poly import integral_format
 
 
 @dataclass(frozen=True)

@@ -23,16 +23,20 @@ Gonnet 1989): evaluate both inputs at one large integer, take the integer
 gcd, read a candidate back off its balanced base-xi digits and accept it
 when it divides both inputs exactly; those two divisions are the cofactors,
 so no caller divides again.  The coprime case costs two evaluations and one
-integer gcd.  When six evaluation points all fail, the modular routine
-(images mod 31-bit primes, CRT, trial-division certificate) decides, so no
-intermediate ever outgrows the inputs (naive Euclid over Q explodes).
+integer gcd.  When six evaluation points all fail, the primitive
+pseudo-remainder sequence decides: Euclid on pseudo-remainders with the
+integer content divided out of each, which keeps the coefficients near
+the size of the subresultants (naive Euclid over Q explodes), then the
+cofactors by exact division.
 In a product of integer polynomials a constant operand only scales the
 other.
 
 ``ZX`` wraps an integer polynomial as an immutable value with ``+ - *``,
 exact ``//`` (an inexact division raises InternalAssertion) and ``bool``,
-and Python ints mix in as constants.  Extension elements over Q[x]_(x)
-are ``ZX`` numerators over one ``ZX`` denominator; ``zx_lowest_terms``,
+and Python ints mix in as constants; any other operand gets
+NotImplemented, so a product with a ``RatFunc`` or an extension element is
+theirs to take.  Polynomials and extension elements over Q[x]_(x) are
+``ZX`` numerators over one ``ZX`` denominator; ``zx_lowest_terms``,
 ``zx_sum``, ``zx_scale`` and ``zx_clear`` build that format (one gcd
 chain through ``_zgcd`` that stops at the first constant gcd, then the
 integer content), and ``RatFunc.zx_form`` / ``RatFunc.from_zx`` convert
@@ -93,72 +97,6 @@ def _zsplit(cs):
     return content, tuple(v // content for v in cs)
 
 
-def _is_prime_u32(n: int) -> bool:
-    # deterministic Miller-Rabin, valid far beyond 2^32
-    for p in (2, 3, 5, 7):
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7):
-        v = pow(a, d, n)
-        if v in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            v = v * v % n
-            if v == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-class _PrimePool:
-    """Descending 31-bit primes, generated on demand."""
-
-    def __init__(self):
-        self._primes = []
-        self._next = 2**31 - 1
-
-    def get(self, i: int) -> int:
-        while len(self._primes) <= i:
-            while not _is_prime_u32(self._next):
-                self._next -= 2
-            self._primes.append(self._next)
-            self._next -= 2
-        return self._primes[i]
-
-
-_PRIMES31 = _PrimePool()
-
-
-def _gcd_mod(a, b, p: int):
-    """Monic gcd of the images in GF(p)[x] (a list, possibly [1])."""
-    a = [c % p for c in a]
-    b = [c % p for c in b]
-    while b and b[-1] == 0:
-        b.pop()
-    while a and a[-1] == 0:
-        a.pop()
-    while b:
-        inv = pow(b[-1], -1, p)
-        db = len(b) - 1
-        for k in range(len(a) - 1, db - 1, -1):
-            c = a[k]
-            if c:
-                q = c * inv % p
-                for i in range(db):
-                    a[k - db + i] = (a[k - db + i] - q * b[i]) % p
-                a[k] = 0
-        while a and a[-1] == 0:
-            a.pop()
-        a, b = b, a
-    inv = pow(a[-1], -1, p)
-    return [c * inv % p for c in a]
-
-
 def _zdivides(g, a):
     """Quotient of a by g in Z[x], or None when the division is not exact."""
     if len(g) > len(a):
@@ -181,54 +119,26 @@ def _zdivides(g, a):
     return tuple(quo)
 
 
-def _zgcd_modular(a, b):
-    """(g, a/g, b/g) for primitive a, b of degree >= 1, computed modularly.
-
-    Images modulo 31-bit primes are combined by CRT with symmetric lift and
-    certified by trial division, whose quotients are the cofactors, so no
-    step ever exceeds the coefficient size of the inputs plus the (small)
-    size of the gcd itself.
-    """
-    lc_gcd = gcd(a[-1], b[-1])
-    combined = None
-    modulus = 1
-    best_degree = None
-    previous = None
-    index = 0
-    while True:
-        p = _PRIMES31.get(index)
-        index += 1
-        if a[-1] % p == 0 or b[-1] % p == 0:
-            continue
-        gp = _gcd_mod(a, b, p)
-        degree = len(gp) - 1
-        if degree == 0:
-            return _ONE_POLY, a, b
-        if best_degree is None or degree < best_degree:
-            # every previous prime was unlucky; restart from this image
-            best_degree = degree
-            scaled = [c * lc_gcd % p for c in gp]
-            combined, modulus, previous = scaled, p, None
-        elif degree > best_degree:
-            continue
-        else:
-            scaled = [c * lc_gcd % p for c in gp]
-            inv = pow(modulus, -1, p)
-            merged = []
-            for old, new in zip(combined, scaled):
-                delta = (new - old) * inv % p
-                merged.append(old + modulus * delta)
-            combined, modulus = merged, modulus * p
-        half = modulus // 2
-        lifted = tuple(c - modulus if c > half else c for c in combined)
-        candidate = _zsplit(_ztrim(lifted))[1]
-        if candidate == previous:
-            qa = _zdivides(candidate, a)
-            if qa is not None:
-                qb = _zdivides(candidate, b)
-                if qb is not None:
-                    return candidate, qa, qb
-        previous = candidate
+def _zgcd_prs(a, b):
+    """(g, a/g, b/g) for primitive a, b of degree >= 1, by the primitive
+    pseudo-remainder sequence: each pseudo-remainder has its content divided
+    out, which keeps it no larger than the subresultant it is similar to,
+    and the cofactors are the exact quotients by the gcd."""
+    f, g = (a, b) if len(a) >= len(b) else (b, a)
+    while len(g) > 1:
+        # lc(g)^(deg f - deg g + 1) * f reduced by g
+        r, dg, lc = list(f), len(g) - 1, g[-1]
+        for k in range(len(r) - 1, dg - 1, -1):
+            c = r.pop()
+            r = [v * lc for v in r]
+            if c:
+                for i in range(dg):
+                    r[k - dg + i] -= c * g[i]
+        f, g = g, _zsplit(_ztrim(r))[1]
+    if g:
+        # a nonzero constant remainder: the inputs are coprime
+        return _ONE_POLY, a, b
+    return f, _zdivides(f, a), _zdivides(f, b)
 
 
 _HEU_POINTS = 6
@@ -277,7 +187,7 @@ def _zgcd(a, b):
     """(g, a/g, b/g): the primitive gcd with positive leading coefficient and
     the two exact cofactors (so g * (a/g) == a, content and sign included).
 
-    GCDHEU decides almost every pair; the modular routine takes the rest.
+    GCDHEU decides almost every pair; the primitive PRS takes the rest.
     """
     if len(a) == 1 or len(b) == 1:
         return _ONE_POLY, a, b
@@ -286,7 +196,7 @@ def _zgcd(a, b):
     if not pa or not pb or pa == pb:
         # gcd(0, b) is pp(b), and the cofactor of the zero polynomial is 0
         return pa or pb, ((ca,) if pa else ()), ((cb,) if pb else ())
-    g, qa, qb = _zgcd_heuristic(pa, pb) or _zgcd_modular(pa, pb)
+    g, qa, qb = _zgcd_heuristic(pa, pb) or _zgcd_prs(pa, pb)
     if ca != 1:
         qa = tuple(ca * c for c in qa)
     if cb != 1:
@@ -307,7 +217,9 @@ class ZX:
         self.c = c
 
     def __add__(self, other):
-        a, b = self.c, other.c if other.__class__ is ZX else _zconst(other)
+        a, b = self.c, other.c if other.__class__ is ZX else _zoperand(other)
+        if b is None:
+            return NotImplemented
         if len(a) < len(b):
             a, b = b, a
         if not b:
@@ -323,19 +235,27 @@ class ZX:
         return ZX(tuple([-v for v in self.c]))
 
     def __sub__(self, other):
-        return self + (-other if other.__class__ is ZX else ZX(_zconst(-other)))
+        b = other.c if other.__class__ is ZX else _zoperand(other)
+        if b is None:
+            return NotImplemented
+        return self + ZX(tuple([-v for v in b]))
 
     def __rsub__(self, other):
         return -self + other
 
     def __mul__(self, other):
-        return ZX(_zmul(self.c, other.c if other.__class__ is ZX else _zconst(other)))
+        b = other.c if other.__class__ is ZX else _zoperand(other)
+        if b is None:
+            return NotImplemented
+        return ZX(_zmul(self.c, b))
 
     __rmul__ = __mul__
 
     def __floordiv__(self, other):
         """The exact quotient; a division that leaves a remainder is a bug."""
-        g = other.c if other.__class__ is ZX else _zconst(other)
+        g = other.c if other.__class__ is ZX else _zoperand(other)
+        if g is None:
+            return NotImplemented
         if not g:
             raise ZeroDivisionError("division by the zero polynomial")
         if g == _ONE_POLY or not self.c:
@@ -366,6 +286,12 @@ class ZX:
 
 def _zconst(k: int):
     return (k,) if k else ()
+
+
+def _zoperand(v):
+    """The coefficients of an int operand of ZX arithmetic, None for any
+    other type."""
+    return _zconst(v) if isinstance(v, int) else None
 
 
 ZX_ONE = ZX(_ONE_POLY)
@@ -591,6 +517,8 @@ class RatFunc:
             return other
         if isinstance(other, (int, Fraction)):
             return RatFunc.constant(other)
+        if other.__class__ is ZX:
+            return RatFunc.from_zx(other, ZX_ONE)
         return None
 
     def __add__(self, other):

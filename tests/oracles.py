@@ -52,15 +52,15 @@ def naive_det(rows):
 
 
 def naive_poly(coeffs):
-    """Fraction coefficients, ascending, with trailing zeros dropped."""
-    out = [Fraction(c) for c in coeffs]
+    """The coefficients (ring values), ascending, with trailing zeros dropped."""
+    out = list(coeffs)
     while out and not out[-1]:
         out.pop()
     return out
 
 
-def naive_poly_add(a, b):
-    out = [Fraction(0)] * max(len(a), len(b))
+def naive_poly_add(a, b, zero=Fraction(0)):
+    out = [zero] * max(len(a), len(b))
     for i, c in enumerate(a):
         out[i] += c
     for i, c in enumerate(b):
@@ -130,15 +130,16 @@ def naive_poly_gcd(a, b):
     return tuple(c / a[-1] for c in a) if a else ()
 
 
-def naive_ext_eval(modulus, coeffs, x):
-    """Coordinates of f(x) in Q[t]/(p) for the coefficient list f, as the
-    power sum of the coefficients times naive powers of x."""
+def naive_ext_eval(modulus, coeffs, x, zero=Fraction(0), one=Fraction(1)):
+    """Coordinates of f(x) in R[t]/(p) for the coefficient list f, as the
+    power sum of the coefficients times naive powers of x, in Fractions or
+    in the ring of `zero` and `one`."""
     n = len(modulus) - 1
-    total = [Fraction(0)] * n
-    power = [Fraction(1)] + [Fraction(0)] * (n - 1)
+    total = [zero] * n
+    power = [one] + [zero] * (n - 1)
     for c in coeffs:
         total = [t + c * v for t, v in zip(total, power)]
-        power = naive_ext_mul(modulus, power, x)
+        power = naive_ext_mul(modulus, power, x, zero)
     return total
 
 

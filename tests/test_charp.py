@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from normcert.charp import GF, char2_squares_report, char3_vanishing_report
+from normcert.charp import GF, FiniteField, char2_squares_report, char3_vanishing_report
 from normcert.errors import NotInvertible, RingMismatch
 from normcert.extension import SimpleExtension
 from normcert.poly import Poly
@@ -102,6 +102,25 @@ class TestFiniteFields:
     def test_mixed_field_arithmetic_rejected(self):
         with pytest.raises(RingMismatch):
             GF(4).one + GF(8).one
+
+    def test_equal_values_hash_equal(self):
+        values = [*GF(5).elements(), *GF(9).elements(), *range(-10, 11)]
+        for a in values:
+            for b in values:
+                if a == b:
+                    assert hash(a) == hash(b), (a, b)
+        assert len({1, GF(5).one}) == 1
+        # an int k equals k * 1 only for 0 <= k < p; the extension code
+        # compares denominators with 1
+        assert GF(9).one == 1 and not GF(9).one != 1
+        assert GF(5).from_int(3) == 3 and GF(5).from_int(3) != 8
+
+    def test_fields_of_one_order_compare_unequal(self):
+        # two FiniteField(5) objects share an id, and their elements never mix
+        a, b = FiniteField(5), FiniteField(5)
+        assert a.one != b.one
+        assert SimpleExtension(a, Poly(a, [2, 0, 1])) != SimpleExtension(b, Poly(b, [2, 0, 1]))
+        assert SimpleExtension(a, Poly(a, [2, 0, 1])) == SimpleExtension(a, Poly(a, [2, 0, 1]))
 
     def test_extension_machinery_runs_over_finite_fields(self):
         f5 = GF(5)

@@ -59,16 +59,17 @@ def test_certificates_are_byte_identical():
 
 
 def test_modular_gcd_fallback_is_byte_identical(monkeypatch):
-    # the heuristic gcd gives up on every pair, so the modular routine
-    # computes every gcd and cofactor of the Q[x]_(x) cases
+    # the heuristic gcd gives up on every pair, so the fallback (the
+    # primitive pseudo-remainder sequence) computes every gcd and cofactor
+    # of the Q[x]_(x) cases
     calls = []
-    modular = rings._zgcd_modular
+    fallback = rings._zgcd_prs
 
     def counted(a, b):
         calls.append(1)
-        return modular(a, b)
+        return fallback(a, b)
 
     monkeypatch.setattr(rings, "_zgcd_heuristic", lambda a, b: None)
-    monkeypatch.setattr(rings, "_zgcd_modular", counted)
+    monkeypatch.setattr(rings, "_zgcd_prs", counted)
     assert _digest() == GOLDEN_SHA256
     assert calls

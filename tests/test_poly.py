@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from normcert.errors import NotInvertible
+from normcert.charp import GF, FiniteField
+from normcert.errors import CoordinateNotIntegral, NotInvertible
 from normcert.extension import ExtElement, SimpleExtension
-from normcert.poly import Poly
-from normcert.rings import QQ, QQ_LOCAL_X
+from normcert.poly import Poly, integral_format
+from normcert.rings import QQ, QQ_LOCAL_X, ZX, RatFunc
 
 from oracles import (
     horner_free_eval,
@@ -20,19 +21,7 @@ from oracles import (
     naive_poly_mul,
 )
 
-ZERO = Fraction(0)
 nonzero = st.fractions(min_value=-(10**9), max_value=10**9, max_denominator=10**9).filter(bool)
-# about half the coefficients are 0, so zero terms and trailing zeros come up
-entries = st.one_of(st.just(ZERO), nonzero)
-coefficient_lists = st.lists(entries, max_size=8)
-
-
-@st.composite
-def monic_moduli(draw):
-    n = draw(st.integers(1, 5))
-    return [draw(nonzero)] + draw(st.lists(entries, min_size=n - 1, max_size=n - 1)) + [
-        Fraction(1)
-    ]
 
 
 def qp(*coeffs):
@@ -109,85 +98,179 @@ class TestStructure:
         assert qp(1, 2).shift(2) == qp(0, 0, 1, 2)
         assert qp(1, 2).scale(Fraction(3)) == qp(3, 6)
 
-    def test_map_coefficients(self):
+    def test_residue_of_a_local_polynomial(self):
+        # the residue of (2+x) + t, read off the integral format at x = 0
         ring = QQ_LOCAL_X
-        f = Poly(ring, [ring.element((2, 1)), ring.one])  # (2+x) + t
-        reduced = f.map_coefficients(ring.residue, QQ)
-        assert reduced == qp(2, 1)
+        f = Poly(ring, [ring.element((2, 1)), ring.one])
+        assert SimpleExtension(ring, f).residue_extension().modulus == qp(2, 1)
 
     def test_mixed_ring_equality(self):
         assert Poly(QQ, [1]) != Poly(QQ_LOCAL_X, [1])
 
+    def test_two_fields_of_one_order_are_unequal(self):
+        # two FiniteField(5) objects share an id, and their elements never mix
+        a, b = FiniteField(5), FiniteField(5)
+        assert Poly(a, [2, 0, 1]) != Poly(b, [2, 0, 1])
+        assert Poly(a, [2, 0, 1]) == Poly(a, [2, 0, 1])
+
+
+LOCAL_UNITS = st.builds(
+    lambda num, den: QQ_LOCAL_X.element(RatFunc(num, den)),
+    st.lists(st.integers(-9, 9), min_size=1, max_size=3).filter(lambda cs: cs[0]),
+    st.lists(st.integers(-9, 9), min_size=1, max_size=3).filter(lambda cs: cs[0]),
+)
+# over the local ring, a nonzero non-unit now and then: x times a unit
+LOCAL_NONZERO = LOCAL_UNITS | LOCAL_UNITS.map(lambda u: u * QQ_LOCAL_X.x)
+FIELD = GF(9)
+FIELD_NONZERO = st.sampled_from(FIELD.elements()[1:])
+# per ring: its nonzero entries, its units, the longest coefficient list
+# and the highest modulus degree drawn (the local oracle is slow)
+RINGS = {
+    QQ.id: (QQ, nonzero, nonzero, 8, 5),
+    QQ_LOCAL_X.id: (QQ_LOCAL_X, LOCAL_NONZERO, LOCAL_UNITS, 5, 3),
+    FIELD.id: (FIELD, FIELD_NONZERO, FIELD_NONZERO, 8, 5),
+}
+rings = st.sampled_from(sorted(RINGS))
+
+
+def ring_case(data):
+    """A ring drawn from RINGS with its strategies: coefficient lists
+    (about half the entries 0, so zero terms and trailing zeros come up),
+    nonzero entries, units and monic moduli with a unit constant term."""
+    ring, nonzero_entries, units, size, degree = RINGS[data.draw(rings)]
+    lists = st.lists(st.just(ring.zero) | nonzero_entries, max_size=size)
+
+    @st.composite
+    def moduli(draw):
+        n = draw(st.integers(1, degree))
+        middle = draw(st.lists(st.just(ring.zero) | nonzero_entries,
+                               min_size=n - 1, max_size=n - 1))
+        return [draw(units)] + middle + [ring.one]
+
+    return ring, lists, nonzero_entries, moduli()
+
 
 def assert_matches(f, coeffs):
-    """f holds the Fractions coeffs (trimmed) as integer numerators over one
-    positive denominator sharing no factor with all of them, and equals and
-    hashes like the polynomial built from those Fractions."""
+    """f holds the ring values coeffs (trimmed) as numerators over one
+    denominator in lowest terms, and equals and hashes like the polynomial
+    built from those values."""
+    ring = f.ring
     coeffs = naive_poly(coeffs)
-    nums, den = f.int_form
-    assert den > 0 and gcd(den, *nums) == 1
+    fmt = integral_format(ring)
+    nums, den = f.integral
+    assert fmt.lowest(nums, den) == (nums, den)
+    if ring is QQ:
+        assert den > 0 and gcd(den, *nums) == 1
     assert not nums or nums[-1]
-    assert [Fraction(v, den) for v in nums] == coeffs
+    assert fmt.values(nums, den) == coeffs
     assert list(f.coeffs) == coeffs
     assert f.degree == len(coeffs) - 1
-    fresh = Poly(QQ, coeffs)
+    fresh = Poly(ring, coeffs)
     assert f == fresh and hash(f) == hash(fresh)
 
 
+def _zx(cs):
+    cs = list(cs)
+    while cs and not cs[-1]:
+        cs.pop()
+    return ZX(tuple(cs))
+
+
+# numerators and a nonzero denominator in each ring's integral format
+INTEGRAL = {
+    QQ.id: (st.integers(-(10**6), 10**6), st.integers(-(10**6), 10**6).filter(bool)),
+    QQ_LOCAL_X.id: (st.lists(st.integers(-20, 20), max_size=3).map(_zx),
+                    st.lists(st.integers(-20, 20), min_size=1, max_size=3).map(_zx).filter(bool)),
+    FIELD.id: (st.sampled_from(FIELD.elements()), FIELD_NONZERO),
+}
+
+
 class TestIntegerRepresentation:
-    """Over Q a Poly is integers over one denominator; every operation
-    against a naive Fraction polynomial."""
+    """A Poly is numerators over one denominator in its ring's integral
+    format; every operation, over Q, Q[x]_(x) and GF(9), against a naive
+    coefficientwise polynomial."""
 
-    @given(coefficient_lists, coefficient_lists, nonzero, st.integers(0, 3))
-    def test_ring_operations(self, a, b, s, k):
-        f, g = qp(*a), qp(*b)
+    @settings(deadline=None)
+    @given(st.data(), st.integers(0, 3))
+    def test_ring_operations(self, data, k):
+        ring, lists, nonzero_entries, _ = ring_case(data)
+        a, b, s = data.draw(lists), data.draw(lists), data.draw(nonzero_entries)
+        zero = ring.zero
+        f, g = Poly(ring, a), Poly(ring, b)
         assert_matches(f, a)
-        assert_matches(f + g, naive_poly_add(a, b))
-        assert_matches(f - g, naive_poly_add(a, [-c for c in b]))
+        assert_matches(f + g, naive_poly_add(a, b, zero))
+        assert_matches(f - g, naive_poly_add(a, [-c for c in b], zero))
         assert_matches(-f, [-c for c in a])
-        assert_matches(f * g, naive_poly_mul(naive_poly(a), naive_poly(b)))
+        assert_matches(f * g, naive_poly_mul(naive_poly(a), naive_poly(b), zero))
         assert_matches(f.scale(s), [c * s for c in a])
-        assert_matches(f.scale(ZERO), [])
-        assert_matches(f.shift(k), [ZERO] * k + naive_poly(a) if naive_poly(a) else [])
+        assert_matches(f.scale(zero), [])
+        assert_matches(f.shift(k), [zero] * k + naive_poly(a) if naive_poly(a) else [])
         assert (f == g) == (naive_poly(a) == naive_poly(b))
-        assert f.is_monic() == (bool(naive_poly(a)) and naive_poly(a)[-1] == 1)
+        assert f.is_monic() == (bool(naive_poly(a)) and naive_poly(a)[-1] == ring.one)
 
-    @given(st.lists(st.integers(-(10**6), 10**6), max_size=6),
-           st.integers(-(10**6), 10**6).filter(bool))
-    def test_from_integers(self, nums, den):
-        f = Poly.from_ints(nums, den)
-        assert_matches(f, [Fraction(v, den) for v in nums])
-        assert Poly.from_ints(*f.int_form) == f
+    @settings(deadline=None)
+    @given(rings, st.data())
+    def test_from_integers(self, ring_id, data):
+        # from the numerators of the integral format over any denominator;
+        # over Q[x]_(x) a root of the reduced denominator at x = 0 is a
+        # coefficient outside the ring
+        ring = RINGS[ring_id][0]
+        fmt = integral_format(ring)
+        numerators, denominators = INTEGRAL[ring_id]
+        nums = data.draw(st.lists(numerators, max_size=6))
+        den = data.draw(denominators)
+        values = [fmt.value(v, den) for v in nums]
+        if not all(ring.contains(v) for v in values):
+            with pytest.raises(CoordinateNotIntegral):
+                Poly.from_integral(ring, nums, den)
+            return
+        f = Poly.from_integral(ring, nums, den)
+        assert_matches(f, values)
+        assert Poly.from_integral(ring, *f.integral) == f
 
-    @given(coefficient_lists, monic_moduli())
-    def test_division_by_monic_moduli(self, a, modulus):
-        quo, rem = divmod(qp(*a), qp(*modulus))
+    @settings(deadline=None)
+    @given(st.data())
+    def test_division_by_monic_moduli(self, data):
+        ring, lists, _, moduli = ring_case(data)
+        a, modulus = data.draw(lists), data.draw(moduli)
+        quo, rem = divmod(Poly(ring, a), Poly(ring, modulus))
         if len(naive_poly(a)) < len(modulus):
             assert_matches(quo, [])
             assert_matches(rem, a)
             return
-        naive_quo, naive_rem = naive_poly_divmod(naive_poly(a), modulus)
+        naive_quo, naive_rem = naive_poly_divmod(naive_poly(a), modulus, ring.zero)
         assert_matches(quo, naive_quo)
         assert_matches(rem, naive_rem)
 
-    @given(coefficient_lists, nonzero | st.integers(-50, 50).map(Fraction))
-    def test_evaluation_at_a_rational(self, a, v):
-        assert qp(*a)(v) == (horner_free_eval(naive_poly(a), v) if naive_poly(a) else 0)
+    @settings(deadline=None)
+    @given(st.data())
+    def test_evaluation_at_a_rational(self, data):
+        # at a ring element (a rational over Q) or an int
+        ring, lists, nonzero_entries, _ = ring_case(data)
+        a = data.draw(lists)
+        v = data.draw(st.just(ring.zero) | nonzero_entries | st.integers(-3, 3))
+        expected = horner_free_eval(naive_poly(a), v) if naive_poly(a) else ring.zero
+        value = Poly(ring, a)(v)
+        assert ring.contains(value) and value == expected
 
     @settings(max_examples=60, deadline=None)
-    @given(coefficient_lists, monic_moduli(), st.data())
-    def test_evaluation_and_reduction_in_an_extension(self, a, modulus, data):
+    @given(st.data())
+    def test_evaluation_and_reduction_in_an_extension(self, data):
+        ring, lists, nonzero_entries, moduli = ring_case(data)
+        zero = ring.zero
+        a, modulus = data.draw(lists), data.draw(moduli)
         n = len(modulus) - 1
-        x = data.draw(st.lists(entries, min_size=n, max_size=n))
-        ext = SimpleExtension(QQ, qp(*modulus))
-        f = qp(*a)
+        x = data.draw(st.lists(st.just(zero) | nonzero_entries, min_size=n, max_size=n))
+        ext = SimpleExtension(ring, Poly(ring, modulus))
+        f = Poly(ring, a)
         value = f(ext.element(x))
-        coords = list(value.coords) if isinstance(value, ExtElement) else [value] + [ZERO] * (
+        coords = list(value.coords) if isinstance(value, ExtElement) else [value] + [zero] * (
             n - 1
         )
-        assert coords == naive_ext_eval(modulus, naive_poly(a), x)
+        assert coords == naive_ext_eval(modulus, naive_poly(a), x, zero, ring.one)
         reduced = ext.from_poly(f)
-        expected = naive_poly_divmod(naive_poly(a), modulus)[1]
+        expected = naive_poly_divmod(naive_poly(a), modulus, zero)[1]
         assert list(reduced.coords) == expected
-        assert reduced._den > 0 and gcd(reduced._den, *reduced._nums) == 1
+        fmt = integral_format(ring)
+        assert fmt.lowest(reduced._nums, reduced._den) == (reduced._nums, reduced._den)
         assert reduced == ext.element(expected)

@@ -190,8 +190,8 @@ def _trim_int(cs):
     return tuple(cs)
 
 
-def _modular_zgcd(a, b):
-    """`_zgcd` with the heuristic giving up at once, so the modular routine decides."""
+def _fallback_zgcd(a, b):
+    """`_zgcd` with the heuristic giving up at once, so the fallback decides."""
     with mock.patch.object(rings, "_zgcd_heuristic", lambda a, b: None):
         return rings._zgcd(a, b)
 
@@ -265,8 +265,17 @@ class TestPolynomialGcd:
         assert g[-1] > 0 and gcd(*g) == 1
         assert _mul_int(g, qa) == a
         assert _mul_int(g, qb) == b
-        assert _modular_zgcd(qa, qb)[0] == (1,)
-        assert _modular_zgcd(a, b) == (g, qa, qb)
+        assert _fallback_zgcd(qa, qb)[0] == (1,)
+        assert _fallback_zgcd(a, b) == (g, qa, qb)
+
+
+def test_zx_leaves_foreign_operands_to_them():
+    # a ZX numerator times an extension element or a RatFunc is theirs to take
+    p = rings.ZX((1, 2))
+    for op in ("__add__", "__sub__", "__mul__", "__floordiv__"):
+        assert getattr(p, op)(Fraction(1, 2)) is NotImplemented
+    assert p * X == rf((0, 1, 2)) and X * p == rf((0, 1, 2))
+    assert p - 3 == rings.ZX((-2, 2)) and p + X == rf((1, 3))
 
 
 def test_get_ring():
