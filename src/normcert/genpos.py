@@ -45,14 +45,13 @@ _BOUND_DOUBLING_PERIOD = 8
 @dataclass(frozen=True)
 class GenPosWitness:
     """A verified general-position scaling: c_new = c*b^2 primitive,
-    x_new = x*b^(-1), columns the coordinates of each x_new in the power
-    basis of c_new as polynomials x(t) of degree < n (x_new = x(c_new)),
-    tops their coefficients of t^(n-1), and r = q(tops) a unit of the
-    coefficient ring."""
+    columns the coordinates of each x*b^(-1) in the power basis of c_new
+    as polynomials y(t) of degree < n (x*b^(-1) = y(c_new)), tops their
+    coefficients of t^(n-1), and r = q(tops) a unit of the coefficient
+    ring."""
 
     b: ExtElement
     c_new: ExtElement
-    x_new: tuple
     columns: tuple
     tops: tuple
     r: object
@@ -129,7 +128,7 @@ def find_general_position(
         r = q.evaluate(tops)
         if not ring.is_invertible(r):
             return None
-        return GenPosWitness(b, c_new, tuple(x_new), columns, tops, r, tries)
+        return GenPosWitness(b, c_new, columns, tops, r, tries)
 
     # deterministic probe: b = 1
     found = witness(ext.one(), c, xs, 1)

@@ -10,29 +10,18 @@ gcd is taken at all.  On ints `//` is the native floor division; on `ZX`
 it is the quotient of `rings._zdivides`, and a division that leaves a
 remainder raises InternalAssertion; on a finite field it is the field
 division.  Extension elements hand their integral columns to these two
-entry points.  `clear_denominators` writes Fractions as integer numerators
-over one common denominator.
+entry points.
 
 Matrices are plain lists of row lists of ring elements.
 """
 
 from __future__ import annotations
 
-from math import lcm
-
 from .errors import InternalAssertion
 
 
 def transpose(a):
     return [list(col) for col in zip(*a)]
-
-
-def clear_denominators(values) -> tuple[list[int], int]:
-    """Integer numerators over one common denominator d of the given
-    Fractions: values[i] == nums[i] / d, with d the lcm of their denominators."""
-    dens = [v.denominator for v in values]
-    d = lcm(*dens)
-    return [v.numerator * (d // e) for v, e in zip(values, dens)], d
 
 
 def _bareiss(m: list[list], n: int, above: bool) -> int:

@@ -38,9 +38,9 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import CoordinateNotIntegral, NotInvertible
-from .linalg import clear_denominators
 from .rings import (
-    QQ, QQ_LOCAL_X, ZX, ZX_ONE, RatFunc, zx_clear, zx_lowest_terms, zx_scale, zx_sum,
+    QQ, QQ_LOCAL_X, ZX, ZX_ONE, RatFunc, clear_denominators, zx_clear, zx_lowest_terms,
+    zx_scale, zx_sum,
 )
 
 _set = object.__setattr__
@@ -123,7 +123,8 @@ class _LocalFunctions:
         # a ZX numerator, which Horner evaluation adds, is over one
         if s.__class__ is ZX:
             return s, ZX_ONE
-        return QQ_LOCAL_X.element(s).zx_form
+        s = QQ_LOCAL_X.element(s)
+        return s.numerator, s.denominator
 
     @staticmethod
     def values(nums, den):

@@ -13,11 +13,12 @@ Both rings sit behind one small interface so everything downstream
   This is a local ring: a is a unit iff a(0) != 0, reduction modulo the
   maximal ideal is evaluation at 0, and the residue field is Q again.
 
-Elements of the second ring are ``RatFunc`` values.  A ``RatFunc`` is
-stored as scalar * N(x)/D(x) with N, D coprime primitive integer
-polynomials with positive leading coefficients and the scalar a Fraction;
-that representation is unique, keeps every operation in integer polynomial
-arithmetic, and confines gcd work to cross cancellations.  Polynomial gcds
+Elements of the second ring are ``RatFunc`` values.  A ``RatFunc`` holds
+integer polynomials N(x)/D(x) in lowest terms: no factor, integer
+content included, is common to N and D, and D has a positive leading
+coefficient.  That representation is unique, it is the one-entry case of
+the integral format below, and every operation runs in integer polynomial
+arithmetic with gcd work confined to cross cancellations.  Polynomial gcds
 come with their cofactors from the heuristic gcd GCDHEU (Char, Geddes and
 Gonnet 1989): evaluate both inputs at one large integer, take the integer
 gcd, read a candidate back off its balanced base-xi digits and accept it
@@ -39,11 +40,13 @@ theirs to take.  Polynomials and extension elements over Q[x]_(x) are
 ``ZX`` numerators over one ``ZX`` denominator; ``zx_lowest_terms``,
 ``zx_sum``, ``zx_scale`` and ``zx_clear`` build that format (one gcd
 chain through ``_zgcd`` that stops at the first constant gcd, then the
-integer content), and ``RatFunc.zx_form`` / ``RatFunc.from_zx`` convert
-one value each way.
+integer content), and ``RatFunc`` arithmetic runs on them with one entry.
+``clear_denominators`` writes rationals as integer numerators over one
+common denominator, for the format of Q and for ``RatFunc``'s constructor.
 
 ``RatFunc`` covers all of Q(x); a quotient may leave the local ring, and
-membership is re-checked wherever it matters.  The two ring objects are singletons, ``QQ`` and ``QQ_LOCAL_X``.
+membership is re-checked wherever it matters.  The two ring objects are
+singletons, ``QQ`` and ``QQ_LOCAL_X``.
 """
 
 from __future__ import annotations
@@ -378,28 +381,23 @@ def zx_sum(a, da: ZX, b, db: ZX) -> tuple[tuple, ZX]:
     return _zx_content(*_zx_cancel(out, da * eb, ZX(g)))
 
 
+def clear_denominators(values) -> tuple[list[int], int]:
+    """Integer numerators over one common denominator d of the given
+    rationals (ints or Fractions): values[i] == nums[i] / d, with d the lcm
+    of their denominators."""
+    dens = [v.denominator for v in values]
+    d = lcm(*dens)
+    return [v.numerator * (d // e) for v, e in zip(values, dens)], d
+
+
 def zx_clear(values) -> tuple[tuple, ZX]:
     """Numerators over one denominator, in lowest terms, of RatFunc values."""
-    pairs = [v.zx_form for v in values]
+    pairs = [(v.numerator, v.denominator) for v in values]
     den = ZX_ONE
     for _, d in pairs:
         if _zdivides(d.c, den.c) is None:
             den = den * d
     return zx_lowest_terms([num * (den // d) for num, d in pairs], den)
-
-
-def _from_fraction_coeffs(cs):
-    """(scalar, P) with P primitive positive-lc integer and cs = scalar*P over Q."""
-    cs = _ztrim([Fraction(c) for c in cs])
-    if not cs:
-        return Fraction(0), ()
-    mult = lcm(*(c.denominator for c in cs))
-    content, prim = _zsplit(tuple(int(c * mult) for c in cs))
-    return Fraction(content, mult), prim
-
-
-def _fgcd(a: Fraction, b: Fraction) -> Fraction:
-    return Fraction(gcd(a.numerator, b.numerator), lcm(a.denominator, b.denominator))
 
 
 def _zstr(cs, var="x"):
@@ -421,80 +419,60 @@ def _zstr(cs, var="x"):
 
 
 class RatFunc:
-    """A quotient of polynomials over Q, always in lowest terms.
+    """A quotient of polynomials over Q, held as the integer polynomials
+    `numerator` / `denominator` (`ZX`) in the integral format's lowest
+    terms: they share no factor, integer content included, and the
+    denominator has a positive leading coefficient.  Zero is 0 / 1.  This is
+    the one-entry case of `zx_lowest_terms`, as a Fraction's numerator and
+    denominator are the format of Q, so equality is structural.
 
     The public faces `num` and `den` are Fraction coefficient tuples
     (ascending degree) scaled so the lowest-order nonzero denominator
     coefficient is 1; for elements of the local ring that is exactly the
-    den(0) = 1 normalization, so equality of ring elements is structural.
+    den(0) = 1 normalization.
     """
 
-    __slots__ = ("scalar", "npoly", "dpoly", "_view", "_zx")
+    __slots__ = ("numerator", "denominator", "_view")
 
     def __init__(self, num, den=(1,)):
-        sn, npoly = _from_fraction_coeffs(num)
-        sd, dpoly = _from_fraction_coeffs(den)
-        if not dpoly:
+        # one common denominator for both coefficient lists cancels out
+        cs = [Fraction(c) for c in num]
+        k = len(cs)
+        cs, _ = clear_denominators(cs + [Fraction(c) for c in den])
+        d = ZX(_ztrim(cs[k:]))
+        if not d:
             raise ZeroDivisionError("rational function with zero denominator")
-        if npoly:
-            _, npoly, dpoly = _zgcd(npoly, dpoly)
-        else:
-            dpoly = _ONE_POLY
-        self.scalar = sn / sd if npoly else Fraction(0)
-        self.npoly = npoly
-        self.dpoly = dpoly
+        (self.numerator,), self.denominator = zx_lowest_terms((ZX(_ztrim(cs[:k])),), d)
         self._view = None
-        self._zx = None
 
     @classmethod
-    def _make(cls, scalar: Fraction, npoly, dpoly) -> RatFunc:
-        # trusted constructor: pieces already coprime, primitive, positive lc
+    def _make(cls, num: ZX, den: ZX) -> RatFunc:
+        # trusted constructor: the pair is already in lowest terms
         self = object.__new__(cls)
-        if not npoly or not scalar:
-            scalar, npoly, dpoly = Fraction(0), (), _ONE_POLY
-        self.scalar = scalar
-        self.npoly = npoly
-        self.dpoly = dpoly
+        self.numerator = num
+        self.denominator = den
         self._view = None
-        self._zx = None
         return self
 
     @classmethod
     def from_zx(cls, num: ZX, den: ZX) -> RatFunc:
         """num / den for integer polynomials, den nonzero."""
-        cn, pn = _zsplit(num.c)
-        if not pn:
-            return cls._make(Fraction(0), (), _ONE_POLY)
-        cd, pd = _zsplit(den.c)
-        _, pn, pd = _zgcd(pn, pd)
-        return cls._make(Fraction(cn, cd), pn, pd)
-
-    @property
-    def zx_form(self) -> tuple[ZX, ZX]:
-        """The integer polynomials (num, den) with self = num / den, sharing
-        no factor, integer content included, and den of positive leading
-        coefficient."""
-        if self._zx is None:
-            s = self.scalar
-            self._zx = (ZX(_zmul(self.npoly, _zconst(s.numerator))),
-                        ZX(_zmul(self.dpoly, (s.denominator,))))
-        return self._zx
+        (num,), den = zx_lowest_terms((num,), den)
+        return cls._make(num, den)
 
     @staticmethod
     def constant(v) -> RatFunc:
         v = Fraction(v)
-        return RatFunc._make(v, _ONE_POLY if v else (), _ONE_POLY)
+        return RatFunc._make(ZX(_zconst(v.numerator)), ZX((v.denominator,)))
 
     def canonical_ratios(self):
         """The coefficients of `num` and `den` as (top, bottom) integer
         pairs, not reduced, with bottom nonzero."""
-        if not self.npoly:
+        num, den = self.numerator.c, self.denominator.c
+        if not num:
             return (), ((1, 1),)
-        pivot = next(c for c in self.dpoly if c)
-        # scalar * c / pivot as one ratio each
-        top, bottom = self.scalar.numerator, self.scalar.denominator * pivot
-        return (tuple((top * c, bottom) for c in self.npoly),
-                tuple((c, pivot) for c in self.dpoly))
+        pivot = next(c for c in den if c)
+        return tuple((c, pivot) for c in num), tuple((c, pivot) for c in den)
 
     def _canonical_view(self):
         if self._view is None:
@@ -510,7 +488,8 @@ class RatFunc:
     def den(self):
         return self._canonical_view()[1]
 
-    # fraction-field arithmetic (closed under all four operations)
+    # fraction-field arithmetic (closed under all four operations), on the
+    # integral format's one-entry vectors
 
     def _coerce(self, other):
         if isinstance(other, RatFunc):
@@ -518,34 +497,17 @@ class RatFunc:
         if isinstance(other, (int, Fraction)):
             return RatFunc.constant(other)
         if other.__class__ is ZX:
-            return RatFunc.from_zx(other, ZX_ONE)
+            # an integer polynomial over one is in lowest terms
+            return RatFunc._make(other, ZX_ONE)
         return None
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if not self.npoly:
-            return other
-        if not other.npoly:
-            return self
-        t = _fgcd(self.scalar, other.scalar)
-        s1, s2 = self.scalar / t, other.scalar / t
-        if s1.denominator != 1 or s2.denominator != 1:
-            raise ArithmeticError("scalar gcd split lost exactness")
-        u1, u2 = s1.numerator, s2.numerator
-        d, e1, e2 = _zgcd(self.dpoly, other.dpoly)
-        raw = [0] * max(len(self.npoly) + len(e2), len(other.npoly) + len(e1))
-        for i, c in enumerate(_zmul(self.npoly, e2)):
-            raw[i] += u1 * c
-        for i, c in enumerate(_zmul(other.npoly, e1)):
-            raw[i] += u2 * c
-        content, psum = _zsplit(_ztrim(raw))
-        if not psum:
-            return RatFunc._make(Fraction(0), (), _ONE_POLY)
-        _, num, d_over_g = _zgcd(psum, d)
-        # self.dpoly / g == (d / g) * e1
-        return RatFunc._make(t * content, num, _zmul(_zmul(d_over_g, e1), e2))
+        (num,), den = zx_sum((self.numerator,), self.denominator,
+                             (other.numerator,), other.denominator)
+        return RatFunc._make(num, den)
 
     __radd__ = __add__
 
@@ -562,24 +524,25 @@ class RatFunc:
         return other + (-self)
 
     def __neg__(self):
-        return RatFunc._make(-self.scalar, self.npoly, self.dpoly)
+        return RatFunc._make(-self.numerator, self.denominator)
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if not self.npoly or not other.npoly:
-            return RatFunc._make(Fraction(0), (), _ONE_POLY)
-        _, n1, d2 = _zgcd(self.npoly, other.dpoly)
-        _, n2, d1 = _zgcd(other.npoly, self.dpoly)
-        return RatFunc._make(self.scalar * other.scalar, _zmul(n1, n2), _zmul(d1, d2))
+        (num,), den = zx_scale((self.numerator,), self.denominator,
+                               other.numerator, other.denominator)
+        return RatFunc._make(num, den)
 
     __rmul__ = __mul__
 
     def reciprocal(self) -> RatFunc:
-        if not self.npoly:
+        num, den = self.denominator, self.numerator
+        if not den:
             raise ZeroDivisionError("division by zero rational function")
-        return RatFunc._make(1 / self.scalar, self.dpoly, self.npoly)
+        if den.c[-1] < 0:
+            num, den = -num, -den
+        return RatFunc._make(num, den)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -594,31 +557,32 @@ class RatFunc:
         return other * self.reciprocal()
 
     def __bool__(self):
-        return bool(self.npoly)
+        return bool(self.numerator)
 
     def __eq__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return (
-            self.scalar == other.scalar
-            and self.npoly == other.npoly
-            and self.dpoly == other.dpoly
-        )
+        return self.numerator == other.numerator and self.denominator == other.denominator
 
     def __hash__(self):
-        return hash((self.scalar, self.npoly, self.dpoly))
+        # a value equal to an int, a Fraction or a ZX hashes like it
+        num, den = self.numerator, self.denominator.c
+        if den == _ONE_POLY:
+            return hash(num)
+        if len(den) == 1 and len(num.c) == 1:
+            return hash(Fraction(num.c[0], den[0]))
+        return hash((num.c, den))
 
     def at_zero(self) -> Fraction:
         """Value at x = 0; requires den(0) != 0."""
-        if self.dpoly[0] == 0:
+        num, den = self.numerator.c, self.denominator.c
+        if den[0] == 0:
             raise ZeroDivisionError("rational function has a pole at 0")
-        if not self.npoly:
-            return Fraction(0)
-        return self.scalar * self.npoly[0] / self.dpoly[0]
+        return Fraction(num[0] if num else 0, den[0])
 
     def is_defined_at_zero(self) -> bool:
-        return self.dpoly[0] != 0
+        return self.denominator.c[0] != 0
 
     def __repr__(self):
         num, den = self._canonical_view()
@@ -715,12 +679,11 @@ class LocalRationalFunctions:
         return a
 
     def is_invertible(self, a) -> bool:
-        a = self.check(a)
-        return bool(a.npoly) and a.npoly[0] != 0
+        num = self.check(a).numerator.c
+        return bool(num) and num[0] != 0
 
     def invert(self, a):
-        a = self.check(a)
-        if not a.npoly or a.npoly[0] == 0:
+        if not self.is_invertible(a):
             raise NotInvertible(f"{a!r} lies in the maximal ideal (x)")
         return a.reciprocal()
 

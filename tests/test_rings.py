@@ -11,7 +11,7 @@ from normcert import rings
 from normcert.errors import NotInvertible, RingMismatch
 from normcert.rings import QQ, QQ_LOCAL_X, RatFunc, get_ring, sample_residue
 
-from oracles import horner_free_eval, naive_poly_gcd
+from oracles import horner_free_eval, naive_poly_gcd, naive_poly_mul
 
 
 def rf(num, den=(1,)):
@@ -156,6 +156,27 @@ class TestRatFuncArithmetic:
         assert rf((0, 2), (2,)) == X
         assert hash(rf((0, 2), (2,))) == hash(X)
 
+    def test_values_equal_to_numbers_hash_like_them(self):
+        zx_constants = [rings.ZX((k,) if k else ()) for k in range(-5, 6)]
+        pool = (
+            list(range(-5, 6))
+            + [Fraction(k, 2) for k in range(-5, 6, 2)] + [Fraction(-1, 3)]
+            + zx_constants + [rings.ZX((0, 1)), rings.ZX((1, 1))]
+            + [RatFunc.constant(v) for v in (-5, 0, 3, Fraction(1, 2), Fraction(-1, 3))]
+            + [QQ_LOCAL_X.from_int(k) for k in range(-5, 6)]
+            + [X, rf((1, 1)), rf((0, 2), (2,)), QQ_LOCAL_X.one / X, rf((1,), (2, 1)),
+               rf((0, 1), (3,))]
+        )
+        equal_pairs = 0
+        for a in pool:
+            for b in pool:
+                if a == b:
+                    equal_pairs += 1
+                    assert hash(a) == hash(b), (a, b)
+        # each number above meets its RatFunc and ZX twins
+        assert equal_pairs > 2 * len(pool)
+        assert len({3, QQ_LOCAL_X.from_int(3), rings.ZX((3,))}) == 1
+
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
             QQ_LOCAL_X.one / QQ_LOCAL_X.zero
@@ -188,6 +209,65 @@ def _trim_int(cs):
     while cs and cs[-1] == 0:
         cs.pop()
     return tuple(cs)
+
+
+_RATIONAL = st.fractions(min_value=-20, max_value=20, max_denominator=6)
+_COEFFS = st.lists(_RATIONAL, max_size=4)
+_NONZERO_COEFFS = _COEFFS.filter(any)
+
+
+@st.composite
+def _ratfuncs(draw):
+    return RatFunc(draw(_COEFFS), draw(_NONZERO_COEFFS))
+
+
+def _small_zx(min_size=0):
+    return st.lists(st.integers(-9, 9), min_size=min_size, max_size=4).map(_trim_int)
+
+
+def _assert_lowest_terms(a):
+    """numerator / denominator share no factor, integer content included,
+    and the denominator has a positive leading coefficient."""
+    num, den = a.numerator.c, a.denominator.c
+    assert den and den[-1] > 0, a
+    if not num:
+        assert den == (1,), a
+        return
+    assert gcd(*num, *den) == 1, a
+    assert naive_poly_gcd(num, den) == (1,), a
+
+
+class TestOneNormalForm:
+    @settings(deadline=None)
+    @given(_ratfuncs(), _ratfuncs(), _small_zx(), _small_zx(1).filter(bool),
+           _small_zx(1).filter(bool), st.integers(-6, 6).filter(bool))
+    def test_every_result_is_in_lowest_terms(self, a, b, n, d, common, k):
+        # a planted common factor k * common for from_zx to cancel, and
+        # sums and products that must cancel b's denominator again
+        scale = _mul_int(common, (k,))
+        results = [a, b, a + b, a - b, a * b, (a + b) - b, (a * b) * b,
+                   RatFunc.from_zx(rings.ZX(n), rings.ZX(d)),
+                   RatFunc.from_zx(rings.ZX(_mul_int(n, scale) if n else ()),
+                                   rings.ZX(_mul_int(d, scale)))]
+        if b:
+            results += [a / b, (a * b) / b, (a / b) * b]
+        for r in results:
+            _assert_lowest_terms(r)
+
+    @settings(deadline=None)
+    @given(_COEFFS, _NONZERO_COEFFS, st.integers(-9, 9).filter(bool))
+    def test_one_value_has_one_pair(self, num, den, k):
+        a = RatFunc(num, den)
+        one_plus_x = [Fraction(1), Fraction(1)]
+        twins = [
+            RatFunc([k * c for c in num], [k * c for c in den]),
+            RatFunc(naive_poly_mul(num, one_plus_x), naive_poly_mul(den, one_plus_x)),
+            RatFunc.from_zx(a.numerator * k * rings.ZX((1, 1)),
+                            a.denominator * k * rings.ZX((1, 1))),
+        ]
+        for b in twins:
+            assert (b.numerator, b.denominator) == (a.numerator, a.denominator)
+            assert b == a and hash(b) == hash(a)
 
 
 def _fallback_zgcd(a, b):
