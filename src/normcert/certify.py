@@ -6,20 +6,27 @@ values of q over R, with exponents +-1, equal to the norm of c.  The
 construction follows an induction on the degree of the extension:
 
   1. degree 1 means S = R and the witness itself is the certificate;
-  2. otherwise pass to c^(-1), so that c * q_S(x) = 1, rescale by a square
-     to make c primitive, then rescale again into general position so the
-     form value r of the top coordinates of x in c's power basis is a unit
-     (each discarded square of a unit norm is itself certified as a
+  2. otherwise take c = q_S(x), rescale x by a unit b (so c becomes c*b^2)
+     to make c primitive, then again into general position, where the form
+     values r of the top coordinates and q(x(0)) of the constant
+     coordinates of x in c's power basis are units (the discarded square
+     N(b)^(-2) of the level's whole scaling b is itself certified as a
      product of two values);
   3. with p the minimal polynomial of c and x(t) the coordinate lift of
-     the witness, t*q(x(t)) - 1 is exactly divisible by p; the quotient h
-     has degree n-1, leading coefficient r, and h(0)*p(0) = -1;
-  4. g = h/r is monic with unit constant term, T = R[t]/(g) is one degree
-     smaller, and the reduced witness certifies the norm of the class u of
-     t in T; the norms combine through the sign-free exact identity
-     N_S(c) * r * N_T(u) = 1.
+     the witness, F(t) = q(x(t)) - t vanishes at c, so p divides it
+     exactly; the quotient h has degree n-2, leading coefficient r, and
+     p(0)*h(0) = q(x(0));
+  4. for n = 2 that quotient is the constant r, and the identity below
+     holds with N_T(u) = 1; otherwise g = h/r is monic with unit constant
+     term, T = R[t]/(g) is two degrees smaller, and the class u of t in T
+     is u = q_T(z) for the reduced witness z = x(u), which certifies
+     N_T(u); comparing the roots of F with those of p and g gives the
+     sign-free exact identity N_S(c) * r * N_T(u) = q(x(0)), so a level
+     emits q(x(0)) and q(tops)^(-1) and the level below with its
+     exponents flipped.
 
-Each level evaluates q_S(x) once and takes its norm once; that norm is the
+The depth is floor(n/2) and no level inverts anything.  Each level
+evaluates q_S(x) once and takes its norm once; that norm is the
 certificate target at the top and N_T(u) one level up.  Every one of those
 exact identities is re-checked at every level and a certificate is verified
 before it is returned.  The verifier shares nothing with the construction
@@ -46,13 +53,16 @@ from .qform import QuadraticForm, ValueFactor
 
 @dataclass
 class ReductionStep:
-    """Audit record of one induction level."""
+    """Audit record of one induction level: p is the minimal polynomial of
+    q_S(x)*b^2 for the level's whole scaling b, and g is None at n = 2,
+    where h is the constant r and the level ends."""
 
     n: int
     p: Poly
     h: Poly
     r: object
-    g: Poly
+    q0: object
+    g: Poly | None
     b: ExtElement
 
 
@@ -106,34 +116,24 @@ def _check(condition: bool, message: str, stats: CertifyStats):
     stats.level_checks += 1
 
 
-def _certify_value(ext, q, xs, rng, max_tries, bound, stats):
-    """Factors multiplying to the norm of q_S(x), that norm, and the records
-    of this level and of the levels below it."""
+def _certify_value(ext, q, xs, value, rng, max_tries, bound, stats):
+    """Factors multiplying to the norm of value = q_S(x), that norm, and the
+    records of this level and of the levels below it."""
     ring = ext.ring
     n = ext.n
-    value = q.evaluate_ext(xs)
     norm = value.norm()
     if not ring.is_invertible(norm):
         raise ValueNotUnit("q_S(x) is not a unit of the extension")
     if n == 1:
         return [ValueFactor(tuple(x.coords[0] for x in xs), 1)], norm, []
-    c = value.inverse()
-    _check(c * value == ext.one(), "lost the defining relation", stats)
     stats.levels += 1
 
-    square_factors = []
-
-    def discard_square(b: ExtElement):
-        # replacing c by c*b^2 multiplies N(c) by N(b)^2, so the norm of
-        # q_S(x) = c^(-1) gains that square of a unit of R, as two values
-        square_factors.extend(q.square_as_value_product(b.norm()))
-
+    # x -> x*b replaces c = q_S(x) by c*b^2; b is the level's whole scaling
+    c, scaling = value, ext.one()
     if not c.is_primitive():
-        b1 = find_primitive_scaling(c, rng, max_tries=max_tries, bound=bound)
-        b1_inv = b1.inverse()
-        c = c * b1 * b1
-        xs = [x * b1_inv for x in xs]
-        discard_square(b1)
+        scaling = find_primitive_scaling(c, rng, max_tries=max_tries, bound=bound)
+        c = c * scaling * scaling
+        xs = [x * scaling for x in xs]
 
     stats.genpos_calls += 1
     try:
@@ -144,58 +144,67 @@ def _certify_value(ext, q, xs, rng, max_tries, bound, stats):
         stats.genpos_exhausted += 1
         raise
     stats.genpos_tries += witness.tries_used
+    c, r, q0 = witness.c_new, witness.r, witness.q0
     if witness.b != ext.one():
-        discard_square(witness.b)
-    c, r = witness.c_new, witness.r
+        scaling = scaling * witness.b
+    # N(q_S(x)) = N(c) * N(b)^(-2), and that square of a unit of R is
+    # certified as two values
+    square_factors = []
+    if scaling != ext.one():
+        square_factors = q.square_as_value_product(ring.invert(scaling.norm()))
 
     # coordinates of the witness in the power basis of c, read as polynomials
-    tops, x_polys = witness.tops, witness.columns
+    x_polys = witness.columns
 
     p = c.minimal_polynomial()
-    q_of_x = Poly.zero(ring)
+    # F(t) = q(x(t)) - t
+    f_poly = -Poly(ring, (ring.zero, ring.one))
     for a, xp in zip(q.diag, x_polys):
-        q_of_x = q_of_x + (xp * xp).scale(a)
-    f_poly = q_of_x.shift(1) - Poly.one(ring)
+        f_poly = f_poly + (xp * xp).scale(a)
 
     h, remainder = divmod(f_poly, p)
-    _check(not remainder, "t*q(x(t)) - 1 is not divisible by the minimal polynomial", stats)
-    _check(h.degree == n - 1, "quotient degree is not n - 1", stats)
+    _check(not remainder, "q(x(t)) - t is not divisible by the minimal polynomial", stats)
+    _check(h.degree == n - 2, "quotient degree is not n - 2", stats)
     _check(h.leading == r, "leading coefficient of the quotient is not the search value", stats)
     _check(
-        p.constant_term * h.constant_term == -ring.one,
-        "constant terms do not multiply to -1",
+        p.constant_term * h.constant_term == q0,
+        "constant terms do not multiply to q(x(0))",
         stats,
     )
 
-    g = h.scale(ring.invert(r))
-    try:
-        sub_ext = SimpleExtension(ring, g)
-    except NotSimple as exc:
-        raise InternalAssertion(f"reduced modulus is not simple: {exc}") from exc
-    _check(ring.is_invertible(g.constant_term), "g(0) is not a unit", stats)
-
-    z = [sub_ext.from_poly(xp) for xp in x_polys]
-    u = sub_ext.gen()
-    q_z = q.evaluate_ext(z)
-    _check(u * q_z == sub_ext.one(), "u * q_T(z) is not 1 in the reduced algebra", stats)
-    # u is therefore the inverse of q_T(z), and y = z/q_T(z) has q_T(y) = u:
-    # the norm the sub-level returns is N_T(u)
-    ys = [zj * u for zj in z]
-
-    sub_factors, norm_u, sub_steps = _certify_value(
-        sub_ext, q, ys, rng, max_tries, bound, stats
-    )
+    if n == 2:
+        # h = r: F(t) = r * p(t), and no level is left below
+        g, sub_factors, norm_u, sub_steps = None, [], ring.one, []
+    else:
+        g = h.scale(ring.invert(r))
+        try:
+            # g(0) = q(x(0)) / (p(0) * r) is a unit, as SimpleExtension requires
+            sub_ext = SimpleExtension(ring, g)
+        except NotSimple as exc:
+            raise InternalAssertion(f"reduced modulus is not simple: {exc}") from exc
+        z = [sub_ext.from_poly(xp) for xp in x_polys]
+        u = sub_ext.gen()
+        # F(u) = 0 in T
+        _check(q.evaluate_ext(z) == u, "q_T(z) is not u in the reduced algebra", stats)
+        sub_factors, norm_u, sub_steps = _certify_value(
+            sub_ext, q, z, u, rng, max_tries, bound, stats
+        )
 
     # sign-free combine identity, checked rather than trusted
     _check(
-        c.norm() * r * norm_u == ring.one,
-        "norms and the leading coefficient do not combine to 1",
+        c.norm() * r * norm_u == q0,
+        "norms and the leading coefficient do not combine to q(x(0))",
         stats,
     )
 
-    # hence N(q_S(x)) = r * N_T(u) * N(b)^2 over the discarded scalings b
-    factors = [ValueFactor(tops, 1), *sub_factors, *square_factors]
-    step = ReductionStep(n=n, p=p, h=h, r=r, g=g, b=witness.b)
+    # hence N(q_S(x)) = q(x(0)) * r^(-1) * N_T(u)^(-1) * N(b)^(-2)
+    factors = [
+        ValueFactor(witness.bottoms, 1),
+        ValueFactor(witness.tops, -1),
+        *(ValueFactor(f.vector, -f.exponent) for f in sub_factors),
+        *square_factors,
+    ]
+    step = ReductionStep(n=n, p=p, h=h, r=r, q0=q0, g=g, b=scaling)
     return factors, norm, [step] + sub_steps
 
 
@@ -217,7 +226,10 @@ def certify(
     if rng is None or isinstance(rng, int):
         rng = random.Random(0 if rng is None else rng)
     stats = CertifyStats() if stats is None else stats
-    factors, target, steps = _certify_value(ext, q, xs, rng, max_tries, bound, stats)
+    value = q.evaluate_ext(xs)
+    factors, target, steps = _certify_value(
+        ext, q, xs, value, rng, max_tries, bound, stats
+    )
     cert = NormCertificate(
         target=target,
         factors=tuple(factors),

@@ -2,9 +2,10 @@
 
 For a unit c, `find_primitive_scaling` finds a unit b with c*b^2 primitive.
 For a primitive c and a witness x with q(x) a unit, `find_general_position`
-finds a unit b in the general-position set: c*b^2 stays primitive and the
-form value r of the top coordinates of x*b^(-1) in the power basis of c*b^2
-is a unit; the witness it returns carries those coordinate columns.
+finds a unit b in the general-position set: c*b^2 stays primitive, and
+both the form value r of the top coordinates and the form value q(x(0))
+of the constant coordinates of x*b in the power basis of c*b^2 are units;
+the witness it returns carries those coordinate columns.
 
 Both searches probe b = 1 first, then sample integer coordinates in
 [-B, B] over the residue field (B doubles every 8 failures), lift the hit
@@ -12,10 +13,13 @@ coordinatewise, and re-verify every claimed property exactly over the ring
 before returning.  Over an infinite residue field of characteristic 0 the
 target sets are non-empty open, so failure within the try budget signals a
 bug or an unsupported ring rather than bad luck.  The general-position set
-is open by the paper's system-matrix lemma: with A the matrix whose column j
-holds the coordinates of c^j * b^(2j+1) in the power basis of c, and A_j
+is open by the paper's system-matrix lemma: with A the matrix whose column k
+holds the coordinates of c^k * b^(2k-1) in the power basis of c, and A_j
 that matrix with its last column replaced by the coordinates of x_j,
-(det A)^2 * r = sum_j a_j * (det A_j)^2; tests/oracles.py computes both.
+(det A)^2 * r = sum_j a_j * (det A_j)^2.  Cramer's rule gives the same for
+the constant column: with A_j^(0) the matrix A with its column 0 replaced,
+(det A)^2 * q(x(0)) = sum_j a_j * (det A_j^(0))^2.  tests/oracles.py
+computes both sides of both identities.
 """
 
 from __future__ import annotations
@@ -45,16 +49,18 @@ _BOUND_DOUBLING_PERIOD = 8
 @dataclass(frozen=True)
 class GenPosWitness:
     """A verified general-position scaling: c_new = c*b^2 primitive,
-    columns the coordinates of each x*b^(-1) in the power basis of c_new
-    as polynomials y(t) of degree < n (x*b^(-1) = y(c_new)), tops their
-    coefficients of t^(n-1), and r = q(tops) a unit of the coefficient
-    ring."""
+    columns the coordinates of each x*b in the power basis of c_new as
+    polynomials y(t) of degree < n (x*b = y(c_new)), tops their
+    coefficients of t^(n-1) and bottoms their constant terms, and both
+    r = q(tops) and q0 = q(bottoms) units of the coefficient ring."""
 
     b: ExtElement
     c_new: ExtElement
     columns: tuple
     tops: tuple
     r: object
+    bottoms: tuple
+    q0: object
     tries_used: int
 
 
@@ -111,8 +117,9 @@ def find_general_position(
     """A verified witness b in the general-position set of (c, x, q).
 
     c must be primitive and q(x) must be a unit of the extension; the
-    returned witness satisfies, exactly over the ring: c*b^2 primitive and
-    q(top coordinates of x*b^(-1) in the basis of c*b^2) a unit.
+    returned witness satisfies, exactly over the ring: c*b^2 primitive, and
+    q of the top coordinates and q of the constant coordinates of x*b in
+    the basis of c*b^2 both units.
     """
     ext = c.ext
     ring = ext.ring
@@ -128,7 +135,11 @@ def find_general_position(
         r = q.evaluate(tops)
         if not ring.is_invertible(r):
             return None
-        return GenPosWitness(b, c_new, columns, tops, r, tries)
+        bottoms = tuple(col.constant_term for col in columns)
+        q0 = q.evaluate(bottoms)
+        if not ring.is_invertible(q0):
+            return None
+        return GenPosWitness(b, c_new, columns, tops, r, bottoms, q0, tries)
 
     # deterministic probe: b = 1
     found = witness(ext.one(), c, xs, 1)
@@ -137,19 +148,19 @@ def find_general_position(
 
     xbars = [x.reduce() for x in xs]
     qbar = q.residue_form()
+    k = qbar.ring
     for tries, bbar, cb2 in _residue_scalings(c, rng, max_tries, bound):
-        binv = bbar.inverse()
-        tops = [(x * binv).coords_in(cb2)[-1] for x in xbars]
-        if not qbar.ring.is_invertible(qbar.evaluate(tops)):
+        columns = [(x * bbar).coords_in(cb2) for x in xbars]
+        if not (k.is_invertible(qbar.evaluate([col[-1] for col in columns]))
+                and k.is_invertible(qbar.evaluate([col[0] for col in columns]))):
             continue
         b = bbar.lift_to(ext)
         c_new = c * b * b
         if not c_new.is_primitive():
             raise InternalAssertion("scaled element lost primitivity over the ring")
-        binv = b.inverse()
-        found = witness(b, c_new, [x * binv for x in xs], tries)
+        found = witness(b, c_new, [x * b for x in xs], tries)
         if found is None:
-            raise InternalAssertion("general-position value is not a unit over the ring")
+            raise InternalAssertion("general-position values are not units over the ring")
         return found
     logger.warning("general-position search exhausted after %d tries", max_tries)
     raise SearchExhausted(f"no general-position scaling found in {max_tries} tries")

@@ -23,8 +23,8 @@ a sum over equal denominators adds the numerators, and every result takes
 one multi-gcd.
 
 Every operation has one body for every ring.  Sums, differences,
-negation, products (`convolve`), scalar multiples, shifts and `==`/`hash`
-run on the numerators.  A division keeps its remainder over a denominator
+negation, products (`convolve`), scalar multiples and `==`/`hash` run
+on the numerators.  A division keeps its remainder over a denominator
 that grows by the divisor's denominator per quotient term and normalizes
 once at the end.  Evaluation is Horner on the numerators (the leading
 one as a ring value) with one multiplication by 1/denominator at the end.  `coeffs` builds the ring
@@ -270,14 +270,6 @@ class Poly:
             _set(self, "_coeffs", tuple(self._fmt.values(self._nums, self._den)))
         return self._coeffs
 
-    @staticmethod
-    def zero(ring) -> Poly:
-        return Poly(ring, ())
-
-    @staticmethod
-    def one(ring) -> Poly:
-        return Poly(ring, (ring.one,))
-
     @property
     def degree(self) -> int:
         return len(self._nums) - 1
@@ -324,13 +316,6 @@ class Poly:
     def scale(self, s) -> Poly:
         fmt = self._fmt
         return _poly(self.ring, fmt, *fmt.scale(self._nums, self._den, *fmt.split(s)))
-
-    def shift(self, k: int) -> Poly:
-        """Multiply by t^k."""
-        if not self:
-            return self
-        fmt = self._fmt
-        return _poly(self.ring, fmt, (fmt.zero,) * k + self._nums, self._den)
 
     def __call__(self, v):
         """Evaluate at v (a ring element, or anything with +/* and scalars)."""

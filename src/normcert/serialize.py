@@ -195,14 +195,17 @@ def factor_from_json(ring, data) -> ValueFactor:
 
 
 def _step_to_json(ring, step: ReductionStep) -> dict:
-    return {
+    out = {
         "n": step.n,
         "p": poly_to_json(step.p),
         "h": poly_to_json(step.h),
         "r": element_to_json(ring, step.r),
-        "g": poly_to_json(step.g),
+        "q0": element_to_json(ring, step.q0),
         "b": [element_to_json(ring, v) for v in step.b.coords],
     }
+    if step.g is not None:
+        out["g"] = poly_to_json(step.g)
+    return out
 
 
 def certificate_to_json(ring, cert: NormCertificate) -> dict:

@@ -5,10 +5,11 @@ determinants by permutation expansion instead of elimination, solutions by
 Cramer's rule over it, evaluation instead of coefficient manipulation, brute
 reconstruction instead of solving.  The multiplication and powers matrices
 of an element are read off its products with t^j and its powers.  The
-system-matrix helpers state the general-position lemma that the library's
-searches rely on but never evaluate (see the genpos module docstring).  The
-JSON number parsers read each rational string through one Fraction, as the
-serializer did before it read them as integer pairs.
+system-matrix helpers state the general-position lemma and its
+constant-column analogue, which the library's searches rely on but never
+evaluate (see the genpos module docstring).  The JSON number parsers read
+each rational string through one Fraction, as the serializer did before it
+read them as integer pairs.
 """
 
 import re
@@ -221,8 +222,20 @@ def minor(rows, drop_row: int, drop_col: int):
     ]
 
 
+def naive_inverse(b):
+    """b^(-1) by Cramer's rule on the multiplication matrix of b."""
+    ext = b.ext
+    e1 = [ext.ring.one] + [ext.ring.zero] * (ext.n - 1)
+    return ext.element(naive_solve(mult_matrix(b), e1))
+
+
 def system_matrix(c, b):
-    """The n x n matrix with column j = coords of c^j * b^(2j+1) in c's power basis."""
+    """The n x n matrix with column k = coords of c^k * b^(2k-1) in c's power basis.
+
+    It maps the coordinates of x*b in the power basis of c*b^2 to those of
+    x in the power basis of c, since x = sum_k y_k c^k b^(2k-1) when
+    x*b = sum_k y_k (c*b^2)^k.
+    """
     if not c.is_primitive():
         raise NotPrimitive("system matrix needs a primitive element")
     if not b.is_invertible():
@@ -232,7 +245,7 @@ def system_matrix(c, b):
     step = c * b * b
     basis = powers_matrix(c)
     sol = []
-    w = b
+    w = naive_inverse(b)
     for _ in range(ext.n):
         sol.append(naive_solve(basis, list(w.coords)))
         w = w * step
@@ -242,17 +255,42 @@ def system_matrix(c, b):
     return out
 
 
-def system_determinants(c, b, xs):
-    """det A together with, per witness coordinate, det of A with its last
-    column replaced by that coordinate's power-basis coordinates."""
+def system_determinants(c, b, xs, column=-1):
+    """det A together with, per witness coordinate, det of A with one
+    column replaced by that coordinate's power-basis coordinates: the last
+    column by default (the top coordinates), column 0 for the constant
+    ones."""
     a = system_matrix(c, b)
     det_a = naive_det(a)
     dets = []
     for x in xs:
-        col = x.coords_in(c)
-        replaced = [row[:-1] + [col[i]] for i, row in enumerate(a)]
+        replaced = [list(row) for row in a]
+        for row, v in zip(replaced, x.coords_in(c)):
+            row[column] = v
         dets.append(naive_det(replaced))
     return det_a, dets
+
+
+def scaled_witness_value(c, b, xs, q, column=-1):
+    """q of one coordinate column of x*b in the power basis of c*b^2: the
+    top coordinates by default, the constant ones at column 0."""
+    cb2 = c * b * b
+    return q.evaluate([(x * b).coords_in(cb2)[column] for x in xs])
+
+
+def system_identity(c, b, xs, q, column=-1):
+    """Both sides of the system-matrix lemma for one coordinate column:
+    (det A)^2 * q(that column of x*b in the basis of c*b^2), and
+    sum_j a_j * (det A_j)^2 with A_j the matrix A with that column replaced
+    by the coordinates of x_j.  By Cramer's rule coordinate k of x_j*b is
+    det A_j / det A, so the two agree for the top column (the paper's
+    lemma) and for the constant column (its analogue for q(x(0)))."""
+    det_a, dets = system_determinants(c, b, xs, column)
+    lhs = det_a * det_a * scaled_witness_value(c, b, xs, q, column)
+    rhs = c.ext.ring.zero
+    for a_j, det_j in zip(q.diag, dets):
+        rhs = rhs + a_j * det_j * det_j
+    return lhs, rhs
 
 
 def last_column_minors(c, b):

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from normcert.instances import random_instance, run_random_suite
 from normcert.poly import Poly
 from normcert.qform import QuadraticForm, ValueFactor
 from normcert.rings import QQ, QQ_LOCAL_X
+from normcert.serialize import certificate_to_json, dumps
 
 from oracles import mult_matrix, naive_det
 
@@ -208,22 +210,31 @@ class TestStructure:
             m = rng.randint(1, 3)
             inst = random_instance(QQ, rng, n, m)
             cert = certify(inst.ext, inst.q, inst.xs, rng=rng, with_trace=True)
-            # depth is exactly n - 1 and degrees descend one at a time
-            assert len(cert.trace) == n - 1
+            # depth is exactly floor(n/2) and degrees descend two at a time
+            assert len(cert.trace) == n // 2
+            # the first level's scaling b gives its element c = q_S(x)*b^2
+            b = cert.trace[0].b
+            c = inst.q.evaluate_ext(inst.xs) * b * b
+            assert c.minimal_polynomial() == cert.trace[0].p
             for level, step in enumerate(cert.trace):
-                expected_degree = n - level
+                expected_degree = n - 2 * level
                 assert step.n == expected_degree
                 assert step.p.degree == expected_degree
                 assert step.p.is_monic()
-                assert step.h.degree == expected_degree - 1
-                assert step.g.degree == expected_degree - 1
-                assert step.g.is_monic()
+                assert step.h.degree == expected_degree - 2
                 # leading coefficient of h is the search value r
                 assert step.h.leading == step.r
                 assert QQ.is_invertible(step.r)
-                assert step.h == step.g.scale(step.r)
                 # evaluating the division identity at t = 0
-                assert step.p.constant_term * step.h.constant_term == -1
+                assert QQ.is_invertible(step.q0)
+                assert step.p.constant_term * step.h.constant_term == step.q0
+                if expected_degree == 2:
+                    # h is the constant r and the chain ends
+                    assert step.g is None
+                    continue
+                assert step.g.degree == expected_degree - 2
+                assert step.g.is_monic()
+                assert step.h == step.g.scale(step.r)
                 assert QQ.is_invertible(step.g.constant_term)
 
     def test_group_closure(self, gauss_instance):
@@ -248,23 +259,37 @@ class TestStructure:
         stats = CertifyStats()
         inst = random_instance(QQ, rng, 4, 2)
         certify(inst.ext, inst.q, inst.xs, rng=rng, stats=stats)
-        assert stats.levels == 3
-        assert stats.genpos_calls == 3
-        assert stats.genpos_tries >= 3
+        # levels of degree 4 and 2: six checks, then five (no reduced
+        # algebra, so no q_T(z) = u)
+        assert stats.levels == 2
+        assert stats.genpos_calls == 2
+        assert stats.genpos_tries >= 2
         assert stats.genpos_exhausted == 0
-        assert stats.level_checks == 8 * stats.levels
+        assert stats.level_checks == 6 + 5
+
+    def test_trace_records_the_primitive_scaling(self):
+        # q_S(x) = 5 is a scalar, so the level's scaling b makes 5*b^2
+        # primitive, and the trace records it
+        ext = qq_ext(3, 0, 0, 1)
+        q = QuadraticForm(QQ, [5, 7])
+        xs = [ext.one(), ext.zero()]
+        cert = certify(ext, q, xs, rng=0, with_trace=True)
+        step = cert.trace[0]
+        assert step.b != ext.one()
+        assert (q.evaluate_ext(xs) * step.b * step.b).minimal_polynomial() == step.p
 
     def test_one_determinant_per_norm(self, monkeypatch):
-        # n = 3, two reduction levels; per level: the norm of q_S(x), the
-        # primitivity of c, the search's own unit check of q(x) and the norm
-        # of c in the combine identity; then the norm of the degree-one value
-        # and the verifier's independent norm of q_S(x).  Over Q every one of
-        # them is an integer determinant.
+        # n = 3, one reduction level: the norm of q_S(x), the primitivity of
+        # c and the search's own unit check of q(x) (the combine identity
+        # reuses the norm of c, which b = 1 leaves equal to q_S(x)); then
+        # the norm of the degree-one value and the verifier's independent
+        # norm of q_S(x).  Over Q every one of them is an integer determinant.
         inst = random_instance(QQ, random.Random(0), 3, 2)
         sizes, det = [], linalg.det
         monkeypatch.setattr(linalg, "det", lambda rows: sizes.append(len(rows)) or det(rows))
-        certify(inst.ext, inst.q, inst.xs, rng=0)
-        assert sorted(sizes) == [1] + [2] * 4 + [3] * 5
+        cert = certify(inst.ext, inst.q, inst.xs, rng=0, with_trace=True)
+        assert cert.trace[0].b == inst.ext.one()
+        assert sorted(sizes) == [1] + [3] * 4
 
 
 class TestRandomRoundTrips:
@@ -286,6 +311,25 @@ class TestRandomRoundTrips:
             cert = certify(inst.ext, inst.q, inst.xs, rng=rng)
             value = inst.q.evaluate_ext(inst.xs)
             assert cert.target == naive_det(mult_matrix(value))
+
+
+class TestScalingWall:
+    """Heights stay low down the descent: the largest number in a Q n=7
+    certificate is hundreds of digits, where recursing on the inverse of
+    q_S(x) through n-1 levels made it 132,855 digits."""
+
+    def test_rational_degree_seven(self):
+        inst = random_instance(QQ, random.Random(3), 7, 2)
+        cert = certify(inst.ext, inst.q, inst.xs, rng=0)
+        assert verify(inst.ext, inst.q, inst.xs, cert)
+        text = dumps(certificate_to_json(QQ, cert))
+        assert max(len(digits) for digits in re.findall(r"\d+", text)) < 2000
+
+    def test_local_degree_four(self):
+        inst = random_instance(QQ_LOCAL_X, random.Random(3), 4, 2)
+        cert = certify(inst.ext, inst.q, inst.xs, rng=0, with_trace=True)
+        assert verify(inst.ext, inst.q, inst.xs, cert)
+        assert [step.n for step in cert.trace] == [4, 2]
 
 
 class TestNormOfValue:

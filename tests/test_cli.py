@@ -104,8 +104,9 @@ class TestCertifyCommand:
         code, out = run_certify(instance_path, tmp_path, "--trace")
         assert code == 0
         cert = json.loads(open(out).read())
+        # degree 2: one level, and h = r leaves no modulus g below it
         assert len(cert["trace"]) == 1
-        assert set(cert["trace"][0]) == {"n", "p", "h", "r", "g", "b"}
+        assert set(cert["trace"][0]) == {"n", "p", "h", "r", "q0", "b"}
 
     def test_degree_one_single_factor(self, tmp_path):
         code, out = run_certify(write_json(tmp_path / "inst.json", DEGREE_ONE_INSTANCE), tmp_path)

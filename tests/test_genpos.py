@@ -19,9 +19,12 @@ from oracles import (
     last_column_minors,
     mat_mul,
     mult_matrix,
+    naive_inverse,
     powers_matrix,
     rank,
+    scaled_witness_value,
     system_determinants,
+    system_identity,
     system_matrix,
 )
 
@@ -58,13 +61,6 @@ def random_instance(rng, n, m):
     return ext, c, q, xs
 
 
-def scaled_witness_value(c, b, xs, q):
-    """q of the top coordinates of x*b^(-1) in the power basis of c*b^2."""
-    cb2 = c * b * b
-    binv = b.inverse()
-    return q.evaluate([(x * binv).coords_in(cb2)[-1] for x in xs])
-
-
 class TestSystemMatrix:
     def test_collapses_to_powers_matrix_at_one(self):
         # all columns live in the power basis of c: at b = 1 column j is the
@@ -79,24 +75,25 @@ class TestSystemMatrix:
         assert a == [[F(1), F(0)], [F(0), F(1)]]
         assert mat_mul(QQ, powers_matrix(c), a) == powers_matrix(c)
 
-    def test_first_column_is_b(self):
+    def test_first_column_is_b_inverse(self):
         rng = random.Random(20)
         for n in (2, 3, 4):
             ext, c, _, _ = random_instance(rng, n, 1)
             b = random_unit(ext, rng)
             a = system_matrix(c, b)
-            assert [row[0] for row in a] == list(b.coords_in(c))
+            binv = naive_inverse(b)
+            assert binv * b == ext.one()
+            assert [row[0] for row in a] == list(binv.coords_in(c))
 
     def test_factorization_identity(self):
-        # powers(c) * A = mult(b) * powers(c*b^2)
+        # mult(b) * powers(c) * A = powers(c*b^2)
         rng = random.Random(21)
         for n in (2, 3):
             ext, c, _, _ = random_instance(rng, n, 1)
             b = random_unit(ext, rng)
             a = system_matrix(c, b)
-            lhs = mat_mul(QQ, powers_matrix(c), a)
-            rhs = mat_mul(QQ, mult_matrix(b), powers_matrix(c * b * b))
-            assert lhs == rhs
+            lhs = mat_mul(QQ, mult_matrix(b), mat_mul(QQ, powers_matrix(c), a))
+            assert lhs == powers_matrix(c * b * b)
 
     def test_preconditions(self):
         ext = qq_ext(-2, 0, 1)
@@ -108,8 +105,10 @@ class TestSystemMatrix:
 
 class TestDeterminantIdentity:
     def test_main_identity_random(self):
-        # (det A)^2 * q({x b^-1, c b^2}) = sum_j a_j (det A_j)^2, 200 instances
+        # (det A)^2 * q(column of {x b, c b^2}) = sum_j a_j (det A_j)^2, for
+        # the top column (r) and the constant column (q(x(0))), 200 instances
         rng = random.Random(22)
+        checked = 0
         for _ in range(200):
             n = rng.randint(2, 4)
             m = rng.randint(1, 3)
@@ -117,12 +116,11 @@ class TestDeterminantIdentity:
             b = random_unit(ext, rng, 5)
             if not (c * b * b).is_primitive():
                 continue
-            det_a, dets = system_determinants(c, b, xs)
-            lhs = det_a * det_a * scaled_witness_value(c, b, xs, q)
-            rhs = QQ.zero
-            for a_j, det_j in zip(q.diag, dets):
-                rhs = rhs + a_j * det_j * det_j
-            assert lhs == rhs
+            for column in (-1, 0):
+                lhs, rhs = system_identity(c, b, xs, q, column)
+                assert lhs == rhs
+            checked += 1
+        assert checked > 150
 
     def test_zero_witness_kills_determinants(self):
         rng = random.Random(23)
@@ -132,17 +130,19 @@ class TestDeterminantIdentity:
         assert dets == [F(0), F(0)]
 
     def test_homogeneity(self):
-        # det A(lambda b) = lambda^(n^2) det A(b); replaced-column determinants
-        # scale with exponent (n-1)^2
+        # column k scales by lambda^(2k-1), so det A(lambda b) =
+        # lambda^(n(n-2)) det A(b); with the last column replaced the
+        # exponent is (n-1)(n-3), with column 0 replaced (n-1)^2
         rng = random.Random(24)
         for n in (2, 3, 4):
             ext, c, q, xs = random_instance(rng, n, 1)
             b = random_unit(ext, rng, 5)
             lam = F(rng.choice([2, 3, -2, 5]))
-            det_a, dets = system_determinants(c, b, xs)
-            det_scaled, dets_scaled = system_determinants(c, b * lam, xs)
-            assert det_scaled == lam ** (n * n) * det_a
-            assert dets_scaled == [lam ** ((n - 1) ** 2) * d for d in dets]
+            for column, exponent in ((-1, (n - 1) * (n - 3)), (0, (n - 1) ** 2)):
+                det_a, dets = system_determinants(c, b, xs, column)
+                det_scaled, dets_scaled = system_determinants(c, b * lam, xs, column)
+                assert det_scaled == lam ** (n * (n - 2)) * det_a
+                assert dets_scaled == [lam ** exponent * d for d in dets]
 
 
 class TestLastColumnMinors:
@@ -168,13 +168,14 @@ class TestLastColumnMinors:
                 assert acc == det_x
 
     def test_scalar_scaling_minors(self):
-        # at a scalar b only the first minor survives, with value b0^((n-1)^2)
+        # at a scalar b the system matrix is diag(b0^(2k-1)), so only the
+        # first minor survives, with value b0^((n-1)(n-3))
         rng = random.Random(26)
         for n in (2, 3, 4):
             ext, c, _, _ = random_instance(rng, n, 1)
             b0 = F(rng.choice([2, 3, -2]))
             minors = last_column_minors(c, ext.scalar(b0))
-            assert minors[0] == b0 ** ((n - 1) ** 2)
+            assert minors[0] == b0 ** ((n - 1) * (n - 3))
             assert all(v == 0 for v in minors[1:])
 
     def test_minor_value_rank(self):
@@ -266,6 +267,7 @@ class TestGeneralPositionSearch:
         w = find_general_position(c, [c], q, random.Random(2))
         assert QQ.is_invertible(w.r)
         assert w.r == scaled_witness_value(c, w.b, [c], q)
+        assert w.q0 == scaled_witness_value(c, w.b, [c], q, 0)
 
     def test_witness_invariants_reverified(self):
         rng = random.Random(30)
@@ -277,15 +279,17 @@ class TestGeneralPositionSearch:
                 continue
             w = find_general_position(c, xs, q, rng)
             assert w.c_new == c * w.b * w.b
-            binv = w.b.inverse()
             assert w.c_new.is_primitive()
             assert QQ.is_invertible(w.r)
-            columns = [(x * binv).coords_in(w.c_new) for x in xs]
+            assert QQ.is_invertible(w.q0)
+            columns = [(x * w.b).coords_in(w.c_new) for x in xs]
             # the witness columns are those coordinates read as polynomials
             padded = [list(col.coeffs) + [QQ.zero] * (n - 1 - col.degree) for col in w.columns]
             assert padded == columns
             assert list(w.tops) == [col[-1] for col in columns]
             assert w.r == q.evaluate([col[-1] for col in columns])
+            assert list(w.bottoms) == [col[0] for col in columns]
+            assert w.q0 == q.evaluate([col[0] for col in columns])
             assert 1 <= w.tries_used
 
     def test_rejects_bad_inputs(self):

@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from normcert.certify import certify
+from normcert.instances import random_instance
 from normcert.poly import Poly
 from normcert.qform import QuadraticForm
 from normcert.rings import QQ, QQ_LOCAL_X, RatFunc
@@ -135,7 +137,17 @@ class TestCertificates:
         inst = instance_from_json(GAUSS_INSTANCE)
         cert = certify(inst.ext, inst.q, inst.xs, rng=0, with_trace=True)
         data = certificate_to_json(QQ, cert)
-        assert set(data["trace"][0]) == {"n", "p", "h", "r", "g", "b"}
+        # the Gauss instance has degree 2: one level, which ends at h = r
+        assert set(data["trace"][0]) == {"n", "p", "h", "r", "q0", "b"}
+        # a quartic descends to degree 2 through the modulus g of T
+        inst = random_instance(QQ, random.Random(0), 4, 2)
+        cert = certify(inst.ext, inst.q, inst.xs, rng=0, with_trace=True)
+        data = certificate_to_json(QQ, cert)
+        assert [set(step) for step in data["trace"]] == [
+            {"n", "p", "h", "r", "q0", "g", "b"},
+            {"n", "p", "h", "r", "q0", "b"},
+        ]
+        assert [step["n"] for step in data["trace"]] == [4, 2]
 
     def test_dumps_deterministic(self):
         payload = {"b": True, "a": [1, 2]}
