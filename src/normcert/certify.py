@@ -25,13 +25,17 @@ construction follows an induction on the degree of the extension:
      emits q(x(0)) and q(tops)^(-1) and the level below with its
      exponents flipped.
 
-The depth is floor(n/2) and no level inverts anything.  Each level
-evaluates q_S(x) once and takes its norm once; that norm is the
-certificate target at the top and N_T(u) one level up.  Every one of those
-exact identities is re-checked at every level and a certificate is verified
-before it is returned.  The verifier shares nothing with the construction
-beyond ring arithmetic, form evaluation and the multiplication-matrix
-determinant, and it takes the norm of its own fresh evaluation of q_S(x).
+The depth is floor(n/2) and no level inverts anything.  Each level takes
+the norm of q_S(x) once; that norm is the certificate target at the top
+and N_T(u) one level up.  The general-position search evaluates q_S(x)
+again, and takes its norm again, for its own precondition that q(x) is a
+unit.  F(t) is one sum over the common denominator of the witness
+columns, normalized once, and so are r and q(x(0)).  Every exact
+identity of steps 3 and 4 is re-checked at every level, and a
+certificate is verified before it is returned.  The verifier shares
+nothing with the construction beyond ring arithmetic, form evaluation and
+the multiplication-matrix determinant, and it takes the norm of its own
+fresh evaluation of q_S(x).
 """
 
 from __future__ import annotations
@@ -153,14 +157,11 @@ def _certify_value(ext, q, xs, value, rng, max_tries, bound, stats):
     if scaling != ext.one():
         square_factors = q.square_as_value_product(ring.invert(scaling.norm()))
 
-    # coordinates of the witness in the power basis of c, read as polynomials
-    x_polys = witness.columns
-
     p = c.minimal_polynomial()
-    # F(t) = q(x(t)) - t
-    f_poly = -Poly(ring, (ring.zero, ring.one))
-    for a, xp in zip(q.diag, x_polys):
-        f_poly = f_poly + (xp * xp).scale(a)
+    # F(t) = q(x(t)) - t, one sum over the witness columns' denominator
+    f_nums, f_den = q.poly_value(*witness.integral)
+    f_nums[1] = f_nums[1] - f_den
+    f_poly = Poly.from_integral(ring, f_nums, f_den)
 
     h, remainder = divmod(f_poly, p)
     _check(not remainder, "q(x(t)) - t is not divisible by the minimal polynomial", stats)
@@ -182,7 +183,9 @@ def _certify_value(ext, q, xs, value, rng, max_tries, bound, stats):
             sub_ext = SimpleExtension(ring, g)
         except NotSimple as exc:
             raise InternalAssertion(f"reduced modulus is not simple: {exc}") from exc
-        z = [sub_ext.from_poly(xp) for xp in x_polys]
+        # the coordinates of the witness in the power basis of c, read as
+        # polynomials and reduced modulo g
+        z = [sub_ext.from_poly(xp) for xp in witness.columns]
         u = sub_ext.gen()
         # F(u) = 0 in T
         _check(q.evaluate_ext(z) == u, "q_T(z) is not u in the reduced algebra", stats)

@@ -17,20 +17,26 @@ Q, integer polynomials (`ZX`) over Q[x]_(x), and over a small finite
 field the coordinates themselves over the field's one.  `coords` builds
 the ring values on first use, and `reduce` reads the residue off the
 constant terms.  One code path serves every ring.  Sums, scalar
-multiples and products run on the numerators: a product convolves them
-and reduces against a table of t^n, ..., t^(2n-2) over one common
+multiples and products run on the numerators: a product convolves them,
+and `SimpleExtension.from_integral` reduces the convolution modulo the
+modulus against a table of t^n, ..., t^(2n-2) over one common
 denominator, built by shift and reduce from the modulus, and normalizes
 once (in degree 1, where t is a scalar, a product is a scalar multiple).
-`from_poly` takes the remainder of a division by the modulus as it is.
-Norms, inverses, primitivity and power-basis coordinates take the
-integral columns, each over its own denominator, into `linalg.det` and
+A form value (`QuadraticForm.evaluate_ext`) goes through the same
+reduction once for its whole sum.  `from_poly` takes the remainder of a
+division by the modulus as it is.  Norms, inverses and primitivity take
+the integral columns, each over its own denominator, into `linalg.det` and
 `linalg.solve_columns`, the one fraction-free Bareiss elimination, and
 scale the result back by those denominators, so a norm builds one ring
-value; the minimal polynomial and the general-position columns
-(`coords_poly_in`) go from that solution to `Poly.from_integral`, which
-normalizes once and refuses a coefficient outside the ring.  Column j+1
-of the multiplication matrix is t times column j: a shift plus one
-multiple of the coordinates of t^n.
+value.  Power-basis coordinates (`coordinate_columns`) solve for any
+number of elements at once, one right-hand side each over one common
+denominator: the general-position search takes all m witness columns
+from one elimination, and `coords_in` and the minimal polynomial are its
+one-column cases.  The minimal polynomial goes to `Poly.from_integral`,
+which normalizes once and refuses a coefficient outside the ring, and its
+vanishing at the element is a zero test over one common denominator,
+which needs no gcd.  Column j+1 of the multiplication matrix is t times
+column j: a shift plus one multiple of the coordinates of t^n.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ from math import prod
 from . import linalg
 from .errors import InternalAssertion, NotInvertible, NotPrimitive, NotSimple
 from .linalg import transpose
-from .poly import Poly, convolve, integral_format
+from .poly import Poly, convolve, integral_format, over_common_denominator
 
 
 class SimpleExtension:
@@ -126,6 +132,26 @@ class SimpleExtension:
             self._table = [flat[i * n:(i + 1) * n] for i in range(k)], den
         return self._table
 
+    def from_integral(self, nums, den) -> ExtElement:
+        """The class of the polynomial with coefficients nums[i] / den, for n
+        to 2n-1 numerators (a convolution of two elements' numerators at
+        most) and a nonzero denominator of the ring's integral format:
+        reduced once against the table of powers of t, normalized once."""
+        n = self.n
+        fmt = self._fmt
+        if len(nums) > n:
+            table, dt = self._power_table()
+            # with t^(n+k) = table[k] / dt, out / (den * dt) is the class
+            out = nums[:n] if dt == fmt.one else [c * dt for c in nums[:n]]
+            for k in range(len(nums) - n):
+                c = nums[n + k]
+                if c:
+                    red = table[k]
+                    for i in range(n):
+                        out[i] = out[i] + c * red[i]
+            nums, den = out, den * dt
+        return ExtElement(self, None, *fmt.lowest(nums, den))
+
     def residue_extension(self) -> SimpleExtension:
         """The reduced algebra over the residue field (self when R is a field)."""
         if self.ring.residue_ring is self.ring:
@@ -166,6 +192,12 @@ class ExtElement:
         self._norm = None
         self._powers = None
         self._primitive = None
+
+    @property
+    def integral(self) -> tuple:
+        """The numerators and their one denominator, in lowest terms in the
+        integral format of the ring."""
+        return self._nums, self._den
 
     @property
     def coords(self) -> tuple:
@@ -209,23 +241,13 @@ class ExtElement:
 
     def _mul_ext(self, other: ExtElement) -> ExtElement:
         ext = self.ext
-        n = ext.n
         fmt = ext._fmt
-        if n == 1:
+        if ext.n == 1:
             # a product of scalars
             return ExtElement(ext, None, *fmt.scale(
                 self._nums, self._den, other._nums[0], other._den))
-        table, dt = ext._power_table()
-        conv = convolve(self._nums, other._nums, fmt.zero)
-        # with t^(n+k) = table[k] / dt, out / dt is the product of a and b
-        out = conv[:n] if dt == 1 else [c * dt for c in conv[:n]]
-        for k in range(n - 1):
-            c = conv[n + k]
-            if c:
-                red = table[k]
-                for i in range(n):
-                    out[i] = out[i] + c * red[i]
-        return ExtElement(ext, None, *fmt.lowest(out, self._den * other._den * dt))
+        return ext.from_integral(
+            convolve(self._nums, other._nums, fmt.zero), self._den * other._den)
 
     def __eq__(self, other):
         if not isinstance(other, ExtElement):
@@ -313,39 +335,48 @@ class ExtElement:
                 self._primitive = bool(linalg.det([w._nums for w in self._power_list()]))
         return self._primitive
 
-    def _int_coords_in(self, basis_elt: ExtElement):
-        """The coordinates of self in the power basis of a primitive element
-        as numerators over one denominator."""
-        if not basis_elt.is_primitive():
+    def coordinate_columns(self, elements):
+        """The coordinates of each of `elements` in the power basis of self,
+        a primitive element, as integral columns over one denominator:
+        column j holds the numerators of the coefficients of the polynomial
+        y_j(t) of degree < n with elements[j] = y_j(self).  One elimination
+        solves for every column."""
+        if not self.is_primitive():
             raise NotPrimitive("basis element is not primitive")
-        # with N the integral power columns over dens, N y = nums has
-        # y = x / d, and the coordinates are dens * y / den
-        powers = basis_elt._power_list()
-        a = transpose([w._nums for w in powers])
-        (x,), d = linalg.solve_columns(a, [[v] for v in self._nums])
-        return [w._den * v for w, v in zip(powers, x)], d * self._den
+        elements = [self._same(x) for x in elements]
+        # with N the integral power columns over dens and the right-hand
+        # sides over one den, N y = rhs has y = x / d, and the coordinates
+        # are dens * y / den
+        powers = self._power_list()
+        rhs, den = over_common_denominator(self.ext._fmt, [x.integral for x in elements])
+        cols, d = linalg.solve_columns(transpose([w._nums for w in powers]), transpose(rhs))
+        return [[w._den * v for w, v in zip(powers, col)] for col in cols], d * den
 
     def coords_in(self, basis_elt: ExtElement):
         """Coordinates of self in the power basis of a primitive element."""
-        basis_elt = self._same(basis_elt)
-        return self.ext._fmt.values(*self._int_coords_in(basis_elt))
-
-    def coords_poly_in(self, basis_elt: ExtElement) -> Poly:
-        """The polynomial x(t) of degree < n with self = x(basis_elt), for a
-        primitive basis_elt: its coefficients are the coordinates of self in
-        the power basis of basis_elt."""
-        basis_elt = self._same(basis_elt)
-        return Poly.from_integral(self.ext.ring, *self._int_coords_in(basis_elt))
+        (col,), den = self._same(basis_elt).coordinate_columns([self])
+        return self.ext._fmt.values(col, den)
 
     def minimal_polynomial(self) -> Poly:
         """The monic degree-n polynomial vanishing on self (self must be primitive)."""
         ext = self.ext
-        top = self._power_list()[-1] * self
+        fmt = ext._fmt
+        powers = self._power_list()
+        powers = powers + [powers[-1] * self]
         # t^n minus the coordinates of self^n, over their denominator
-        nums, d = top._int_coords_in(self)
+        (nums,), d = self.coordinate_columns(powers[-1:])
         p = Poly.from_integral(ext.ring, [-v for v in nums] + [d], d)
-        if p(self):
-            raise InternalAssertion("minimal polynomial does not vanish on its element")
+        # p(self) = sum of P_k self^k over p's denominator: a zero test of
+        # that sum over one common denominator, which needs no gcd
+        vecs, _ = over_common_denominator(fmt, [w.integral for w in powers])
+        coeffs, _ = p.integral
+        for i in range(ext.n):
+            acc = fmt.zero
+            for c, vec in zip(coeffs, vecs):
+                if c and vec[i]:
+                    acc = acc + c * vec[i]
+            if acc:
+                raise InternalAssertion("minimal polynomial does not vanish on its element")
         return p
 
     def reduce(self) -> ExtElement:

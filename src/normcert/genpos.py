@@ -10,9 +10,17 @@ the witness it returns carries those coordinate columns.
 Both searches probe b = 1 first, then sample integer coordinates in
 [-B, B] over the residue field (B doubles every 8 failures), lift the hit
 coordinatewise, and re-verify every claimed property exactly over the ring
-before returning.  Over an infinite residue field of characteristic 0 the
-target sets are non-empty open, so failure within the try budget signals a
-bug or an unsupported ring rather than bad luck.  The general-position set
+before returning.  A candidate's coordinate columns come from one
+elimination with a right-hand side per witness coordinate
+(`ExtElement.coordinate_columns`), as integral columns over one
+denominator, and r and q(x(0)) are each one sum of the cleared diagonal
+against their top and bottom numerators, normalized once
+(`QuadraticForm.value`); the ring values of the tops and bottoms are
+built only for the witness returned.
+
+Over an infinite residue field of characteristic 0 the target sets are
+non-empty open, so failure within the try budget signals a bug or an
+unsupported ring rather than bad luck.  The general-position set
 is open by the paper's system-matrix lemma: with A the matrix whose column k
 holds the coordinates of c^k * b^(2k-1) in the power basis of c, and A_j
 that matrix with its last column replaced by the coordinates of x_j,
@@ -36,6 +44,7 @@ from .errors import (
     ValueNotUnit,
 )
 from .extension import ExtElement
+from .poly import Poly, integral_format
 from .qform import QuadraticForm
 from .rings import sample_residue
 
@@ -49,19 +58,26 @@ _BOUND_DOUBLING_PERIOD = 8
 @dataclass(frozen=True)
 class GenPosWitness:
     """A verified general-position scaling: c_new = c*b^2 primitive,
-    columns the coordinates of each x*b in the power basis of c_new as
-    polynomials y(t) of degree < n (x*b = y(c_new)), tops their
-    coefficients of t^(n-1) and bottoms their constant terms, and both
-    r = q(tops) and q0 = q(bottoms) units of the coefficient ring."""
+    integral the coordinates of each x*b in the power basis of c_new as
+    numerator columns over one denominator, tops their coordinates of
+    index n-1 and bottoms those of index 0, and both r = q(tops) and
+    q0 = q(bottoms) units of the coefficient ring."""
 
     b: ExtElement
     c_new: ExtElement
-    columns: tuple
+    integral: tuple
     tops: tuple
     r: object
     bottoms: tuple
     q0: object
     tries_used: int
+
+    @property
+    def columns(self) -> tuple:
+        """The coordinate columns as the polynomials y(t) of degree < n with
+        x*b = y(c_new)."""
+        cols, d = self.integral
+        return tuple(Poly.from_integral(self.c_new.ext.ring, col, d) for col in cols)
 
 
 def _residue_scalings(c: ExtElement, rng: random.Random, max_tries: int, bound: int):
@@ -80,6 +96,12 @@ def _residue_scalings(c: ExtElement, rng: random.Random, max_tries: int, bound: 
             cb2 = cbar * bbar * bbar
             if cb2.is_primitive():
                 yield tries, bbar, cb2
+
+
+def _end_values(q: QuadraticForm, cols, d):
+    """q of the top and q of the constant coordinates, for coordinate
+    columns cols over the denominator d."""
+    return q.value([col[-1] for col in cols], d), q.value([col[0] for col in cols], d)
 
 
 def find_primitive_scaling(
@@ -130,16 +152,15 @@ def find_general_position(
         raise ValueNotUnit("the form value q(x) must be a unit of the extension")
 
     def witness(b, c_new, x_new, tries):
-        columns = tuple(x.coords_poly_in(c_new) for x in x_new)
-        tops = tuple(col.leading if col.degree == ext.n - 1 else ring.zero for col in columns)
-        r = q.evaluate(tops)
-        if not ring.is_invertible(r):
+        cols, d = c_new.coordinate_columns(x_new)
+        r, q0 = _end_values(q, cols, d)
+        if not (ring.is_invertible(r) and ring.is_invertible(q0)):
             return None
-        bottoms = tuple(col.constant_term for col in columns)
-        q0 = q.evaluate(bottoms)
-        if not ring.is_invertible(q0):
-            return None
-        return GenPosWitness(b, c_new, columns, tops, r, bottoms, q0, tries)
+        fmt = integral_format(ring)
+        return GenPosWitness(
+            b, c_new, (cols, d), tuple(fmt.values([col[-1] for col in cols], d)), r,
+            tuple(fmt.values([col[0] for col in cols], d)), q0, tries,
+        )
 
     # deterministic probe: b = 1
     found = witness(ext.one(), c, xs, 1)
@@ -150,9 +171,8 @@ def find_general_position(
     qbar = q.residue_form()
     k = qbar.ring
     for tries, bbar, cb2 in _residue_scalings(c, rng, max_tries, bound):
-        columns = [(x * bbar).coords_in(cb2) for x in xbars]
-        if not (k.is_invertible(qbar.evaluate([col[-1] for col in columns]))
-                and k.is_invertible(qbar.evaluate([col[0] for col in columns]))):
+        rbar, q0bar = _end_values(qbar, *cb2.coordinate_columns([x * bbar for x in xbars]))
+        if not (k.is_invertible(rbar) and k.is_invertible(q0bar)):
             continue
         b = bbar.lift_to(ext)
         c_new = c * b * b

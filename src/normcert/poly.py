@@ -16,7 +16,8 @@ they are the coefficients themselves over the field's one: lowest terms
 multiply by the inverse of the denominator.  A format record per ring
 (`_Rationals`, `_LocalFunctions`, `_FiniteFieldFormat`, found by
 `integral_format`) holds zero and one, normalization (`lowest`), sums,
-scalar multiples, splitting a ring scalar and building ring values back;
+scalar multiples, a common denominator of several (`common`, which takes
+no gcd over Z[x]), splitting a ring scalar and building ring values back;
 `extension` holds its elements in the same records.  Python ints keep
 their native operators, and over Q the record keeps the integer shortcuts:
 a sum over equal denominators adds the numerators, and every result takes
@@ -35,12 +36,12 @@ values on first use; `integral` is the format's view of a polynomial and
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import CoordinateNotIntegral, NotInvertible
 from .rings import (
-    QQ, QQ_LOCAL_X, ZX, ZX_ONE, RatFunc, clear_denominators, zx_clear, zx_lowest_terms,
-    zx_scale, zx_sum,
+    QQ, QQ_LOCAL_X, ZX, ZX_ONE, RatFunc, clear_denominators, zx_clear, zx_common,
+    zx_lowest_terms, zx_scale, zx_sum,
 )
 
 _set = object.__setattr__
@@ -92,6 +93,11 @@ class _Rationals:
         return s.numerator, s.denominator
 
     @staticmethod
+    def common(dens):
+        den = lcm(*dens)
+        return den, [den // d for d in dens]
+
+    @staticmethod
     def clear(values):
         # each Fraction is in lowest terms, so over the lcm of the
         # denominators the numerators share no factor with it
@@ -117,6 +123,7 @@ class _LocalFunctions:
     scale = staticmethod(zx_scale)
     value = staticmethod(RatFunc.from_zx)
     clear = staticmethod(zx_clear)
+    common = staticmethod(zx_common)
 
     @staticmethod
     def split(s):
@@ -182,6 +189,10 @@ class _FiniteFieldFormat:
     def clear(self, values):
         return tuple(values), self.one
 
+    def common(self, dens):
+        # a vector in lowest terms is over one
+        return self.one, [self.one] * len(dens)
+
     def values(self, nums, den):
         return list(self.lowest(nums, den)[0])
 
@@ -198,6 +209,15 @@ _FORMATS = {QQ.id: _Rationals, QQ_LOCAL_X.id: _LocalFunctions}
 def integral_format(ring):
     """The integral format record of `ring`."""
     return _FORMATS.get(ring.id) or _FiniteFieldFormat(ring)
+
+
+def over_common_denominator(fmt, vectors):
+    """Numerator vectors (nums, den) of the format `fmt`, rewritten over one
+    common denominator D: the list of nums * (D / den), and D."""
+    den, quos = fmt.common([d for _, d in vectors])
+    one = fmt.one
+    return [nums if k == one else tuple([v * k for v in nums])
+            for (nums, _), k in zip(vectors, quos)], den
 
 
 def convolve(a, b, zero) -> list:

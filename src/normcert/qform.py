@@ -5,13 +5,18 @@ evaluates over the base ring or over any extension of it.  Membership in
 the group generated by invertible form values is always carried around as
 an explicit list of (vector, exponent) factors, never decided abstractly.
 
-A value over the base ring is computed in the integral format of
-`poly` (integer or Z[x] numerators over one denominator, or over a
-small finite field the coordinates over one): the diagonal is cleared
-once, to A_j / E, when the form is built, and a vector y to n_j / d, so
-q(y) = (sum of A_j n_j^2) / (E d^2), normalized once into one ring value.
-Values over an extension are sums of extension elements, whose products
-run in that same format.
+Every value is one sum in the integral format of `poly` (integer or
+Z[x] numerators over one denominator, or over a small finite field the
+coordinates over one), normalized once: the diagonal is cleared once, to
+A_j / E, when the form is built, and the coordinates are put over one
+common denominator D, which takes no gcd.  Over the base ring a vector y
+is n_j / D, and q(y) = (sum of A_j n_j^2) / (E D^2) becomes one ring
+value (`value`).  A vector of polynomials, or of elements of an
+extension, has numerator columns X_j over D, and q is the sum of
+A_j X_j^2 over E D^2 (`poly_value`, with each square a convolution); an
+extension value reduces that sum once modulo the modulus, through the
+extension's table of powers of t, and normalizes it once.  So q_S(x) takes
+no product of extension elements, and neither does q(x(t)) in `certify`.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InternalAssertion, NotInvertible, NotRegular
-from .poly import integral_format
+from .poly import convolve, integral_format, over_common_denominator
 
 
 @dataclass(frozen=True)
@@ -68,29 +73,51 @@ class QuadraticForm:
         ys = [self.ring.element(y) for y in ys]
         if len(ys) != self.rank:
             raise ValueError(f"expected {self.rank} coordinates, got {len(ys)}")
+        # over one common denominator, which need not be in lowest terms
         fmt = self._fmt
-        # a_j = coeffs[j] / e and y_j = nums[j] / d
+        pairs = [fmt.split(y) for y in ys]
+        d, quos = fmt.common([den for _, den in pairs])
+        return self.value([num * k for (num, _), k in zip(pairs, quos)], d)
+
+    def value(self, nums, d):
+        """q(y) for y_j = nums[j] / d in the integral format of the ring,
+        as one ring value."""
+        fmt = self._fmt
+        # a_j = coeffs[j] / e
         coeffs, e = self._cleared
-        nums, d = fmt.clear(ys)
         acc = fmt.zero
         for a, v in zip(coeffs, nums):
             if v:
                 acc = acc + a * (v * v)
         return fmt.value(acc, e * (d * d))
 
+    def poly_value(self, cols, d):
+        """q(y(t)) for the polynomials y_j(t) with coefficients cols[j][i] / d
+        in the integral format of the ring, each list of the same length
+        L: the 2L-1 numerators of the sum over its denominator e * d^2, not
+        normalized."""
+        fmt = self._fmt
+        zero = fmt.zero
+        coeffs, e = self._cleared
+        acc = [zero] * (2 * len(cols[0]) - 1)
+        for a, col in zip(coeffs, cols):
+            for i, s in enumerate(convolve(col, col, zero)):
+                if s:
+                    acc[i] = acc[i] + a * s
+        return acc, e * (d * d)
+
     def evaluate_ext(self, xs):
-        """Sum of a_j x_j^2 computed in the extension the x_j live in."""
+        """Sum of a_j x_j^2 computed in the extension the x_j live in: one
+        sum over one common denominator, reduced once and normalized once."""
         if len(xs) != self.rank:
             raise ValueError(f"expected {self.rank} coordinates, got {len(xs)}")
         ext = xs[0].ext
         if ext.ring.id != self.ring.id:
             raise ValueError("form and extension have different coefficient rings")
-        acc = ext.zero()
-        for a, x in zip(self.diag, xs):
-            if x.ext != ext:
-                raise ValueError("witness coordinates live in different extensions")
-            acc = acc + (x * x) * a
-        return acc
+        if any(x.ext != ext for x in xs):
+            raise ValueError("witness coordinates live in different extensions")
+        return ext.from_integral(*self.poly_value(
+            *over_common_denominator(self._fmt, [x.integral for x in xs])))
 
     def residue_form(self) -> QuadraticForm:
         """The reduced form over the residue field (self when R is a field)."""

@@ -41,6 +41,8 @@ theirs to take.  Polynomials and extension elements over Q[x]_(x) are
 ``zx_sum``, ``zx_scale`` and ``zx_clear`` build that format (one gcd
 chain through ``_zgcd`` that stops at the first constant gcd, then the
 integer content), and ``RatFunc`` arithmetic runs on them with one entry.
+``zx_common`` puts several denominators over one by exact divisions, with
+no gcd.
 ``clear_denominators`` writes rationals as integer numerators over one
 common denominator, for the format of Q and for ``RatFunc``'s constructor.
 
@@ -390,14 +392,22 @@ def clear_denominators(values) -> tuple[list[int], int]:
     return [v.numerator * (d // e) for v, e in zip(values, dens)], d
 
 
+def zx_common(dens) -> tuple[ZX, list]:
+    """One common multiple of the Z[x] denominators dens, and its exact
+    quotient by each: the product of those that do not divide the product
+    of the ones before them.  It takes divisions, never a gcd."""
+    den = ZX_ONE
+    for d in dens:
+        if _zdivides(d.c, den.c) is None:
+            den = den * d
+    return den, [den // d for d in dens]
+
+
 def zx_clear(values) -> tuple[tuple, ZX]:
     """Numerators over one denominator, in lowest terms, of RatFunc values."""
     pairs = [(v.numerator, v.denominator) for v in values]
-    den = ZX_ONE
-    for _, d in pairs:
-        if _zdivides(d.c, den.c) is None:
-            den = den * d
-    return zx_lowest_terms([num * (den // d) for num, d in pairs], den)
+    den, quos = zx_common([d for _, d in pairs])
+    return zx_lowest_terms([num * k for (num, _), k in zip(pairs, quos)], den)
 
 
 def _zstr(cs, var="x"):

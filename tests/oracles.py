@@ -165,6 +165,21 @@ def mult_matrix(x):
     return transpose([w.coords for w in cols])
 
 
+def naive_form_value(q, xs):
+    """The coordinates of sum_j (x_j * x_j) * a_j, each square the
+    multiplication matrix of x_j applied to the coordinates of x_j and each
+    sum coordinatewise in the ring."""
+    ring = q.ring
+    total = [ring.zero] * xs[0].ext.n
+    for a, x in zip(q.diag, xs):
+        for i, row in enumerate(mult_matrix(x)):
+            square = ring.zero
+            for m, v in zip(row, x.coords):
+                square = square + m * v
+            total[i] = total[i] + square * a
+    return total
+
+
 def powers_matrix(x):
     """Column j holds the coordinates of x^j, j = 0 .. n-1."""
     cols = [x.ext.one()]

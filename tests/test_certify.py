@@ -14,7 +14,7 @@ from normcert.certify import (
     verify,
 )
 from normcert.errors import ValueNotUnit
-from normcert.extension import SimpleExtension
+from normcert.extension import ExtElement, SimpleExtension
 from normcert.instances import random_instance, run_random_suite
 from normcert.poly import Poly
 from normcert.qform import QuadraticForm, ValueFactor
@@ -290,6 +290,39 @@ class TestStructure:
         cert = certify(inst.ext, inst.q, inst.xs, rng=0, with_trace=True)
         assert cert.trace[0].b == inst.ext.one()
         assert sorted(sizes) == [1] + [3] * 4
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_one_elimination_per_level(self, monkeypatch, m):
+        # n = 3, one reduction level at b = 1: one solve with m right-hand
+        # sides gives every witness column and one gives the minimal
+        # polynomial; the degree-one level below solves nothing.  No value
+        # of the form multiplies extension elements.
+        inst = random_instance(QQ, random.Random(m), 3, m)
+        widths, solve = [], linalg.solve_columns
+        monkeypatch.setattr(
+            linalg, "solve_columns", lambda a, b: widths.append(len(b[0])) or solve(a, b))
+        products, evaluating = [], []
+        mul, evaluate_ext = ExtElement.__mul__, QuadraticForm.evaluate_ext
+
+        def counted_mul(self, other):
+            if evaluating:
+                products.append(1)
+            return mul(self, other)
+
+        def flagged_evaluate_ext(self, xs):
+            evaluating.append(1)
+            try:
+                return evaluate_ext(self, xs)
+            finally:
+                evaluating.pop()
+
+        monkeypatch.setattr(ExtElement, "__mul__", counted_mul)
+        monkeypatch.setattr(ExtElement, "__rmul__", counted_mul)
+        monkeypatch.setattr(QuadraticForm, "evaluate_ext", flagged_evaluate_ext)
+        cert = certify(inst.ext, inst.q, inst.xs, rng=0, with_trace=True)
+        assert cert.trace[0].b == inst.ext.one()
+        assert sorted(widths) == sorted([m, 1])
+        assert not products
 
 
 class TestRandomRoundTrips:

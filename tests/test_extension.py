@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from normcert.errors import NotInvertible, NotPrimitive, NotSimple
+from normcert import linalg
+from normcert.errors import InternalAssertion, NotInvertible, NotPrimitive, NotSimple
 from normcert.extension import SimpleExtension
 from normcert.poly import Poly
 from normcert.rings import QQ, QQ_LOCAL_X, RatFunc
@@ -170,6 +171,20 @@ class TestMinimalPolynomial:
                 p = b.minimal_polynomial()
                 assert p(b) == ext.zero()
                 assert p.is_monic() and p.degree == ext.n
+
+    def test_a_polynomial_that_does_not_vanish_is_refused(self, sqrt2, monkeypatch):
+        # a solve that is off by one in the constant coordinate gives a
+        # polynomial that does not vanish on the element, and the zero test
+        # over one common denominator must catch it
+        solve = linalg.solve_columns
+
+        def off_by_one(a, b):
+            cols, d = solve(a, b)
+            return [[col[0] + d] + col[1:] for col in cols], d
+
+        monkeypatch.setattr(linalg, "solve_columns", off_by_one)
+        with pytest.raises(InternalAssertion):
+            sqrt2.element([1, 1]).minimal_polynomial()
 
     def test_norm_constant_term_sign(self):
         # N(b) = (-1)^n * p_b(0) on random primitive elements

@@ -1,11 +1,17 @@
 """Byte identity of certificates: the README promises the same JSON bytes for
-the same instance and seed, and this digest pins it across refactors.  A
-change that alters the bytes on purpose (say, a different search) updates
-the digest and says why."""
+the same instance and seed, and these digests pin it across refactors: one
+over a fixed list of instances, and one per benchmark workload over its
+seed-11 corpus.  A change that alters the bytes on purpose (say, a different
+search) updates the digests and says why."""
 
 import hashlib
+import importlib.util
 import random
+import sys
 from fractions import Fraction as F
+from pathlib import Path
+
+import pytest
 
 from normcert import rings
 from normcert.certify import CertifyStats, certify
@@ -17,6 +23,16 @@ from normcert.rings import QQ, QQ_LOCAL_X
 from normcert.serialize import certificate_to_json, dumps
 
 GOLDEN_SHA256 = "e3afe8e1e9d0b82a4dc51dd23ed12fcdd6e2bd21280340b5f3a675e1836a6e0f"
+
+# sha256 of the concatenated certificate JSON texts that the benchmark's
+# certify operation gives for its seed-11 corpus of each workload
+CORPUS_SHA256 = {
+    "q-small": "6aca7bd71014f9cb3be1578ce4c7bb0840b8b8249e9c6b7c236cf89e35768ddd",
+    "q-tall": "f2c09755638249ffc586853658415f9d1f2aa3f574f5d7f44c82c24309d7e545",
+    "local": "f76486359bb82c4e3bd42153a87cdd8e61e57b825ea4574d172f35ad01bea4db",
+}
+CORPUS_SEED = 11
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 # (ring, n, m, seed): random_instance(ring, Random(seed), n, m), certified with rng=seed
 RANDOM_CASES = (
@@ -73,3 +89,31 @@ def test_modular_gcd_fallback_is_byte_identical(monkeypatch):
     monkeypatch.setattr(rings, "_zgcd_prs", counted)
     assert _digest() == GOLDEN_SHA256
     assert calls
+
+
+@pytest.fixture(scope="module")
+def bench_run():
+    """bench/run.py loaded from its path, without importing the benchmark as
+    a package.  It imports its sibling modules `check` and `layers` by name,
+    so its directory is on the path while it loads, and its dataclasses
+    need it in sys.modules then; those three names are taken out again."""
+    before = set(sys.modules)
+    spec = importlib.util.spec_from_file_location("bench_run", BENCH / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    sys.path.insert(0, str(BENCH))
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(BENCH))
+        for name in {spec.name, "check", "layers"} - before:
+            sys.modules.pop(name, None)
+    return module
+
+
+@pytest.mark.parametrize("workload", sorted(CORPUS_SHA256))
+def test_benchmark_corpus_is_byte_identical(bench_run, workload):
+    digest = hashlib.sha256()
+    for text in bench_run.make_corpus(workload, CORPUS_SEED):
+        digest.update(bench_run.certify_op(text).encode())
+    assert digest.hexdigest() == CORPUS_SHA256[workload]

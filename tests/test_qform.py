@@ -12,6 +12,8 @@ from normcert.poly import Poly
 from normcert.qform import QuadraticForm, ValueFactor
 from normcert.rings import QQ, QQ_LOCAL_X, RatFunc
 
+from oracles import naive_form_value
+
 F = Fraction
 
 
@@ -119,6 +121,73 @@ def test_values_match_coordinatewise_sums(case):
         expected = expected + a * y * y
     value = QuadraticForm(ring, diag).evaluate(ys)
     assert type(value) is type(expected) and value == expected
+
+
+# the finite fields of orders 2 to 9
+FIELDS = [GF(order) for order in (2, 3, 4, 5, 7, 8, 9)]
+
+
+@st.composite
+def forms_and_witnesses(draw):
+    """A form of rank 1..4 over Q, Q[x]_(x) or a small finite field, an
+    extension of degree 1..4, and a witness whose coordinates are zero,
+    share a denominator or have their own; some witness coordinates are
+    zero altogether."""
+    ring = draw(st.sampled_from([QQ, QQ_LOCAL_X, *FIELDS]))
+    if ring is QQ:
+        def den():
+            return draw(st.integers(1, 40))
+
+        def value(d, unit=False):
+            return Fraction(draw(small.filter(bool) if unit else small), d)
+    elif ring is QQ_LOCAL_X:
+        def den():
+            # a denominator with d(0) != 0, of degree 0..2
+            return [draw(small.filter(bool))] + draw(st.lists(small, max_size=2))
+
+        def value(d, unit=False):
+            num = draw(st.lists(small, min_size=1, max_size=3))
+            if unit and not num[0]:
+                num[0] = 1
+            return RatFunc(num, d)
+    else:
+        def den():
+            return None
+
+        def value(d, unit=False):
+            return draw(st.sampled_from(ring.elements()[1:] if unit else ring.elements()))
+    n = draw(st.integers(1, 4))
+    modulus = Poly(ring, [value(den(), unit=True)] + [value(den()) for _ in range(n - 1)]
+                   + [ring.one])
+    ext = SimpleExtension(ring, modulus)
+    m = draw(st.integers(1, 4))
+    diag = [value(den(), unit=True) for _ in range(m)]
+    xs = []
+    for _ in range(m):
+        if draw(st.integers(0, 4)) == 0:
+            xs.append(ext.zero())
+            continue
+        shared = den()
+        coords = []
+        for _ in range(n):
+            kind = draw(st.sampled_from(["zero", "shared", "own"]))
+            coords.append(ring.zero if kind == "zero"
+                          else value(shared if kind == "shared" else den()))
+        xs.append(ext.element(coords))
+    return QuadraticForm(ring, diag), xs
+
+
+@settings(max_examples=200, deadline=None)
+@given(forms_and_witnesses())
+def test_extension_values_match_coordinatewise_sums(case):
+    # element equality compares numerators over a denominator in lowest
+    # terms, so an unnormalized value fails it
+    q, xs = case
+    ext = xs[0].ext
+    value = q.evaluate_ext(xs)
+    expected = ext.element(naive_form_value(q, xs))
+    assert value == expected and hash(value) == hash(expected)
+    assert list(value.coords) == list(expected.coords)
 
 
 class TestSquareAsProduct:
