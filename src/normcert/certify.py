@@ -25,6 +25,12 @@ construction follows an induction on the degree of the extension:
      emits q(x(0)) and q(tops)^(-1) and the level below with its
      exponents flipped.
 
+A level writes its two end vectors as lambda*x(0) and lambda*tops for
+one unit lambda = d/g, with d the one denominator of the witness
+columns and g the joint content of the numerators of both vectors: since
+q(lambda*v) = lambda^2 * q(v), the pair's ratio is unchanged, and the
+vectors are integral with content 1, so no entry carries a denominator.
+
 The depth is floor(n/2) and no level inverts anything.  Each level takes
 the norm of q_S(x) once; that norm is the certificate target at the top
 and N_T(u) one level up.  The general-position search evaluates q_S(x)
@@ -200,10 +206,18 @@ def _certify_value(ext, q, xs, value, rng, max_tries, bound, stats):
         stats,
     )
 
-    # hence N(q_S(x)) = q(x(0)) * r^(-1) * N_T(u)^(-1) * N(b)^(-2)
+    # hence N(q_S(x)) = q(x(0)) * r^(-1) * N_T(u)^(-1) * N(b)^(-2), with
+    # x(0) and tops both scaled by lambda = d/g; lambda is a unit, since d
+    # is the Bareiss determinant of the power columns of the primitive c
+    # times in-ring denominators
+    cols, _ = witness.integral
+    fmt = integral_format(ring)
+    m = len(cols)
+    ends = fmt.values(
+        fmt.primitive([col[0] for col in cols] + [col[-1] for col in cols]), fmt.one)
     factors = [
-        ValueFactor(witness.bottoms, 1),
-        ValueFactor(witness.tops, -1),
+        ValueFactor(tuple(ends[:m]), 1),
+        ValueFactor(tuple(ends[m:]), -1),
         *(ValueFactor(f.vector, -f.exponent) for f in sub_factors),
         *square_factors,
     ]

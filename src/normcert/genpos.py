@@ -15,8 +15,8 @@ elimination with a right-hand side per witness coordinate
 (`ExtElement.coordinate_columns`), as integral columns over one
 denominator, and r and q(x(0)) are each one sum of the cleared diagonal
 against their top and bottom numerators, normalized once
-(`QuadraticForm.value`); the ring values of the tops and bottoms are
-built only for the witness returned.
+(`QuadraticForm.value`); no ring value of a top or bottom coordinate is
+built, since a level's certificate factors are those numerators themselves.
 
 Over an infinite residue field of characteristic 0 the target sets are
 non-empty open, so failure within the try budget signals a bug or an
@@ -44,7 +44,7 @@ from .errors import (
     ValueNotUnit,
 )
 from .extension import ExtElement
-from .poly import Poly, integral_format
+from .poly import Poly
 from .qform import QuadraticForm
 from .rings import sample_residue
 
@@ -59,16 +59,14 @@ _BOUND_DOUBLING_PERIOD = 8
 class GenPosWitness:
     """A verified general-position scaling: c_new = c*b^2 primitive,
     integral the coordinates of each x*b in the power basis of c_new as
-    numerator columns over one denominator, tops their coordinates of
-    index n-1 and bottoms those of index 0, and both r = q(tops) and
-    q0 = q(bottoms) units of the coefficient ring."""
+    numerator columns over one denominator, and both r = q(tops) and
+    q0 = q(bottoms) units of the coefficient ring, for the tops those
+    coordinates of index n-1 and the bottoms those of index 0."""
 
     b: ExtElement
     c_new: ExtElement
     integral: tuple
-    tops: tuple
     r: object
-    bottoms: tuple
     q0: object
     tries_used: int
 
@@ -156,11 +154,7 @@ def find_general_position(
         r, q0 = _end_values(q, cols, d)
         if not (ring.is_invertible(r) and ring.is_invertible(q0)):
             return None
-        fmt = integral_format(ring)
-        return GenPosWitness(
-            b, c_new, (cols, d), tuple(fmt.values([col[-1] for col in cols], d)), r,
-            tuple(fmt.values([col[0] for col in cols], d)), q0, tries,
-        )
+        return GenPosWitness(b, c_new, (cols, d), r, q0, tries)
 
     # deterministic probe: b = 1
     found = witness(ext.one(), c, xs, 1)

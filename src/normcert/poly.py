@@ -17,20 +17,19 @@ multiply by the inverse of the denominator.  A format record per ring
 (`_Rationals`, `_LocalFunctions`, `_FiniteFieldFormat`, found by
 `integral_format`) holds zero and one, normalization (`lowest`), sums,
 scalar multiples, a common denominator of several (`common`, which takes
-no gcd over Z[x]), splitting a ring scalar and building ring values back;
+no gcd over Z[x]), numerators divided by their joint integer content
+(`primitive`), splitting a ring scalar and building ring values back;
 `extension` holds its elements in the same records.  Python ints keep
 their native operators, and over Q the record keeps the integer shortcuts:
 a sum over equal denominators adds the numerators, and every result takes
 one multi-gcd.
 
-Every operation has one body for every ring.  Sums, differences,
-negation, products (`convolve`), scalar multiples and `==`/`hash` run
-on the numerators.  A division keeps its remainder over a denominator
-that grows by the divisor's denominator per quotient term and normalizes
-once at the end.  Evaluation is Horner on the numerators (the leading
-one as a ring value) with one multiplication by 1/denominator at the end.  `coeffs` builds the ring
-values on first use; `integral` is the format's view of a polynomial and
-`from_integral` builds one from it.
+Every operation has one body for every ring.  Products (`convolve`),
+scalar multiples and `==`/`hash` run on the numerators.  A division keeps
+its remainder over a denominator that grows by the divisor's denominator
+per quotient term and normalizes once at the end.  `coeffs` builds the
+ring values on first use; `integral` is the format's view of a polynomial
+and `from_integral` builds one from it.
 """
 
 from __future__ import annotations
@@ -109,6 +108,12 @@ class _Rationals:
         return [Fraction(v, den) for v in nums]
 
     @staticmethod
+    def primitive(nums) -> tuple:
+        """nums divided by their joint content, the gcd of the ints."""
+        g = gcd(*nums)
+        return tuple(v // g for v in nums) if g > 1 else tuple(nums)
+
+    @staticmethod
     def in_ring(den):
         return True
 
@@ -127,9 +132,6 @@ class _LocalFunctions:
 
     @staticmethod
     def split(s):
-        # a ZX numerator, which Horner evaluation adds, is over one
-        if s.__class__ is ZX:
-            return s, ZX_ONE
         s = QQ_LOCAL_X.element(s)
         return s.numerator, s.denominator
 
@@ -139,6 +141,13 @@ class _LocalFunctions:
         if not all(v.is_defined_at_zero() for v in out):
             raise CoordinateNotIntegral("a coordinate left the local ring")
         return out
+
+    @staticmethod
+    def primitive(nums) -> tuple:
+        """nums divided by their joint content, the gcd of all their
+        integer coefficients."""
+        g = gcd(*[c for v in nums for c in v.c])
+        return tuple(ZX(tuple([c // g for c in v.c])) for v in nums) if g > 1 else tuple(nums)
 
     @staticmethod
     def in_ring(den):
@@ -195,6 +204,11 @@ class _FiniteFieldFormat:
 
     def values(self, nums, den):
         return list(self.lowest(nums, den)[0])
+
+    @staticmethod
+    def primitive(nums) -> tuple:
+        # a field has no content to divide out
+        return tuple(nums)
 
     @staticmethod
     def in_ring(den):
@@ -318,16 +332,6 @@ class Poly:
     def __hash__(self):
         return hash((self.ring.id, self._den, self._nums))
 
-    def __add__(self, other: Poly) -> Poly:
-        fmt = self._fmt
-        return _poly(self.ring, fmt, *fmt.sum(self._nums, self._den, other._nums, other._den))
-
-    def __sub__(self, other: Poly) -> Poly:
-        return self + (-other)
-
-    def __neg__(self) -> Poly:
-        return _poly(self.ring, self._fmt, tuple(-v for v in self._nums), self._den)
-
     def __mul__(self, other: Poly) -> Poly:
         fmt = self._fmt
         return _poly(self.ring, fmt, *fmt.lowest(
@@ -336,18 +340,6 @@ class Poly:
     def scale(self, s) -> Poly:
         fmt = self._fmt
         return _poly(self.ring, fmt, *fmt.scale(self._nums, self._den, *fmt.split(s)))
-
-    def __call__(self, v):
-        """Evaluate at v (a ring element, or anything with +/* and scalars)."""
-        nums, den, fmt = self._nums, self._den, self._fmt
-        if not nums:
-            return self.ring.zero
-        # the leading numerator as a ring value, so that every product is
-        # v times a ring value or an extension element
-        acc = fmt.value(nums[-1], fmt.one)
-        for c in reversed(nums[:-1]):
-            acc = v * acc + c
-        return acc if den == fmt.one else acc * fmt.value(fmt.one, den)
 
     def __divmod__(self, divisor: Poly):
         """Exact division by a monic divisor: self = divisor*q + r, deg r < deg divisor."""

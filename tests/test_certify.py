@@ -1,8 +1,11 @@
 import random
 import re
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from normcert import linalg
 from normcert.charp import GF
@@ -18,7 +21,7 @@ from normcert.extension import ExtElement, SimpleExtension
 from normcert.instances import random_instance, run_random_suite
 from normcert.poly import Poly
 from normcert.qform import QuadraticForm, ValueFactor
-from normcert.rings import QQ, QQ_LOCAL_X
+from normcert.rings import QQ, QQ_LOCAL_X, ZX_ONE
 from normcert.serialize import certificate_to_json, dumps
 
 from oracles import mult_matrix, naive_det
@@ -47,11 +50,33 @@ def hyperbolic_instance():
 
 
 def factor_product(q, cert):
-    acc = QQ.one
+    ring = q.ring
+    acc = ring.one
     for f in cert.factors:
         v = q.evaluate(f.vector)
-        acc = acc * (v if f.exponent == 1 else QQ.invert(v))
+        acc = acc * (v if f.exponent == 1 else ring.invert(v))
     return acc
+
+
+def level_pairs(cert):
+    """The end-vector pair of each level, in order: a level's two factors
+    come before those of the level below, so the pairs lead the list."""
+    return [cert.factors[2 * k: 2 * k + 2] for k in range(len(cert.trace))]
+
+
+def joint_content(ring, vectors):
+    """The gcd of all integer numerators of the entries (every coefficient
+    of them over Q[x]_(x)), after checking that every entry is over one."""
+    nums = []
+    for v in vectors:
+        for e in v:
+            if ring is QQ:
+                assert e.denominator == 1
+                nums.append(e.numerator)
+            else:
+                assert e.denominator == ZX_ONE
+                nums.extend(e.numerator.c)
+    return gcd(*nums)
 
 
 class TestBaseCase:
@@ -195,6 +220,62 @@ class TestVerifier:
         cert = NormCertificate(target=F(1), factors=())
         outcome = verify(ext, q, bad_xs, cert)
         assert not outcome.ok
+
+
+class TestIntegralEndVectors:
+    """Each level writes its two end vectors as integral numerators with
+    joint content 1: the witness's bottoms and tops scaled by one unit, which
+    leaves the ratio of their values, and so the certificate, unchanged."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([QQ.id, QQ_LOCAL_X.id]), st.integers(2, 5), st.integers(1, 3),
+           st.integers(0, 2**32))
+    def test_every_level_pair_is_primitive(self, ring_id, n, m, seed):
+        ring = QQ if ring_id == QQ.id else QQ_LOCAL_X
+        if ring is QQ_LOCAL_X:
+            # Z[x] eliminations grow fast with the degree and the rank
+            m = min(m, 2 if n <= 3 else 1)
+        inst = random_instance(ring, random.Random(seed), n, m)
+        cert = certify(inst.ext, inst.q, inst.xs, rng=seed, with_trace=True)
+        pairs = level_pairs(cert)
+        assert len(pairs) == n // 2
+        for level, (bottom, top) in enumerate(pairs):
+            sign = (-1) ** level
+            assert (bottom.exponent, top.exponent) == (sign, -sign)
+            assert joint_content(ring, [bottom.vector, top.vector]) == 1
+        assert factor_product(inst.q, cert) == cert.target
+
+    def test_scaling_one_vector_of_a_pair_is_rejected(self):
+        inst = random_instance(QQ, random.Random(7), 3, 2)
+        cert = certify(inst.ext, inst.q, inst.xs, rng=7)
+        assert verify(inst.ext, inst.q, inst.xs, cert)
+        bottom = cert.factors[0]
+        doubled = ValueFactor(tuple(2 * v for v in bottom.vector), bottom.exponent)
+        tampered = NormCertificate(cert.target, (doubled,) + cert.factors[1:])
+        outcome = verify(inst.ext, inst.q, inst.xs, tampered)
+        assert not outcome.ok and "factor product" in outcome.failure
+
+    def test_scaling_a_pair_by_a_non_unit_is_rejected(self):
+        # x * v leaves the ratio of the pair alone, but q(x * v) = x^2 q(v)
+        # is not a unit of Q[x]_(x)
+        inst = random_instance(QQ_LOCAL_X, random.Random(7), 2, 2)
+        cert = certify(inst.ext, inst.q, inst.xs, rng=7)
+        x = QQ_LOCAL_X.x
+        scaled = tuple(ValueFactor(tuple(x * v for v in f.vector), f.exponent)
+                       for f in cert.factors[:2])
+        tampered = NormCertificate(cert.target, scaled + cert.factors[2:])
+        outcome = verify(inst.ext, inst.q, inst.xs, tampered)
+        assert not outcome.ok and "not a unit" in outcome.failure
+
+    def test_fractional_end_vectors_still_verify(self, gauss_instance):
+        # the Gauss certificate as it was written before the end vectors
+        # became integral: q(1/2, 3/2) / q(1/2, -1/2) = (5/2) / (1/2) = 5
+        ext, q, xs = gauss_instance
+        old = NormCertificate(F(5), (ValueFactor((F(1, 2), F(3, 2)), 1),
+                                     ValueFactor((F(1, 2), F(-1, 2)), -1)))
+        assert verify(ext, q, xs, old)
+        assert certify(ext, q, xs, rng=0).factors == (
+            ValueFactor((F(1), F(3)), 1), ValueFactor((F(1), F(-1)), -1))
 
 
 class TestStructure:

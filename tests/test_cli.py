@@ -17,6 +17,16 @@ GAUSS_INSTANCE = {
     "x": [["3/2", "1/2"], ["1/2", "-1/2"]],
 }
 
+# the Gauss certificate as certify wrote it before the end vectors became
+# integral (now ((1, 3), +1), ((1, -1), -1)); verify must keep accepting it
+FRACTIONAL_GAUSS_CERTIFICATE = {
+    "target": "5",
+    "factors": [
+        {"exp": 1, "vector": ["1/2", "3/2"]},
+        {"exp": -1, "vector": ["1/2", "-1/2"]},
+    ],
+}
+
 DEGREE_ONE_INSTANCE = {
     "ring": "Q",
     "p": ["-1", "1"],
@@ -182,6 +192,10 @@ class TestVerifyCommand:
     def test_round_trip_accepts(self, instance_path, tmp_path):
         _, out = run_certify(instance_path, tmp_path)
         assert main(["verify", "--input", instance_path, "--certificate", out]) == 0
+
+    def test_fractional_end_vectors_accepted(self, instance_path, tmp_path):
+        cert = write_json(tmp_path / "old.json", FRACTIONAL_GAUSS_CERTIFICATE)
+        assert main(["verify", "--input", instance_path, "--certificate", cert]) == 0
 
     def test_flipped_exponent_rejected(self, instance_path, tmp_path, capsys):
         def flip(cert):

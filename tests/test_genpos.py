@@ -286,9 +286,11 @@ class TestGeneralPositionSearch:
             # the witness columns are those coordinates read as polynomials
             padded = [list(col.coeffs) + [QQ.zero] * (n - 1 - col.degree) for col in w.columns]
             assert padded == columns
-            assert list(w.tops) == [col[-1] for col in columns]
+            # and its integral columns are the same coordinates over one
+            # denominator, n numerators each
+            nums, d = w.integral
+            assert [[F(v, d) for v in col] for col in nums] == columns
             assert w.r == q.evaluate([col[-1] for col in columns])
-            assert list(w.bottoms) == [col[0] for col in columns]
             assert w.q0 == q.evaluate([col[0] for col in columns])
             assert 1 <= w.tries_used
 

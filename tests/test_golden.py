@@ -22,14 +22,14 @@ from normcert.qform import QuadraticForm
 from normcert.rings import QQ, QQ_LOCAL_X
 from normcert.serialize import certificate_to_json, dumps
 
-GOLDEN_SHA256 = "e3afe8e1e9d0b82a4dc51dd23ed12fcdd6e2bd21280340b5f3a675e1836a6e0f"
+GOLDEN_SHA256 = "b109b94a1c0cb567bbec2d4afff29789b487284fd298e5f07879748f5e082de8"
 
 # sha256 of the concatenated certificate JSON texts that the benchmark's
 # certify operation gives for its seed-11 corpus of each workload
 CORPUS_SHA256 = {
-    "q-small": "6aca7bd71014f9cb3be1578ce4c7bb0840b8b8249e9c6b7c236cf89e35768ddd",
-    "q-tall": "f2c09755638249ffc586853658415f9d1f2aa3f574f5d7f44c82c24309d7e545",
-    "local": "f76486359bb82c4e3bd42153a87cdd8e61e57b825ea4574d172f35ad01bea4db",
+    "q-small": "072372dd81718a1ec06d1b7b794ae937ece55700bc996239eeabe200235baa1b",
+    "q-tall": "f7c90c01de3b93a1c69ccde3a5318f588b1e7d16d15788cf5aa647daa2b311cd",
+    "local": "e825eccdbe7aed2533585d26d375ccf2e4bb265e0cf306638d1b78b719ff9959",
 }
 CORPUS_SEED = 11
 BENCH = Path(__file__).resolve().parent.parent / "bench"
