@@ -41,7 +41,13 @@ identity of steps 3 and 4 is re-checked at every level, and a
 certificate is verified before it is returned.  The verifier shares
 nothing with the construction beyond ring arithmetic, form evaluation and
 the multiplication-matrix determinant, and it takes the norm of its own
-fresh evaluation of q_S(x).
+fresh evaluation of q_S(x).  It evaluates each factor from the numerators
+of its vector over one denominator in the ring's integral format
+(`ValueFactor.integral`, which the certificate reader fills straight from
+the JSON and each level fills from its end vectors), as one sum that it
+does not normalize: a factor value is a unit when that sum's numerator
+is, and the numerators and denominators of all the values multiply into
+one product that is compared with the target by cross-multiplication.
 """
 
 from __future__ import annotations
@@ -59,6 +65,7 @@ from .genpos import (
 )
 from .poly import Poly, integral_format
 from .qform import QuadraticForm, ValueFactor
+from .rings import shown
 
 
 @dataclass
@@ -109,15 +116,6 @@ def norm_of_value(ext: SimpleExtension, q: QuadraticForm, xs):
     if not value.is_invertible():
         raise ValueNotUnit("q_S(x) is not a unit of the extension")
     return value.norm()
-
-
-def _shown(v) -> str:
-    """v as text for a failure message; str() raises ValueError past
-    Python's int/str digit limit, and a rejection must stay a rejection."""
-    try:
-        return str(v)
-    except ValueError:
-        return "<a number past the int/str digit limit>"
 
 
 def _check(condition: bool, message: str, stats: CertifyStats):
@@ -213,12 +211,12 @@ def _certify_value(ext, q, xs, value, rng, max_tries, bound, stats):
     cols, _ = witness.integral
     fmt = integral_format(ring)
     m = len(cols)
-    ends = fmt.values(
-        fmt.primitive([col[0] for col in cols] + [col[-1] for col in cols]), fmt.one)
+    # integral with content 1, so over one in lowest terms
+    ends = fmt.primitive([col[0] for col in cols] + [col[-1] for col in cols])
     factors = [
-        ValueFactor(tuple(ends[:m]), 1),
-        ValueFactor(tuple(ends[m:]), -1),
-        *(ValueFactor(f.vector, -f.exponent) for f in sub_factors),
+        ValueFactor.from_integral(ring, ends[:m], fmt.one, 1),
+        ValueFactor.from_integral(ring, ends[m:], fmt.one, -1),
+        *(f.flipped() for f in sub_factors),
         *square_factors,
     ]
     step = ReductionStep(n=n, p=p, h=h, r=r, q0=q0, g=g, b=scaling)
@@ -275,12 +273,12 @@ def verify(ext: SimpleExtension, q: QuadraticForm, xs, cert: NormCertificate) ->
         if f.exponent not in (1, -1):
             return VerifyResult(False, f"factor {i} has exponent {f.exponent}")
         try:
-            value = q.evaluate(f.vector)
+            num, den = q.integral_value(*f.integral(ring))
         except Exception as exc:
             return VerifyResult(False, f"factor {i} cannot be evaluated: {exc}")
-        if not ring.is_invertible(value):
-            return VerifyResult(False, f"factor {i} value {_shown(value)} is not a unit")
-        num, den = fmt.split(value)
+        if not fmt.is_unit(num):
+            value = shown(fmt.value(num, den))
+            return VerifyResult(False, f"factor {i} value {value} is not a unit")
         if f.exponent == -1:
             num, den = den, num
         top, bottom = top * num, bottom * den
@@ -289,7 +287,7 @@ def verify(ext: SimpleExtension, q: QuadraticForm, xs, cert: NormCertificate) ->
         product = fmt.value(top, bottom)
         return VerifyResult(
             False,
-            f"factor product {_shown(product)} does not equal target {_shown(cert.target)}",
+            f"factor product {shown(product)} does not equal target {shown(cert.target)}",
         )
     value = q.evaluate_ext(list(xs))
     if not value.is_invertible():

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from .errors import NotInvertible, RingMismatch
 from .extension import SimpleExtension
 from .poly import Poly
+from .rings import shown
 
 _PRIMES = (2, 3, 5, 7)
 
@@ -231,7 +232,7 @@ class FiniteField:
     def element(self, v) -> FFElement:
         if isinstance(v, FFElement):
             if v.field is not self:
-                raise RingMismatch(f"{v!r} is not an element of {self.id}")
+                raise RingMismatch(f"{shown(v)} is not an element of {self.id}")
             return v
         if isinstance(v, int):
             return self.from_int(v)
@@ -239,7 +240,7 @@ class FiniteField:
             if len(v) > self.e:
                 raise ValueError("too many digits for this field")
             return FFElement(self, self._encode(list(v) + [0] * (self.e - len(v))))
-        raise RingMismatch(f"cannot coerce {v!r} into {self.id}")
+        raise RingMismatch(f"cannot coerce {shown(v)} into {self.id}")
 
     def from_int(self, n: int) -> FFElement:
         return FFElement(self, n % self.p)
@@ -249,7 +250,7 @@ class FiniteField:
 
     def check(self, a) -> FFElement:
         if not self.contains(a):
-            raise RingMismatch(f"expected an element of {self.id}, got {a!r}")
+            raise RingMismatch(f"expected an element of {self.id}, got {shown(a)}")
         return a
 
     def is_invertible(self, a) -> bool:

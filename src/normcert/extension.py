@@ -57,14 +57,16 @@ class SimpleExtension:
             raise NotSimple("modulus is defined over a different ring")
         if modulus.degree < 1 or not modulus.is_monic():
             raise NotSimple("modulus must be monic of degree >= 1")
-        if not ring.is_invertible(modulus.constant_term):
+        fmt = integral_format(ring)
+        # the numerator of p(0), over a denominator that keeps p in the ring
+        if not fmt.is_unit(modulus.integral[0][0]):
             raise NotSimple(
                 "constant term of the modulus is not a unit, so t would not be invertible"
             )
         self.ring = ring
         self.modulus = modulus
         self.n = modulus.degree
-        self._fmt = integral_format(ring)
+        self._fmt = fmt
         self._table = None
         self._residue_ext = None
 

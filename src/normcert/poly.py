@@ -18,7 +18,9 @@ multiply by the inverse of the denominator.  A format record per ring
 `integral_format`) holds zero and one, normalization (`lowest`), sums,
 scalar multiples, a common denominator of several (`common`, which takes
 no gcd over Z[x]), numerators divided by their joint integer content
-(`primitive`), splitting a ring scalar and building ring values back;
+(`primitive`), splitting a ring scalar, building ring values back, and
+the ring tests of a vector in lowest terms: that its denominator keeps
+it in the ring (`in_ring`) and that an entry is a unit (`is_unit`);
 `extension` holds its elements in the same records.  Python ints keep
 their native operators, and over Q the record keeps the integer shortcuts:
 a sum over equal denominators adds the numerators, and every result takes
@@ -39,7 +41,7 @@ from math import gcd, lcm
 
 from .errors import CoordinateNotIntegral, NotInvertible
 from .rings import (
-    QQ, QQ_LOCAL_X, ZX, ZX_ONE, RatFunc, clear_denominators, zx_clear, zx_common,
+    QQ, QQ_LOCAL_X, ZX, ZX_ONE, RatFunc, clear_denominators, shown, zx_clear, zx_common,
     zx_lowest_terms, zx_scale, zx_sum,
 )
 
@@ -117,6 +119,10 @@ class _Rationals:
     def in_ring(den):
         return True
 
+    @staticmethod
+    def is_unit(num) -> bool:
+        return num != 0
+
 
 class _LocalFunctions:
     """The integral format over Q[x]_(x): Z[x] numerators over one Z[x]
@@ -153,6 +159,11 @@ class _LocalFunctions:
     def in_ring(den):
         # of a vector in lowest terms: a pole at 0 is a root of den
         return den.c[0] != 0
+
+    @staticmethod
+    def is_unit(num) -> bool:
+        # over a den with den(0) != 0: a unit is nonzero at 0
+        return bool(num) and num.c[0] != 0
 
     @staticmethod
     def residue(nums, den):
@@ -213,6 +224,10 @@ class _FiniteFieldFormat:
     @staticmethod
     def in_ring(den):
         return True
+
+    @staticmethod
+    def is_unit(num) -> bool:
+        return bool(num)
 
 
 # the format records of Q and Q[x]_(x); a finite field gets its own, built
@@ -390,8 +405,8 @@ class Poly:
             if not c:
                 continue
             if i == 0:
-                terms.append(str(c))
+                terms.append(shown(c))
             else:
-                head = "" if c == self.ring.one else f"{c}*"
+                head = "" if c == self.ring.one else f"{shown(c)}*"
                 terms.append(f"{head}t" + (f"^{i}" if i > 1 else ""))
         return f"Poly<{' + '.join(terms)}>"

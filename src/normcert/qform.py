@@ -11,7 +11,10 @@ coordinates over one), normalized once: the diagonal is cleared once, to
 A_j / E, when the form is built, and the coordinates are put over one
 common denominator D, which takes no gcd.  Over the base ring a vector y
 is n_j / D, and q(y) = (sum of A_j n_j^2) / (E D^2) becomes one ring
-value (`value`).  A vector of polynomials, or of elements of an
+value (`value`), or stays that numerator over E D^2 (`integral_value`,
+what the verifier multiplies).  A form read from JSON is built from its
+cleared diagonal (`from_integral`), and the diagonal's ring values are
+made on first use.  A vector of polynomials, or of elements of an
 extension, has numerator columns X_j over D, and q is the sum of
 A_j X_j^2 over E D^2 (`poly_value`, with each square a convolution); an
 extension value reduces that sum once modulo the modulus, through the
@@ -21,58 +24,133 @@ no product of extension elements, and neither does q(x(t)) in `certify`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InternalAssertion, NotInvertible, NotRegular
 from .poly import convolve, integral_format, over_common_denominator
+from .rings import shown
 
 
-@dataclass(frozen=True)
+def _exponent(exponent):
+    # bool is an int subclass, and True == 1
+    if type(exponent) is not int or exponent not in (1, -1):
+        raise ValueError("exponent must be the integer +1 or -1")
+    return exponent
+
+
 class ValueFactor:
-    """One generator q(vector)^exponent of the value group."""
+    """One generator q(vector)^exponent of the value group.
 
-    vector: tuple
-    exponent: int
+    The vector is held as ring values, or as numerators over one
+    denominator in lowest terms in the integral format of its ring
+    (`from_integral`, what the certificate reader and each level's end
+    vectors build); `vector` builds the ring values from those on first
+    use, and `integral` gives the numerators that `verify` evaluates."""
 
-    def __post_init__(self):
-        # bool is an int subclass, and True == 1
-        if type(self.exponent) is not int or self.exponent not in (1, -1):
-            raise ValueError("exponent must be the integer +1 or -1")
+    __slots__ = ("exponent", "_vector", "_ring", "_integral")
+
+    def __init__(self, vector, exponent: int):
+        self.exponent = _exponent(exponent)
+        self._vector = tuple(vector)
+        self._ring = self._integral = None
+
+    @classmethod
+    def from_integral(cls, ring, nums, den, exponent: int) -> ValueFactor:
+        """The factor of the vector nums[j] / den over `ring`, for a vector in
+        lowest terms in the ring's integral format with den in the ring."""
+        self = object.__new__(cls)
+        self.exponent = _exponent(exponent)
+        self._vector = None
+        self._ring = ring
+        self._integral = tuple(nums), den
+        return self
+
+    @property
+    def vector(self) -> tuple:
+        if self._vector is None:
+            self._vector = tuple(integral_format(self._ring).values(*self._integral))
+        return self._vector
+
+    def integral(self, ring) -> tuple:
+        """The vector over `ring` as numerators over one denominator in the
+        ring's integral format; an entry outside the ring raises."""
+        if self._ring is ring:
+            return self._integral
+        return integral_format(ring).clear([ring.element(v) for v in self.vector])
+
+    def flipped(self) -> ValueFactor:
+        """The same vector with the exponent negated."""
+        if self._ring is None:
+            return ValueFactor(self._vector, -self.exponent)
+        return ValueFactor.from_integral(self._ring, *self._integral, -self.exponent)
+
+    def __eq__(self, other):
+        if not isinstance(other, ValueFactor):
+            return NotImplemented
+        if self.exponent != other.exponent:
+            return False
+        if self._ring is not None and self._ring is other._ring:
+            # lowest terms are unique
+            return self._integral == other._integral
+        return self.vector == other.vector
+
+    def __hash__(self):
+        return hash((self.vector, self.exponent))
+
+    def __repr__(self):
+        return f"ValueFactor(vector={self.vector!r}, exponent={self.exponent})"
 
 
 class QuadraticForm:
-    __slots__ = ("ring", "diag", "_fmt", "_cleared")
+    __slots__ = ("ring", "_diag", "_fmt", "_cleared")
 
     def __init__(self, ring, diag):
         cs = tuple(ring.element(c) for c in diag)
-        if not cs:
+        fmt = integral_format(ring)
+        self._setup(ring, fmt, fmt.clear(cs))
+        self._diag = cs
+
+    @classmethod
+    def from_integral(cls, ring, nums, den) -> QuadraticForm:
+        """The form with diagonal nums[j] / den, for a vector in lowest
+        terms in the integral format of `ring` with den in the ring."""
+        self = object.__new__(cls)
+        self._setup(ring, integral_format(ring), (tuple(nums), den))
+        self._diag = None
+        return self
+
+    def _setup(self, ring, fmt, cleared):
+        nums, _ = cleared
+        if not nums:
             raise NotRegular("a quadratic form needs at least one diagonal entry")
-        for c in cs:
-            if not ring.is_invertible(c):
-                raise NotRegular(f"diagonal entry {c!r} is not a unit")
+        for j, a in enumerate(nums):
+            if not fmt.is_unit(a):
+                raise NotRegular(f"diagonal entry {j + 1} of {len(nums)} is not a unit")
         self.ring = ring
-        self.diag = cs
-        # the diagonal as numerators over one denominator, for `evaluate`
-        self._fmt = fmt = integral_format(ring)
-        self._cleared = fmt.clear(cs)
+        # the diagonal as numerators over one denominator, for `value`
+        self._fmt = fmt
+        self._cleared = cleared
+
+    @property
+    def diag(self) -> tuple:
+        if self._diag is None:
+            self._diag = tuple(self._fmt.values(*self._cleared))
+        return self._diag
 
     @property
     def rank(self) -> int:
-        return len(self.diag)
+        return len(self._cleared[0])
 
     def __eq__(self, other):
         if not isinstance(other, QuadraticForm):
             return NotImplemented
-        return self.ring.id == other.ring.id and self.diag == other.diag
+        # a diagonal in lowest terms is unique
+        return self.ring.id == other.ring.id and self._cleared == other._cleared
 
     def __repr__(self):
-        return f"QuadraticForm<{', '.join(map(str, self.diag))}>"
+        return f"QuadraticForm<{', '.join(map(shown, self.diag))}>"
 
     def evaluate(self, ys):
         """Sum of a_j y_j^2 over the base ring."""
         ys = [self.ring.element(y) for y in ys]
-        if len(ys) != self.rank:
-            raise ValueError(f"expected {self.rank} coordinates, got {len(ys)}")
         # over one common denominator, which need not be in lowest terms
         fmt = self._fmt
         pairs = [fmt.split(y) for y in ys]
@@ -82,14 +160,22 @@ class QuadraticForm:
     def value(self, nums, d):
         """q(y) for y_j = nums[j] / d in the integral format of the ring,
         as one ring value."""
-        fmt = self._fmt
+        return self._fmt.value(*self.integral_value(nums, d))
+
+    def integral_value(self, nums, d):
+        """q(y) for y_j = nums[j] / d in the integral format of the ring,
+        as a numerator over the denominator e * d^2, not normalized; for d
+        in the ring, the value is a unit exactly when `is_unit` holds for
+        the numerator."""
+        if len(nums) != self.rank:
+            raise ValueError(f"expected {self.rank} coordinates, got {len(nums)}")
         # a_j = coeffs[j] / e
         coeffs, e = self._cleared
-        acc = fmt.zero
+        acc = self._fmt.zero
         for a, v in zip(coeffs, nums):
             if v:
                 acc = acc + a * (v * v)
-        return fmt.value(acc, e * (d * d))
+        return acc, e * (d * d)
 
     def poly_value(self, cols, d):
         """q(y(t)) for the polynomials y_j(t) with coefficients cols[j][i] / d
@@ -123,9 +209,8 @@ class QuadraticForm:
         """The reduced form over the residue field (self when R is a field)."""
         if self.ring.residue_ring is self.ring:
             return self
-        return QuadraticForm(
-            self.ring.residue_ring, tuple(self.ring.residue(a) for a in self.diag)
-        )
+        return QuadraticForm.from_integral(
+            self.ring.residue_ring, *self._fmt.residue(*self._cleared))
 
     def square_as_value_product(self, s):
         """Two +1 factors whose value product is exactly s^2, for a unit s.

@@ -54,6 +54,7 @@ singletons, ``QQ`` and ``QQ_LOCAL_X``.
 from __future__ import annotations
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
@@ -410,6 +411,27 @@ def zx_clear(values) -> tuple[tuple, ZX]:
     return zx_lowest_terms([num * k for (num, _), k in zip(pairs, quos)], den)
 
 
+def int_text(k: int) -> str:
+    """k in decimal, also past Python's int/str digit limit, through
+    `decimal.Decimal`, which has no such limit."""
+    try:
+        return str(k)
+    except ValueError:
+        return str(Decimal(k))
+
+
+def shown(v) -> str:
+    """A ring element (or an int) as text for a message: str(), except
+    that integers and Fractions past the int/str digit limit are written in
+    full instead of raising ValueError."""
+    if isinstance(v, int):
+        return int_text(v)
+    if isinstance(v, Fraction):
+        num = int_text(v.numerator)
+        return num if v.denominator == 1 else f"{num}/{int_text(v.denominator)}"
+    return str(v)
+
+
 def _zstr(cs, var="x"):
     if not cs:
         return "0"
@@ -418,9 +440,9 @@ def _zstr(cs, var="x"):
         if c == 0:
             continue
         if i == 0:
-            terms.append(str(c))
+            terms.append(shown(c))
         else:
-            head = "" if c == 1 else "-" if c == -1 else f"{c}*"
+            head = "" if c == 1 else "-" if c == -1 else f"{shown(c)}*"
             terms.append(f"{head}{var}" + (f"^{i}" if i > 1 else ""))
     return " + ".join(terms).replace("+ -", "- ")
 
@@ -618,7 +640,7 @@ class RationalField:
 
     def element(self, v) -> Fraction:
         if isinstance(v, RatFunc):
-            raise RingMismatch(f"{v!r} is not an element of {self.id}")
+            raise RingMismatch(f"{shown(v)} is not an element of {self.id}")
         return Fraction(v)
 
     def from_int(self, n: int) -> Fraction:
@@ -629,7 +651,7 @@ class RationalField:
 
     def check(self, a) -> Fraction:
         if not isinstance(a, Fraction):
-            raise RingMismatch(f"expected an element of {self.id}, got {a!r}")
+            raise RingMismatch(f"expected an element of {self.id}, got {shown(a)}")
         return a
 
     def is_invertible(self, a) -> bool:
@@ -670,9 +692,9 @@ class LocalRationalFunctions:
         elif isinstance(v, (tuple, list)):
             a = RatFunc(v)
         else:
-            raise RingMismatch(f"cannot coerce {v!r} into {self.id}")
+            raise RingMismatch(f"cannot coerce {shown(v)} into {self.id}")
         if not a.is_defined_at_zero():
-            raise RingMismatch(f"{a!r} has a pole at 0, not in {self.id}")
+            raise RingMismatch(f"{shown(a)} has a pole at 0, not in {self.id}")
         return a
 
     def from_int(self, n: int) -> RatFunc:
@@ -683,9 +705,9 @@ class LocalRationalFunctions:
 
     def check(self, a) -> RatFunc:
         if not isinstance(a, RatFunc):
-            raise RingMismatch(f"expected an element of {self.id}, got {a!r}")
+            raise RingMismatch(f"expected an element of {self.id}, got {shown(a)}")
         if not a.is_defined_at_zero():
-            raise RingMismatch(f"{a!r} has a pole at 0, not in {self.id}")
+            raise RingMismatch(f"{shown(a)} has a pole at 0, not in {self.id}")
         return a
 
     def is_invertible(self, a) -> bool:
@@ -694,7 +716,7 @@ class LocalRationalFunctions:
 
     def invert(self, a):
         if not self.is_invertible(a):
-            raise NotInvertible(f"{a!r} lies in the maximal ideal (x)")
+            raise NotInvertible(f"{shown(a)} lies in the maximal ideal (x)")
         return a.reciprocal()
 
     def residue(self, a) -> Fraction:

@@ -12,10 +12,20 @@ identical inputs and seeds produce byte-identical artifacts.
 A string of the form -?[0-9]+(/[0-9]+)? is read straight into an integer
 pair; every other string goes through `Fraction`, so the accepted strings
 and the refused ones are those of a parser with one `Fraction` per string.
-Over Q the pair becomes one `Fraction`.  A local rational function is
-built from its cleared integer-polynomial numerator and denominator (one
-lcm per list, one polynomial gcd), and written back from its integer form
-with one gcd per coefficient.
+Each vector of an instance or a certificate (the modulus, the diagonal,
+each witness vector, each factor vector) is decoded straight from those
+pairs into the integral format of its ring (`poly.integral_format`):
+numerators over one denominator in lowest terms, integers over Q and
+integer polynomials over Q[x]_(x).  A local entry is its cleared numerator
+over its cleared denominator (one lcm per coefficient list); when every
+entry of a vector has a constant denominator, the vector's denominator is
+one integer lcm.  A vector whose denominator in lowest terms vanishes at
+0 has an entry with a pole there.  The modulus, the form, the witness and
+each factor are built from those numerators (`Poly.from_integral`,
+`QuadraticForm.from_integral`, `ValueFactor.from_integral`), so no ring
+value is built for a coefficient; only the target is one ring value.  A
+local rational function is written back from its integer form with one
+gcd per coefficient.
 """
 
 from __future__ import annotations
@@ -28,11 +38,11 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .certify import NormCertificate, ReductionStep
-from .errors import NotRegular, NotSimple, RingMismatch
-from .extension import SimpleExtension
-from .poly import Poly
+from .errors import NotRegular, NotSimple
+from .extension import ExtElement, SimpleExtension
+from .poly import Poly, integral_format
 from .qform import QuadraticForm, ValueFactor
-from .rings import QQ, ZX, RatFunc, get_ring
+from .rings import QQ, ZX, get_ring, int_text, shown
 
 
 class FormatError(ValueError):
@@ -53,26 +63,18 @@ def _ring_from_json(ring_id):
 _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
-def _int_to_json(k: int) -> str:
-    try:
-        return str(k)
-    except ValueError:
-        # past the int/str digit limit
-        return str(Decimal(k))
-
-
 def _ratio_to_json(top: int, bottom: int) -> str:
     """top / bottom in lowest terms as a rational string, bottom nonzero."""
     g = gcd(top, bottom)
     if bottom < 0:
         g = -g
-    num = _int_to_json(top // g)
-    return num if bottom == g else f"{num}/{_int_to_json(bottom // g)}"
+    num = int_text(top // g)
+    return num if bottom == g else f"{num}/{int_text(bottom // g)}"
 
 
 def rational_to_json(v: Fraction) -> str:
-    num = _int_to_json(v.numerator)
-    return num if v.denominator == 1 else f"{num}/{_int_to_json(v.denominator)}"
+    # "p", or "p/q" when q > 1, with every digit: the text of a message
+    return shown(v)
 
 
 def _rational_pair(data) -> tuple[int, int]:
@@ -89,17 +91,13 @@ def _rational_pair(data) -> tuple[int, int]:
         return v.numerator, v.denominator
     num, den = match.groups()
     try:
-        p, q = int(num), int(den or "1")
+        p, q = int(num), (int(den) if den else 1)
     except ValueError:
         # past the int/str digit limit, which Decimal does not have
         p, q = int(Decimal(num)), int(Decimal(den or "1"))
     if not q:
         raise FormatError(f"bad rational {data!r}: zero denominator")
     return p, q
-
-
-def rational_from_json(data) -> Fraction:
-    return Fraction(*_rational_pair(data))
 
 
 def element_to_json(ring, a):
@@ -112,36 +110,74 @@ def element_to_json(ring, a):
     }
 
 
-def _int_poly(data) -> tuple[ZX, int]:
-    """A list of rational strings as an integer polynomial over the lcm of
-    their denominators."""
+def _int_poly(data) -> tuple[tuple, int]:
+    """A list of rational strings as integer polynomial coefficients (no
+    trailing zero) over the lcm of their denominators."""
+    if not isinstance(data, list):
+        raise FormatError(f"num and den must be lists, got {data!r}")
     pairs = [_rational_pair(c) for c in data]
-    den = lcm(*(q for _, q in pairs))
-    cs = [p * (den // q) for p, q in pairs]
+    den = lcm(*[q for _, q in pairs])
+    cs = [p for p, _ in pairs] if den == 1 else [p * (den // q) for p, q in pairs]
     while cs and not cs[-1]:
         cs.pop()
-    return ZX(tuple(cs)), den
+    return tuple(cs), den
+
+
+def _local_pair(data) -> tuple[tuple, tuple]:
+    """An element of Q[x]_(x) as the integer coefficients of a numerator
+    and of a nonzero denominator, not necessarily in lowest terms."""
+    if isinstance(data, str):
+        # shorthand: a constant
+        p, q = _rational_pair(data)
+        return ((p,) if p else ()), (q,)
+    if not isinstance(data, dict) or "num" not in data:
+        raise FormatError(f"expected a num/den object, got {data!r}")
+    (num, dn), (den, dd) = _int_poly(data["num"]), _int_poly(data.get("den", ["1"]))
+    if not den:
+        raise FormatError("rational function with zero denominator")
+    # (num / dn) / (den / dd)
+    if dd != 1:
+        num = tuple([c * dd for c in num])
+    if dn != 1:
+        den = tuple([c * dn for c in den])
+    return num, den
+
+
+def _vector_from_json(ring, data) -> tuple[tuple, object]:
+    """A list of ring elements as numerators over one denominator in lowest
+    terms in the integral format of `ring`; FormatError when an entry is
+    malformed or has a pole at 0."""
+    if not isinstance(data, list):
+        raise FormatError(f"expected a list of {ring.id} elements, got {data!r}")
+    fmt = integral_format(ring)
+    if ring.id == QQ.id:
+        pairs = [_rational_pair(c) for c in data]
+        den = lcm(*[q for _, q in pairs])
+        if den == 1:
+            # integers are in lowest terms over one
+            return tuple([p for p, _ in pairs]), 1
+        nums = [p * (den // q) for p, q in pairs]
+    else:
+        pairs = [_local_pair(c) for c in data]
+        if all(len(d) == 1 for _, d in pairs):
+            # constant denominators: one integer lcm, no division in Z[x]
+            den = lcm(*[d[0] for _, d in pairs])
+            nums = [ZX(v if (k := den // d[0]) == 1 else tuple([c * k for c in v]))
+                    for v, d in pairs]
+            den = ZX((den,))
+        else:
+            den, quos = fmt.common([ZX(d) for _, d in pairs])
+            nums = [ZX(v) * k for (v, _), k in zip(pairs, quos)]
+    nums, den = fmt.lowest(nums, den)
+    if not fmt.in_ring(den):
+        raise FormatError(f"an entry has a pole at 0, so it is not in {ring.id}")
+    return nums, den
 
 
 def element_from_json(ring, data):
-    if ring.id == QQ.id:
-        return rational_from_json(data)
-    if isinstance(data, str):
-        # shorthand: a constant
-        return ring.element(rational_from_json(data))
-    if not isinstance(data, dict) or "num" not in data:
-        raise FormatError(f"expected a num/den object, got {data!r}")
-    num, den = data["num"], data.get("den", ["1"])
-    if not isinstance(num, list) or not isinstance(den, list):
-        raise FormatError(f"num and den must be lists, got {data!r}")
-    (num, dn), (den, dd) = _int_poly(num), _int_poly(den)
-    if not den:
-        raise FormatError("rational function with zero denominator")
-    # (num / dn) / (den / dd), normalized once
-    try:
-        return ring.check(RatFunc.from_zx(num * dd, den * dn))
-    except RingMismatch as exc:
-        raise FormatError(str(exc)) from None
+    """One element of `ring`: the one-entry case of the vector decoder."""
+    (num,), den = _vector_from_json(ring, [data])
+    return integral_format(ring).value(num, den)
 
 
 def poly_to_json(p: Poly) -> dict:
@@ -151,28 +187,13 @@ def poly_to_json(p: Poly) -> dict:
     }
 
 
-def _ring_and_entries(data, key: str, ring, what: str):
-    """The ring and the parsed entries of {"ring": ..., key: [...]} or of a bare list."""
+def _ring_and_entries(data, key: str, ring):
+    """The ring of {"ring": ..., key: [...]} (`ring` without that key) and
+    the entries, or `ring` and a bare list."""
     if isinstance(data, dict) and key in data:
         ring = _ring_from_json(data["ring"]) if "ring" in data else ring
         data = data[key]
-    if not isinstance(data, list):
-        raise FormatError(f"expected a {what}, got {data!r}")
-    if ring is None:
-        raise FormatError(f"{what} without a ring")
-    return ring, [element_from_json(ring, c) for c in data]
-
-
-def poly_from_json(data, ring=None) -> Poly:
-    return Poly(*_ring_and_entries(data, "coeffs", ring, "polynomial"))
-
-
-def form_to_json(q: QuadraticForm) -> dict:
-    return {"ring": q.ring.id, "diag": [element_to_json(q.ring, a) for a in q.diag]}
-
-
-def form_from_json(data, ring=None) -> QuadraticForm:
-    return QuadraticForm(*_ring_and_entries(data, "diag", ring, "quadratic form"))
+    return ring, data
 
 
 def factor_to_json(ring, f: ValueFactor) -> dict:
@@ -182,16 +203,12 @@ def factor_to_json(ring, f: ValueFactor) -> dict:
     }
 
 
-def factor_from_json(ring, data) -> ValueFactor:
+def _factor_from_json(ring, data) -> ValueFactor:
     if not isinstance(data, dict) or "vector" not in data or "exp" not in data:
         raise FormatError(f"expected a value factor, got {data!r}")
     if type(data["exp"]) is not int or data["exp"] not in (1, -1):
         raise FormatError(f"factor exponent must be 1 or -1, got {data['exp']!r}")
-    if not isinstance(data["vector"], list):
-        raise FormatError(f"factor vector must be a list, got {data['vector']!r}")
-    return ValueFactor(
-        tuple(element_from_json(ring, v) for v in data["vector"]), data["exp"]
-    )
+    return ValueFactor.from_integral(ring, *_vector_from_json(ring, data["vector"]), data["exp"])
 
 
 def _step_to_json(ring, step: ReductionStep) -> dict:
@@ -225,7 +242,7 @@ def certificate_from_json(ring, data) -> NormCertificate:
         raise FormatError(f"'factors' must be a list, got {data['factors']!r}")
     return NormCertificate(
         target=element_from_json(ring, data["target"]),
-        factors=tuple(factor_from_json(ring, f) for f in data["factors"]),
+        factors=tuple(_factor_from_json(ring, f) for f in data["factors"]),
     )
 
 
@@ -278,9 +295,14 @@ def instance_from_json(data) -> InstanceSpec:
         if key not in data:
             raise FormatError(f"instance is missing {key!r}")
     ring = _ring_from_json(data["ring"])
+    p_ring, coeffs = _ring_and_entries(data["p"], "coeffs", ring)
+    q_ring, diag = _ring_and_entries(data["q"], "diag", ring)
+    if q_ring is not ring:
+        raise FormatError(f"the form is over {q_ring.id}, the instance over {ring.id}")
     try:
-        ext = SimpleExtension(ring, poly_from_json(data["p"], ring))
-        q = form_from_json(data["q"], ring)
+        ext = SimpleExtension(ring, Poly.from_integral(
+            p_ring, *_vector_from_json(p_ring, coeffs)))
+        q = QuadraticForm.from_integral(ring, *_vector_from_json(ring, diag))
     except (NotSimple, NotRegular) as exc:
         raise FormatError(str(exc)) from None
     if not isinstance(data["x"], list) or not data["x"]:
@@ -293,7 +315,7 @@ def instance_from_json(data) -> InstanceSpec:
     for vec in data["x"]:
         if not isinstance(vec, list) or len(vec) != ext.n:
             raise FormatError(f"each witness vector needs {ext.n} coordinates")
-        xs.append(ext.element([element_from_json(ring, v) for v in vec]))
+        xs.append(ExtElement(ext, None, *_vector_from_json(ring, vec)))
     options = data.get("options", {})
     if not isinstance(options, dict):
         raise FormatError("'options' must be an object")

@@ -41,6 +41,18 @@ POLE_INSTANCE = dict(LOCAL_INSTANCE, x=[["1", POLE]])
 # found by tests/test_cli_fuzz.py: both once ended in a TypeError
 LIST_RING_INSTANCE = dict(GAUSS_INSTANCE, ring=[])
 NULL_NUM_INSTANCE = dict(LOCAL_INSTANCE, x=[["1", {"num": None}]])
+# a pole at 0 and a non-unit whose integers pass Python's int/str digit
+# limit: building the messages once raised ValueError, and certify printed
+# a traceback and exited 1
+BIG = "1" + "0" * 4400
+BIG_POLE = {"num": ["-1/2"], "den": ["0", BIG]}
+DIGIT_LIMIT_INSTANCES = {
+    "diagonal-pole": dict(LOCAL_INSTANCE, q=[BIG_POLE]),
+    "witness-pole": dict(LOCAL_INSTANCE, x=[["1", BIG_POLE]]),
+    "diagonal-non-unit": dict(LOCAL_INSTANCE, q=[{"num": ["0", BIG]}]),
+}
+# the form names a ring of its own; certify once raised ValueError on it
+OTHER_RING_FORM_INSTANCE = dict(GAUSS_INSTANCE, q={"ring": "Q[x]_(x)", "diag": ["1", "1"]})
 BAD_OPTIONS = [
     {"seed": "1"},
     {"seed": True},
@@ -147,6 +159,18 @@ class TestCertifyCommand:
         assert main(["certify", "--input", path]) == 3
         assert "invalid instance" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", DIGIT_LIMIT_INSTANCES.values(), ids=DIGIT_LIMIT_INSTANCES)
+    def test_numbers_past_the_digit_limit_exit_3(self, bad, tmp_path, capsys):
+        path = write_json(tmp_path / "inst.json", bad)
+        assert main(["certify", "--input", path]) == 3
+        err = capsys.readouterr().err
+        assert "invalid instance" in err and "Traceback" not in err
+
+    def test_form_over_another_ring_exits_3(self, tmp_path, capsys):
+        path = write_json(tmp_path / "inst.json", OTHER_RING_FORM_INSTANCE)
+        assert main(["certify", "--input", path]) == 3
+        assert "invalid instance" in capsys.readouterr().err
+
     @pytest.mark.parametrize("options", BAD_OPTIONS)
     def test_bad_options_exit_3(self, options, tmp_path, capsys):
         path = write_json(tmp_path / "inst.json", dict(GAUSS_INSTANCE, options=options))
@@ -241,6 +265,35 @@ class TestVerifyCommand:
         path = write_json(tmp_path / "cert.json", cert)
         assert main(["verify", "--input", instance_path, "--certificate", path]) == 1
         assert "certificate rejected" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "vector, reason",
+        [
+            (["1"], "cannot be evaluated"),
+            (["1", "0", "0"], "cannot be evaluated"),
+            ([], "cannot be evaluated"),
+            # 0^2 + 0^2 = 0 is not a unit
+            (["0", "0"], "is not a unit"),
+        ],
+        ids=["short", "long", "empty", "non-unit"],
+    )
+    def test_unusable_factor_vector_rejected(self, vector, reason, instance_path, tmp_path,
+                                             capsys):
+        def replace_first(cert):
+            cert["factors"][0]["vector"] = vector
+
+        assert verify_tampered(instance_path, tmp_path, replace_first) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("certificate rejected: factor 0") and reason in err
+
+    def test_pole_in_factor_vector_exits_3(self, tmp_path, capsys):
+        path = write_json(tmp_path / "inst.json", LOCAL_INSTANCE)
+
+        def pole_entry(cert):
+            cert["factors"][0]["vector"][0] = POLE
+
+        assert verify_tampered(path, tmp_path, pole_entry) == 3
+        assert "invalid input" in capsys.readouterr().err
 
     def test_internal_error_exits_4(self, instance_path, tmp_path, monkeypatch, capsys):
         _, out = run_certify(instance_path, tmp_path)

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from normcert.certify import certify
 from normcert.cli import main
 from normcert.instances import random_instance
+from normcert.poly import integral_format
 from normcert.rings import QQ, QQ_LOCAL_X
 from normcert.serialize import (
     FormatError,
@@ -29,7 +30,6 @@ from normcert.serialize import (
     certificate_to_json,
     element_from_json,
     instance_to_json,
-    rational_from_json,
 )
 
 from oracles import fraction_element_from_json, fraction_rational_from_json
@@ -275,7 +275,7 @@ element_texts = elements_of(rational_texts) | json_values
 @FUZZ
 @given(rational_texts | json_values)
 def test_rational_parser_matches_the_fraction_parser(data):
-    new, old = parsed(rational_from_json, data), parsed(fraction_rational_from_json, data)
+    new, old = parsed(element_from_json, QQ, data), parsed(fraction_rational_from_json, data)
     assert type(new) is type(old) and new == old
 
 
@@ -285,7 +285,43 @@ def test_rational_parser_matches_the_fraction_parser(data):
 @example(QQ_LOCAL_X, {"num": ["1"], "den": ["1/0"]})
 @example(QQ_LOCAL_X, {"num": ["1"], "den": ["0", "0"]})
 @example(QQ_LOCAL_X, {"num": ["2/4", "007/010"], "den": ["-0/7", "3/6"]})
+# a pole whose integers pass the int/str digit limit: its message once
+# raised ValueError
+@example(QQ_LOCAL_X, {"num": ["-1/2"], "den": ["0", "1" + "0" * 4400]})
 def test_element_parser_matches_the_fraction_parser(ring, data):
     new = parsed(element_from_json, ring, data)
     old = parsed(fraction_element_from_json, ring, data)
     assert type(new) is type(old) and new == old
+
+
+# entries with a pole at 0, and entries whose numerator and denominator
+# share a factor that cancels a root at 0
+POLES = [{"num": ["1"], "den": ["0", "1"]}, {"num": ["-1/2"], "den": ["0", "3/4"]},
+         {"num": ["0", "1"], "den": ["0", "0", "2"]}]
+CANCELLING = [{"num": ["0", "2"], "den": ["0", "4"]}, {"num": ["0", "1", "1"], "den": ["0", "2/3"]},
+              {"num": ["1", "1"], "den": ["2/3", "2/3"]}]
+vector_entries = elements_of(rational_texts) | st.sampled_from(POLES + CANCELLING)
+
+
+def decoded_factor_vector(ring, vector):
+    """The numerators and denominator of a one-factor certificate's vector."""
+    cert = certificate_from_json(ring, {"target": "1", "factors": [{"vector": vector, "exp": 1}]})
+    return cert.factors[0].integral(ring)
+
+
+def cleared_fraction_values(ring, vector):
+    """The vector parsed with one Fraction per coefficient, as ring values
+    put over one denominator in lowest terms."""
+    return integral_format(ring).clear([fraction_element_from_json(ring, v) for v in vector])
+
+
+@FUZZ
+@given(st.sampled_from([QQ, QQ_LOCAL_X]), st.lists(vector_entries, max_size=4))
+@example(QQ_LOCAL_X, [])
+@example(QQ_LOCAL_X, ["2/4", {"num": ["0", "1"], "den": ["1", "1"]}, POLES[0]])
+@example(QQ_LOCAL_X, [{"num": ["3"], "den": ["0", "1"]}, {"num": ["0", "0", "1"]}])
+@example(QQ, ["2/4", "-6/8", "٣", "1.5"])
+def test_vector_decoder_matches_cleared_fraction_values(ring, vector):
+    new = parsed(decoded_factor_vector, ring, vector)
+    old = parsed(cleared_fraction_values, ring, vector)
+    assert new == old

@@ -6,6 +6,7 @@ search) updates the digests and says why."""
 
 import hashlib
 import importlib.util
+import json
 import random
 import sys
 from fractions import Fraction as F
@@ -14,13 +15,20 @@ from pathlib import Path
 import pytest
 
 from normcert import rings
-from normcert.certify import CertifyStats, certify
+from normcert.certify import CertifyStats, certify, verify
 from normcert.extension import SimpleExtension
 from normcert.instances import random_instance
 from normcert.poly import Poly
 from normcert.qform import QuadraticForm
 from normcert.rings import QQ, QQ_LOCAL_X
-from normcert.serialize import certificate_to_json, dumps
+from normcert.serialize import (
+    InstanceSpec,
+    certificate_from_json,
+    certificate_to_json,
+    dumps,
+    instance_from_json,
+    instance_to_json,
+)
 
 GOLDEN_SHA256 = "b109b94a1c0cb567bbec2d4afff29789b487284fd298e5f07879748f5e082de8"
 
@@ -72,6 +80,23 @@ def _digest():
 
 def test_certificates_are_byte_identical():
     assert _digest() == GOLDEN_SHA256
+
+
+def test_decoded_instances_reproduce_the_digest():
+    # the same certificates from the instances written to JSON and read
+    # back, and each certificate read back verifies
+    digest = hashlib.sha256()
+    for ext, q, xs, seed in _instances():
+        spec = InstanceSpec(ext=ext, q=q, xs=list(xs), options={})
+        inst = instance_from_json(json.loads(dumps(instance_to_json(spec))))
+        for with_trace in (False, True):
+            cert = certify(inst.ext, inst.q, inst.xs, rng=seed, with_trace=with_trace)
+            text = dumps(certificate_to_json(inst.ring, cert))
+            digest.update(text.encode())
+            back = certificate_from_json(inst.ring, json.loads(text))
+            assert back.factors == cert.factors
+            assert verify(inst.ext, inst.q, inst.xs, back)
+    assert digest.hexdigest() == GOLDEN_SHA256
 
 
 def test_modular_gcd_fallback_is_byte_identical(monkeypatch):

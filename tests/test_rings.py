@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from normcert import rings
-from normcert.errors import NotInvertible, RingMismatch
+from normcert.errors import NotInvertible, NotRegular, RingMismatch
 from normcert.rings import QQ, QQ_LOCAL_X, RatFunc, get_ring, sample_residue
 
 from oracles import horner_free_eval, naive_poly_gcd, naive_poly_mul
@@ -401,3 +401,39 @@ def _random_ratfunc(rng: random.Random) -> RatFunc:
     if not any(den):
         den = [Fraction(1)]
     return RatFunc(num, den)
+
+
+class TestMessagesPastTheDigitLimit:
+    """Each message that shows a ring element writes it in full, also past
+    Python's int/str digit limit, where str() and repr() raise ValueError."""
+
+    BIG = 10**4400 + 1
+
+    def test_shown_writes_every_digit(self):
+        big = self.BIG
+        assert rings.shown(big) == "1" + "0" * 4399 + "1"
+        assert rings.shown(Fraction(-big, 3)) == "-1" + "0" * 4399 + "1/3"
+        assert rings.shown(Fraction(7)) == str(Fraction(7))
+        assert rings.shown(Fraction(-2, 3)) == str(Fraction(-2, 3))
+        assert "0" * 4399 in repr(rf((1, Fraction(big, 2)), (3, big)))
+
+    def test_every_message_site(self):
+        from normcert.charp import GF
+        from normcert.qform import QuadraticForm
+
+        big = self.BIG
+        huge_pole = rf((-1,), (0, big))
+        cases = [
+            (RingMismatch, lambda: QQ.element(huge_pole)),
+            (RingMismatch, lambda: QQ.check(big)),
+            (RingMismatch, lambda: QQ_LOCAL_X.element(huge_pole)),
+            (RingMismatch, lambda: QQ_LOCAL_X.check(Fraction(big))),
+            (RingMismatch, lambda: QQ_LOCAL_X.check(huge_pole)),
+            (NotInvertible, lambda: QQ_LOCAL_X.invert(rf((0, big)))),
+            (RingMismatch, lambda: GF(5).element(huge_pole)),
+            (RingMismatch, lambda: GF(5).check(Fraction(big))),
+            (NotRegular, lambda: QuadraticForm(QQ_LOCAL_X, [rf((0, big))])),
+        ]
+        for error, call in cases:
+            with pytest.raises(error):
+                call()

@@ -7,25 +7,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from normcert.certify import certify
+from normcert.extension import SimpleExtension
 from normcert.instances import random_instance
 from normcert.poly import Poly
 from normcert.qform import QuadraticForm
 from normcert.rings import QQ, QQ_LOCAL_X, RatFunc
 from normcert.serialize import (
     FormatError,
+    InstanceSpec,
     certificate_from_json,
     certificate_to_json,
     dumps,
     element_from_json,
     element_to_json,
-    factor_from_json,
-    form_from_json,
-    form_to_json,
     instance_from_json,
     instance_to_json,
-    poly_from_json,
     poly_to_json,
-    rational_from_json,
     rational_to_json,
 )
 
@@ -49,19 +46,19 @@ class TestRationalStrings:
     def test_past_the_int_str_digit_limit(self):
         # 5000-digit numerator and denominator, past Python's default limit
         for v in (F(-(10**4999) - 7, 3**10478), F(10**4999)):
-            assert rational_from_json(rational_to_json(v)) == v
+            assert element_from_json(QQ, rational_to_json(v)) == v
         with pytest.raises(FormatError):
-            rational_from_json("1" * 5000 + "/0")
+            element_from_json(QQ, "1" * 5000 + "/0")
 
     def test_parse(self):
-        assert rational_from_json("5/6") == F(5, 6)
-        assert rational_from_json("-7") == F(-7)
+        assert element_from_json(QQ, "5/6") == F(5, 6)
+        assert element_from_json(QQ, "-7") == F(-7)
         with pytest.raises(FormatError):
-            rational_from_json("a/b")
+            element_from_json(QQ, "a/b")
         with pytest.raises(FormatError):
-            rational_from_json(5)
+            element_from_json(QQ, 5)
         with pytest.raises(FormatError):
-            rational_from_json("1/0")
+            element_from_json(QQ, "1/0")
 
 
 class TestElements:
@@ -97,31 +94,49 @@ class TestElements:
             element_from_json(QQ_LOCAL_X, POLE)
 
 
+def _instance(**fields):
+    """The Gauss instance with some fields replaced."""
+    return dict(json.loads(json.dumps(GAUSS_INSTANCE)), **fields)
+
+
+def _factor(factor):
+    """A certificate of one factor, decoded over Q."""
+    return certificate_from_json(QQ, {"target": "1", "factors": [factor]})
+
+
 class TestPolyAndForm:
     def test_poly_round_trip(self):
         p = Poly(QQ, [F(1, 2), F(0), F(1)])
         data = poly_to_json(p)
         assert data["ring"] == "Q"
-        assert poly_from_json(data) == p
+        assert instance_from_json(_instance(p=data)).ext.modulus == p
 
     def test_poly_bare_list_needs_ring(self):
-        assert poly_from_json(["1", "1"], QQ) == Poly(QQ, [1, 1])
+        data = _instance(p=["1", "1"], q=["1"], x=[["1"]])
+        assert instance_from_json(data).ext.modulus == Poly(QQ, [1, 1])
+        del data["ring"]
         with pytest.raises(FormatError):
-            poly_from_json(["1", "1"])
+            instance_from_json(data)
 
     def test_form_round_trip(self):
         q = QuadraticForm(QQ_LOCAL_X, [QQ_LOCAL_X.one, QQ_LOCAL_X.element((2, 1))])
-        assert form_from_json(form_to_json(q)) == q
+        ext = SimpleExtension(QQ_LOCAL_X, Poly(QQ_LOCAL_X, [-2, 0, 1]))
+        spec = InstanceSpec(ext=ext, q=q, xs=[ext.one(), ext.gen()], options={})
+        data = instance_to_json(spec)
+        assert instance_from_json(data).q == q
+        # the form as an object that names its ring
+        data["q"] = {"ring": q.ring.id, "diag": data["q"]}
+        assert instance_from_json(data).q == q
 
     def test_factor_validation(self):
         with pytest.raises(FormatError):
-            factor_from_json(QQ, {"vector": ["1"], "exp": 2})
+            _factor({"vector": ["1"], "exp": 2})
         with pytest.raises(FormatError):
-            factor_from_json(QQ, {"vector": ["1"]})
+            _factor({"vector": ["1"]})
         # JSON true and 1.0 both compare equal to 1
         for exp in (True, 1.0):
             with pytest.raises(FormatError):
-                factor_from_json(QQ, {"vector": ["1"], "exp": exp})
+                _factor({"vector": ["1"], "exp": exp})
 
 
 class TestCertificates:
