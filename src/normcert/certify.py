@@ -15,7 +15,8 @@ construction follows an induction on the degree of the extension:
   3. with p the minimal polynomial of c and x(t) the coordinate lift of
      the witness, F(t) = q(x(t)) - t vanishes at c, so p divides it
      exactly; the quotient h has degree n-2, leading coefficient r, and
-     p(0)*h(0) = q(x(0));
+     p(0)*h(0) = q(x(0)) (p comes from the search's one elimination, as
+     t^n minus the coordinates of c^n, its last right-hand side);
   4. for n = 2 that quotient is the constant r, and the identity below
      holds with N_T(u) = 1; otherwise g = h/r is monic with unit constant
      term, T = R[t]/(g) is two degrees smaller, and the class u of t in T
@@ -33,12 +34,15 @@ vectors are integral with content 1, so no entry carries a denominator.
 
 The depth is floor(n/2) and no level inverts anything.  Each level takes
 the norm of q_S(x) once; that norm is the certificate target at the top
-and N_T(u) one level up.  The general-position search evaluates q_S(x)
-again, and takes its norm again, for its own precondition that q(x) is a
-unit.  F(t) is one sum over the common denominator of the witness
-columns, normalized once, and so are r and q(x(0)).  Every exact
-identity of steps 3 and 4 is re-checked at every level, and a
-certificate is verified before it is returned.  The verifier shares
+and N_T(u) one level up.  The general-position search still evaluates
+q_S(x) a second time, and takes its norm again, for its own precondition
+that q(x) is a unit.  F(t) is one sum over the common denominator of the
+witness columns, normalized once, and so are r and q(x(0)).  A level
+solves once and divides once, F by p: u and z = x(u) are built in T
+straight from the integral witness columns (`from_integral`), and a
+degree-1 factor from the witness numerators.  Every exact identity of
+steps 3 and 4 is re-checked at every level, and a certificate is
+verified before it is returned.  The verifier shares
 nothing with the construction beyond ring arithmetic, form evaluation and
 the multiplication-matrix determinant, and it takes the norm of its own
 fresh evaluation of q_S(x).  It evaluates each factor from the numerators
@@ -63,7 +67,7 @@ from .genpos import (
     find_general_position,
     find_primitive_scaling,
 )
-from .poly import Poly, integral_format
+from .poly import Poly, integral_format, over_common_denominator
 from .qform import QuadraticForm, ValueFactor
 from .rings import shown
 
@@ -118,6 +122,19 @@ def norm_of_value(ext: SimpleExtension, q: QuadraticForm, xs):
     return value.norm()
 
 
+class _Seeded:
+    """The `random.Random` of a seed, made on its first draw: the searches
+    draw only when the b = 1 probe fails, which is rare."""
+
+    def __init__(self, seed):
+        self._seed, self._rng = seed, None
+
+    def __getattr__(self, name):
+        if self._rng is None:
+            self._rng = random.Random(self._seed)
+        return getattr(self._rng, name)
+
+
 def _check(condition: bool, message: str, stats: CertifyStats):
     if not condition:
         raise InternalAssertion(message)
@@ -129,15 +146,19 @@ def _certify_value(ext, q, xs, value, rng, max_tries, bound, stats):
     records of this level and of the levels below it."""
     ring = ext.ring
     n = ext.n
+    fmt = integral_format(ring)
     norm = value.norm()
     if not ring.is_invertible(norm):
         raise ValueNotUnit("q_S(x) is not a unit of the extension")
     if n == 1:
-        return [ValueFactor(tuple(x.coords[0] for x in xs), 1)], norm, []
+        # the witness itself, its one coordinate each over one denominator
+        vecs, den = over_common_denominator(fmt, [x.integral for x in xs])
+        nums, den = fmt.lowest([v[0] for v in vecs], den)
+        return [ValueFactor.from_integral(ring, nums, den, 1)], norm, []
     stats.levels += 1
 
     # x -> x*b replaces c = q_S(x) by c*b^2; b is the level's whole scaling
-    c, scaling = value, ext.one()
+    c, scaling = value, None
     if not c.is_primitive():
         scaling = find_primitive_scaling(c, rng, max_tries=max_tries, bound=bound)
         c = c * scaling * scaling
@@ -152,18 +173,18 @@ def _certify_value(ext, q, xs, value, rng, max_tries, bound, stats):
         stats.genpos_exhausted += 1
         raise
     stats.genpos_tries += witness.tries_used
-    c, r, q0 = witness.c_new, witness.r, witness.q0
-    if witness.b != ext.one():
-        scaling = scaling * witness.b
+    c, p, r, q0 = witness.c_new, witness.p, witness.r, witness.q0
+    if witness.tries_used > 1:  # try 1 is the b = 1 probe
+        scaling = witness.b if scaling is None else scaling * witness.b
     # N(q_S(x)) = N(c) * N(b)^(-2), and that square of a unit of R is
     # certified as two values
     square_factors = []
-    if scaling != ext.one():
+    if scaling is not None:
         square_factors = q.square_as_value_product(ring.invert(scaling.norm()))
 
-    p = c.minimal_polynomial()
     # F(t) = q(x(t)) - t, one sum over the witness columns' denominator
-    f_nums, f_den = q.poly_value(*witness.integral)
+    cols, d = witness.integral
+    f_nums, f_den = q.poly_value(cols, d)
     f_nums[1] = f_nums[1] - f_den
     f_poly = Poly.from_integral(ring, f_nums, f_den)
 
@@ -188,8 +209,10 @@ def _certify_value(ext, q, xs, value, rng, max_tries, bound, stats):
         except NotSimple as exc:
             raise InternalAssertion(f"reduced modulus is not simple: {exc}") from exc
         # the coordinates of the witness in the power basis of c, read as
-        # polynomials and reduced modulo g
-        z = [sub_ext.from_poly(xp) for xp in witness.columns]
+        # polynomials and reduced modulo g: z = x(u)
+        z = [sub_ext.from_integral(col, d) for col in cols]
+        if not all(fmt.in_ring(x.integral[1]) for x in z):
+            raise InternalAssertion("a coordinate of the reduced witness left the ring")
         u = sub_ext.gen()
         # F(u) = 0 in T
         _check(q.evaluate_ext(z) == u, "q_T(z) is not u in the reduced algebra", stats)
@@ -208,8 +231,6 @@ def _certify_value(ext, q, xs, value, rng, max_tries, bound, stats):
     # x(0) and tops both scaled by lambda = d/g; lambda is a unit, since d
     # is the Bareiss determinant of the power columns of the primitive c
     # times in-ring denominators
-    cols, _ = witness.integral
-    fmt = integral_format(ring)
     m = len(cols)
     # integral with content 1, so over one in lowest terms
     ends = fmt.primitive([col[0] for col in cols] + [col[-1] for col in cols])
@@ -219,7 +240,8 @@ def _certify_value(ext, q, xs, value, rng, max_tries, bound, stats):
         *(f.flipped() for f in sub_factors),
         *square_factors,
     ]
-    step = ReductionStep(n=n, p=p, h=h, r=r, q0=q0, g=g, b=scaling)
+    step = ReductionStep(
+        n=n, p=p, h=h, r=r, q0=q0, g=g, b=ext.one() if scaling is None else scaling)
     return factors, norm, [step] + sub_steps
 
 
@@ -239,7 +261,7 @@ def certify(
         raise ValueError("form and extension have different coefficient rings")
     xs = list(xs)
     if rng is None or isinstance(rng, int):
-        rng = random.Random(0 if rng is None else rng)
+        rng = _Seeded(0 if rng is None else rng)
     stats = CertifyStats() if stats is None else stats
     value = q.evaluate_ext(xs)
     factors, target, steps = _certify_value(

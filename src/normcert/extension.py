@@ -19,24 +19,27 @@ the ring values on first use, and `reduce` reads the residue off the
 constant terms.  One code path serves every ring.  Sums, scalar
 multiples and products run on the numerators: a product convolves them,
 and `SimpleExtension.from_integral` reduces the convolution modulo the
-modulus against a table of t^n, ..., t^(2n-2) over one common
-denominator, built by shift and reduce from the modulus, and normalizes
-once (in degree 1, where t is a scalar, a product is a scalar multiple).
-A form value (`QuadraticForm.evaluate_ext`) goes through the same
-reduction once for its whole sum.  `from_poly` takes the remainder of a
-division by the modulus as it is.  Norms, inverses and primitivity take
-the integral columns, each over its own denominator, into `linalg.det` and
-`linalg.solve_columns`, the one fraction-free Bareiss elimination, and
-scale the result back by those denominators, so a norm builds one ring
-value.  Power-basis coordinates (`coordinate_columns`) solve for any
+modulus against a table of t^n, t^(n+1), ... over one common
+denominator, built by shift and reduce from the modulus and grown on
+demand, and normalizes once (in degree 1, where t is a scalar, a product
+is a scalar multiple).  It takes any number of numerators, padding fewer
+than n with zeros: a form value (`QuadraticForm.evaluate_ext`) goes
+through it once for its whole sum, and so do the class of t (`gen`) and
+a polynomial of any degree read as an element, with no division.
+Norms, inverses and primitivity take the integral columns, each over its
+own denominator, into `linalg.det` and `linalg.solve_columns`, the one
+fraction-free Bareiss elimination, and scale the result back by those
+denominators, so a norm builds one ring value.  Power-basis coordinates (`coordinate_columns`) solve for any
 number of elements at once, one right-hand side each over one common
-denominator: the general-position search takes all m witness columns
-from one elimination, and `coords_in` and the minimal polynomial are its
-one-column cases.  The minimal polynomial goes to `Poly.from_integral`,
-which normalizes once and refuses a coefficient outside the ring, and its
-vanishing at the element is a zero test over one common denominator,
-which needs no gcd.  Column j+1 of the multiplication matrix is t times
-column j: a shift plus one multiple of the coordinates of t^n.
+denominator, and one more for the element's n-th power, kept with its
+power list: the general-position search takes all m witness columns and
+the minimal polynomial from one elimination, and `coords_in` and
+`minimal_polynomial` are its cases of one and of no element.  The
+minimal polynomial goes to `Poly.from_integral`, which normalizes once
+and refuses a coefficient outside the ring, and its vanishing at the
+element is a zero test over one common denominator, which needs no gcd.
+Column j+1 of the multiplication matrix is t times column j: a shift
+plus one multiple of the coordinates of t^n.
 """
 
 from __future__ import annotations
@@ -103,28 +106,24 @@ class SimpleExtension:
 
     def gen(self) -> ExtElement:
         """The class of t."""
-        return self.from_poly(Poly(self.ring, (self.ring.zero, self.ring.one)))
-
-    def from_poly(self, f: Poly) -> ExtElement:
-        """Reduce a polynomial modulo the defining modulus."""
         fmt = self._fmt
-        # the remainder is in lowest terms, and zero padding keeps it so
-        nums, den = (f % self.modulus).integral
-        return ExtElement(self, None, nums + (fmt.zero,) * (self.n - len(nums)), den)
+        return self.from_integral([fmt.zero, fmt.one], fmt.one)
 
-    def _power_table(self):
-        # the coordinates of t^(n+k) for k = 0 .. n-2 (everything a product
-        # can need), as rows over one common denominator: t^(n+k) is
-        # t^(n+k-1) times t, its row over dm^(k+1) when the modulus is nums / dm
-        if self._table is None:
+    def _power_table(self, count=0):
+        # the coordinates of t^n, ..., t^(n+k-1) as rows over one common
+        # denominator, for k at least `count` and at least n-1 (everything a
+        # product can need), rebuilt when a longer vector needs more: t^(n+k)
+        # is t^(n+k-1) times t, its row over dm^(k+1) when the modulus is
+        # nums / dm
+        k = max(self.n - 1, count)
+        if self._table is None or len(self._table[0]) < k:
             fmt = self._fmt
             nums, dm = self.modulus.integral
-            # none at all when n = 1, where t is the scalar -p(0)
-            rows = [tuple(-v for v in nums[:-1])] if self.n > 1 else []
-            for _ in range(self.n - 2):
-                rows.append(_times_t(rows[-1], rows[0], dm, fmt.zero))
-            # over dm^(n-1), reduced by one multi-gcd over the whole table
-            k = len(rows)
+            red = tuple(-v for v in nums[:-1])
+            rows = [red] if k else []
+            while len(rows) < k:
+                rows.append(_times_t(rows[-1], red, dm, fmt.zero))
+            # over dm^k, reduced by one multi-gcd over the whole table
             powers = [fmt.one]
             for _ in range(k):
                 powers.append(powers[-1] * dm)
@@ -135,16 +134,16 @@ class SimpleExtension:
         return self._table
 
     def from_integral(self, nums, den) -> ExtElement:
-        """The class of the polynomial with coefficients nums[i] / den, for n
-        to 2n-1 numerators (a convolution of two elements' numerators at
-        most) and a nonzero denominator of the ring's integral format:
-        reduced once against the table of powers of t, normalized once."""
+        """The class of the polynomial with coefficients nums[i] / den, for
+        any number of numerators and a nonzero denominator of the ring's
+        integral format: fewer than n padded with zeros, more reduced once
+        against the table of powers of t, and normalized once."""
         n = self.n
         fmt = self._fmt
         if len(nums) > n:
-            table, dt = self._power_table()
+            table, dt = self._power_table(len(nums) - n)
             # with t^(n+k) = table[k] / dt, out / (den * dt) is the class
-            out = nums[:n] if dt == fmt.one else [c * dt for c in nums[:n]]
+            out = list(nums[:n]) if dt == fmt.one else [c * dt for c in nums[:n]]
             for k in range(len(nums) - n):
                 c = nums[n + k]
                 if c:
@@ -152,6 +151,8 @@ class SimpleExtension:
                     for i in range(n):
                         out[i] = out[i] + c * red[i]
             nums, den = out, den * dt
+        elif len(nums) < n:
+            nums = [*nums] + [fmt.zero] * (n - len(nums))
         return ExtElement(self, None, *fmt.lowest(nums, den))
 
     def residue_extension(self) -> SimpleExtension:
@@ -315,15 +316,14 @@ class ExtElement:
             raise InternalAssertion("inverse verification failed")
         return inv
 
-    def _power_list(self):
-        # [1, self, ..., self^(n-1)]
+    def _powers_to(self, k):
+        # [1, self, ..., self^j] for some j >= k, kept and grown on demand
         if self._powers is None:
-            n = self.ext.n
-            powers = [self.ext.one(), self]
-            while len(powers) < n:
-                powers.append(powers[-1] * self)
-            self._powers = powers[:n]
-        return self._powers
+            self._powers = [self.ext.one(), self]
+        powers = self._powers
+        while len(powers) <= k:
+            powers.append(powers[-1] * self)
+        return powers
 
     def is_primitive(self) -> bool:
         if self._primitive is None:
@@ -334,52 +334,56 @@ class ExtElement:
             else:
                 # the integral columns are the power columns times nonzero
                 # denominators, so their det is 0 exactly when that one is
-                self._primitive = bool(linalg.det([w._nums for w in self._power_list()]))
+                n = self.ext.n
+                self._primitive = bool(linalg.det([w._nums for w in self._powers_to(n - 1)[:n]]))
         return self._primitive
 
     def coordinate_columns(self, elements):
         """The coordinates of each of `elements` in the power basis of self,
         a primitive element, as integral columns over one denominator:
         column j holds the numerators of the coefficients of the polynomial
-        y_j(t) of degree < n with elements[j] = y_j(self).  One elimination
-        solves for every column."""
+        y_j(t) of degree < n with elements[j] = y_j(self); and the minimal
+        polynomial of self.  One elimination solves for every column and
+        for self^n, a last right-hand side over its own denominator."""
         if not self.is_primitive():
             raise NotPrimitive("basis element is not primitive")
-        elements = [self._same(x) for x in elements]
+        ext = self.ext
+        fmt = ext._fmt
+        n = ext.n
+        powers = self._powers_to(n)[:n + 1]
+        top = powers[n]
         # with N the integral power columns over dens and the right-hand
         # sides over one den, N y = rhs has y = x / d, and the coordinates
         # are dens * y / den
-        powers = self._power_list()
-        rhs, den = over_common_denominator(self.ext._fmt, [x.integral for x in elements])
-        cols, d = linalg.solve_columns(transpose([w._nums for w in powers]), transpose(rhs))
-        return [[w._den * v for w, v in zip(powers, col)] for col in cols], d * den
-
-    def coords_in(self, basis_elt: ExtElement):
-        """Coordinates of self in the power basis of a primitive element."""
-        (col,), den = self._same(basis_elt).coordinate_columns([self])
-        return self.ext._fmt.values(col, den)
-
-    def minimal_polynomial(self) -> Poly:
-        """The monic degree-n polynomial vanishing on self (self must be primitive)."""
-        ext = self.ext
-        fmt = ext._fmt
-        powers = self._power_list()
-        powers = powers + [powers[-1] * self]
-        # t^n minus the coordinates of self^n, over their denominator
-        (nums,), d = self.coordinate_columns(powers[-1:])
-        p = Poly.from_integral(ext.ring, [-v for v in nums] + [d], d)
+        rhs, den = over_common_denominator(fmt, [self._same(x).integral for x in elements])
+        cols, d = linalg.solve_columns(
+            transpose([w._nums for w in powers[:n]]), transpose(rhs + [top._nums]))
+        cols = [[w._den * v for w, v in zip(powers, col)] for col in cols]
+        # the minimal polynomial: t^n minus the coordinates of self^n
+        nums, dp = cols.pop(), d * top._den
+        p = Poly.from_integral(ext.ring, [-v for v in nums] + [dp], dp)
         # p(self) = sum of P_k self^k over p's denominator: a zero test of
         # that sum over one common denominator, which needs no gcd
         vecs, _ = over_common_denominator(fmt, [w.integral for w in powers])
         coeffs, _ = p.integral
-        for i in range(ext.n):
+        for i in range(n):
             acc = fmt.zero
             for c, vec in zip(coeffs, vecs):
                 if c and vec[i]:
                     acc = acc + c * vec[i]
             if acc:
                 raise InternalAssertion("minimal polynomial does not vanish on its element")
-        return p
+        return cols, d * den, p
+
+    def coords_in(self, basis_elt: ExtElement):
+        """Coordinates of self in the power basis of a primitive element."""
+        (col,), den, _ = self._same(basis_elt).coordinate_columns([self])
+        return self.ext._fmt.values(col, den)
+
+    def minimal_polynomial(self) -> Poly:
+        """The monic degree-n polynomial vanishing on self (self must be
+        primitive): `coordinate_columns` of no element."""
+        return self.coordinate_columns(())[2]
 
     def reduce(self) -> ExtElement:
         """Coordinatewise reduction to the algebra over the residue field."""

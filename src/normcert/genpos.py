@@ -11,9 +11,10 @@ Both searches probe b = 1 first, then sample integer coordinates in
 [-B, B] over the residue field (B doubles every 8 failures), lift the hit
 coordinatewise, and re-verify every claimed property exactly over the ring
 before returning.  A candidate's coordinate columns come from one
-elimination with a right-hand side per witness coordinate
-(`ExtElement.coordinate_columns`), as integral columns over one
-denominator, and r and q(x(0)) are each one sum of the cleared diagonal
+elimination with m+1 right-hand sides, one per witness coordinate and c^n
+last (`ExtElement.coordinate_columns`), as integral columns over one
+denominator; the column of c^n gives the minimal polynomial that the
+witness carries, and r and q(x(0)) are each one sum of the cleared diagonal
 against their top and bottom numerators, normalized once
 (`QuadraticForm.value`); no ring value of a top or bottom coordinate is
 built, since a level's certificate factors are those numerators themselves.
@@ -57,25 +58,19 @@ _BOUND_DOUBLING_PERIOD = 8
 
 @dataclass(frozen=True)
 class GenPosWitness:
-    """A verified general-position scaling: c_new = c*b^2 primitive,
-    integral the coordinates of each x*b in the power basis of c_new as
-    numerator columns over one denominator, and both r = q(tops) and
-    q0 = q(bottoms) units of the coefficient ring, for the tops those
-    coordinates of index n-1 and the bottoms those of index 0."""
+    """A verified general-position scaling: c_new = c*b^2 primitive, p its
+    minimal polynomial, integral the coordinates of each x*b in the power
+    basis of c_new as numerator columns over one denominator, and both
+    r = q(tops) and q0 = q(bottoms) units of the coefficient ring, for the
+    tops those coordinates of index n-1 and the bottoms those of index 0."""
 
     b: ExtElement
     c_new: ExtElement
+    p: Poly
     integral: tuple
     r: object
     q0: object
     tries_used: int
-
-    @property
-    def columns(self) -> tuple:
-        """The coordinate columns as the polynomials y(t) of degree < n with
-        x*b = y(c_new)."""
-        cols, d = self.integral
-        return tuple(Poly.from_integral(self.c_new.ext.ring, col, d) for col in cols)
 
 
 def _residue_scalings(c: ExtElement, rng: random.Random, max_tries: int, bound: int):
@@ -150,11 +145,11 @@ def find_general_position(
         raise ValueNotUnit("the form value q(x) must be a unit of the extension")
 
     def witness(b, c_new, x_new, tries):
-        cols, d = c_new.coordinate_columns(x_new)
+        cols, d, p = c_new.coordinate_columns(x_new)
         r, q0 = _end_values(q, cols, d)
         if not (ring.is_invertible(r) and ring.is_invertible(q0)):
             return None
-        return GenPosWitness(b, c_new, (cols, d), r, q0, tries)
+        return GenPosWitness(b, c_new, p, (cols, d), r, q0, tries)
 
     # deterministic probe: b = 1
     found = witness(ext.one(), c, xs, 1)
@@ -165,7 +160,8 @@ def find_general_position(
     qbar = q.residue_form()
     k = qbar.ring
     for tries, bbar, cb2 in _residue_scalings(c, rng, max_tries, bound):
-        rbar, q0bar = _end_values(qbar, *cb2.coordinate_columns([x * bbar for x in xbars]))
+        cols, d, _ = cb2.coordinate_columns([x * bbar for x in xbars])
+        rbar, q0bar = _end_values(qbar, cols, d)
         if not (k.is_invertible(rbar) and k.is_invertible(q0bar)):
             continue
         b = bbar.lift_to(ext)

@@ -394,9 +394,6 @@ class Poly:
         return (_poly(ring, fmt, *fmt.lowest(quo, top)),
                 _poly(ring, fmt, *fmt.lowest(rem[:d], top * db)))
 
-    def __mod__(self, divisor: Poly) -> Poly:
-        return divmod(self, divisor)[1]
-
     def __repr__(self):
         if not self:
             return "Poly<0>"

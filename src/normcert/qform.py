@@ -216,16 +216,18 @@ class QuadraticForm:
         """Two +1 factors whose value product is exactly s^2, for a unit s.
 
         Uses the first standard basis vector y, so the two values are
-        q(y*s) = a_1 s^2 and q(y/a_1) = 1/a_1.
+        q(y*s) = a_1 s^2 and q(y/a_1) = 1/a_1; both vectors are built in
+        the integral format, with a_1 = A_1 / E from the cleared diagonal.
         """
-        s = self.ring.element(s)
-        if not self.ring.is_invertible(s):
+        ring, fmt = self.ring, self._fmt
+        s = ring.element(s)
+        if not ring.is_invertible(s):
             raise NotInvertible("square certificates exist only for units")
-        pad = (self.ring.zero,) * (self.rank - 1)
-        first = ValueFactor((s,) + pad, 1)
-        second = ValueFactor((self.ring.invert(self.diag[0]),) + pad, 1)
-        prod = self.evaluate(first.vector) * self.evaluate(second.vector)
-        if prod != s * s:
+        pad = (fmt.zero,) * (self.rank - 1)
+        coeffs, e = self._cleared
+        s_num, s_den = fmt.split(s)
+        first = ValueFactor.from_integral(ring, (s_num,) + pad, s_den, 1)
+        second = ValueFactor.from_integral(ring, *fmt.lowest((e,) + pad, coeffs[0]), 1)
+        if self.value(*first.integral(ring)) * self.value(*second.integral(ring)) != s * s:
             raise InternalAssertion("square factorization identity failed")
         return [first, second]
-

@@ -40,7 +40,7 @@ from math import gcd, lcm
 from .certify import NormCertificate, ReductionStep
 from .errors import NotRegular, NotSimple
 from .extension import ExtElement, SimpleExtension
-from .poly import Poly, integral_format
+from .poly import Poly, _poly, integral_format
 from .qform import QuadraticForm, ValueFactor
 from .rings import QQ, ZX, get_ring, int_text, shown
 
@@ -300,8 +300,9 @@ def instance_from_json(data) -> InstanceSpec:
     if q_ring is not ring:
         raise FormatError(f"the form is over {q_ring.id}, the instance over {ring.id}")
     try:
-        ext = SimpleExtension(ring, Poly.from_integral(
-            p_ring, *_vector_from_json(p_ring, coeffs)))
+        # the decoded modulus is in lowest terms, so built as it is
+        ext = SimpleExtension(ring, _poly(
+            p_ring, integral_format(p_ring), *_vector_from_json(p_ring, coeffs)))
         q = QuadraticForm.from_integral(ring, *_vector_from_json(ring, diag))
     except (NotSimple, NotRegular) as exc:
         raise FormatError(str(exc)) from None

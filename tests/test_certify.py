@@ -374,10 +374,10 @@ class TestStructure:
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_one_elimination_per_level(self, monkeypatch, m):
-        # n = 3, one reduction level at b = 1: one solve with m right-hand
-        # sides gives every witness column and one gives the minimal
-        # polynomial; the degree-one level below solves nothing.  No value
-        # of the form multiplies extension elements.
+        # n = 3, one reduction level at b = 1: one solve with m + 1
+        # right-hand sides gives every witness column and, from c^n, the
+        # minimal polynomial; the degree-one level below solves nothing.
+        # No value of the form multiplies extension elements.
         inst = random_instance(QQ, random.Random(m), 3, m)
         widths, solve = [], linalg.solve_columns
         monkeypatch.setattr(
@@ -402,8 +402,36 @@ class TestStructure:
         monkeypatch.setattr(QuadraticForm, "evaluate_ext", flagged_evaluate_ext)
         cert = certify(inst.ext, inst.q, inst.xs, rng=0, with_trace=True)
         assert cert.trace[0].b == inst.ext.one()
-        assert sorted(widths) == sorted([m, 1])
+        assert widths == [m + 1]
         assert not products
+
+    def test_one_pass_per_level_at_the_benchmark_shape(self, monkeypatch):
+        # the q-tall shape, n = 5 and m = 1, with b = 1 at both levels: per
+        # level one solve (the witness column and c^n) and one division (of
+        # F by p, none to reduce into T), and the integer seed is never
+        # made a random.Random, since no search draws
+        inst = random_instance(QQ, random.Random(0), 5, 1)
+        widths, solve = [], linalg.solve_columns
+        monkeypatch.setattr(
+            linalg, "solve_columns", lambda a, b: widths.append(len(b[0])) or solve(a, b))
+        divisions, divmod_ = [], Poly.__divmod__
+        monkeypatch.setattr(
+            Poly, "__divmod__", lambda f, g: divisions.append(f.degree) or divmod_(f, g))
+        seeded = []
+
+        class CountedRandom(random.Random):
+            def __init__(self, *args):
+                seeded.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(random, "Random", CountedRandom)
+        cert = certify(inst.ext, inst.q, inst.xs, rng=0, with_trace=True)
+        assert [step.n for step in cert.trace] == [5, 3]
+        assert all(step.b == step.b.ext.one() for step in cert.trace)
+        assert widths == [2, 2]
+        # F = q(x(t)) - t has degree 2(n-1) at each level
+        assert divisions == [8, 4]
+        assert not seeded
 
 
 class TestRandomRoundTrips:

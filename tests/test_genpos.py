@@ -284,14 +284,17 @@ class TestGeneralPositionSearch:
             assert QQ.is_invertible(w.q0)
             columns = [(x * w.b).coords_in(w.c_new) for x in xs]
             # the witness columns are those coordinates read as polynomials
-            padded = [list(col.coeffs) + [QQ.zero] * (n - 1 - col.degree) for col in w.columns]
+            nums, d = w.integral
+            polys = [Poly.from_integral(QQ, col, d) for col in nums]
+            padded = [list(col.coeffs) + [QQ.zero] * (n - 1 - col.degree) for col in polys]
             assert padded == columns
             # and its integral columns are the same coordinates over one
             # denominator, n numerators each
-            nums, d = w.integral
             assert [[F(v, d) for v in col] for col in nums] == columns
             assert w.r == q.evaluate([col[-1] for col in columns])
             assert w.q0 == q.evaluate([col[0] for col in columns])
+            # the same elimination gave the minimal polynomial of c_new
+            assert w.p == w.c_new.minimal_polynomial()
             assert 1 <= w.tries_used
 
     def test_rejects_bad_inputs(self):

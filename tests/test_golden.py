@@ -18,7 +18,7 @@ from normcert import rings
 from normcert.certify import CertifyStats, certify, verify
 from normcert.extension import SimpleExtension
 from normcert.instances import random_instance
-from normcert.poly import Poly
+from normcert.poly import Poly, integral_format
 from normcert.qform import QuadraticForm
 from normcert.rings import QQ, QQ_LOCAL_X
 from normcert.serialize import (
@@ -80,6 +80,23 @@ def _digest():
 
 def test_certificates_are_byte_identical():
     assert _digest() == GOLDEN_SHA256
+
+
+def test_scaled_levels_build_every_factor_from_numerators():
+    # a first level with a scaling b certifies N(b)^(-2) as two square
+    # factors; like every other factor they are built in the integral
+    # format, so verify clears no ring value (the digest above is unchanged)
+    scaled = 0
+    for ext, q, xs, seed in _instances():
+        cert = certify(ext, q, xs, rng=seed, with_trace=True)
+        if cert.trace[0].b == ext.one():
+            continue
+        scaled += 1
+        fmt = integral_format(ext.ring)
+        for f in cert.factors:
+            assert f._ring is ext.ring and f._vector is None
+            assert f.integral(ext.ring) == fmt.clear(f.vector)
+    assert scaled == 2
 
 
 def test_decoded_instances_reproduce_the_digest():

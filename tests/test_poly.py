@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from normcert.charp import GF, FiniteField
@@ -248,7 +248,7 @@ class TestIntegerRepresentation:
         ext = SimpleExtension(ring, Poly(ring, modulus))
         f = Poly(ring, a)
         # the reduction of f is f evaluated at the class of t
-        reduced = ext.from_poly(f)
+        reduced = ext.from_integral(*f.integral)
         expected = naive_poly_divmod(naive_poly(a), modulus, zero)[1]
         assert list(reduced.coords) == expected
         gen = [zero, ring.one] + [zero] * (n - 2) if n > 1 else [-modulus[0]]
@@ -256,3 +256,33 @@ class TestIntegerRepresentation:
         fmt = integral_format(ring)
         assert fmt.lowest(reduced._nums, reduced._den) == (reduced._nums, reduced._den)
         assert reduced == ext.element(expected)
+
+    @settings(max_examples=80, deadline=None)
+    @given(rings, st.data())
+    def test_reduction_of_any_length(self, ring_id, data):
+        # any number of numerators, fewer than n among them, reduced into
+        # R[t]/(p) for n = 1..4: the remainder of long division, normalized,
+        # so equal to and hashing like the element built from its
+        # coordinates; and the class of t is t, or -p(0) when n = 1
+        ring, nonzero_entries, units, _, _ = RINGS[ring_id]
+        fmt, zero = integral_format(ring), ring.zero
+        n = data.draw(st.integers(1, 4))
+        middle = data.draw(st.lists(st.just(zero) | nonzero_entries,
+                                    min_size=n - 1, max_size=n - 1))
+        modulus = [data.draw(units)] + middle + [ring.one]
+        ext = SimpleExtension(ring, Poly(ring, modulus))
+        numerators, denominators = INTEGRAL[ring_id]
+        nums = data.draw(st.lists(numerators, max_size=2 * n + 1))
+        den = data.draw(denominators)
+        values = [fmt.value(v, den) for v in nums]
+        assume(all(ring.contains(v) for v in values))
+        reduced = ext.from_integral(nums, den)
+        expected = naive_poly_divmod(values, modulus, zero)[1]
+        assert list(reduced.coords) == expected
+        assert fmt.lowest(*reduced.integral) == reduced.integral
+        fresh = ext.element(expected)
+        assert reduced == fresh and hash(reduced) == hash(fresh)
+        t = ext.element(naive_poly_divmod([zero, ring.one], modulus, zero)[1])
+        assert ext.gen() == t and hash(ext.gen()) == hash(t)
+        if n == 1:
+            assert t.coords == (-modulus[0],)
