@@ -37,8 +37,10 @@ the norm of q_S(x) once; that norm is the certificate target at the top
 and N_T(u) one level up.  The general-position search still evaluates
 q_S(x) a second time, and takes its norm again, for its own precondition
 that q(x) is a unit.  F(t) is one sum over the common denominator of the
-witness columns, normalized once, and so are r and q(x(0)).  A level
-solves once and divides once, F by p: u and z = x(u) are built in T
+witness columns, normalized once, and so are r and q(x(0)).  The top
+level solves once, and the levels below the top solve nothing: their c is
+u, the class of t, so the witness columns are z's own numerators and p
+is g.  Each level divides once, F by p: u and z = x(u) are built in T
 straight from the integral witness columns (`from_integral`), and a
 degree-1 factor from the witness numerators.  Every exact identity of
 steps 3 and 4 is re-checked at every level, and a certificate is
@@ -141,9 +143,9 @@ def _check(condition: bool, message: str, stats: CertifyStats):
     stats.level_checks += 1
 
 
-def _certify_value(ext, q, xs, value, rng, max_tries, bound, stats):
+def _certify_value(ext, q, xs, value, rng, max_tries, bound, stats, with_trace):
     """Factors multiplying to the norm of value = q_S(x), that norm, and the
-    records of this level and of the levels below it."""
+    records of this level and of the levels below it (none untraced)."""
     ring = ext.ring
     n = ext.n
     fmt = integral_format(ring)
@@ -217,7 +219,7 @@ def _certify_value(ext, q, xs, value, rng, max_tries, bound, stats):
         # F(u) = 0 in T
         _check(q.evaluate_ext(z) == u, "q_T(z) is not u in the reduced algebra", stats)
         sub_factors, norm_u, sub_steps = _certify_value(
-            sub_ext, q, z, u, rng, max_tries, bound, stats
+            sub_ext, q, z, u, rng, max_tries, bound, stats, with_trace
         )
 
     # sign-free combine identity, checked rather than trusted
@@ -240,6 +242,8 @@ def _certify_value(ext, q, xs, value, rng, max_tries, bound, stats):
         *(f.flipped() for f in sub_factors),
         *square_factors,
     ]
+    if not with_trace:
+        return factors, norm, []
     step = ReductionStep(
         n=n, p=p, h=h, r=r, q0=q0, g=g, b=ext.one() if scaling is None else scaling)
     return factors, norm, [step] + sub_steps
@@ -265,7 +269,7 @@ def certify(
     stats = CertifyStats() if stats is None else stats
     value = q.evaluate_ext(xs)
     factors, target, steps = _certify_value(
-        ext, q, xs, value, rng, max_tries, bound, stats
+        ext, q, xs, value, rng, max_tries, bound, stats, with_trace
     )
     cert = NormCertificate(
         target=target,

@@ -38,6 +38,10 @@ the minimal polynomial from one elimination, and `coords_in` and
 minimal polynomial goes to `Poly.from_integral`, which normalizes once
 and refuses a coefficient outside the ring, and its vanishing at the
 element is a zero test over one common denominator, which needs no gcd.
+The class of t, numerators (0, 1, 0, ...) over one for n >= 2, takes no
+determinant and no elimination: its norm is (-1)^n p(0), its power basis
+is the canonical basis, so it is primitive and the columns are the
+elements' own numerators, and its minimal polynomial is the modulus.
 Column j+1 of the multiplication matrix is t times column j: a shift
 plus one multiple of the coordinates of t^n.
 """
@@ -289,7 +293,11 @@ class ExtElement:
 
     def norm(self):
         """Determinant of the left-multiplication matrix."""
-        if self._norm is None:
+        if self._norm is None and self._is_gen():
+            # the companion matrix of the modulus p has det (-1)^n p(0)
+            p0 = self.ext.modulus.constant_term
+            self._norm = -p0 if self.ext.n % 2 else p0
+        elif self._norm is None:
             cols, dens = self._mult_columns()
             # det is invariant under transposition, so the columns serve as rows
             self._norm = self.ext._fmt.value(linalg.det(cols), prod(dens))
@@ -325,10 +333,19 @@ class ExtElement:
             powers.append(powers[-1] * self)
         return powers
 
+    def _is_gen(self) -> bool:
+        # the class of t for n >= 2: numerators (0, 1, 0, ...) over one
+        fmt = self.ext._fmt
+        nums = self._nums
+        return (self.ext.n > 1 and self._den == fmt.one and not nums[0]
+                and nums[1] == fmt.one and not any(nums[2:]))
+
     def is_primitive(self) -> bool:
         if self._primitive is None:
-            residue = self.reduce()
-            if residue is not self:
+            if self._is_gen():
+                # its power basis is the canonical basis
+                self._primitive = True
+            elif (residue := self.reduce()) is not self:
                 # reduction commutes with det, and a unit is a nonzero residue
                 self._primitive = residue.is_primitive()
             else:
@@ -344,18 +361,21 @@ class ExtElement:
         column j holds the numerators of the coefficients of the polynomial
         y_j(t) of degree < n with elements[j] = y_j(self); and the minimal
         polynomial of self.  One elimination solves for every column and
-        for self^n, a last right-hand side over its own denominator."""
-        if not self.is_primitive():
-            raise NotPrimitive("basis element is not primitive")
+        for self^n, a last right-hand side over its own denominator; for the
+        class of t the columns are the elements' own numerators."""
         ext = self.ext
         fmt = ext._fmt
+        rhs, den = over_common_denominator(fmt, [self._same(x).integral for x in elements])
+        if self._is_gen():
+            return rhs, den, ext.modulus
+        if not self.is_primitive():
+            raise NotPrimitive("basis element is not primitive")
         n = ext.n
         powers = self._powers_to(n)[:n + 1]
         top = powers[n]
         # with N the integral power columns over dens and the right-hand
         # sides over one den, N y = rhs has y = x / d, and the coordinates
         # are dens * y / den
-        rhs, den = over_common_denominator(fmt, [self._same(x).integral for x in elements])
         cols, d = linalg.solve_columns(
             transpose([w._nums for w in powers[:n]]), transpose(rhs + [top._nums]))
         cols = [[w._den * v for w, v in zip(powers, col)] for col in cols]

@@ -16,7 +16,7 @@ what the verifier multiplies).  A form read from JSON is built from its
 cleared diagonal (`from_integral`), and the diagonal's ring values are
 made on first use.  A vector of polynomials, or of elements of an
 extension, has numerator columns X_j over D, and q is the sum of
-A_j X_j^2 over E D^2 (`poly_value`, with each square a convolution); an
+A_j X_j^2 over E D^2 (`poly_value`, one product per cross term); an
 extension value reduces that sum once modulo the modulus, through the
 extension's table of powers of t, and normalizes it once.  So q_S(x) takes
 no product of extension elements, and neither does q(x(t)) in `certify`.
@@ -25,7 +25,7 @@ no product of extension elements, and neither does q(x(t)) in `certify`.
 from __future__ import annotations
 
 from .errors import InternalAssertion, NotInvertible, NotRegular
-from .poly import convolve, integral_format, over_common_denominator
+from .poly import integral_format, over_common_denominator
 from .rings import shown
 
 
@@ -181,15 +181,20 @@ class QuadraticForm:
         """q(y(t)) for the polynomials y_j(t) with coefficients cols[j][i] / d
         in the integral format of the ring, each list of the same length
         L: the 2L-1 numerators of the sum over its denominator e * d^2, not
-        normalized."""
-        fmt = self._fmt
-        zero = fmt.zero
+        normalized; each square takes one product per cross term, doubled."""
         coeffs, e = self._cleared
-        acc = [zero] * (2 * len(cols[0]) - 1)
+        size = len(cols[0])
+        acc = [self._fmt.zero] * (2 * size - 1)
         for a, col in zip(coeffs, cols):
-            for i, s in enumerate(convolve(col, col, zero)):
-                if s:
-                    acc[i] = acc[i] + a * s
+            for i, v in enumerate(col):
+                if v:
+                    av = a * v
+                    acc[2 * i] = acc[2 * i] + av * v
+                    av = av + av
+                    for k in range(i + 1, size):
+                        w = col[k]
+                        if w:
+                            acc[i + k] = acc[i + k] + av * w
         return acc, e * (d * d)
 
     def evaluate_ext(self, xs):

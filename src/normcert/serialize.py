@@ -197,10 +197,13 @@ def _ring_and_entries(data, key: str, ring):
 
 
 def factor_to_json(ring, f: ValueFactor) -> dict:
-    return {
-        "vector": [element_to_json(ring, v) for v in f.vector],
-        "exp": f.exponent,
-    }
+    if ring.id == QQ.id:
+        # each entry straight from its numerator over the one denominator
+        nums, den = f.integral(ring)
+        vector = [_ratio_to_json(v, den) for v in nums]
+    else:
+        vector = [element_to_json(ring, v) for v in f.vector]
+    return {"vector": vector, "exp": f.exponent}
 
 
 def _factor_from_json(ring, data) -> ValueFactor:

@@ -1,5 +1,6 @@
 import random
 import re
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -12,6 +13,7 @@ from normcert.charp import GF
 from normcert.certify import (
     CertifyStats,
     NormCertificate,
+    ReductionStep,
     certify,
     norm_of_value,
     verify,
@@ -406,10 +408,10 @@ class TestStructure:
         assert not products
 
     def test_one_pass_per_level_at_the_benchmark_shape(self, monkeypatch):
-        # the q-tall shape, n = 5 and m = 1, with b = 1 at both levels: per
-        # level one solve (the witness column and c^n) and one division (of
-        # F by p, none to reduce into T), and the integer seed is never
-        # made a random.Random, since no search draws
+        # the q-tall shape, n = 5 and m = 1, with b = 1 at both levels: one
+        # solve at the top (the witness column and c^n), one division per
+        # level (of F by p, none to reduce into T), and the integer seed is
+        # never made a random.Random, since no search draws
         inst = random_instance(QQ, random.Random(0), 5, 1)
         widths, solve = [], linalg.solve_columns
         monkeypatch.setattr(
@@ -428,10 +430,24 @@ class TestStructure:
         cert = certify(inst.ext, inst.q, inst.xs, rng=0, with_trace=True)
         assert [step.n for step in cert.trace] == [5, 3]
         assert all(step.b == step.b.ext.one() for step in cert.trace)
-        assert widths == [2, 2]
+        # the level below solves nothing: its c is u, the class of t, whose
+        # power basis is the canonical basis
+        assert widths == [2]
         # F = q(x(t)) - t has degree 2(n-1) at each level
         assert divisions == [8, 4]
         assert not seeded
+
+    def test_untraced_certify_builds_no_trace_record(self, monkeypatch):
+        # the package exports the function certify under the module's name
+        module = sys.modules["normcert.certify"]
+        built = []
+        monkeypatch.setattr(
+            module, "ReductionStep", lambda **kw: built.append(kw["n"]) or ReductionStep(**kw))
+        inst = random_instance(QQ, random.Random(0), 5, 1)
+        assert certify(inst.ext, inst.q, inst.xs, rng=0).trace is None
+        assert built == []
+        traced = certify(inst.ext, inst.q, inst.xs, rng=0, with_trace=True)
+        assert built == [3, 5] and [step.n for step in traced.trace] == [5, 3]
 
 
 class TestRandomRoundTrips:

@@ -4,12 +4,20 @@ from fractions import Fraction
 import pytest
 
 from normcert import linalg
+from normcert.charp import GF
 from normcert.errors import InternalAssertion, NotInvertible, NotPrimitive, NotSimple
 from normcert.extension import SimpleExtension
-from normcert.poly import Poly
+from normcert.poly import Poly, integral_format
 from normcert.rings import QQ, QQ_LOCAL_X, RatFunc
 
-from oracles import horner_free_eval, mult_matrix, naive_det, naive_ext_eval, powers_matrix
+from oracles import (
+    horner_free_eval,
+    mult_matrix,
+    naive_det,
+    naive_ext_eval,
+    naive_solve,
+    powers_matrix,
+)
 
 F = Fraction
 
@@ -257,3 +265,97 @@ def _random_primitive(ext, rng):
         a = _random_element(ext, rng)
         if a.is_primitive() and a.is_invertible():
             return a
+
+
+# Q, Q[x]_(x), and finite fields of characteristic 2 and 3
+CANONICAL_RINGS = [QQ, QQ_LOCAL_X, GF(2), GF(3), GF(4), GF(9)]
+
+
+def _random_value(ring, rng, unit=False):
+    """A random element of Q, Q[x]_(x) or a small finite field (some of
+    them zero), or a random unit."""
+    while True:
+        if ring is QQ:
+            v = F(rng.randint(-9, 9), rng.randint(1, 5))
+        elif ring is QQ_LOCAL_X:
+            v = RatFunc((rng.randint(-9, 9), rng.randint(-9, 9)),
+                        (rng.randint(1, 5), rng.randint(-3, 3)))
+        else:
+            v = rng.choice(ring.elements())
+        if not unit or ring.is_invertible(v):
+            return v
+
+
+def _random_extension(ring, n, rng):
+    coeffs = [_random_value(ring, rng, unit=True)]
+    coeffs += [_random_value(ring, rng) for _ in range(n - 1)]
+    return SimpleExtension(ring, Poly(ring, coeffs + [ring.one]))
+
+
+def _division(ring):
+    if ring is QQ or ring is QQ_LOCAL_X:
+        return lambda u, v: u / v
+    return lambda u, v: u * ring.invert(v)
+
+
+class TestCanonicalBasis:
+    """The power basis of the class of t is the canonical basis, so its
+    coordinate columns are the elements' own numerators and its minimal
+    polynomial is the modulus, and its norm is (-1)^n p(0): nothing is
+    eliminated."""
+
+    @staticmethod
+    def _elements(ext, rng):
+        return [ext.element([_random_value(ext.ring, rng) for _ in range(ext.n)])
+                for _ in range(3)]
+
+    @staticmethod
+    def _assert_coordinates(basis, elements, cols, den):
+        ring = basis.ext.ring
+        basis_matrix = powers_matrix(basis)
+        values = integral_format(ring).values
+        assert len(cols) == len(elements)
+        for col, x in zip(cols, elements):
+            expected = naive_solve(basis_matrix, list(x.coords), _division(ring))
+            assert list(values(col, den)) == expected
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("ring", CANONICAL_RINGS, ids=lambda ring: ring.id)
+    def test_the_class_of_t_eliminates_nothing(self, ring, n, monkeypatch):
+        rng = random.Random(40 + n)
+        ext = _random_extension(ring, n, rng)
+        elements = self._elements(ext, rng)
+
+        def refused(*args):
+            raise AssertionError("the class of t went through an elimination")
+
+        monkeypatch.setattr(linalg, "solve_columns", refused)
+        monkeypatch.setattr(linalg, "det", refused)
+        # built as the generator and from its coordinates (0, 1, 0, ...)
+        for t in (ext.gen(), ext.element([ring.zero, ring.one] + [ring.zero] * (n - 2))):
+            assert t.is_primitive()
+            assert t.norm() == naive_det(mult_matrix(t))
+            cols, den, p = t.coordinate_columns(elements)
+            assert p == ext.modulus
+            self._assert_coordinates(t, elements, cols, den)
+            assert t.minimal_polynomial() == ext.modulus
+
+    @pytest.mark.parametrize("ring", CANONICAL_RINGS, ids=lambda ring: ring.id)
+    def test_other_power_bases_still_eliminate(self, ring, monkeypatch):
+        rng = random.Random(45)
+        ext = _random_extension(ring, 3, rng)
+        elements = self._elements(ext, rng)
+        t = ext.gen()
+        two = ring.one + ring.one
+        # 2t is not primitive in characteristic 2, where it is 0
+        bases = [t + ext.one()] + ([t * two] if two else [])
+        widths, solve = [], linalg.solve_columns
+        monkeypatch.setattr(
+            linalg, "solve_columns", lambda a, b: widths.append(len(b[0])) or solve(a, b))
+        for basis in bases:
+            widths.clear()
+            cols, den, _ = basis.coordinate_columns(elements)
+            # one solve, for the elements and the basis element's n-th power
+            assert widths == [len(elements) + 1]
+            self._assert_coordinates(basis, elements, cols, den)
+            assert basis.norm() == naive_det(mult_matrix(basis))

@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 from normcert.charp import GF
 from normcert.errors import NotInvertible, NotRegular
 from normcert.extension import SimpleExtension
-from normcert.poly import Poly
+from normcert.poly import Poly, integral_format
 from normcert.qform import QuadraticForm, ValueFactor
-from normcert.rings import QQ, QQ_LOCAL_X, RatFunc
+from normcert.rings import QQ, QQ_LOCAL_X, ZX, RatFunc
 
-from oracles import naive_form_value
+from oracles import naive_form_value, naive_poly_mul
 
 F = Fraction
 
@@ -188,6 +188,55 @@ def test_extension_values_match_coordinatewise_sums(case):
     expected = ext.element(naive_form_value(q, xs))
     assert value == expected and hash(value) == hash(expected)
     assert list(value.coords) == list(expected.coords)
+
+
+def _zx(cs):
+    cs = list(cs)
+    while cs and not cs[-1]:
+        cs.pop()
+    return ZX(tuple(cs))
+
+
+@st.composite
+def forms_and_columns(draw):
+    """A form of rank 1..4 over Q, Q[x]_(x) or a small finite field, and
+    one numerator column per diagonal entry in the ring's integral format,
+    all of one length 1..6, about half of their entries zero, over a
+    denominator d."""
+    ring = draw(st.sampled_from([QQ, QQ_LOCAL_X, *FIELDS]))
+    if ring is QQ:
+        unit = small.filter(bool).map(F)
+        entry = st.integers(-(10**6), 10**6)
+        d = draw(st.integers(1, 40))
+    elif ring is QQ_LOCAL_X:
+        unit = st.tuples(small.filter(bool), small).map(RatFunc)
+        entry = st.lists(small, max_size=3).map(_zx)
+        d = _zx([draw(small.filter(bool)), draw(small)])
+    else:
+        unit = st.sampled_from(ring.elements()[1:])
+        entry = st.sampled_from(ring.elements())
+        d = ring.one
+    entry = st.one_of(st.just(integral_format(ring).zero), entry)
+    m = draw(st.integers(1, 4))
+    size = draw(st.integers(1, 6))
+    diag = [draw(unit) for _ in range(m)]
+    cols = [draw(st.lists(entry, min_size=size, max_size=size)) for _ in range(m)]
+    return QuadraticForm(ring, diag), cols, d
+
+
+@settings(max_examples=200, deadline=None)
+@given(forms_and_columns())
+def test_poly_value_matches_the_naive_squares(case):
+    # each column squared by the schoolbook product, which takes every
+    # cross term twice
+    q, cols, d = case
+    zero = integral_format(q.ring).zero
+    coeffs, e = q._cleared
+    expected = [zero] * (2 * len(cols[0]) - 1)
+    for a, col in zip(coeffs, cols):
+        for i, s in enumerate(naive_poly_mul(col, col, zero)):
+            expected[i] = expected[i] + a * s
+    assert q.poly_value(cols, d) == (expected, e * (d * d))
 
 
 class TestSquareAsProduct:

@@ -3,14 +3,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from normcert.certify import certify
 from normcert.extension import SimpleExtension
 from normcert.instances import random_instance
 from normcert.poly import Poly
-from normcert.qform import QuadraticForm
+from normcert.qform import QuadraticForm, ValueFactor
 from normcert.rings import QQ, QQ_LOCAL_X, RatFunc
 from normcert.serialize import (
     FormatError,
@@ -20,6 +20,7 @@ from normcert.serialize import (
     dumps,
     element_from_json,
     element_to_json,
+    factor_to_json,
     instance_from_json,
     instance_to_json,
     poly_to_json,
@@ -137,6 +138,27 @@ class TestPolyAndForm:
         for exp in (True, 1.0):
             with pytest.raises(FormatError):
                 _factor({"vector": ["1"], "exp": exp})
+
+
+class TestFactorEncoding:
+    """Over Q a factor is written from its numerators over one denominator,
+    entry by entry; the text must be that of each entry's Fraction."""
+
+    @settings(max_examples=200)
+    @given(st.lists(st.one_of(st.just(0), st.integers(-(10**30), 10**30)), min_size=1,
+                    max_size=5),
+           st.integers(1, 10**20), st.sampled_from([1, -1]))
+    @example([3, 0, -4], 6, 1)
+    @example([0], 7, -1)
+    @example([-5, 10, 0], 1, 1)
+    def test_matches_the_fraction_route(self, nums, den, exp):
+        vector = [F(v, den) for v in nums]
+        expected = {"vector": [rational_to_json(v) for v in vector], "exp": exp}
+        # built from ring values, and from numerators over one denominator
+        by_values = ValueFactor(vector, exp)
+        by_integral = ValueFactor.from_integral(QQ, *by_values.integral(QQ), exp)
+        assert factor_to_json(QQ, by_values) == expected
+        assert factor_to_json(QQ, by_integral) == expected
 
 
 class TestCertificates:
