@@ -8,7 +8,6 @@ from .certify import (
     ReductionStep,
     VerifyResult,
     certify,
-    norm_of_value,
     verify,
 )
 from .charp import GF, FiniteField, char2_squares_report, char3_vanishing_report
@@ -25,11 +24,7 @@ from .errors import (
     ValueNotUnit,
 )
 from .extension import ExtElement, SimpleExtension
-from .genpos import (
-    GenPosWitness,
-    find_general_position,
-    find_primitive_scaling,
-)
+from .genpos import GenPosWitness, find_general_position
 from .instances import random_instance, run_random_suite
 from .poly import Poly
 from .qform import QuadraticForm, ValueFactor
@@ -67,9 +62,7 @@ __all__ = [
     "char2_squares_report",
     "char3_vanishing_report",
     "find_general_position",
-    "find_primitive_scaling",
     "get_ring",
-    "norm_of_value",
     "random_instance",
     "run_random_suite",
     "sample_residue",

@@ -6,12 +6,11 @@ values of q over R, with exponents +-1, equal to the norm of c.  The
 construction follows an induction on the degree of the extension:
 
   1. degree 1 means S = R and the witness itself is the certificate;
-  2. otherwise take c = q_S(x), rescale x by a unit b (so c becomes c*b^2)
-     to make c primitive, then again into general position, where the form
-     values r of the top coordinates and q(x(0)) of the constant
-     coordinates of x in c's power basis are units (the discarded square
-     N(b)^(-2) of the level's whole scaling b is itself certified as a
-     product of two values);
+  2. otherwise take c = q_S(x) and rescale x by one unit b, found by one
+     search (so c becomes c*b^2), into general position: c primitive, and
+     the form values r of the top coordinates and q(x(0)) of the constant
+     coordinates of x in c's power basis units; the discarded square
+     N(b)^(-2), a unit of R, rides in the level's pair below;
   3. with p the minimal polynomial of c and x(t) the coordinate lift of
      the witness, F(t) = q(x(t)) - t vanishes at c, so p divides it
      exactly; the quotient h has degree n-2, leading coefficient r, and
@@ -26,11 +25,14 @@ construction follows an induction on the degree of the extension:
      emits q(x(0)) and q(tops)^(-1) and the level below with its
      exponents flipped.
 
-A level writes its two end vectors as lambda*x(0) and lambda*tops for
-one unit lambda = d/g, with d the one denominator of the witness
-columns and g the joint content of the numerators of both vectors: since
-q(lambda*v) = lambda^2 * q(v), the pair's ratio is unchanged, and the
-vectors are integral with content 1, so no entry carries a denominator.
+A level writes its two end vectors as lambda*db*x(0) and lambda*nb*tops,
+with N(b) = nb/db the norm of the level's scaling written in the integral
+format (nb = db = 1 when b = 1), for one unit lambda = d/g, with d the one
+denominator of the witness columns and g the joint content of the
+numerators of both vectors: since q(lambda*v) = lambda^2 * q(v), the
+pair's ratio is N(b)^(-2) * q(x(0)) / r, and the vectors are integral with
+content 1, so no entry carries a denominator.  A certificate of degree n
+has exactly n factors.
 
 The depth is floor(n/2) and no level inverts anything.  Each level takes
 the norm of q_S(x) once; that norm is the certificate target at the top
@@ -63,12 +65,7 @@ from dataclasses import dataclass
 
 from .errors import InternalAssertion, NotSimple, SearchExhausted, ValueNotUnit
 from .extension import ExtElement, SimpleExtension
-from .genpos import (
-    DEFAULT_BOUND,
-    DEFAULT_MAX_TRIES,
-    find_general_position,
-    find_primitive_scaling,
-)
+from .genpos import DEFAULT_BOUND, DEFAULT_MAX_TRIES, find_general_position
 from .poly import Poly, integral_format, over_common_denominator
 from .qform import QuadraticForm, ValueFactor
 from .rings import shown
@@ -77,7 +74,7 @@ from .rings import shown
 @dataclass
 class ReductionStep:
     """Audit record of one induction level: p is the minimal polynomial of
-    q_S(x)*b^2 for the level's whole scaling b, and g is None at n = 2,
+    q_S(x)*b^2 for the level's one scaling b, and g is None at n = 2,
     where h is the constant r and the level ends."""
 
     n: int
@@ -98,7 +95,8 @@ class NormCertificate:
 
 @dataclass
 class CertifyStats:
-    """Counters across one or many certification runs."""
+    """Counters across one or many certification runs: genpos_tries counts
+    the tries of each level's one search, the b = 1 probe's slot included."""
 
     levels: int = 0
     level_checks: int = 0
@@ -116,17 +114,10 @@ class VerifyResult:
         return self.ok
 
 
-def norm_of_value(ext: SimpleExtension, q: QuadraticForm, xs):
-    """The norm of q_S(x), the quantity a certificate targets."""
-    value = q.evaluate_ext(list(xs))
-    if not value.is_invertible():
-        raise ValueNotUnit("q_S(x) is not a unit of the extension")
-    return value.norm()
-
-
 class _Seeded:
-    """The `random.Random` of a seed, made on its first draw: the searches
-    draw only when the b = 1 probe fails, which is rare."""
+    """The `random.Random` of a seed, made on its first draw: the search
+    draws only when c is not primitive or the b = 1 probe fails, which is
+    rare."""
 
     def __init__(self, seed):
         self._seed, self._rng = seed, None
@@ -159,30 +150,17 @@ def _certify_value(ext, q, xs, value, rng, max_tries, bound, stats, with_trace):
         return [ValueFactor.from_integral(ring, nums, den, 1)], norm, []
     stats.levels += 1
 
-    # x -> x*b replaces c = q_S(x) by c*b^2; b is the level's whole scaling
-    c, scaling = value, None
-    if not c.is_primitive():
-        scaling = find_primitive_scaling(c, rng, max_tries=max_tries, bound=bound)
-        c = c * scaling * scaling
-        xs = [x * scaling for x in xs]
-
+    # x -> x*b replaces c = q_S(x) by c*b^2, for the level's one scaling b
     stats.genpos_calls += 1
     try:
         witness = find_general_position(
-            c, xs, q, rng, max_tries=max_tries, bound=bound
+            value, xs, q, rng, max_tries=max_tries, bound=bound
         )
     except SearchExhausted:
         stats.genpos_exhausted += 1
         raise
     stats.genpos_tries += witness.tries_used
     c, p, r, q0 = witness.c_new, witness.p, witness.r, witness.q0
-    if witness.tries_used > 1:  # try 1 is the b = 1 probe
-        scaling = witness.b if scaling is None else scaling * witness.b
-    # N(q_S(x)) = N(c) * N(b)^(-2), and that square of a unit of R is
-    # certified as two values
-    square_factors = []
-    if scaling is not None:
-        square_factors = q.square_as_value_product(ring.invert(scaling.norm()))
 
     # F(t) = q(x(t)) - t, one sum over the witness columns' denominator
     cols, d = witness.integral
@@ -229,23 +207,25 @@ def _certify_value(ext, q, xs, value, rng, max_tries, bound, stats, with_trace):
         stats,
     )
 
-    # hence N(q_S(x)) = q(x(0)) * r^(-1) * N_T(u)^(-1) * N(b)^(-2), with
-    # x(0) and tops both scaled by lambda = d/g; lambda is a unit, since d
-    # is the Bareiss determinant of the power columns of the primitive c
-    # times in-ring denominators
+    # hence N(q_S(x)) = N(b)^(-2) * q(x(0)) * r^(-1) * N_T(u)^(-1): with
+    # N(b) = nb/db, x(0) scaled by lambda*db and tops by lambda*nb, where
+    # lambda = d/g is a unit, since d is the Bareiss determinant of the
+    # power columns of the primitive c times in-ring denominators
+    bottoms, tops = [col[0] for col in cols], [col[-1] for col in cols]
+    if witness.tries_used > 1:  # try 1 is the b = 1 probe
+        nb, db = fmt.split(witness.b.norm())
+        bottoms, tops = [db * v for v in bottoms], [nb * v for v in tops]
     m = len(cols)
     # integral with content 1, so over one in lowest terms
-    ends = fmt.primitive([col[0] for col in cols] + [col[-1] for col in cols])
+    ends = fmt.primitive(bottoms + tops)
     factors = [
         ValueFactor.from_integral(ring, ends[:m], fmt.one, 1),
         ValueFactor.from_integral(ring, ends[m:], fmt.one, -1),
         *(f.flipped() for f in sub_factors),
-        *square_factors,
     ]
     if not with_trace:
         return factors, norm, []
-    step = ReductionStep(
-        n=n, p=p, h=h, r=r, q0=q0, g=g, b=ext.one() if scaling is None else scaling)
+    step = ReductionStep(n=n, p=p, h=h, r=r, q0=q0, g=g, b=witness.b)
     return factors, norm, [step] + sub_steps
 
 

@@ -1,16 +1,19 @@
-"""The randomized searches behind each reduction level.
+"""The randomized search behind each reduction level.
 
-For a unit c, `find_primitive_scaling` finds a unit b with c*b^2 primitive.
-For a primitive c and a witness x with q(x) a unit, `find_general_position`
-finds a unit b in the general-position set: c*b^2 stays primitive, and
-both the form value r of the top coordinates and the form value q(x(0))
-of the constant coordinates of x*b in the power basis of c*b^2 are units;
-the witness it returns carries those coordinate columns.
+For a unit c and a witness x with q(x) a unit, `find_general_position`
+finds a unit b in the general-position set: c*b^2 is primitive, and both
+the form value r of the top coordinates and the form value q(x(0)) of the
+constant coordinates of x*b in the power basis of c*b^2 are units; the
+witness it returns carries those coordinate columns.  c need not be
+primitive: for a non-primitive unit c the general-position set is
+b1*GP(c*b1^2) for any b1 that makes c*b1^2 primitive, so it is non-empty
+and open as well, and one search finds the level's scaling.
 
-Both searches probe b = 1 first, then sample integer coordinates in
-[-B, B] over the residue field (B doubles every 8 failures), lift the hit
-coordinatewise, and re-verify every claimed property exactly over the ring
-before returning.  A candidate's coordinate columns come from one
+The search probes b = 1 first when c is primitive (try 1 is that probe's
+slot either way), then samples integer coordinates in [-B, B] over the
+residue field (B doubles every 8 failures), lifts the hit coordinatewise,
+and re-verifies every claimed property exactly over the ring before
+returning.  A candidate's coordinate columns come from one
 elimination with m+1 right-hand sides, one per witness coordinate and c^n
 last (`ExtElement.coordinate_columns`), as integral columns over one
 denominator; the column of c^n gives the minimal polynomial that the
@@ -19,7 +22,7 @@ against their top and bottom numerators, normalized once
 (`QuadraticForm.value`); no ring value of a top or bottom coordinate is
 built, since a level's certificate factors are those numerators themselves.
 
-Over an infinite residue field of characteristic 0 the target sets are
+Over an infinite residue field of characteristic 0 the target set is
 non-empty open, so failure within the try budget signals a bug or an
 unsupported ring rather than bad luck.  The general-position set
 is open by the paper's system-matrix lemma: with A the matrix whose column k
@@ -37,13 +40,7 @@ import logging
 import random
 from dataclasses import dataclass
 
-from .errors import (
-    InternalAssertion,
-    NotInvertible,
-    NotPrimitive,
-    SearchExhausted,
-    ValueNotUnit,
-)
+from .errors import InternalAssertion, NotInvertible, SearchExhausted, ValueNotUnit
 from .extension import ExtElement
 from .poly import Poly
 from .qform import QuadraticForm
@@ -73,52 +70,10 @@ class GenPosWitness:
     tries_used: int
 
 
-def _residue_scalings(c: ExtElement, rng: random.Random, max_tries: int, bound: int):
-    """Tries 2 .. max_tries (try 1 is the caller's b = 1 probe): yields
-    (tries, bbar, cbar*bbar^2) for each random unit bbar of the reduced
-    algebra, with integer coordinates in [-B, B], that makes cbar*bbar^2
-    primitive."""
-    rext = c.ext.residue_extension()
-    k = rext.ring
-    cbar = c.reduce()
-    for tries in range(2, max_tries + 1):
-        if tries % _BOUND_DOUBLING_PERIOD == 0:
-            bound *= 2
-        bbar = rext.element([k.element(sample_residue(rng, bound)) for _ in range(rext.n)])
-        if bbar.is_invertible():
-            cb2 = cbar * bbar * bbar
-            if cb2.is_primitive():
-                yield tries, bbar, cb2
-
-
 def _end_values(q: QuadraticForm, cols, d):
     """q of the top and q of the constant coordinates, for coordinate
     columns cols over the denominator d."""
     return q.value([col[-1] for col in cols], d), q.value([col[0] for col in cols], d)
-
-
-def find_primitive_scaling(
-    c: ExtElement,
-    rng: random.Random,
-    max_tries: int = DEFAULT_MAX_TRIES,
-    bound: int = DEFAULT_BOUND,
-) -> ExtElement:
-    """A unit b such that c*b^2 is primitive, for any unit c.
-
-    Probes b = 1, then searches on residues and lifts.
-    """
-    ext = c.ext
-    if not c.is_invertible():
-        raise NotInvertible("primitive scaling needs an invertible element")
-    if c.is_primitive():
-        return ext.one()
-    for _, bbar, _ in _residue_scalings(c, rng, max_tries, bound):
-        b = bbar.lift_to(ext)
-        if not (c * b * b).is_primitive():
-            raise InternalAssertion("primitivity did not lift from the residue field")
-        return b
-    logger.warning("primitive-scaling search exhausted after %d tries", max_tries)
-    raise SearchExhausted(f"no primitive scaling found in {max_tries} tries")
 
 
 def find_general_position(
@@ -131,15 +86,15 @@ def find_general_position(
 ) -> GenPosWitness:
     """A verified witness b in the general-position set of (c, x, q).
 
-    c must be primitive and q(x) must be a unit of the extension; the
+    c and q(x) must be units of the extension, c primitive or not; the
     returned witness satisfies, exactly over the ring: c*b^2 primitive, and
     q of the top coordinates and q of the constant coordinates of x*b in
     the basis of c*b^2 both units.
     """
     ext = c.ext
     ring = ext.ring
-    if not c.is_primitive():
-        raise NotPrimitive("general position needs a primitive element")
+    if not c.is_invertible():
+        raise NotInvertible("general position needs a unit")
     value = q.evaluate_ext(xs)
     if not value.is_invertible():
         raise ValueNotUnit("the form value q(x) must be a unit of the extension")
@@ -151,15 +106,28 @@ def find_general_position(
             return None
         return GenPosWitness(b, c_new, p, (cols, d), r, q0, tries)
 
-    # deterministic probe: b = 1
-    found = witness(ext.one(), c, xs, 1)
-    if found is not None:
-        return found
+    # deterministic probe: b = 1, for a primitive c only
+    if c.is_primitive():
+        found = witness(ext.one(), c, xs, 1)
+        if found is not None:
+            return found
 
+    rext = ext.residue_extension()
+    k = rext.ring
+    cbar = c.reduce()
     xbars = [x.reduce() for x in xs]
     qbar = q.residue_form()
-    k = qbar.ring
-    for tries, bbar, cb2 in _residue_scalings(c, rng, max_tries, bound):
+    # tries 2 .. max_tries: random units bbar of the reduced algebra, with
+    # integer coordinates in [-B, B], that make cbar*bbar^2 primitive
+    for tries in range(2, max_tries + 1):
+        if tries % _BOUND_DOUBLING_PERIOD == 0:
+            bound *= 2
+        bbar = rext.element([k.element(sample_residue(rng, bound)) for _ in range(rext.n)])
+        if not bbar.is_invertible():
+            continue
+        cb2 = cbar * bbar * bbar
+        if not cb2.is_primitive():
+            continue
         cols, d, _ = cb2.coordinate_columns([x * bbar for x in xbars])
         rbar, q0bar = _end_values(qbar, cols, d)
         if not (k.is_invertible(rbar) and k.is_invertible(q0bar)):

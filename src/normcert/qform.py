@@ -1,4 +1,4 @@
-"""Diagonal regular quadratic forms and the square-as-product-of-values step.
+"""Diagonal regular quadratic forms and the value factors of certificates.
 
 A form is a list of invertible diagonal coefficients a_1 .. a_m; it
 evaluates over the base ring or over any extension of it.  Membership in
@@ -24,7 +24,7 @@ no product of extension elements, and neither does q(x(t)) in `certify`.
 
 from __future__ import annotations
 
-from .errors import InternalAssertion, NotInvertible, NotRegular
+from .errors import NotRegular
 from .poly import integral_format, over_common_denominator
 from .rings import shown
 
@@ -216,23 +216,3 @@ class QuadraticForm:
             return self
         return QuadraticForm.from_integral(
             self.ring.residue_ring, *self._fmt.residue(*self._cleared))
-
-    def square_as_value_product(self, s):
-        """Two +1 factors whose value product is exactly s^2, for a unit s.
-
-        Uses the first standard basis vector y, so the two values are
-        q(y*s) = a_1 s^2 and q(y/a_1) = 1/a_1; both vectors are built in
-        the integral format, with a_1 = A_1 / E from the cleared diagonal.
-        """
-        ring, fmt = self.ring, self._fmt
-        s = ring.element(s)
-        if not ring.is_invertible(s):
-            raise NotInvertible("square certificates exist only for units")
-        pad = (fmt.zero,) * (self.rank - 1)
-        coeffs, e = self._cleared
-        s_num, s_den = fmt.split(s)
-        first = ValueFactor.from_integral(ring, (s_num,) + pad, s_den, 1)
-        second = ValueFactor.from_integral(ring, *fmt.lowest((e,) + pad, coeffs[0]), 1)
-        if self.value(*first.integral(ring)) * self.value(*second.integral(ring)) != s * s:
-            raise InternalAssertion("square factorization identity failed")
-        return [first, second]

@@ -15,7 +15,6 @@ from normcert.certify import (
     NormCertificate,
     ReductionStep,
     certify,
-    norm_of_value,
     verify,
 )
 from normcert.errors import ValueNotUnit
@@ -96,7 +95,7 @@ class TestBaseCase:
         q = QuadraticForm(QQ, [2, 3])
         xs = [ext.element([2]), ext.element([1])]
         cert = certify(ext, q, xs)
-        assert cert.target == 11 == norm_of_value(ext, q, xs)
+        assert cert.target == 11 == q.evaluate_ext(xs).norm()
 
 
 class TestWorkedExamples:
@@ -129,7 +128,7 @@ class TestWorkedExamples:
         ext = SimpleExtension(ring, Poly(ring, [-one_plus_x, ring.zero, ring.one]))
         q = QuadraticForm(ring, [ring.one])
         xs = [ext.gen()]
-        assert norm_of_value(ext, q, xs) == one_plus_x * one_plus_x
+        assert q.evaluate_ext(xs).norm() == one_plus_x * one_plus_x
         cert = certify(ext, q, xs, rng=0)
         assert cert.target == one_plus_x * one_plus_x
         assert verify(ext, q, xs, cert)
@@ -278,6 +277,51 @@ class TestIntegralEndVectors:
         assert verify(ext, q, xs, old)
         assert certify(ext, q, xs, rng=0).factors == (
             ValueFactor((F(1), F(3)), 1), ValueFactor((F(1), F(-1)), -1))
+
+
+def scaled_instances():
+    """The golden instances whose first level is scaled: q_S(x) = 5 is a
+    scalar, so never primitive, and over Q[x]_(x) the b = 1 probe fails."""
+    ext = qq_ext(3, 0, 0, 1)
+    yield ext, QuadraticForm(QQ, [5, 7]), [ext.one(), ext.zero()]
+    ext = SimpleExtension(QQ_LOCAL_X, Poly(QQ_LOCAL_X, [-2, 0, 1]))
+    xs = [ext.element([F(1, 2), F(1, 2)]), ext.element([F(-1, 2), F(1, 2)])]
+    yield ext, QuadraticForm(QQ_LOCAL_X, [1, -1]), xs
+
+
+def scaled_levels(ext, q, xs, seed):
+    """Certifies, checks that the certificate has exactly n factors and
+    that each level's pair has the ratio q0 / (r * N(b)^2) of its trace,
+    and returns the number of levels with a scaling b other than 1."""
+    cert = certify(ext, q, xs, rng=seed, with_trace=True)
+    assert len(cert.factors) == ext.n
+    scaled = 0
+    for step, (bottom, top) in zip(cert.trace, level_pairs(cert)):
+        nb = step.b.norm()
+        scaled += step.b != step.b.ext.one()
+        assert q.evaluate(bottom.vector) * step.r * nb * nb == step.q0 * q.evaluate(top.vector)
+    return scaled
+
+
+class TestFactorCount:
+    """A level's scaling b rides in its pair, as N(b)^(-2) in the ratio of
+    the pair's values, so a certificate of degree n has n factors: two per
+    level and one at degree 1 when n is odd."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([QQ.id, QQ_LOCAL_X.id]), st.integers(1, 5), st.integers(1, 3),
+           st.integers(0, 2**32))
+    def test_degree_n_gives_n_factors(self, ring_id, n, m, seed):
+        ring = QQ if ring_id == QQ.id else QQ_LOCAL_X
+        if ring is QQ_LOCAL_X:
+            # Z[x] eliminations grow fast with the degree and the rank
+            m = min(m, 2 if n <= 3 else 1)
+        inst = random_instance(ring, random.Random(seed), n, m)
+        scaled_levels(inst.ext, inst.q, inst.xs, seed)
+
+    def test_scaled_golden_instances(self):
+        for ext, q, xs in scaled_instances():
+            assert scaled_levels(ext, q, xs, 0) == 1
 
 
 class TestStructure:
@@ -493,7 +537,7 @@ class TestScalingWall:
 class TestNormOfValue:
     def test_worked_example(self, gauss_instance):
         ext, q, xs = gauss_instance
-        assert norm_of_value(ext, q, xs) == 5
+        assert q.evaluate_ext(xs).norm() == 5 == certify(ext, q, xs, rng=0).target
 
     def test_scalar_witness_norm_is_a_power(self):
         # a witness shaped like the first basis vector gives q_S(x) = a_1,
@@ -503,9 +547,12 @@ class TestNormOfValue:
             q = QuadraticForm(QQ, [5, 7])
             xs = [ext.one(), ext.zero()]
             assert q.evaluate_ext(xs) == ext.scalar(5)
-            assert norm_of_value(ext, q, xs) == F(5) ** n
+            assert q.evaluate_ext(xs).norm() == F(5) ** n
 
     def test_rejects_non_unit(self, hyperbolic_instance):
+        # q(1, 1) = 0 has norm 0, which no certificate targets
         ext, q, _ = hyperbolic_instance
+        xs = [ext.one(), ext.one()]
+        assert q.evaluate_ext(xs).norm() == 0
         with pytest.raises(ValueNotUnit):
-            norm_of_value(ext, q, [ext.one(), ext.one()])
+            certify(ext, q, xs)

@@ -200,8 +200,8 @@ class TestCertifyCommand:
         assert "internal error" in capsys.readouterr().err
 
     def test_search_exhaustion_exits_2(self, tmp_path):
-        # scalar value q(x) = 4 is never primitive, and a single try is spent
-        # on the deterministic probe
+        # scalar value q(x) = 4 is never primitive, so the search skips the
+        # b = 1 probe, and a single try is only that probe's slot
         inst = {
             "ring": "Q",
             "p": ["-2", "0", "1"],

@@ -10,7 +10,7 @@ from normcert.errors import (
     ValueNotUnit,
 )
 from normcert.extension import SimpleExtension
-from normcert.genpos import find_general_position, find_primitive_scaling
+from normcert.genpos import find_general_position
 from normcert.poly import Poly
 from normcert.qform import QuadraticForm
 from normcert.rings import QQ, QQ_LOCAL_X
@@ -203,19 +203,34 @@ class TestLastColumnMinors:
             assert rank(rows) == len(pairs)
 
 
+def assert_general_position(c, w):
+    """The witness's claims, re-checked: c*b^2 primitive, and r and q0 units
+    of the coefficient ring."""
+    ring = c.ext.ring
+    assert w.c_new == c * w.b * w.b
+    assert w.c_new.is_primitive()
+    assert ring.is_invertible(w.r) and ring.is_invertible(w.q0)
+
+
 class TestPrimitiveScalingSearch:
+    """The one search also scales a unit c that is not primitive: then it
+    skips the b = 1 probe, and the b it finds makes c*b^2 primitive."""
+
     def test_primitive_input_probes_one(self):
+        # x = 1 + t in the basis of c = t: both end coordinates are 1
         ext = qq_ext(1, 0, 1)
-        b = find_primitive_scaling(ext.gen(), random.Random(0))
-        assert b == ext.one()
+        c, q, xs = ext.gen(), QuadraticForm(QQ, [1]), [ext.element([1, 1])]
+        w = find_general_position(c, xs, q, random.Random(0))
+        assert w.b == ext.one() and w.tries_used == 1
+        assert_general_position(c, w)
 
     def test_scalar_needs_scaling(self):
         # c = 3 in Q[t]/(t^2-2): not primitive, so some b with c*b^2 primitive
         ext = qq_ext(-2, 0, 1)
-        c = ext.scalar(3)
-        b = find_primitive_scaling(c, random.Random(1))
-        assert b != ext.one()
-        assert (c * b * b).is_primitive()
+        c, q, xs = ext.scalar(3), QuadraticForm(QQ, [1]), [ext.one()]
+        w = find_general_position(c, xs, q, random.Random(1))
+        assert w.b != ext.one() and w.tries_used > 1
+        assert_general_position(c, w)
         # the probe candidate named in the search contract works too
         probe = ext.element([1, 1])
         assert (c * probe * probe).is_primitive()
@@ -223,21 +238,35 @@ class TestPrimitiveScalingSearch:
     def test_requires_invertible(self):
         ext = qq_ext(-2, 0, 1)
         with pytest.raises(NotInvertible):
-            find_primitive_scaling(ext.zero(), random.Random(0))
+            find_general_position(
+                ext.zero(), [ext.one()], QuadraticForm(QQ, [1]), random.Random(0))
 
     def test_exhaustion_with_tiny_budget(self):
+        # try 1 is the probe's slot, which a scalar c skips
         ext = qq_ext(-2, 0, 1)
         with pytest.raises(SearchExhausted):
-            find_primitive_scaling(ext.scalar(3), random.Random(0), max_tries=1)
+            find_general_position(
+                ext.scalar(3), [ext.one()], QuadraticForm(QQ, [1]), random.Random(0),
+                max_tries=1)
 
     def test_random_units_succeed(self):
+        # every other c a nonzero scalar, which is never primitive
         rng = random.Random(29)
-        for _ in range(50):
+        scalars = 0
+        for k in range(50):
             n = rng.randint(2, 4)
-            ext, _, _, _ = random_instance(rng, n, 1)
-            c = random_unit(ext, rng)
-            b = find_primitive_scaling(c, rng)
-            assert (c * b * b).is_primitive()
+            m = rng.randint(1, 3)
+            ext, _, q, xs = random_instance(rng, n, m)
+            if not q.evaluate_ext(xs).is_invertible():
+                continue
+            if k % 2:
+                c = random_unit(ext, rng)
+            else:
+                c = ext.scalar(F(rng.choice([v for v in range(-9, 10) if v])))
+                scalars += 1
+            w = find_general_position(c, xs, q, rng)
+            assert_general_position(c, w)
+        assert scalars > 15
 
 
 class TestGeneralPositionSearch:
@@ -300,8 +329,8 @@ class TestGeneralPositionSearch:
     def test_rejects_bad_inputs(self):
         ext = qq_ext(-2, 0, 1)
         q = QuadraticForm(QQ, [1, -1])
-        with pytest.raises(NotPrimitive):
-            find_general_position(ext.scalar(2), [ext.one(), ext.one()], q, random.Random(0))
+        with pytest.raises(NotInvertible):
+            find_general_position(ext.zero(), [ext.one(), ext.gen()], q, random.Random(0))
         with pytest.raises(ValueNotUnit):
             # q(x) = 1 - 1 = 0 is not a unit
             find_general_position(ext.gen(), [ext.one(), ext.one()], q, random.Random(0))
@@ -349,5 +378,7 @@ class TestGeneralPositionSearch:
         )
         c = ext.scalar(ring.element((2, 1)))  # the constant 2+x
         assert not c.is_primitive()
-        b = find_primitive_scaling(c, random.Random(5))
-        assert (c * b * b).is_primitive()
+        q, xs = QuadraticForm(ring, [ring.one]), [ext.one()]
+        w = find_general_position(c, xs, q, random.Random(5))
+        assert w.tries_used > 1
+        assert_general_position(c, w)

@@ -30,12 +30,12 @@ from normcert.serialize import (
     instance_to_json,
 )
 
-GOLDEN_SHA256 = "b109b94a1c0cb567bbec2d4afff29789b487284fd298e5f07879748f5e082de8"
+GOLDEN_SHA256 = "77734a6b173bb891e492d4cf2ba34df6ae739618cf6c2f74f9615d56480e4950"
 
 # sha256 of the concatenated certificate JSON texts that the benchmark's
 # certify operation gives for its seed-11 corpus of each workload
 CORPUS_SHA256 = {
-    "q-small": "072372dd81718a1ec06d1b7b794ae937ece55700bc996239eeabe200235baa1b",
+    "q-small": "e0c689cba7c673ef5c0e16f69b5445299bf5fd858e493d27c7edd159efddab79",
     "q-tall": "f7c90c01de3b93a1c69ccde3a5318f588b1e7d16d15788cf5aa647daa2b311cd",
     "local": "e825eccdbe7aed2533585d26d375ccf2e4bb265e0cf306638d1b78b719ff9959",
 }
@@ -58,7 +58,8 @@ def _instances():
     for ring, n, m, seed in RANDOM_CASES:
         inst = random_instance(ring, random.Random(seed), n, m)
         yield inst.ext, inst.q, inst.xs, seed
-    # q_S(x) = 5 is a scalar, so the first level searches a primitive scaling
+    # q_S(x) = 5 is a scalar, so the first level skips the b = 1 probe and
+    # searches a scaling that makes it primitive
     ext = SimpleExtension(QQ, Poly(QQ, [3, 0, 0, 1]))
     yield ext, QuadraticForm(QQ, [5, 7]), [ext.one(), ext.zero()], 0
     # the b = 1 probe fails, so the general-position search samples and lifts
@@ -83,9 +84,9 @@ def test_certificates_are_byte_identical():
 
 
 def test_scaled_levels_build_every_factor_from_numerators():
-    # a first level with a scaling b certifies N(b)^(-2) as two square
-    # factors; like every other factor they are built in the integral
-    # format, so verify clears no ring value (the digest above is unchanged)
+    # a first level with a scaling b writes N(b)^(-2) into its pair; like
+    # every other factor, that pair is built in the integral format, so
+    # verify clears no ring value
     scaled = 0
     for ext, q, xs, seed in _instances():
         cert = certify(ext, q, xs, rng=seed, with_trace=True)

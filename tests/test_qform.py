@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from normcert.charp import GF
-from normcert.errors import NotInvertible, NotRegular
+from normcert.errors import NotRegular
 from normcert.extension import SimpleExtension
 from normcert.poly import Poly, integral_format
 from normcert.qform import QuadraticForm, ValueFactor
@@ -239,35 +239,7 @@ def test_poly_value_matches_the_naive_squares(case):
     assert q.poly_value(cols, d) == (expected, e * (d * d))
 
 
-class TestSquareAsProduct:
-    def test_examples(self):
-        q = QuadraticForm(QQ, [1, 2])
-        f1, f2 = q.square_as_value_product(F(3))
-        assert f1.vector == (F(3), F(0)) and f2.vector == (F(1), F(0))
-        assert q.evaluate(f1.vector) * q.evaluate(f2.vector) == 9
-
-        q = QuadraticForm(QQ, [2])
-        f1, f2 = q.square_as_value_product(F(1))
-        assert q.evaluate(f1.vector) == 2 and q.evaluate(f2.vector) == F(1, 2)
-
-        q = QuadraticForm(QQ, [1])
-        f1, f2 = q.square_as_value_product(F(-1))
-        assert q.evaluate(f1.vector) * q.evaluate(f2.vector) == 1
-
-    def test_random_units(self):
-        rng = random.Random(17)
-        for _ in range(200):
-            diag = [F(rng.choice([v for v in range(-9, 10) if v])) for _ in range(rng.randint(1, 4))]
-            q = QuadraticForm(QQ, diag)
-            s = F(rng.choice([v for v in range(-20, 21) if v]), rng.randint(1, 9))
-            f1, f2 = q.square_as_value_product(s)
-            assert f1.exponent == f2.exponent == 1
-            assert q.evaluate(f1.vector) * q.evaluate(f2.vector) == s * s
-
-    def test_rejects_non_unit(self):
-        with pytest.raises(NotInvertible):
-            QuadraticForm(QQ, [1]).square_as_value_product(F(0))
-
+class TestValueFactor:
     def test_factor_exponent_validation(self):
         with pytest.raises(ValueError):
             ValueFactor((F(1),), 2)
