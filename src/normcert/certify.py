@@ -34,12 +34,19 @@ pair's ratio is N(b)^(-2) * q(x(0)) / r, and the vectors are integral with
 content 1, so no entry carries a denominator.  A certificate of degree n
 has exactly n factors.
 
-The depth is floor(n/2) and no level inverts anything.  Each level takes
-the norm of q_S(x) once; that norm is the certificate target at the top
-and N_T(u) one level up.  The general-position search still evaluates
-q_S(x) a second time, and takes its norm again, for its own precondition
-that q(x) is a unit.  F(t) is one sum over the common denominator of the
-witness columns, normalized once, and so are r and q(x(0)).  The top
+The depth is floor(n/2) and no level inverts anything.  q_S(x) is
+evaluated once, in `certify`, and each level takes the norm of its value
+once; that norm is the certificate target at the top and N_T(u) one
+level up, and the general-position search takes the same value, so its
+precondition that the value is a unit reads the cached norm.  The value
+of a reduced level is u, whose norm is (-1)^n g(0), and it is not
+evaluated as q_T(z): at degree >= 2 the identity q_T(z) = u is that
+level's own check that p = g divides F(t) = q(z(t)) - t (when the level
+scales z by a unit b, the check shows b^2 * q_T(z) = u * b^2, the same
+identity).  At degree 1, where the level below checks nothing, the
+parent evaluates q_T(z) and checks that it is u.  F(t) is one sum over
+the common denominator of the witness columns, normalized once, and so
+are r and q(x(0)).  The top
 level solves once, and the levels below the top solve nothing: their c is
 u, the class of t, so the witness columns are z's own numerators and p
 is g.  Each level divides once, F by p: u and z = x(u) are built in T
@@ -194,8 +201,10 @@ def _certify_value(ext, q, xs, value, rng, max_tries, bound, stats, with_trace):
         if not all(fmt.in_ring(x.integral[1]) for x in z):
             raise InternalAssertion("a coordinate of the reduced witness left the ring")
         u = sub_ext.gen()
-        # F(u) = 0 in T
-        _check(q.evaluate_ext(z) == u, "q_T(z) is not u in the reduced algebra", stats)
+        if sub_ext.n == 1:
+            # F(u) = 0 in T; at degree >= 2 the level below checks it, as
+            # g dividing q(z(t)) - t
+            _check(q.evaluate_ext(z) == u, "q_T(z) is not u in the reduced algebra", stats)
         sub_factors, norm_u, sub_steps = _certify_value(
             sub_ext, q, z, u, rng, max_tries, bound, stats, with_trace
         )

@@ -8,7 +8,12 @@ reduction to the residue field -- lives here.
 
 An element b is primitive when {1, b, ..., b^(n-1)} is again a basis over
 the coefficient ring, i.e. when the determinant of its powers matrix is a
-unit; over the local ring that is decided on the residue.
+unit.  `coordinate_columns` reads that off its own elimination: the d of
+its solve is the determinant of the integral power columns, which are the
+power columns times unit denominators, so b is primitive exactly when d
+is a unit of the format (over Q[x]_(x) a nonzero d need not be one), and
+the answer is cached for `is_primitive`.  `is_primitive` on its own takes
+one determinant, over the local ring on the residue.
 
 Every element is held in the integral format of its ring, the format of
 `poly` and its format records (`poly.integral_format`): numerators over
@@ -315,8 +320,10 @@ class ExtElement:
         # column is dens * (N^-1 e_1), and N^-1 e_1 = x / d
         fmt = ext._fmt
         e1 = [[fmt.one]] + [[fmt.zero]] * (ext.n - 1)
-        (x,), d = linalg.solve_columns(transpose(cols), e1)
-        nums, den = fmt.lowest([e * v for e, v in zip(dens, x)], d)
+        x, d = linalg.solve_columns(transpose(cols), e1)
+        if not d:
+            raise InternalAssertion("singular system in an exact solve")
+        nums, den = fmt.lowest([e * v for e, v in zip(dens, x[0])], d)
         if not fmt.in_ring(den):
             raise InternalAssertion("inverse left the coefficient ring")
         inv = ExtElement(ext, None, nums, den)
@@ -361,15 +368,14 @@ class ExtElement:
         column j holds the numerators of the coefficients of the polynomial
         y_j(t) of degree < n with elements[j] = y_j(self); and the minimal
         polynomial of self.  One elimination solves for every column and
-        for self^n, a last right-hand side over its own denominator; for the
-        class of t the columns are the elements' own numerators."""
+        for self^n, a last right-hand side over its own denominator, and
+        decides primitivity (NotPrimitive when self is not); for the class
+        of t the columns are the elements' own numerators."""
         ext = self.ext
         fmt = ext._fmt
         rhs, den = over_common_denominator(fmt, [self._same(x).integral for x in elements])
         if self._is_gen():
             return rhs, den, ext.modulus
-        if not self.is_primitive():
-            raise NotPrimitive("basis element is not primitive")
         n = ext.n
         powers = self._powers_to(n)[:n + 1]
         top = powers[n]
@@ -378,6 +384,10 @@ class ExtElement:
         # are dens * y / den
         cols, d = linalg.solve_columns(
             transpose([w._nums for w in powers[:n]]), transpose(rhs + [top._nums]))
+        # d is det N up to sign, and the dens are units
+        self._primitive = fmt.is_unit(d)
+        if not self._primitive:
+            raise NotPrimitive("basis element is not primitive")
         cols = [[w._den * v for w, v in zip(powers, col)] for col in cols]
         # the minimal polynomial: t^n minus the coordinates of self^n
         nums, dp = cols.pop(), d * top._den

@@ -1,23 +1,30 @@
 """The randomized search behind each reduction level.
 
-For a unit c and a witness x with q(x) a unit, `find_general_position`
-finds a unit b in the general-position set: c*b^2 is primitive, and both
-the form value r of the top coordinates and the form value q(x(0)) of the
-constant coordinates of x*b in the power basis of c*b^2 are units; the
+For a unit c and a witness x, `find_general_position` finds a unit b in
+the general-position set: c*b^2 is primitive, and both the form value r
+of the top coordinates and the form value q(x(0)) of the constant
+coordinates of x*b in the power basis of c*b^2 are units; the
 witness it returns carries those coordinate columns.  c need not be
 primitive: for a non-primitive unit c the general-position set is
 b1*GP(c*b1^2) for any b1 that makes c*b1^2 primitive, so it is non-empty
 and open as well, and one search finds the level's scaling.
 
-The search probes b = 1 first when c is primitive (try 1 is that probe's
-slot either way), then samples integer coordinates in [-B, B] over the
-residue field (B doubles every 8 failures), lifts the hit coordinatewise,
-and re-verifies every claimed property exactly over the ring before
-returning.  A candidate's coordinate columns come from one
-elimination with m+1 right-hand sides, one per witness coordinate and c^n
-last (`ExtElement.coordinate_columns`), as integral columns over one
-denominator; the column of c^n gives the minimal polynomial that the
-witness carries, and r and q(x(0)) are each one sum of the cleared diagonal
+In `certify` c is the caller's own value q(x), whose norm it has already
+taken (or, at a reduced level, u = q_T(z), whose norm is (-1)^n g(0)), so
+the search's one precondition, that c is a unit, reads a cached norm; the
+search does not evaluate q(x) again, and nothing in it needs c = q(x).
+
+The search probes b = 1 first (try 1 is that probe's slot either way),
+then samples integer coordinates in [-B, B] over the residue field (B
+doubles every 8 failures), lifts the hit coordinatewise, and re-verifies
+every claimed property exactly over the ring before returning.  A
+candidate's coordinate columns come from one elimination with m+1
+right-hand sides, one per witness coordinate and c^n last
+(`ExtElement.coordinate_columns`), as integral columns over one
+denominator.  That elimination also decides whether the candidate is
+primitive (`NotPrimitive` when it is not), so no determinant is taken
+for it; the column of c^n gives the minimal polynomial that the witness
+carries, and r and q(x(0)) are each one sum of the cleared diagonal
 against their top and bottom numerators, normalized once
 (`QuadraticForm.value`); no ring value of a top or bottom coordinate is
 built, since a level's certificate factors are those numerators themselves.
@@ -40,7 +47,7 @@ import logging
 import random
 from dataclasses import dataclass
 
-from .errors import InternalAssertion, NotInvertible, SearchExhausted, ValueNotUnit
+from .errors import InternalAssertion, NotInvertible, NotPrimitive, SearchExhausted
 from .extension import ExtElement
 from .poly import Poly
 from .qform import QuadraticForm
@@ -86,31 +93,30 @@ def find_general_position(
 ) -> GenPosWitness:
     """A verified witness b in the general-position set of (c, x, q).
 
-    c and q(x) must be units of the extension, c primitive or not; the
-    returned witness satisfies, exactly over the ring: c*b^2 primitive, and
-    q of the top coordinates and q of the constant coordinates of x*b in
-    the basis of c*b^2 both units.
+    c must be a unit of the extension, primitive or not (certify passes
+    q(x) itself); the returned witness satisfies, exactly over the ring:
+    c*b^2 primitive, and q of the top coordinates and q of the constant
+    coordinates of x*b in the basis of c*b^2 both units.
     """
     ext = c.ext
     ring = ext.ring
     if not c.is_invertible():
         raise NotInvertible("general position needs a unit")
-    value = q.evaluate_ext(xs)
-    if not value.is_invertible():
-        raise ValueNotUnit("the form value q(x) must be a unit of the extension")
 
     def witness(b, c_new, x_new, tries):
-        cols, d, p = c_new.coordinate_columns(x_new)
+        try:
+            cols, d, p = c_new.coordinate_columns(x_new)
+        except NotPrimitive:
+            return None
         r, q0 = _end_values(q, cols, d)
         if not (ring.is_invertible(r) and ring.is_invertible(q0)):
             return None
         return GenPosWitness(b, c_new, p, (cols, d), r, q0, tries)
 
-    # deterministic probe: b = 1, for a primitive c only
-    if c.is_primitive():
-        found = witness(ext.one(), c, xs, 1)
-        if found is not None:
-            return found
+    # deterministic probe: b = 1, which a non-primitive c fails
+    found = witness(ext.one(), c, xs, 1)
+    if found is not None:
+        return found
 
     rext = ext.residue_extension()
     k = rext.ring
@@ -126,19 +132,18 @@ def find_general_position(
         if not bbar.is_invertible():
             continue
         cb2 = cbar * bbar * bbar
-        if not cb2.is_primitive():
+        try:
+            cols, d, _ = cb2.coordinate_columns([x * bbar for x in xbars])
+        except NotPrimitive:
             continue
-        cols, d, _ = cb2.coordinate_columns([x * bbar for x in xbars])
         rbar, q0bar = _end_values(qbar, cols, d)
         if not (k.is_invertible(rbar) and k.is_invertible(q0bar)):
             continue
         b = bbar.lift_to(ext)
-        c_new = c * b * b
-        if not c_new.is_primitive():
-            raise InternalAssertion("scaled element lost primitivity over the ring")
-        found = witness(b, c_new, [x * b for x in xs], tries)
+        found = witness(b, c * b * b, [x * b for x in xs], tries)
         if found is None:
-            raise InternalAssertion("general-position values are not units over the ring")
+            # primitivity and the units r, q0 hold over the residue field
+            raise InternalAssertion("the lifted scaling is not in general position over the ring")
         return found
     logger.warning("general-position search exhausted after %d tries", max_tries)
     raise SearchExhausted(f"no general-position scaling found in {max_tries} tries")

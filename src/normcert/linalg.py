@@ -10,14 +10,15 @@ gcd is taken at all.  On ints `//` is the native floor division; on `ZX`
 it is the quotient of `rings._zdivides`, and a division that leaves a
 remainder raises InternalAssertion; on a finite field it is the field
 division.  Extension elements hand their integral columns to these two
-entry points.
+entry points.  A singular matrix is not an error here: `det` returns 0
+and `solve_columns` returns d = 0 with no columns, so a caller decides
+from its one elimination whether the matrix is singular (primitivity, in
+`ExtElement.coordinate_columns`) or raises (`ExtElement.inverse`).
 
 Matrices are plain lists of row lists of ring elements.
 """
 
 from __future__ import annotations
-
-from .errors import InternalAssertion
 
 
 def transpose(a):
@@ -71,10 +72,10 @@ def det(rows):
 def solve_columns(a, b):
     """Solve a X = b for a square integral matrix a and integral right-hand
     columns b (given as rows, like a): returns the integral columns x and d
-    with X = x / d.  a must be nonsingular."""
+    with X = x / d; for a singular a, no columns and d = 0."""
     n = len(a)
     m = [list(ra) + list(rb) for ra, rb in zip(a, b)]
     if not _bareiss(m, n, above=True):
-        raise InternalAssertion("singular system in an exact solve")
+        return [], 0
     # every pivot has ended equal to d
     return [[row[j] for row in m] for j in range(n, len(m[0]))], m[0][0]

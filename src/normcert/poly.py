@@ -231,13 +231,17 @@ class _FiniteFieldFormat:
 
 
 # the format records of Q and Q[x]_(x); a finite field gets its own, built
-# from the field object, since two FiniteField(p, e) objects share an id
+# once from the field object and kept on it, since two FiniteField(p, e)
+# objects share an id
 _FORMATS = {QQ.id: _Rationals, QQ_LOCAL_X.id: _LocalFunctions}
 
 
 def integral_format(ring):
     """The integral format record of `ring`."""
-    return _FORMATS.get(ring.id) or _FiniteFieldFormat(ring)
+    fmt = _FORMATS.get(ring.id) or getattr(ring, "_integral_format", None)
+    if fmt is None:
+        fmt = ring._integral_format = _FiniteFieldFormat(ring)
+    return fmt
 
 
 def over_common_denominator(fmt, vectors):

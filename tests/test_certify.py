@@ -17,7 +17,7 @@ from normcert.certify import (
     certify,
     verify,
 )
-from normcert.errors import ValueNotUnit
+from normcert.errors import InternalAssertion, ValueNotUnit
 from normcert.extension import ExtElement, SimpleExtension
 from normcert.instances import random_instance, run_random_suite
 from normcert.poly import Poly
@@ -26,6 +26,9 @@ from normcert.rings import QQ, QQ_LOCAL_X, ZX_ONE
 from normcert.serialize import certificate_to_json, dumps
 
 from oracles import mult_matrix, naive_det
+
+# the module, which the package's `certify` function shadows
+certify_module = sys.modules["normcert.certify"]
 
 F = Fraction
 
@@ -325,10 +328,45 @@ class TestFactorCount:
 
 
 class TestStructure:
-    def test_value_must_be_unit(self, hyperbolic_instance):
+    def test_value_must_be_unit(self, hyperbolic_instance, monkeypatch):
         ext, q, _ = hyperbolic_instance
         with pytest.raises(ValueNotUnit):
             certify(ext, q, [ext.one(), ext.one()])  # q(1,1) = 0
+
+        # refused from the norm that certify takes, before any search: the
+        # search does not test q(x) itself
+        def refused(*args, **kwargs):
+            raise AssertionError("the search ran on a value that is not a unit")
+
+        monkeypatch.setattr(certify_module, "find_general_position", refused)
+        with pytest.raises(ValueNotUnit):
+            certify(ext, q, [ext.one(), ext.one()])
+
+    @pytest.mark.parametrize("n, message", [
+        # T has degree 2: the level below finds that g does not divide
+        # q(z(t)) - t
+        (4, "q(x(t)) - t is not divisible by the minimal polynomial"),
+        # T has degree 1: the parent's own check of q_T(z) = u
+        (3, "q_T(z) is not u in the reduced algebra"),
+    ])
+    def test_a_corrupted_reduced_witness_is_refused(self, monkeypatch, n, message):
+        # the first element built in each reduced algebra T is z_1, the first
+        # coordinate of the reduced witness: it is built off by one
+        class Corrupting(SimpleExtension):
+            __slots__ = ("_built",)
+
+            def from_integral(self, nums, den):
+                elt = super().from_integral(nums, den)
+                if getattr(self, "_built", False):
+                    return elt
+                self._built = True
+                return elt + self.one()
+
+        inst = random_instance(QQ, random.Random(5), n, 2)
+        certify(inst.ext, inst.q, inst.xs, rng=0)  # as drawn, it certifies
+        monkeypatch.setattr(certify_module, "SimpleExtension", Corrupting)
+        with pytest.raises(InternalAssertion, match=re.escape(message)):
+            certify(inst.ext, inst.q, inst.xs, rng=0)
 
     def test_trace_reduction_chain(self):
         rng = random.Random(31)
@@ -386,13 +424,15 @@ class TestStructure:
         stats = CertifyStats()
         inst = random_instance(QQ, rng, 4, 2)
         certify(inst.ext, inst.q, inst.xs, rng=rng, stats=stats)
-        # levels of degree 4 and 2: six checks, then five (no reduced
-        # algebra, so no q_T(z) = u)
+        # levels of degree 4 and 2: five checks each (the four identities of
+        # F and its division, and the combine identity); the degree-4
+        # level's reduced algebra has degree 2, whose own division of
+        # q(z(t)) - t by g checks q_T(z) = u, so the parent does not
         assert stats.levels == 2
         assert stats.genpos_calls == 2
         assert stats.genpos_tries >= 2
         assert stats.genpos_exhausted == 0
-        assert stats.level_checks == 6 + 5
+        assert stats.level_checks == 5 + 5
 
     def test_trace_records_the_primitive_scaling(self):
         # q_S(x) = 5 is a scalar, so the level's scaling b makes 5*b^2
@@ -406,17 +446,18 @@ class TestStructure:
         assert (q.evaluate_ext(xs) * step.b * step.b).minimal_polynomial() == step.p
 
     def test_one_determinant_per_norm(self, monkeypatch):
-        # n = 3, one reduction level: the norm of q_S(x), the primitivity of
-        # c and the search's own unit check of q(x) (the combine identity
-        # reuses the norm of c, which b = 1 leaves equal to q_S(x)); then
-        # the norm of the degree-one value and the verifier's independent
-        # norm of q_S(x).  Over Q every one of them is an integer determinant.
+        # n = 3, one reduction level: the norm of q_S(x) (the search's unit
+        # check and the combine identity reuse it, and b = 1 leaves c equal
+        # to q_S(x); the primitivity of c is read off the search's one
+        # elimination); then the norm of the degree-one value and the
+        # verifier's independent norm of q_S(x).  Over Q every one of them
+        # is an integer determinant.
         inst = random_instance(QQ, random.Random(0), 3, 2)
         sizes, det = [], linalg.det
         monkeypatch.setattr(linalg, "det", lambda rows: sizes.append(len(rows)) or det(rows))
         cert = certify(inst.ext, inst.q, inst.xs, rng=0, with_trace=True)
         assert cert.trace[0].b == inst.ext.one()
-        assert sorted(sizes) == [1] + [3] * 4
+        assert sorted(sizes) == [1, 3, 3]
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_one_elimination_per_level(self, monkeypatch, m):

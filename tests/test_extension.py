@@ -359,3 +359,54 @@ class TestCanonicalBasis:
             assert widths == [len(elements) + 1]
             self._assert_coordinates(basis, elements, cols, den)
             assert basis.norm() == naive_det(mult_matrix(basis))
+
+
+class TestPrimitivityFromTheElimination:
+    """`coordinate_columns` reads primitivity off its own elimination, whose
+    d is the determinant of the integral power columns, and caches it:
+    no determinant is taken for it, then or in a later `is_primitive`."""
+
+    @staticmethod
+    def _refuse_det(monkeypatch):
+        def refused(rows):
+            raise AssertionError("primitivity took a determinant")
+
+        monkeypatch.setattr(linalg, "det", refused)
+
+    @pytest.mark.parametrize("ring", CANONICAL_RINGS, ids=lambda ring: ring.id)
+    def test_a_singular_power_matrix_is_not_primitive(self, ring, monkeypatch):
+        rng = random.Random(50)
+        ext = _random_extension(ring, 3, rng)
+        elements = TestCanonicalBasis._elements(ext, rng)
+        # every power of a scalar is a scalar, so the power matrix has rank 1
+        c = ext.scalar(ring.one)
+        self._refuse_det(monkeypatch)
+        with pytest.raises(NotPrimitive):
+            c.coordinate_columns(elements)
+        assert not c.is_primitive()
+
+    def test_a_non_unit_determinant_is_not_primitive(self, monkeypatch):
+        ring = QQ_LOCAL_X
+        rng = random.Random(51)
+        ext = _random_extension(ring, 3, rng)
+        elements = TestCanonicalBasis._elements(ext, rng)
+        # the powers 1, x*t, x^2*t^2 have determinant x^3: nonzero, not a unit
+        c = ext.gen() * ring.x
+        det = naive_det(powers_matrix(c))
+        assert det and not ring.is_invertible(det)
+        self._refuse_det(monkeypatch)
+        with pytest.raises(NotPrimitive):
+            c.coordinate_columns(elements)
+        assert not c.is_primitive()
+
+    @pytest.mark.parametrize("ring", CANONICAL_RINGS, ids=lambda ring: ring.id)
+    def test_a_primitive_element_takes_no_determinant(self, ring, monkeypatch):
+        rng = random.Random(52)
+        ext = _random_extension(ring, 3, rng)
+        elements = TestCanonicalBasis._elements(ext, rng)
+        # its power matrix is unitriangular in the canonical basis
+        c = ext.gen() + ext.one()
+        self._refuse_det(monkeypatch)
+        cols, den, _ = c.coordinate_columns(elements)
+        TestCanonicalBasis._assert_coordinates(c, elements, cols, den)
+        assert c.is_primitive()

@@ -4,12 +4,12 @@ from fractions import Fraction
 import pytest
 
 from normcert.errors import (
+    InternalAssertion,
     NotInvertible,
     NotPrimitive,
     SearchExhausted,
-    ValueNotUnit,
 )
-from normcert.extension import SimpleExtension
+from normcert.extension import ExtElement, SimpleExtension
 from normcert.genpos import find_general_position
 from normcert.poly import Poly
 from normcert.qform import QuadraticForm
@@ -331,9 +331,8 @@ class TestGeneralPositionSearch:
         q = QuadraticForm(QQ, [1, -1])
         with pytest.raises(NotInvertible):
             find_general_position(ext.zero(), [ext.one(), ext.gen()], q, random.Random(0))
-        with pytest.raises(ValueNotUnit):
-            # q(x) = 1 - 1 = 0 is not a unit
-            find_general_position(ext.gen(), [ext.one(), ext.one()], q, random.Random(0))
+        # a witness with q(x) not a unit is refused by certify, before the
+        # search (test_certify.py::TestStructure::test_value_must_be_unit)
 
     def test_local_ring_search_lifts_from_residue(self):
         ring = QQ_LOCAL_X
@@ -382,3 +381,12 @@ class TestGeneralPositionSearch:
         w = find_general_position(c, xs, q, random.Random(5))
         assert w.tries_used > 1
         assert_general_position(c, w)
+
+    def test_a_lift_out_of_general_position_is_an_internal_error(self, monkeypatch):
+        # the residue search finds b with 3*b^2 primitive; a lift that loses
+        # that over the ring (here: every lift is 1) is a bug, not a miss
+        ext = qq_ext(-2, 0, 1)
+        q, xs = QuadraticForm(QQ, [1, 1]), [ext.one(), ext.gen()]
+        monkeypatch.setattr(ExtElement, "lift_to", lambda self, target: target.one())
+        with pytest.raises(InternalAssertion, match="not in general position over the ring"):
+            find_general_position(ext.scalar(3), xs, q, random.Random(0))

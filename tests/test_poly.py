@@ -111,6 +111,15 @@ class TestStructure:
         assert Poly(a, [2, 0, 1]) != Poly(b, [2, 0, 1])
         assert Poly(a, [2, 0, 1]) == Poly(a, [2, 0, 1])
 
+    def test_one_format_record_per_field_object(self):
+        # built once per field, and never shared between two fields of one
+        # order, whose ids are equal
+        a, b = FiniteField(5), FiniteField(5)
+        assert integral_format(a) is integral_format(a)
+        assert integral_format(a) is not integral_format(b)
+        assert integral_format(a).one is a.one and integral_format(b).one is b.one
+        assert integral_format(GF(9)) is integral_format(GF(9))
+
 
 LOCAL_UNITS = st.builds(
     lambda num, den: QQ_LOCAL_X.element(RatFunc(num, den)),
