@@ -20,10 +20,11 @@ construction follows an induction on the degree of the extension:
      holds with N_T(u) = 1; otherwise g = h/r is monic with unit constant
      term, T = R[t]/(g) is two degrees smaller, and the class u of t in T
      is u = q_T(z) for the reduced witness z = x(u), which certifies
-     N_T(u); comparing the roots of F with those of p and g gives the
-     sign-free exact identity N_S(c) * r * N_T(u) = q(x(0)), so a level
-     emits q(x(0)) and q(tops)^(-1) and the level below with its
-     exponents flipped.
+     N_T(u); for n = 3, g = t - a, so T is R itself, u = N_T(u) = a, and
+     z = x(a) is the level below's one factor; comparing the roots of F
+     with those of p and g gives the sign-free exact identity
+     N_S(c) * r * N_T(u) = q(x(0)), so a level emits q(x(0)) and
+     q(tops)^(-1) and the level below with its exponents flipped.
 
 A level writes its two end vectors as lambda*db*x(0) and lambda*nb*tops,
 with N(b) = nb/db the norm of the level's scaling written in the integral
@@ -43,17 +44,21 @@ of a reduced level is u, whose norm is (-1)^n g(0), and it is not
 evaluated as q_T(z): at degree >= 2 the identity q_T(z) = u is that
 level's own check that p = g divides F(t) = q(z(t)) - t (when the level
 scales z by a unit b, the check shows b^2 * q_T(z) = u * b^2, the same
-identity).  At degree 1, where the level below checks nothing, the
-parent evaluates q_T(z) and checks that it is u.  F(t) is one sum over
-the common denominator of the witness columns, normalized once, and so
-are r and q(x(0)).  The top
+identity).  At degree 1 no level is built below: with g = t + h0/h1,
+a = -h0/h1, and each z_j = x_j(a) is one homogeneous Horner pass over its
+integral witness column, over one denominator; the m numerators are
+normalized once and must stay in the ring, q_T(z) is one form value
+compared with a by cross-multiplication, and they are the level's last
+factor, written as the witness numerators of a top-level instance of
+degree 1 are.  F(t) is one sum over the common denominator of the
+witness columns, normalized once, and so are r and q(x(0)).  The top
 level solves once, and the levels below the top solve nothing: their c is
 u, the class of t, so the witness columns are z's own numerators and p
-is g.  Each level divides once, F by p: u and z = x(u) are built in T
-straight from the integral witness columns (`from_integral`), and a
-degree-1 factor from the witness numerators.  Every exact identity of
-steps 3 and 4 is re-checked at every level, and a certificate is
-verified before it is returned.  The verifier shares
+is g.  Each level divides once, F by p: at degree >= 2, u and z = x(u)
+are built in T straight from the integral witness columns
+(`from_integral`).  Every exact identity of steps 3 and 4 is re-checked
+at every level, and a certificate is verified before it is returned.
+The verifier shares
 nothing with the construction beyond ring arithmetic, form evaluation and
 the multiplication-matrix determinant, and it takes the norm of its own
 fresh evaluation of q_S(x).  It evaluates each factor from the numerators
@@ -141,6 +146,31 @@ def _check(condition: bool, message: str, stats: CertifyStats):
     stats.level_checks += 1
 
 
+def _scalar_factor(ring, fmt, nums, den) -> ValueFactor:
+    """The one factor q(y) of degree 1, for y_j = nums[j] / den in the
+    ring's integral format, put in lowest terms once."""
+    return ValueFactor.from_integral(ring, *fmt.lowest(nums, den), 1)
+
+
+def _at_scalar(fmt, cols, d, an, ad):
+    """The polynomials y_j(t) with coefficients cols[j][i] / d, each list of
+    the same length L, at t = an / ad: the numerators of the sums of
+    cols[j][i] * an^i * ad^(L-1-i), one homogeneous Horner pass each, over
+    d * ad^(L-1), not normalized."""
+    pows = [fmt.one]
+    for _ in range(len(cols[0]) - 1):
+        pows.append(pows[-1] * ad)
+    nums = []
+    for col in cols:
+        acc = col[-1]
+        for c, w in zip(col[-2::-1], pows[1:]):
+            acc = acc * an
+            if c:
+                acc = acc + c * w
+        nums.append(acc)
+    return nums, d * pows[-1]
+
+
 def _certify_value(ext, q, xs, value, rng, max_tries, bound, stats, with_trace):
     """Factors multiplying to the norm of value = q_S(x), that norm, and the
     records of this level and of the levels below it (none untraced)."""
@@ -153,8 +183,7 @@ def _certify_value(ext, q, xs, value, rng, max_tries, bound, stats, with_trace):
     if n == 1:
         # the witness itself, its one coordinate each over one denominator
         vecs, den = over_common_denominator(fmt, [x.integral for x in xs])
-        nums, den = fmt.lowest([v[0] for v in vecs], den)
-        return [ValueFactor.from_integral(ring, nums, den, 1)], norm, []
+        return [_scalar_factor(ring, fmt, [v[0] for v in vecs], den)], norm, []
     stats.levels += 1
 
     # x -> x*b replaces c = q_S(x) by c*b^2, for the level's one scaling b
@@ -188,6 +217,23 @@ def _certify_value(ext, q, xs, value, rng, max_tries, bound, stats, with_trace):
     if n == 2:
         # h = r: F(t) = r * p(t), and no level is left below
         g, sub_factors, norm_u, sub_steps = None, [], ring.one, []
+    elif n == 3:
+        # g = h/r = t - a, so T is R itself and u = a = -h0/h1: the level
+        # below is z = x(a), its factor, and N_T(u) = a
+        g = h.scale(ring.invert(r)) if with_trace else None
+        (h0, h1), _ = h.integral
+        if not fmt.is_unit(h0):
+            raise InternalAssertion("reduced modulus is not simple: its constant term is not a unit")
+        an, ad = -h0, h1
+        factor = _scalar_factor(ring, fmt, *_at_scalar(fmt, cols, d, an, ad))
+        z_nums, z_den = factor.integral(ring)
+        if not fmt.in_ring(z_den):
+            raise InternalAssertion("a coordinate of the reduced witness left the ring")
+        # F(u) = 0 in T; at degree >= 2 the level below checks it, as g
+        # dividing q(z(t)) - t
+        v_num, v_den = q.integral_value(z_nums, z_den)
+        _check(v_num * ad == an * v_den, "q_T(z) is not u in the reduced algebra", stats)
+        sub_factors, norm_u, sub_steps = [factor], fmt.value(an, ad), []
     else:
         g = h.scale(ring.invert(r))
         try:
@@ -200,13 +246,8 @@ def _certify_value(ext, q, xs, value, rng, max_tries, bound, stats, with_trace):
         z = [sub_ext.from_integral(col, d) for col in cols]
         if not all(fmt.in_ring(x.integral[1]) for x in z):
             raise InternalAssertion("a coordinate of the reduced witness left the ring")
-        u = sub_ext.gen()
-        if sub_ext.n == 1:
-            # F(u) = 0 in T; at degree >= 2 the level below checks it, as
-            # g dividing q(z(t)) - t
-            _check(q.evaluate_ext(z) == u, "q_T(z) is not u in the reduced algebra", stats)
         sub_factors, norm_u, sub_steps = _certify_value(
-            sub_ext, q, z, u, rng, max_tries, bound, stats, with_trace
+            sub_ext, q, z, sub_ext.gen(), rng, max_tries, bound, stats, with_trace
         )
 
     # sign-free combine identity, checked rather than trusted

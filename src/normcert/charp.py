@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotInvertible, RingMismatch
+from .errors import NotInvertible, NotPrimitive, RingMismatch
 from .extension import SimpleExtension
 from .poly import Poly
 from .rings import shown
@@ -382,11 +382,13 @@ def char3_vanishing_report(field: FiniteField) -> Char3Report:
                 if not b.is_invertible():
                     continue
                 units += 1
-                cb2 = c * b * b
-                if not cb2.is_primitive():
+                try:
+                    # one elimination of the power matrix of c*b^2 decides
+                    # primitivity and solves
+                    top = (x * b.inverse()).coords_in(c * b * b)[-1]
+                except NotPrimitive:
                     continue
                 qualifying += 1
-                top = (x * b.inverse()).coords_in(cb2)[-1]
                 if top:
                     violations += 1
     return Char3Report(

@@ -20,9 +20,9 @@ from normcert.certify import (
 from normcert.errors import InternalAssertion, ValueNotUnit
 from normcert.extension import ExtElement, SimpleExtension
 from normcert.instances import random_instance, run_random_suite
-from normcert.poly import Poly
+from normcert.poly import Poly, integral_format, over_common_denominator
 from normcert.qform import QuadraticForm, ValueFactor
-from normcert.rings import QQ, QQ_LOCAL_X, ZX_ONE
+from normcert.rings import QQ, QQ_LOCAL_X, ZX, ZX_ONE, RatFunc
 from normcert.serialize import certificate_to_json, dumps
 
 from oracles import mult_matrix, naive_det
@@ -350,8 +350,9 @@ class TestStructure:
         (3, "q_T(z) is not u in the reduced algebra"),
     ])
     def test_a_corrupted_reduced_witness_is_refused(self, monkeypatch, n, message):
-        # the first element built in each reduced algebra T is z_1, the first
-        # coordinate of the reduced witness: it is built off by one
+        # z_1, the first coordinate of the reduced witness, is built off by
+        # one: at degree 2 it is the first element built in T, and at
+        # degree 1, where T is R, the first value of the scalar evaluation
         class Corrupting(SimpleExtension):
             __slots__ = ("_built",)
 
@@ -362,9 +363,18 @@ class TestStructure:
                 self._built = True
                 return elt + self.one()
 
+        at_scalar = certify_module._at_scalar
+
+        def corrupting_at_scalar(*args):
+            nums, den = at_scalar(*args)
+            return [nums[0] + den, *nums[1:]], den
+
         inst = random_instance(QQ, random.Random(5), n, 2)
         certify(inst.ext, inst.q, inst.xs, rng=0)  # as drawn, it certifies
-        monkeypatch.setattr(certify_module, "SimpleExtension", Corrupting)
+        if n == 3:
+            monkeypatch.setattr(certify_module, "_at_scalar", corrupting_at_scalar)
+        else:
+            monkeypatch.setattr(certify_module, "SimpleExtension", Corrupting)
         with pytest.raises(InternalAssertion, match=re.escape(message)):
             certify(inst.ext, inst.q, inst.xs, rng=0)
 
@@ -449,15 +459,34 @@ class TestStructure:
         # n = 3, one reduction level: the norm of q_S(x) (the search's unit
         # check and the combine identity reuse it, and b = 1 leaves c equal
         # to q_S(x); the primitivity of c is read off the search's one
-        # elimination); then the norm of the degree-one value and the
-        # verifier's independent norm of q_S(x).  Over Q every one of them
-        # is an integer determinant.
+        # elimination); then the verifier's independent norm of q_S(x).  The
+        # reduced algebra has degree 1, so it is R, and N_T(u) is u itself,
+        # with no 1x1 determinant.  Over Q every norm is an integer
+        # determinant.
         inst = random_instance(QQ, random.Random(0), 3, 2)
         sizes, det = [], linalg.det
         monkeypatch.setattr(linalg, "det", lambda rows: sizes.append(len(rows)) or det(rows))
         cert = certify(inst.ext, inst.q, inst.xs, rng=0, with_trace=True)
         assert cert.trace[0].b == inst.ext.one()
-        assert sorted(sizes) == [1, 3, 3]
+        assert sorted(sizes) == [3, 3]
+
+    @pytest.mark.parametrize("n, built", [(3, []), (4, [2]), (5, [3])])
+    def test_degree_one_builds_no_extension(self, monkeypatch, n, built):
+        # a reduced algebra of degree 1 is R: only degree >= 2 builds one
+        degrees = []
+
+        class Counted(SimpleExtension):
+            __slots__ = ()
+
+            def __init__(self, ring, modulus):
+                degrees.append(modulus.degree)
+                super().__init__(ring, modulus)
+
+        monkeypatch.setattr(certify_module, "SimpleExtension", Counted)
+        inst = random_instance(QQ, random.Random(0), n, 2)
+        cert = certify(inst.ext, inst.q, inst.xs, rng=0, with_trace=True)
+        assert [step.n for step in cert.trace] == list(range(n, 1, -2))
+        assert degrees == built
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_one_elimination_per_level(self, monkeypatch, m):
@@ -533,6 +562,66 @@ class TestStructure:
         assert built == []
         traced = certify(inst.ext, inst.q, inst.xs, rng=0, with_trace=True)
         assert built == [3, 5] and [step.n for step in traced.trace] == [5, 3]
+
+
+SCALAR_FIELDS = [GF(order) for order in (2, 3, 4, 9)]
+small = st.integers(-4, 4)
+
+
+def _zx(cs):
+    cs = list(cs)
+    while cs and not cs[-1]:
+        cs.pop()
+    return ZX(tuple(cs))
+
+
+@st.composite
+def scalar_evaluations(draw):
+    """Integral columns of lengths 1..6 (about half the entries 0), a
+    denominator d in the ring, and a unit a = an/ad with an and ad both
+    scaled by one nonzero factor, so not in lowest terms; over Q, Q[x]_(x)
+    and small finite fields."""
+    kind = draw(st.sampled_from(["Q", "local", "field"]))
+    if kind == "Q":
+        ring = QQ
+        nonzero = st.integers(-(10**6), 10**6).filter(bool)
+        entry = st.one_of(st.just(0), st.integers(-(10**9), 10**9))
+        a = F(draw(nonzero), draw(nonzero))
+        d, k = draw(nonzero), draw(nonzero)
+    elif kind == "local":
+        ring = QQ_LOCAL_X
+        # Z[x] with a nonzero constant term: in the ring, and a unit there
+        unit_zx = st.builds(
+            lambda c0, rest: _zx([c0, *rest]),
+            small.filter(bool), st.lists(small, max_size=2))
+        entry = st.one_of(st.just(ZX()), st.lists(small, max_size=3).map(_zx))
+        a = ring.element(RatFunc(draw(unit_zx).c, draw(unit_zx).c))
+        d, k = draw(unit_zx), draw(unit_zx)
+    else:
+        ring = draw(st.sampled_from(SCALAR_FIELDS))
+        elems = ring.elements()
+        entry = st.sampled_from(elems)
+        a, d, k = (draw(st.sampled_from(elems[1:])) for _ in range(3))
+    length, m = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    cols = [draw(st.lists(entry, min_size=length, max_size=length)) for _ in range(m)]
+    return ring, cols, d, a, k
+
+
+class TestScalarEvaluation:
+    @settings(max_examples=120, deadline=None)
+    @given(scalar_evaluations())
+    def test_matches_the_degree_one_extension(self, case):
+        # evaluating at a is reducing modulo t - a: the same vector in
+        # lowest terms as the elements of R[t]/(t - a), put over one
+        # common denominator
+        ring, cols, d, a, k = case
+        fmt = integral_format(ring)
+        an, ad = fmt.split(a)
+        got = fmt.lowest(*certify_module._at_scalar(fmt, cols, d, an * k, ad * k))
+        ext = SimpleExtension(ring, Poly(ring, [-a, ring.one]))
+        vecs, den = over_common_denominator(
+            fmt, [ext.from_integral(col, d).integral for col in cols])
+        assert got == fmt.lowest([v[0] for v in vecs], den)
 
 
 class TestRandomRoundTrips:

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from normcert import linalg
 from normcert.charp import GF, FiniteField, char2_squares_report, char3_vanishing_report
 from normcert.errors import NotInvertible, RingMismatch
 from normcert.extension import SimpleExtension
@@ -183,6 +184,28 @@ class TestChar3Demo:
         assert rep.units == 648
         assert rep.qualifying > 0
         assert rep.violations == 0
+
+    def test_f9_eliminates_each_power_matrix_once(self, monkeypatch):
+        counts = {"det": 0, "solve": 0}
+        det, solve = linalg.det, linalg.solve_columns
+
+        def counted_det(rows):
+            counts["det"] += 1
+            return det(rows)
+
+        def counted_solve(a, b):
+            counts["solve"] += 1
+            return solve(a, b)
+
+        monkeypatch.setattr(linalg, "det", counted_det)
+        monkeypatch.setattr(linalg, "solve_columns", counted_solve)
+        rep = char3_vanishing_report(GF(9))
+        assert (rep.total, rep.units, rep.qualifying, rep.violations) == (729, 648, 576, 0)
+        # one norm per candidate b, but the class of t's is read off the
+        # modulus; per unit one inverse and one power-basis solve, which
+        # also decides primitivity, but for b = +-1, where c*b^2 is the
+        # class of t and solves nothing
+        assert counts == {"det": 729 - 1, "solve": 2 * 648 - 2}
 
     def test_requires_char_three(self):
         with pytest.raises(ValueError):
