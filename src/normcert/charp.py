@@ -165,8 +165,6 @@ class FFElement:
 class FiniteField:
     """F_{p^e} with table-driven arithmetic; use GF() to construct."""
 
-    is_field = True
-
     def __init__(self, p: int, e: int = 1):
         if p not in _PRIMES:
             raise ValueError(f"unsupported characteristic {p}")

@@ -2,9 +2,9 @@
 
 Elements are coordinate vectors in the canonical basis {1, t, ..., t^(n-1)}
 where t is the class of the indeterminate.  Everything an element can do --
-norms (determinant of left multiplication), inverses, primitivity,
-coordinates in another element's power basis, minimal polynomials,
-reduction to the residue field -- lives here.
+products, norms (determinant of left multiplication), inverses,
+primitivity, coordinates in another element's power basis, minimal
+polynomials, reduction to the residue field -- lives here.
 
 An element b is primitive when {1, b, ..., b^(n-1)} is again a basis over
 the coefficient ring, i.e. when the determinant of its powers matrix is a
@@ -12,8 +12,8 @@ unit.  `coordinate_columns` reads that off its own elimination: the d of
 its solve is the determinant of the integral power columns, which are the
 power columns times unit denominators, so b is primitive exactly when d
 is a unit of the format (over Q[x]_(x) a nonzero d need not be one), and
-the answer is cached for `is_primitive`.  `is_primitive` on its own takes
-one determinant, over the local ring on the residue.
+the answer is cached for `is_primitive`, which otherwise runs that
+elimination for no element.
 
 Every element is held in the integral format of its ring, the format of
 `poly` and its format records (`poly.integral_format`): numerators over
@@ -21,28 +21,28 @@ one denominator that shares no factor with all of them -- integers over
 Q, integer polynomials (`ZX`) over Q[x]_(x), and over a small finite
 field the coordinates themselves over the field's one.  `coords` builds
 the ring values on first use, and `reduce` reads the residue off the
-constant terms.  One code path serves every ring.  Sums, scalar
-multiples and products run on the numerators: a product convolves them,
-and `SimpleExtension.from_integral` reduces the convolution modulo the
-modulus against a table of t^n, t^(n+1), ... over one common
-denominator, built by shift and reduce from the modulus and grown on
-demand, and normalizes once (in degree 1, where t is a scalar, a product
-is a scalar multiple).  It takes any number of numerators, padding fewer
-than n with zeros: a form value (`QuadraticForm.evaluate_ext`) goes
-through it once for its whole sum, and so do the class of t (`gen`) and
-a polynomial of any degree read as an element, with no division.
+constant terms.  One code path serves every ring.  The product is the
+one arithmetic operation of elements, with one body for every degree: it
+convolves the numerators, and `SimpleExtension.from_integral` reduces the
+convolution modulo the modulus against a table of t^n, t^(n+1), ... over
+one common denominator, built by shift and reduce from the modulus and
+grown on demand, and normalizes once.  It takes any number of numerators,
+padding fewer than n with zeros: a form value (`QuadraticForm.evaluate_ext`)
+goes through it once for its whole sum, and so do the class of t (`gen`)
+and a polynomial of any degree read as an element, with no division.
 Norms, inverses and primitivity take the integral columns, each over its
 own denominator, into `linalg.det` and `linalg.solve_columns`, the one
 fraction-free Bareiss elimination, and scale the result back by those
-denominators, so a norm builds one ring value.  Power-basis coordinates (`coordinate_columns`) solve for any
-number of elements at once, one right-hand side each over one common
-denominator, and one more for the element's n-th power, kept with its
-power list: the general-position search takes all m witness columns and
-the minimal polynomial from one elimination, and `coords_in` and
-`minimal_polynomial` are its cases of one and of no element.  The
-minimal polynomial goes to `Poly.from_integral`, which normalizes once
-and refuses a coefficient outside the ring, and its vanishing at the
-element is a zero test over one common denominator, which needs no gcd.
+denominators, so a norm builds one ring value.  Power-basis coordinates
+(`coordinate_columns`) solve for any number of elements at once, one
+right-hand side each over one common denominator, and one more for the
+element's n-th power, kept with its power list: the general-position
+search takes all m witness columns and the minimal polynomial from one
+elimination, and `coords_in`, `minimal_polynomial` and `is_primitive` are
+its cases of one and of no element.  The minimal polynomial goes to
+`Poly.from_integral`, which normalizes once and refuses a coefficient
+outside the ring, and its vanishing at the element is a zero test over
+one common denominator, which needs no gcd.
 The class of t, numerators (0, 1, 0, ...) over one for n >= 2, takes no
 determinant and no elimination: its norm is (-1)^n p(0), its power basis
 is the canonical basis, so it is primitive and the columns are the
@@ -100,9 +100,6 @@ class SimpleExtension:
         if len(cs) != self.n:
             raise ValueError(f"expected {self.n} coordinates, got {len(cs)}")
         return ExtElement(self, tuple(cs))
-
-    def zero(self) -> ExtElement:
-        return self.scalar(self.ring.zero)
 
     def one(self) -> ExtElement:
         return self.scalar(self.ring.one)
@@ -218,48 +215,19 @@ class ExtElement:
         return self._coords
 
     def _same(self, other):
-        if isinstance(other, ExtElement):
-            if other.ext != self.ext:
-                raise ValueError("operands belong to different extensions")
-            return other
-        # ring scalars embed as constants
-        return self.ext.scalar(other)
-
-    def __add__(self, other) -> ExtElement:
-        other = self._same(other)
-        return ExtElement(self.ext, None, *self.ext._fmt.sum(
-            self._nums, self._den, other._nums, other._den))
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> ExtElement:
-        return self + (-self._same(other))
-
-    def __rsub__(self, other) -> ExtElement:
-        return self._same(other) - self
-
-    def __neg__(self) -> ExtElement:
-        return ExtElement(self.ext, None, tuple(-a for a in self._nums), self._den)
+        if other.ext != self.ext:
+            raise ValueError("operands belong to different extensions")
+        return other
 
     def __mul__(self, other):
-        if isinstance(other, ExtElement):
-            other = self._same(other)
-            return self._mul_ext(other)
-        # scalar from the coefficient ring
-        fmt = self.ext._fmt
-        return ExtElement(self.ext, None, *fmt.scale(self._nums, self._den, *fmt.split(other)))
-
-    __rmul__ = __mul__
-
-    def _mul_ext(self, other: ExtElement) -> ExtElement:
-        ext = self.ext
+        if not isinstance(other, ExtElement):
+            return NotImplemented
+        ext = self._same(other).ext
         fmt = ext._fmt
-        if ext.n == 1:
-            # a product of scalars
-            return ExtElement(ext, None, *fmt.scale(
-                self._nums, self._den, other._nums[0], other._den))
         return ext.from_integral(
             convolve(self._nums, other._nums, fmt.zero), self._den * other._den)
+
+    __rmul__ = __mul__
 
     def __eq__(self, other):
         if not isinstance(other, ExtElement):
@@ -348,18 +316,12 @@ class ExtElement:
                 and nums[1] == fmt.one and not any(nums[2:]))
 
     def is_primitive(self) -> bool:
+        """Whether self is primitive: `coordinate_columns` of no element."""
         if self._primitive is None:
-            if self._is_gen():
-                # its power basis is the canonical basis
-                self._primitive = True
-            elif (residue := self.reduce()) is not self:
-                # reduction commutes with det, and a unit is a nonzero residue
-                self._primitive = residue.is_primitive()
-            else:
-                # the integral columns are the power columns times nonzero
-                # denominators, so their det is 0 exactly when that one is
-                n = self.ext.n
-                self._primitive = bool(linalg.det([w._nums for w in self._powers_to(n - 1)[:n]]))
+            try:
+                self.coordinate_columns(())
+            except NotPrimitive:
+                pass
         return self._primitive
 
     def coordinate_columns(self, elements):
@@ -375,6 +337,7 @@ class ExtElement:
         fmt = ext._fmt
         rhs, den = over_common_denominator(fmt, [self._same(x).integral for x in elements])
         if self._is_gen():
+            self._primitive = True
             return rhs, den, ext.modulus
         n = ext.n
         powers = self._powers_to(n)[:n + 1]

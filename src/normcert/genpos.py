@@ -16,10 +16,12 @@ search does not evaluate q(x) again, and nothing in it needs c = q(x).
 
 The search probes b = 1 first (try 1 is that probe's slot either way),
 then samples integer coordinates in [-B, B] over the residue field (B
-doubles every 8 failures), lifts the hit coordinatewise, and re-verifies
-every claimed property exactly over the ring before returning.  A
-candidate's coordinate columns come from one elimination with m+1
-right-hand sides, one per witness coordinate and c^n last
+doubles every 8 failures), and checks each sample there as it checks the
+probe over the ring.  Over a field, where the residue field is the ring,
+the hit is the witness; over Q[x]_(x) the hit is lifted coordinatewise
+and every claimed property re-verified exactly over the ring before
+returning.  A candidate's coordinate columns come from one elimination
+with m+1 right-hand sides, one per witness coordinate and c^n last
 (`ExtElement.coordinate_columns`), as integral columns over one
 denominator.  That elimination also decides whether the candidate is
 primitive (`NotPrimitive` when it is not), so no determinant is taken
@@ -103,18 +105,19 @@ def find_general_position(
     if not c.is_invertible():
         raise NotInvertible("general position needs a unit")
 
-    def witness(b, c_new, x_new, tries):
+    def witness(b, c_new, x_new, form, base, tries):
+        # over `base` (the ring or its residue field) with the form there
         try:
             cols, d, p = c_new.coordinate_columns(x_new)
         except NotPrimitive:
             return None
-        r, q0 = _end_values(q, cols, d)
-        if not (ring.is_invertible(r) and ring.is_invertible(q0)):
+        r, q0 = _end_values(form, cols, d)
+        if not (base.is_invertible(r) and base.is_invertible(q0)):
             return None
         return GenPosWitness(b, c_new, p, (cols, d), r, q0, tries)
 
     # deterministic probe: b = 1, which a non-primitive c fails
-    found = witness(ext.one(), c, xs, 1)
+    found = witness(ext.one(), c, xs, q, ring, 1)
     if found is not None:
         return found
 
@@ -124,23 +127,21 @@ def find_general_position(
     xbars = [x.reduce() for x in xs]
     qbar = q.residue_form()
     # tries 2 .. max_tries: random units bbar of the reduced algebra, with
-    # integer coordinates in [-B, B], that make cbar*bbar^2 primitive
+    # integer coordinates in [-B, B], in general position over the residue field
     for tries in range(2, max_tries + 1):
         if tries % _BOUND_DOUBLING_PERIOD == 0:
             bound *= 2
         bbar = rext.element([k.element(sample_residue(rng, bound)) for _ in range(rext.n)])
         if not bbar.is_invertible():
             continue
-        cb2 = cbar * bbar * bbar
-        try:
-            cols, d, _ = cb2.coordinate_columns([x * bbar for x in xbars])
-        except NotPrimitive:
+        found = witness(bbar, cbar * bbar * bbar, [x * bbar for x in xbars], qbar, k, tries)
+        if found is None:
             continue
-        rbar, q0bar = _end_values(qbar, cols, d)
-        if not (k.is_invertible(rbar) and k.is_invertible(q0bar)):
-            continue
+        if rext is ext:
+            # over a field the residue hit is the witness
+            return found
         b = bbar.lift_to(ext)
-        found = witness(b, c * b * b, [x * b for x in xs], tries)
+        found = witness(b, c * b * b, [x * b for x in xs], q, ring, tries)
         if found is None:
             # primitivity and the units r, q0 hold over the residue field
             raise InternalAssertion("the lifted scaling is not in general position over the ring")

@@ -15,16 +15,15 @@ factor is common to d and all the numerators.  Over a small finite field
 they are the coefficients themselves over the field's one: lowest terms
 multiply by the inverse of the denominator.  A format record per ring
 (`_Rationals`, `_LocalFunctions`, `_FiniteFieldFormat`, found by
-`integral_format`) holds zero and one, normalization (`lowest`), sums,
-scalar multiples, a common denominator of several (`common`, which takes
-no gcd over Z[x]), numerators divided by their joint integer content
-(`primitive`), splitting a ring scalar, building ring values back, and
-the ring tests of a vector in lowest terms: that its denominator keeps
-it in the ring (`in_ring`) and that an entry is a unit (`is_unit`);
-`extension` holds its elements in the same records.  Python ints keep
-their native operators, and over Q the record keeps the integer shortcuts:
-a sum over equal denominators adds the numerators, and every result takes
-one multi-gcd.
+`integral_format`) holds zero and one, normalization (`lowest`), scalar
+multiples (which only `Poly.scale` takes), a common denominator of
+several (`common`, which takes no gcd over Z[x]), numerators divided by
+their joint integer content (`primitive`), splitting a ring scalar,
+building ring values back, and the ring tests of a vector in lowest
+terms: that its denominator keeps it in the ring (`in_ring`) and that an
+entry is a unit (`is_unit`); `extension` holds its elements in the same
+records.  Python ints keep their native operators, and over Q every
+result takes one multi-gcd.
 
 Every operation has one body for every ring.  Products (`convolve`),
 scalar multiples and `==`/`hash` run on the numerators.  A division keeps
@@ -42,7 +41,7 @@ from math import gcd, lcm
 from .errors import CoordinateNotIntegral, NotInvertible
 from .rings import (
     QQ, QQ_LOCAL_X, ZX, ZX_ONE, RatFunc, clear_denominators, shown, zx_clear, zx_common,
-    zx_lowest_terms, zx_scale, zx_sum,
+    zx_lowest_terms, zx_scale,
 )
 
 _set = object.__setattr__
@@ -67,21 +66,6 @@ class _Rationals:
         if g != 1:
             return tuple(v // g for v in nums), den // g
         return tuple(nums), den
-
-    @staticmethod
-    def sum(a, da: int, b, db: int) -> tuple[tuple, int]:
-        """a / da + b / db in lowest terms, the shorter padded with zeros."""
-        if len(a) < len(b):
-            a, da, b, db = b, db, a, da
-        if da == db:
-            out = list(a)
-            for i, v in enumerate(b):
-                out[i] += v
-            return _Rationals.lowest(out, da)
-        out = [v * db for v in a]
-        for i, v in enumerate(b):
-            out[i] += v * da
-        return _Rationals.lowest(out, da * db)
 
     @staticmethod
     def scale(nums, den, s_num, s_den):
@@ -130,7 +114,6 @@ class _LocalFunctions:
 
     zero, one = ZX(), ZX_ONE
     lowest = staticmethod(zx_lowest_terms)
-    sum = staticmethod(zx_sum)
     scale = staticmethod(zx_scale)
     value = staticmethod(RatFunc.from_zx)
     clear = staticmethod(zx_clear)
@@ -186,15 +169,6 @@ class _FiniteFieldFormat:
             inv = self.one / den
             nums = [v * inv for v in nums]
         return tuple(nums), self.one
-
-    def sum(self, a, da, b, db):
-        # both vectors are in lowest terms, so over one
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, v in enumerate(b):
-            out[i] = out[i] + v
-        return tuple(out), self.one
 
     def scale(self, nums, den, s_num, s_den):
         return self.lowest([v * s_num for v in nums], den * s_den)

@@ -148,15 +148,6 @@ class QuadraticForm:
     def __repr__(self):
         return f"QuadraticForm<{', '.join(map(shown, self.diag))}>"
 
-    def evaluate(self, ys):
-        """Sum of a_j y_j^2 over the base ring."""
-        ys = [self.ring.element(y) for y in ys]
-        # over one common denominator, which need not be in lowest terms
-        fmt = self._fmt
-        pairs = [fmt.split(y) for y in ys]
-        d, quos = fmt.common([den for _, den in pairs])
-        return self.value([num * k for (num, _), k in zip(pairs, quos)], d)
-
     def value(self, nums, d):
         """q(y) for y_j = nums[j] / d in the integral format of the ring,
         as one ring value."""

@@ -631,7 +631,6 @@ class RationalField:
     """The field Q; elements are fractions.Fraction."""
 
     id = "Q"
-    is_field = True
 
     def __init__(self):
         self.zero = Fraction(0)
@@ -676,7 +675,6 @@ class LocalRationalFunctions:
     """Q[x] localized at (x): RatFunc values with den(0) != 0."""
 
     id = "Q[x]_(x)"
-    is_field = False
 
     def __init__(self):
         self.zero = RatFunc.constant(0)

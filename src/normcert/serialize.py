@@ -72,11 +72,6 @@ def _ratio_to_json(top: int, bottom: int) -> str:
     return num if bottom == g else f"{num}/{int_text(bottom // g)}"
 
 
-def rational_to_json(v: Fraction) -> str:
-    # "p", or "p/q" when q > 1, with every digit: the text of a message
-    return shown(v)
-
-
 def _rational_pair(data) -> tuple[int, int]:
     """(p, q) with q > 0 and p / q the value of a rational string, not
     necessarily in lowest terms."""
@@ -102,7 +97,8 @@ def _rational_pair(data) -> tuple[int, int]:
 
 def element_to_json(ring, a):
     if ring.id == QQ.id:
-        return rational_to_json(a)
+        # "p", or "p/q" when q > 1, with every digit: the text of a message
+        return shown(a)
     num, den = a.canonical_ratios()
     return {
         "num": [_ratio_to_json(*r) for r in num],

@@ -180,6 +180,17 @@ def naive_form_value(q, xs):
     return total
 
 
+def naive_base_value(q, ys):
+    """q(y) over the base ring: the sum of a_j * y_j * y_j in ring
+    arithmetic."""
+    ring = q.ring
+    total = ring.zero
+    for a, y in zip(q.diag, ys):
+        y = ring.element(y)
+        total = total + a * y * y
+    return total
+
+
 def powers_matrix(x):
     """Column j holds the coordinates of x^j, j = 0 .. n-1."""
     cols = [x.ext.one()]
@@ -290,7 +301,7 @@ def scaled_witness_value(c, b, xs, q, column=-1):
     """q of one coordinate column of x*b in the power basis of c*b^2: the
     top coordinates by default, the constant ones at column 0."""
     cb2 = c * b * b
-    return q.evaluate([(x * b).coords_in(cb2)[column] for x in xs])
+    return naive_base_value(q, [(x * b).coords_in(cb2)[column] for x in xs])
 
 
 def system_identity(c, b, xs, q, column=-1):

@@ -125,7 +125,7 @@ def test_criterion_4_genpos_identity_suite():
         ext, c, q, xs, b = _random_genpos_setup(rng, n, 2)
         lam = F(rng.choice([2, 3, -2]))
         det_a, dets = system_determinants(c, b, xs)
-        det_s, dets_s = system_determinants(c, b * lam, xs)
+        det_s, dets_s = system_determinants(c, b * ext.scalar(lam), xs)
         assert det_s == lam ** (n * (n - 2)) * det_a
         assert dets_s == [lam ** ((n - 1) * (n - 3)) * d for d in dets]
         scalings += 1

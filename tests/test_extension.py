@@ -97,7 +97,7 @@ class TestArithmetic:
 
     def test_inverse_of_zero(self, sqrt2):
         with pytest.raises(NotInvertible):
-            sqrt2.zero().inverse()
+            sqrt2.scalar(0).inverse()
 
     def test_norm_multiplicative(self, sqrt2, local_ext):
         cubic = qq_ext(-1, -1, 0, 1)  # t^3 - t - 1
@@ -140,12 +140,12 @@ class TestPrimitivity:
             for _ in range(50):
                 x = _random_element(ext, rng)
                 coords = x.coords_in(d)
-                acc = ext.zero()
+                acc = [ext.ring.zero] * ext.n
                 power = ext.one()
                 for v in coords:
-                    acc = acc + power * v
+                    acc = [a + v * w for a, w in zip(acc, power.coords)]
                     power = power * d
-                assert acc == x
+                assert ext.element(acc) == x
 
     def test_top_coefficient_examples(self, gauss):
         x = gauss.element([F(3, 2), F(1, 2)])
@@ -247,7 +247,9 @@ class TestPrimitiveTransfer:
                 p = c.minimal_polynomial()
                 if not QQ.is_invertible(horner_free_eval(list(p.coeffs), -r0 / r1)):
                     continue
-                assert (c * r1 + ext.scalar(r0)).is_primitive()
+                coords = [r1 * v for v in c.coords]
+                coords[0] += r0
+                assert ext.element(coords).is_primitive()
                 tested += 1
 
 
@@ -345,10 +347,10 @@ class TestCanonicalBasis:
         rng = random.Random(45)
         ext = _random_extension(ring, 3, rng)
         elements = self._elements(ext, rng)
-        t = ext.gen()
-        two = ring.one + ring.one
-        # 2t is not primitive in characteristic 2, where it is 0
-        bases = [t + ext.one()] + ([t * two] if two else [])
+        one, zero = ring.one, ring.zero
+        two = one + one
+        # t + 1, and 2t, which is not primitive in characteristic 2, where it is 0
+        bases = [ext.element([one, one, zero])] + ([ext.element([zero, two, zero])] if two else [])
         widths, solve = [], linalg.solve_columns
         monkeypatch.setattr(
             linalg, "solve_columns", lambda a, b: widths.append(len(b[0])) or solve(a, b))
@@ -391,7 +393,7 @@ class TestPrimitivityFromTheElimination:
         ext = _random_extension(ring, 3, rng)
         elements = TestCanonicalBasis._elements(ext, rng)
         # the powers 1, x*t, x^2*t^2 have determinant x^3: nonzero, not a unit
-        c = ext.gen() * ring.x
+        c = ext.element([ring.zero, ring.x, ring.zero])
         det = naive_det(powers_matrix(c))
         assert det and not ring.is_invertible(det)
         self._refuse_det(monkeypatch)
@@ -400,12 +402,32 @@ class TestPrimitivityFromTheElimination:
         assert not c.is_primitive()
 
     @pytest.mark.parametrize("ring", CANONICAL_RINGS, ids=lambda ring: ring.id)
+    def test_is_primitive_is_a_unit_determinant_of_the_powers(self, ring, monkeypatch):
+        # on fresh elements, scalars among them, both answers occur
+        rng = random.Random(53)
+        self._refuse_det(monkeypatch)
+        answers = set()
+        for n in (2, 3):
+            ext = _random_extension(ring, n, rng)
+            elements = [ext.scalar(_random_value(ring, rng, unit=True))]
+            elements += [ext.element([_random_value(ring, rng) for _ in range(n)])
+                         for _ in range(12)]
+            if ring is QQ_LOCAL_X:
+                # x*t: its power determinant is a nonzero power of x
+                elements.append(ext.element([ring.zero, ring.x] + [ring.zero] * (n - 2)))
+            for c in elements:
+                primitive = c.is_primitive()
+                assert primitive == ring.is_invertible(naive_det(powers_matrix(c)))
+                answers.add(primitive)
+        assert answers == {True, False}
+
+    @pytest.mark.parametrize("ring", CANONICAL_RINGS, ids=lambda ring: ring.id)
     def test_a_primitive_element_takes_no_determinant(self, ring, monkeypatch):
         rng = random.Random(52)
         ext = _random_extension(ring, 3, rng)
         elements = TestCanonicalBasis._elements(ext, rng)
         # its power matrix is unitriangular in the canonical basis
-        c = ext.gen() + ext.one()
+        c = ext.element([ring.one, ring.one, ring.zero])
         self._refuse_det(monkeypatch)
         cols, den, _ = c.coordinate_columns(elements)
         TestCanonicalBasis._assert_coordinates(c, elements, cols, den)

@@ -19,6 +19,7 @@ from oracles import (
     last_column_minors,
     mat_mul,
     mult_matrix,
+    naive_base_value,
     naive_inverse,
     powers_matrix,
     rank,
@@ -100,7 +101,7 @@ class TestSystemMatrix:
         with pytest.raises(NotPrimitive):
             system_matrix(ext.scalar(3), ext.one())
         with pytest.raises(NotInvertible):
-            system_matrix(ext.gen(), ext.zero())
+            system_matrix(ext.gen(), ext.scalar(0))
 
 
 class TestDeterminantIdentity:
@@ -126,7 +127,7 @@ class TestDeterminantIdentity:
         rng = random.Random(23)
         ext, c, q, _ = random_instance(rng, 3, 2)
         b = random_unit(ext, rng)
-        _, dets = system_determinants(c, b, [ext.zero(), ext.zero()])
+        _, dets = system_determinants(c, b, [ext.scalar(0), ext.scalar(0)])
         assert dets == [F(0), F(0)]
 
     def test_homogeneity(self):
@@ -140,7 +141,7 @@ class TestDeterminantIdentity:
             lam = F(rng.choice([2, 3, -2, 5]))
             for column, exponent in ((-1, (n - 1) * (n - 3)), (0, (n - 1) ** 2)):
                 det_a, dets = system_determinants(c, b, xs, column)
-                det_scaled, dets_scaled = system_determinants(c, b * lam, xs, column)
+                det_scaled, dets_scaled = system_determinants(c, b * ext.scalar(lam), xs, column)
                 assert det_scaled == lam ** (n * (n - 2)) * det_a
                 assert dets_scaled == [lam ** exponent * d for d in dets]
 
@@ -239,7 +240,7 @@ class TestPrimitiveScalingSearch:
         ext = qq_ext(-2, 0, 1)
         with pytest.raises(NotInvertible):
             find_general_position(
-                ext.zero(), [ext.one()], QuadraticForm(QQ, [1]), random.Random(0))
+                ext.scalar(0), [ext.one()], QuadraticForm(QQ, [1]), random.Random(0))
 
     def test_exhaustion_with_tiny_budget(self):
         # try 1 is the probe's slot, which a scalar c skips
@@ -286,7 +287,7 @@ class TestGeneralPositionSearch:
         xs = [ext.element([3])]
         w = find_general_position(ext.gen(), xs, q, random.Random(0))
         assert w.b == ext.one()
-        assert w.r == q.evaluate([F(3)])
+        assert w.r == naive_base_value(q, [F(3)])
 
     def test_cube_roots_of_unity_over_q(self):
         # the char-3 obstruction is absent over Q: some scaling works
@@ -320,8 +321,8 @@ class TestGeneralPositionSearch:
             # and its integral columns are the same coordinates over one
             # denominator, n numerators each
             assert [[F(v, d) for v in col] for col in nums] == columns
-            assert w.r == q.evaluate([col[-1] for col in columns])
-            assert w.q0 == q.evaluate([col[0] for col in columns])
+            assert w.r == naive_base_value(q, [col[-1] for col in columns])
+            assert w.q0 == naive_base_value(q, [col[0] for col in columns])
             # the same elimination gave the minimal polynomial of c_new
             assert w.p == w.c_new.minimal_polynomial()
             assert 1 <= w.tries_used
@@ -330,7 +331,7 @@ class TestGeneralPositionSearch:
         ext = qq_ext(-2, 0, 1)
         q = QuadraticForm(QQ, [1, -1])
         with pytest.raises(NotInvertible):
-            find_general_position(ext.zero(), [ext.one(), ext.gen()], q, random.Random(0))
+            find_general_position(ext.scalar(0), [ext.one(), ext.gen()], q, random.Random(0))
         # a witness with q(x) not a unit is refused by certify, before the
         # search (test_certify.py::TestStructure::test_value_must_be_unit)
 
@@ -361,7 +362,7 @@ class TestGeneralPositionSearch:
         ]
         assert c * q.evaluate_ext(xs) == ext.one()
         probe_tops = [x.coords_in(c)[-1] for x in xs]
-        assert not ring.is_invertible(q.evaluate(probe_tops))
+        assert not ring.is_invertible(naive_base_value(q, probe_tops))
         w = find_general_position(c, xs, q, random.Random(4))
         assert w.b != ext.one()
         assert w.tries_used > 1
@@ -383,10 +384,30 @@ class TestGeneralPositionSearch:
         assert_general_position(c, w)
 
     def test_a_lift_out_of_general_position_is_an_internal_error(self, monkeypatch):
-        # the residue search finds b with 3*b^2 primitive; a lift that loses
-        # that over the ring (here: every lift is 1) is a bug, not a miss
-        ext = qq_ext(-2, 0, 1)
-        q, xs = QuadraticForm(QQ, [1, 1]), [ext.one(), ext.gen()]
+        # over Q[x]_(x) the residue search finds b with 3*b^2 primitive; a
+        # lift that loses that over the ring (here: every lift is 1) is a
+        # bug, not a miss
+        ring = QQ_LOCAL_X
+        ext = SimpleExtension(ring, Poly(ring, [-2, 0, 1]))
+        q, xs = QuadraticForm(ring, [1, 1]), [ext.one(), ext.gen()]
         monkeypatch.setattr(ExtElement, "lift_to", lambda self, target: target.one())
         with pytest.raises(InternalAssertion, match="not in general position over the ring"):
             find_general_position(ext.scalar(3), xs, q, random.Random(0))
+
+    def test_over_a_field_the_residue_hit_is_the_witness(self, monkeypatch):
+        # over Q the residue algebra is the algebra itself, so the hit's one
+        # elimination gives the witness: nothing eliminates after it
+        ext = qq_ext(-2, 0, 1)
+        q, xs = QuadraticForm(QQ, [1, 1]), [ext.one(), ext.gen()]
+        eliminated = []
+        eliminate = ExtElement.coordinate_columns
+
+        def recorded(self, elements):
+            eliminated.append(self)
+            return eliminate(self, elements)
+
+        monkeypatch.setattr(ExtElement, "coordinate_columns", recorded)
+        w = find_general_position(ext.scalar(3), xs, q, random.Random(0))
+        assert w.tries_used > 1
+        hit = next(i for i, c in enumerate(eliminated) if c == w.c_new)
+        assert hit == len(eliminated) - 1

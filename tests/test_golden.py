@@ -61,7 +61,7 @@ def _instances():
     # q_S(x) = 5 is a scalar, so the first level skips the b = 1 probe and
     # searches a scaling that makes it primitive
     ext = SimpleExtension(QQ, Poly(QQ, [3, 0, 0, 1]))
-    yield ext, QuadraticForm(QQ, [5, 7]), [ext.one(), ext.zero()], 0
+    yield ext, QuadraticForm(QQ, [5, 7]), [ext.one(), ext.scalar(0)], 0
     # the b = 1 probe fails, so the general-position search samples and lifts
     ext = SimpleExtension(QQ_LOCAL_X, Poly(QQ_LOCAL_X, [-2, 0, 1]))
     xs = [ext.element([F(1, 2), F(1, 2)]), ext.element([F(-1, 2), F(1, 2)])]

@@ -111,16 +111,11 @@ def test_product_matches_naive(case):
 
 @given(elements())
 def test_elements_stay_normalized(case):
-    modulus, a, b, s = case
+    modulus, a, b, _ = case
     ext = SimpleExtension(QQ, Poly(QQ, modulus))
     x, y = ext.element(a), ext.element(b)
     assert_normalized(x, a)
     assert_normalized(x * y, naive_ext_mul(modulus, a, b))
-    assert_normalized(x + y, [u + v for u, v in zip(a, b)])
-    assert_normalized(x - y, [u - v for u, v in zip(a, b)])
-    assert_normalized(-x, [-u for u in a])
-    assert_normalized(x * s, [u * s for u in a])
-    assert_normalized(s + x, [a[0] + s] + a[1:])
     assert (x == y) == (a == b)
 
 
@@ -244,16 +239,11 @@ def assert_local_normalized(e, coords):
 @settings(max_examples=60, deadline=None)
 @given(local_elements())
 def test_local_elements_match_coordinatewise_ratfuncs(case):
-    modulus, a, b, s = case
+    modulus, a, b, _ = case
     ext = SimpleExtension(LOCAL, Poly(LOCAL, modulus))
     x, y = ext.element(a), ext.element(b)
     assert_local_normalized(x, a)
     assert_local_normalized(x * y, local_mul(modulus, a, b))
-    assert_local_normalized(x + y, [u + v for u, v in zip(a, b)])
-    assert_local_normalized(x - y, [u - v for u, v in zip(a, b)])
-    assert_local_normalized(-x, [-u for u in a])
-    assert_local_normalized(x * s, [u * s for u in a])
-    assert_local_normalized(s + x, [a[0] + s] + a[1:])
     assert (x == y) == (a == b)
 
 

@@ -19,9 +19,9 @@ F = Fraction
 
 class TestEvaluate:
     def test_base_examples(self):
-        assert QuadraticForm(QQ, [1, 1]).evaluate([1, 2]) == 5
-        assert QuadraticForm(QQ, [1, -1]).evaluate([1, 1]) == 0
-        assert QuadraticForm(QQ, [1, 2]).evaluate([3, 0]) == 9
+        assert QuadraticForm(QQ, [1, 1]).value([1, 2], 1) == 5
+        assert QuadraticForm(QQ, [1, -1]).value([1, 1], 1) == 0
+        assert QuadraticForm(QQ, [1, 2]).value([3, 0], 1) == 9
 
     def test_ext_examples(self):
         gauss = SimpleExtension(QQ, Poly(QQ, [1, 0, 1]))
@@ -49,12 +49,12 @@ class TestEvaluate:
         q = QuadraticForm(k, [k.one, k.element((0, 1))])
         for y1 in k.elements():
             for y2 in k.elements():
-                assert q.evaluate([y1, y2]) == y1 * y1 + q.diag[1] * y2 * y2
+                assert q.value([y1, y2], k.one) == y1 * y1 + q.diag[1] * y2 * y2
 
     def test_dimension_checks(self):
         q = QuadraticForm(QQ, [1, 1])
         with pytest.raises(ValueError):
-            q.evaluate([1])
+            q.value([1], 1)
 
     def test_residue_commutes_with_ext_evaluation(self):
         ring = QQ_LOCAL_X
@@ -119,7 +119,7 @@ def test_values_match_coordinatewise_sums(case):
     expected = ring.zero
     for a, y in zip(diag, ys):
         expected = expected + a * y * y
-    value = QuadraticForm(ring, diag).evaluate(ys)
+    value = QuadraticForm(ring, diag).value(*integral_format(ring).clear(ys))
     assert type(value) is type(expected) and value == expected
 
 
@@ -165,7 +165,7 @@ def forms_and_witnesses(draw):
     xs = []
     for _ in range(m):
         if draw(st.integers(0, 4)) == 0:
-            xs.append(ext.zero())
+            xs.append(ext.scalar(0))
             continue
         shared = den()
         coords = []
