@@ -35,6 +35,13 @@ pair's ratio is N(b)^(-2) * q(x(0)) / r, and the vectors are integral with
 content 1, so no entry carries a denominator.  A certificate of degree n
 has exactly n factors.
 
+Each level, on every run, records its n, p, h, r, q(x(0)), scaling b and
+search tries in one `ReductionStep`, right after its division checks, top
+level first; the records are the certificate's `trace`, `CertifyStats`
+adds them up, and the CLI writes them under `--trace`.  The record builds
+nothing: g = h/r is taken when it is read, by the level itself when its
+reduced algebra has degree >= 2 and by the trace writer.
+
 The depth is floor(n/2) and no level inverts anything.  q_S(x) is
 evaluated once, in `certify`, and each level takes the norm of its value
 once; that norm is the certificate target at the top and N_T(u) one
@@ -85,36 +92,52 @@ from .rings import shown
 
 @dataclass
 class ReductionStep:
-    """Audit record of one induction level: p is the minimal polynomial of
-    q_S(x)*b^2 for the level's one scaling b, and g is None at n = 2,
-    where h is the constant r and the level ends."""
+    """The record of one induction level, built on every run: p is the
+    minimal polynomial of q_S(x)*b^2 for the level's one scaling b, found in
+    `tries` tries of its search (try 1 is the b = 1 probe's slot)."""
 
     n: int
     p: Poly
     h: Poly
     r: object
     q0: object
-    g: Poly | None
     b: ExtElement
+    tries: int
+
+    @property
+    def g(self) -> Poly | None:
+        """The modulus h/r of the reduced algebra, None at n = 2, where h is
+        the constant r and the level ends."""
+        return None if self.n == 2 else self.h.scale(self.h.ring.invert(self.r))
 
 
 @dataclass(frozen=True)
 class NormCertificate:
+    """The factors multiplying to target, and the record of each reduction
+    level, top level first (none for a decoded certificate)."""
+
     target: object
     factors: tuple
-    trace: tuple | None = None
+    trace: tuple = ()
 
 
 @dataclass
 class CertifyStats:
-    """Counters across one or many certification runs: genpos_tries counts
-    the tries of each level's one search, the b = 1 probe's slot included."""
+    """Counters across one or many certification runs, summed from their
+    records: genpos_tries counts the tries of each level's one search, the
+    b = 1 probe's slot included, and an exhausted search counts as one
+    level, one call and one exhaustion, with no tries."""
 
     levels: int = 0
-    level_checks: int = 0
     genpos_calls: int = 0
     genpos_tries: int = 0
     genpos_exhausted: int = 0
+
+    def add(self, steps, exhausted: int = 0):
+        self.levels += len(steps) + exhausted
+        self.genpos_calls += len(steps) + exhausted
+        self.genpos_tries += sum(step.tries for step in steps)
+        self.genpos_exhausted += exhausted
 
 
 @dataclass(frozen=True)
@@ -140,10 +163,9 @@ class _Seeded:
         return getattr(self._rng, name)
 
 
-def _check(condition: bool, message: str, stats: CertifyStats):
+def _check(condition: bool, message: str):
     if not condition:
         raise InternalAssertion(message)
-    stats.level_checks += 1
 
 
 def _scalar_factor(ring, fmt, nums, den) -> ValueFactor:
@@ -171,9 +193,9 @@ def _at_scalar(fmt, cols, d, an, ad):
     return nums, d * pows[-1]
 
 
-def _certify_value(ext, q, xs, value, rng, max_tries, bound, stats, with_trace):
-    """Factors multiplying to the norm of value = q_S(x), that norm, and the
-    records of this level and of the levels below it (none untraced)."""
+def _certify_value(ext, q, xs, value, rng, max_tries, bound, steps):
+    """Factors multiplying to the norm of value = q_S(x), and that norm;
+    the record of this level and of each level below it goes on steps."""
     ring = ext.ring
     n = ext.n
     fmt = integral_format(ring)
@@ -183,19 +205,10 @@ def _certify_value(ext, q, xs, value, rng, max_tries, bound, stats, with_trace):
     if n == 1:
         # the witness itself, its one coordinate each over one denominator
         vecs, den = over_common_denominator(fmt, [x.integral for x in xs])
-        return [_scalar_factor(ring, fmt, [v[0] for v in vecs], den)], norm, []
-    stats.levels += 1
+        return [_scalar_factor(ring, fmt, [v[0] for v in vecs], den)], norm
 
     # x -> x*b replaces c = q_S(x) by c*b^2, for the level's one scaling b
-    stats.genpos_calls += 1
-    try:
-        witness = find_general_position(
-            value, xs, q, rng, max_tries=max_tries, bound=bound
-        )
-    except SearchExhausted:
-        stats.genpos_exhausted += 1
-        raise
-    stats.genpos_tries += witness.tries_used
+    witness = find_general_position(value, xs, q, rng, max_tries=max_tries, bound=bound)
     c, p, r, q0 = witness.c_new, witness.p, witness.r, witness.q0
 
     # F(t) = q(x(t)) - t, one sum over the witness columns' denominator
@@ -205,22 +218,19 @@ def _certify_value(ext, q, xs, value, rng, max_tries, bound, stats, with_trace):
     f_poly = Poly.from_integral(ring, f_nums, f_den)
 
     h, remainder = divmod(f_poly, p)
-    _check(not remainder, "q(x(t)) - t is not divisible by the minimal polynomial", stats)
-    _check(h.degree == n - 2, "quotient degree is not n - 2", stats)
-    _check(h.leading == r, "leading coefficient of the quotient is not the search value", stats)
-    _check(
-        p.constant_term * h.constant_term == q0,
-        "constant terms do not multiply to q(x(0))",
-        stats,
-    )
+    _check(not remainder, "q(x(t)) - t is not divisible by the minimal polynomial")
+    _check(h.degree == n - 2, "quotient degree is not n - 2")
+    _check(h.leading == r, "leading coefficient of the quotient is not the search value")
+    _check(p.constant_term * h.constant_term == q0, "constant terms do not multiply to q(x(0))")
+    step = ReductionStep(n, p, h, r, q0, witness.b, witness.tries_used)
+    steps.append(step)
 
     if n == 2:
         # h = r: F(t) = r * p(t), and no level is left below
-        g, sub_factors, norm_u, sub_steps = None, [], ring.one, []
+        sub_factors, norm_u = [], ring.one
     elif n == 3:
         # g = h/r = t - a, so T is R itself and u = a = -h0/h1: the level
         # below is z = x(a), its factor, and N_T(u) = a
-        g = h.scale(ring.invert(r)) if with_trace else None
         (h0, h1), _ = h.integral
         if not fmt.is_unit(h0):
             raise InternalAssertion("reduced modulus is not simple: its constant term is not a unit")
@@ -232,13 +242,13 @@ def _certify_value(ext, q, xs, value, rng, max_tries, bound, stats, with_trace):
         # F(u) = 0 in T; at degree >= 2 the level below checks it, as g
         # dividing q(z(t)) - t
         v_num, v_den = q.integral_value(z_nums, z_den)
-        _check(v_num * ad == an * v_den, "q_T(z) is not u in the reduced algebra", stats)
-        sub_factors, norm_u, sub_steps = [factor], fmt.value(an, ad), []
+        _check(v_num * ad == an * v_den, "q_T(z) is not u in the reduced algebra")
+        sub_factors, norm_u = [factor], fmt.value(an, ad)
     else:
-        g = h.scale(ring.invert(r))
         try:
-            # g(0) = q(x(0)) / (p(0) * r) is a unit, as SimpleExtension requires
-            sub_ext = SimpleExtension(ring, g)
+            # g = h/r, and g(0) = q(x(0)) / (p(0) * r) is a unit, as
+            # SimpleExtension requires
+            sub_ext = SimpleExtension(ring, step.g)
         except NotSimple as exc:
             raise InternalAssertion(f"reduced modulus is not simple: {exc}") from exc
         # the coordinates of the witness in the power basis of c, read as
@@ -246,16 +256,13 @@ def _certify_value(ext, q, xs, value, rng, max_tries, bound, stats, with_trace):
         z = [sub_ext.from_integral(col, d) for col in cols]
         if not all(fmt.in_ring(x.integral[1]) for x in z):
             raise InternalAssertion("a coordinate of the reduced witness left the ring")
-        sub_factors, norm_u, sub_steps = _certify_value(
-            sub_ext, q, z, sub_ext.gen(), rng, max_tries, bound, stats, with_trace
+        sub_factors, norm_u = _certify_value(
+            sub_ext, q, z, sub_ext.gen(), rng, max_tries, bound, steps
         )
 
     # sign-free combine identity, checked rather than trusted
-    _check(
-        c.norm() * r * norm_u == q0,
-        "norms and the leading coefficient do not combine to q(x(0))",
-        stats,
-    )
+    _check(c.norm() * r * norm_u == q0,
+           "norms and the leading coefficient do not combine to q(x(0))")
 
     # hence N(q_S(x)) = N(b)^(-2) * q(x(0)) * r^(-1) * N_T(u)^(-1): with
     # N(b) = nb/db, x(0) scaled by lambda*db and tops by lambda*nb, where
@@ -273,10 +280,7 @@ def _certify_value(ext, q, xs, value, rng, max_tries, bound, stats, with_trace):
         ValueFactor.from_integral(ring, ends[m:], fmt.one, -1),
         *(f.flipped() for f in sub_factors),
     ]
-    if not with_trace:
-        return factors, norm, []
-    step = ReductionStep(n=n, p=p, h=h, r=r, q0=q0, g=g, b=witness.b)
-    return factors, norm, [step] + sub_steps
+    return factors, norm
 
 
 def certify(
@@ -286,26 +290,28 @@ def certify(
     rng: random.Random | int | None = None,
     max_tries: int = DEFAULT_MAX_TRIES,
     bound: int = DEFAULT_BOUND,
-    with_trace: bool = False,
     stats: CertifyStats | None = None,
 ) -> NormCertificate:
     """Produce a verified certificate that the norm of q_S(x) is a product
-    of values of q over the base ring."""
+    of values of q over the base ring, with the record of each reduction
+    level; `stats`, when given, adds up the records."""
     if q.ring.id != ext.ring.id:
         raise ValueError("form and extension have different coefficient rings")
     xs = list(xs)
     if rng is None or isinstance(rng, int):
         rng = _Seeded(0 if rng is None else rng)
-    stats = CertifyStats() if stats is None else stats
     value = q.evaluate_ext(xs)
-    factors, target, steps = _certify_value(
-        ext, q, xs, value, rng, max_tries, bound, stats, with_trace
-    )
-    cert = NormCertificate(
-        target=target,
-        factors=tuple(factors),
-        trace=tuple(steps) if with_trace else None,
-    )
+    steps, exhausted = [], 0
+    try:
+        factors, target = _certify_value(ext, q, xs, value, rng, max_tries, bound, steps)
+    except SearchExhausted:
+        # the exhausted level built no record
+        exhausted = 1
+        raise
+    finally:
+        if stats is not None:
+            stats.add(steps, exhausted)
+    cert = NormCertificate(target=target, factors=tuple(factors), trace=tuple(steps))
     outcome = verify(ext, q, xs, cert)
     if not outcome:
         raise InternalAssertion(f"freshly built certificate failed to verify: {outcome.failure}")

@@ -260,9 +260,6 @@ class FiniteField:
             raise NotInvertible(f"0 has no inverse in {self.id}")
         return FFElement(self, self.inv_table[a.code])
 
-    def residue(self, a):
-        return self.check(a)
-
     def lift(self, v):
         return self.check(v)
 

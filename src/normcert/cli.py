@@ -29,6 +29,7 @@ from .serialize import (
     dumps,
     load_certificate,
     load_instance,
+    trace_to_json,
 )
 
 CHAR2_FIELDS = (2, 4, 8)
@@ -74,7 +75,6 @@ def _cmd_certify(args) -> int:
             rng=seed,
             max_tries=_option(args, inst, "max_tries", DEFAULT_MAX_TRIES),
             bound=_option(args, inst, "bound", DEFAULT_BOUND),
-            with_trace=bool(args.trace or inst.options.get("trace")),
         )
     except SearchExhausted as exc:
         print(f"search exhausted: {exc}", file=sys.stderr)
@@ -84,7 +84,10 @@ def _cmd_certify(args) -> int:
     except NormCertError as exc:
         print(f"invalid instance: {exc}", file=sys.stderr)
         return 3
-    payload = dumps(certificate_to_json(inst.ring, cert))
+    out = certificate_to_json(inst.ring, cert)
+    if args.trace:
+        out["trace"] = trace_to_json(inst.ring, cert.trace)
+    payload = dumps(out)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(payload)

@@ -45,7 +45,6 @@ computes both sides of both identities.
 
 from __future__ import annotations
 
-import logging
 import random
 from dataclasses import dataclass
 
@@ -54,8 +53,6 @@ from .extension import ExtElement
 from .poly import Poly
 from .qform import QuadraticForm
 from .rings import sample_residue
-
-logger = logging.getLogger("normcert.genpos")
 
 DEFAULT_MAX_TRIES = 64
 DEFAULT_BOUND = 3
@@ -146,5 +143,4 @@ def find_general_position(
             # primitivity and the units r, q0 hold over the residue field
             raise InternalAssertion("the lifted scaling is not in general position over the ring")
         return found
-    logger.warning("general-position search exhausted after %d tries", max_tries)
     raise SearchExhausted(f"no general-position scaling found in {max_tries} tries")

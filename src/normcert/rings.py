@@ -606,13 +606,6 @@ class RatFunc:
             return hash(Fraction(num.c[0], den[0]))
         return hash((num.c, den))
 
-    def at_zero(self) -> Fraction:
-        """Value at x = 0; requires den(0) != 0."""
-        num, den = self.numerator.c, self.denominator.c
-        if den[0] == 0:
-            raise ZeroDivisionError("rational function has a pole at 0")
-        return Fraction(num[0] if num else 0, den[0])
-
     def is_defined_at_zero(self) -> bool:
         return self.denominator.c[0] != 0
 
@@ -660,9 +653,6 @@ class RationalField:
         if self.check(a) == 0:
             raise NotInvertible("0 has no inverse in Q")
         return 1 / a
-
-    def residue(self, a) -> Fraction:
-        return self.check(a)
 
     def lift(self, v) -> Fraction:
         return Fraction(v)
@@ -716,9 +706,6 @@ class LocalRationalFunctions:
         if not self.is_invertible(a):
             raise NotInvertible(f"{shown(a)} lies in the maximal ideal (x)")
         return a.reciprocal()
-
-    def residue(self, a) -> Fraction:
-        return self.check(a).at_zero()
 
     def lift(self, v) -> RatFunc:
         return RatFunc.constant(v)

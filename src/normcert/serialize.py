@@ -37,7 +37,7 @@ from decimal import Decimal
 from fractions import Fraction
 from math import gcd, lcm
 
-from .certify import NormCertificate, ReductionStep
+from .certify import NormCertificate
 from .errors import NotRegular, NotSimple
 from .extension import ExtElement, SimpleExtension
 from .poly import Poly, _poly, integral_format
@@ -210,28 +210,31 @@ def _factor_from_json(ring, data) -> ValueFactor:
     return ValueFactor.from_integral(ring, *_vector_from_json(ring, data["vector"]), data["exp"])
 
 
-def _step_to_json(ring, step: ReductionStep) -> dict:
-    out = {
-        "n": step.n,
-        "p": poly_to_json(step.p),
-        "h": poly_to_json(step.h),
-        "r": element_to_json(ring, step.r),
-        "q0": element_to_json(ring, step.q0),
-        "b": [element_to_json(ring, v) for v in step.b.coords],
-    }
-    if step.g is not None:
-        out["g"] = poly_to_json(step.g)
+def trace_to_json(ring, steps) -> list:
+    """The record of each reduction level, top level first."""
+    out = []
+    for step in steps:
+        record = {
+            "n": step.n,
+            "p": poly_to_json(step.p),
+            "h": poly_to_json(step.h),
+            "r": element_to_json(ring, step.r),
+            "q0": element_to_json(ring, step.q0),
+            "b": [element_to_json(ring, v) for v in step.b.coords],
+        }
+        g = step.g
+        if g is not None:
+            record["g"] = poly_to_json(g)
+        out.append(record)
     return out
 
 
 def certificate_to_json(ring, cert: NormCertificate) -> dict:
-    out = {
+    """The target and the factors; `trace_to_json` writes the records."""
+    return {
         "target": element_to_json(ring, cert.target),
         "factors": [factor_to_json(ring, f) for f in cert.factors],
     }
-    if cert.trace is not None:
-        out["trace"] = [_step_to_json(ring, s) for s in cert.trace]
-    return out
 
 
 def certificate_from_json(ring, data) -> NormCertificate:

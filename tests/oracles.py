@@ -210,6 +210,13 @@ def horner_free_eval(coeffs, point):
     return total
 
 
+def value_at_zero(a) -> Fraction:
+    """a(0) for a rational function in x, from the constant coefficients
+    of its numerator and denominator; a pole at 0 raises ZeroDivisionError."""
+    num, den = a.num, a.den
+    return Fraction(num[0] if num else 0) / den[0]
+
+
 def mat_mul(ring, a, b):
     cols = list(zip(*b))
     return [[sum((x * y for x, y in zip(row, col)), ring.zero) for col in cols] for row in a]

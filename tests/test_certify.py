@@ -8,16 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from normcert import linalg
+from normcert import instances, linalg
 from normcert.charp import GF
 from normcert.certify import (
     CertifyStats,
     NormCertificate,
-    ReductionStep,
     certify,
     verify,
 )
-from normcert.errors import InternalAssertion, ValueNotUnit
+from normcert.errors import InternalAssertion, SearchExhausted, ValueNotUnit
 from normcert.extension import ExtElement, SimpleExtension
 from normcert.instances import random_instance, run_random_suite
 from normcert.poly import Poly, integral_format, over_common_denominator
@@ -240,7 +239,7 @@ class TestIntegralEndVectors:
             # Z[x] eliminations grow fast with the degree and the rank
             m = min(m, 2 if n <= 3 else 1)
         inst = random_instance(ring, random.Random(seed), n, m)
-        cert = certify(inst.ext, inst.q, inst.xs, rng=seed, with_trace=True)
+        cert = certify(inst.ext, inst.q, inst.xs, rng=seed)
         pairs = level_pairs(cert)
         assert len(pairs) == n // 2
         for level, (bottom, top) in enumerate(pairs):
@@ -296,7 +295,7 @@ def scaled_levels(ext, q, xs, seed):
     """Certifies, checks that the certificate has exactly n factors and
     that each level's pair has the ratio q0 / (r * N(b)^2) of its trace,
     and returns the number of levels with a scaling b other than 1."""
-    cert = certify(ext, q, xs, rng=seed, with_trace=True)
+    cert = certify(ext, q, xs, rng=seed)
     assert len(cert.factors) == ext.n
     scaled = 0
     for step, (bottom, top) in zip(cert.trace, level_pairs(cert)):
@@ -386,7 +385,7 @@ class TestStructure:
             n = rng.randint(2, 5)
             m = rng.randint(1, 3)
             inst = random_instance(QQ, rng, n, m)
-            cert = certify(inst.ext, inst.q, inst.xs, rng=rng, with_trace=True)
+            cert = certify(inst.ext, inst.q, inst.xs, rng=rng)
             # depth is exactly floor(n/2) and degrees descend two at a time
             assert len(cert.trace) == n // 2
             # the first level's scaling b gives its element c = q_S(x)*b^2
@@ -427,8 +426,8 @@ class TestStructure:
 
     def test_determinism(self, gauss_instance):
         ext, q, xs = gauss_instance
-        a = certify(ext, q, xs, rng=5, with_trace=True)
-        b = certify(ext, q, xs, rng=5, with_trace=True)
+        a = certify(ext, q, xs, rng=5)
+        b = certify(ext, q, xs, rng=5)
         assert a == b
 
     def test_stats_collection(self):
@@ -436,15 +435,35 @@ class TestStructure:
         stats = CertifyStats()
         inst = random_instance(QQ, rng, 4, 2)
         certify(inst.ext, inst.q, inst.xs, rng=rng, stats=stats)
-        # levels of degree 4 and 2: five checks each (the four identities of
-        # F and its division, and the combine identity); the degree-4
-        # level's reduced algebra has degree 2, whose own division of
-        # q(z(t)) - t by g checks q_T(z) = u, so the parent does not
+        # levels of degree 4 and 2
         assert stats.levels == 2
         assert stats.genpos_calls == 2
         assert stats.genpos_tries >= 2
         assert stats.genpos_exhausted == 0
-        assert stats.level_checks == 5 + 5
+
+    def test_stats_are_the_sums_of_the_records(self, monkeypatch):
+        certs = []
+
+        def recorded(*args, **kwargs):
+            certs.append(certify(*args, **kwargs))
+            return certs[-1]
+
+        monkeypatch.setattr(instances, "certify", recorded)
+        result = run_random_suite(QQ, count=40, seed=8, n_choices=(1, 2, 3, 4, 5, 6))
+        levels = sum(len(cert.trace) for cert in certs)
+        tries = sum(step.tries for cert in certs for step in cert.trace)
+        assert len(certs) == 40 and levels > 40
+        assert result.stats == CertifyStats(levels, levels, tries, 0)
+
+    def test_exhausted_search_counts_one_level_and_no_tries(self):
+        # q_S(x) = 5 is a scalar, never primitive, and one try is only the
+        # b = 1 probe's slot
+        ext = qq_ext(3, 0, 0, 1)
+        q = QuadraticForm(QQ, [5, 7])
+        stats = CertifyStats()
+        with pytest.raises(SearchExhausted):
+            certify(ext, q, [ext.one(), ext.scalar(0)], rng=0, max_tries=1, stats=stats)
+        assert stats == CertifyStats(levels=1, genpos_calls=1, genpos_tries=0, genpos_exhausted=1)
 
     def test_trace_records_the_primitive_scaling(self):
         # q_S(x) = 5 is a scalar, so the level's scaling b makes 5*b^2
@@ -452,7 +471,7 @@ class TestStructure:
         ext = qq_ext(3, 0, 0, 1)
         q = QuadraticForm(QQ, [5, 7])
         xs = [ext.one(), ext.scalar(0)]
-        cert = certify(ext, q, xs, rng=0, with_trace=True)
+        cert = certify(ext, q, xs, rng=0)
         step = cert.trace[0]
         assert step.b != ext.one()
         assert (q.evaluate_ext(xs) * step.b * step.b).minimal_polynomial() == step.p
@@ -468,7 +487,7 @@ class TestStructure:
         inst = random_instance(QQ, random.Random(0), 3, 2)
         sizes, det = [], linalg.det
         monkeypatch.setattr(linalg, "det", lambda rows: sizes.append(len(rows)) or det(rows))
-        cert = certify(inst.ext, inst.q, inst.xs, rng=0, with_trace=True)
+        cert = certify(inst.ext, inst.q, inst.xs, rng=0)
         assert cert.trace[0].b == inst.ext.one()
         assert sorted(sizes) == [3, 3]
 
@@ -486,7 +505,7 @@ class TestStructure:
 
         monkeypatch.setattr(certify_module, "SimpleExtension", Counted)
         inst = random_instance(QQ, random.Random(0), n, 2)
-        cert = certify(inst.ext, inst.q, inst.xs, rng=0, with_trace=True)
+        cert = certify(inst.ext, inst.q, inst.xs, rng=0)
         assert [step.n for step in cert.trace] == list(range(n, 1, -2))
         assert degrees == built
 
@@ -518,7 +537,7 @@ class TestStructure:
         monkeypatch.setattr(ExtElement, "__mul__", counted_mul)
         monkeypatch.setattr(ExtElement, "__rmul__", counted_mul)
         monkeypatch.setattr(QuadraticForm, "evaluate_ext", flagged_evaluate_ext)
-        cert = certify(inst.ext, inst.q, inst.xs, rng=0, with_trace=True)
+        cert = certify(inst.ext, inst.q, inst.xs, rng=0)
         assert cert.trace[0].b == inst.ext.one()
         assert widths == [m + 1]
         assert not products
@@ -543,7 +562,7 @@ class TestStructure:
                 super().__init__(*args)
 
         monkeypatch.setattr(random, "Random", CountedRandom)
-        cert = certify(inst.ext, inst.q, inst.xs, rng=0, with_trace=True)
+        cert = certify(inst.ext, inst.q, inst.xs, rng=0)
         assert [step.n for step in cert.trace] == [5, 3]
         assert all(step.b == step.b.ext.one() for step in cert.trace)
         # the level below solves nothing: its c is u, the class of t, whose
@@ -553,17 +572,19 @@ class TestStructure:
         assert divisions == [8, 4]
         assert not seeded
 
-    def test_untraced_certify_builds_no_trace_record(self, monkeypatch):
-        # the package exports the function certify under the module's name
-        module = sys.modules["normcert.certify"]
-        built = []
-        monkeypatch.setattr(
-            module, "ReductionStep", lambda **kw: built.append(kw["n"]) or ReductionStep(**kw))
-        inst = random_instance(QQ, random.Random(0), 5, 1)
-        assert certify(inst.ext, inst.q, inst.xs, rng=0).trace is None
-        assert built == []
-        traced = certify(inst.ext, inst.q, inst.xs, rng=0, with_trace=True)
-        assert built == [3, 5] and [step.n for step in traced.trace] == [5, 3]
+    @pytest.mark.parametrize("n, scales", [(3, 0), (4, 1), (5, 1)])
+    def test_records_build_no_reduced_modulus(self, monkeypatch, n, scales):
+        # g = h/r is built for a reduced algebra of degree >= 2 only (at
+        # n = 5 the level below has degree 3 and builds none); a record
+        # takes it when it is read
+        calls, scale = [], Poly.scale
+        monkeypatch.setattr(Poly, "scale", lambda p, s: calls.append(1) or scale(p, s))
+        inst = random_instance(QQ, random.Random(0), n, 2)
+        cert = certify(inst.ext, inst.q, inst.xs, rng=0)
+        assert len(calls) == scales
+        assert [step.n for step in cert.trace] == list(range(n, 1, -2))
+        assert cert.trace[0].g.degree == n - 2
+        assert len(calls) == scales + 1
 
 
 SCALAR_FIELDS = [GF(order) for order in (2, 3, 4, 9)]
@@ -661,7 +682,7 @@ class TestScalingWall:
 
     def test_local_degree_four(self):
         inst = random_instance(QQ_LOCAL_X, random.Random(3), 4, 2)
-        cert = certify(inst.ext, inst.q, inst.xs, rng=0, with_trace=True)
+        cert = certify(inst.ext, inst.q, inst.xs, rng=0)
         assert verify(inst.ext, inst.q, inst.xs, cert)
         assert [step.n for step in cert.trace] == [4, 2]
 

@@ -51,6 +51,9 @@ DIGIT_LIMIT_INSTANCES = {
     "witness-pole": dict(LOCAL_INSTANCE, x=[["1", BIG_POLE]]),
     "diagonal-non-unit": dict(LOCAL_INSTANCE, q=[{"num": ["0", BIG]}]),
 }
+# q(x) = 4 is a scalar, never primitive, so the search skips the b = 1
+# probe, and a single try is only that probe's slot
+SCALAR_INSTANCE = {"ring": "Q", "p": ["-2", "0", "1"], "q": ["1"], "x": [["2", "0"]]}
 # the form names a ring of its own; certify once raised ValueError on it
 OTHER_RING_FORM_INSTANCE = dict(GAUSS_INSTANCE, q={"ring": "Q[x]_(x)", "diag": ["1", "1"]})
 BAD_OPTIONS = [
@@ -130,6 +133,14 @@ class TestCertifyCommand:
         assert len(cert["trace"]) == 1
         assert set(cert["trace"][0]) == {"n", "p", "h", "r", "q0", "b"}
 
+    def test_only_the_flag_writes_the_trace(self, tmp_path):
+        # an instance option is no switch: any truthy value, "no" too, once
+        # turned the trace on
+        inst = dict(GAUSS_INSTANCE, options={"trace": "no"})
+        code, out = run_certify(write_json(tmp_path / "inst.json", inst), tmp_path)
+        assert code == 0
+        assert set(json.loads(open(out).read())) == {"target", "factors"}
+
     def test_degree_one_single_factor(self, tmp_path):
         code, out = run_certify(write_json(tmp_path / "inst.json", DEGREE_ONE_INSTANCE), tmp_path)
         assert code == 0
@@ -200,15 +211,7 @@ class TestCertifyCommand:
         assert "internal error" in capsys.readouterr().err
 
     def test_search_exhaustion_exits_2(self, tmp_path):
-        # scalar value q(x) = 4 is never primitive, so the search skips the
-        # b = 1 probe, and a single try is only that probe's slot
-        inst = {
-            "ring": "Q",
-            "p": ["-2", "0", "1"],
-            "q": ["1"],
-            "x": [["2", "0"]],
-        }
-        path = write_json(tmp_path / "inst.json", inst)
+        path = write_json(tmp_path / "inst.json", SCALAR_INSTANCE)
         assert main(["certify", "--input", path, "--max-tries", "1"]) == 2
 
 
@@ -360,15 +363,30 @@ def test_usage_errors_exit_3(capsys):
     assert "usage:" in capsys.readouterr().err
 
 
-def test_console_entry_point(instance_path):
-    # the child finds the package where this process imported it from
+def run_child(*argv):
+    """`python -m normcert *argv` in a process of its own, which finds the
+    package where this process imported it from."""
     src = os.path.dirname(os.path.dirname(normcert.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "normcert", "certify", "--input", instance_path],
+    return subprocess.run(
+        [sys.executable, "-m", "normcert", *argv],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=path),
     )
+
+
+def test_console_entry_point(instance_path):
+    proc = run_child("certify", "--input", instance_path)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["target"] == "5"
+
+
+def test_search_exhaustion_prints_one_line(tmp_path):
+    # outside pytest no logging handler is configured, so a warning logged
+    # by the search would reach stderr too
+    proc = run_child("certify", "--input", write_json(tmp_path / "inst.json", SCALAR_INSTANCE),
+                     "--max-tries", "1")
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [
+        "search exhausted: no general-position scaling found in 1 tries"]

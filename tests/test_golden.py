@@ -28,6 +28,7 @@ from normcert.serialize import (
     dumps,
     instance_from_json,
     instance_to_json,
+    trace_to_json,
 )
 
 GOLDEN_SHA256 = "77734a6b173bb891e492d4cf2ba34df6ae739618cf6c2f74f9615d56480e4950"
@@ -68,13 +69,22 @@ def _instances():
     yield ext, QuadraticForm(QQ_LOCAL_X, [1, -1]), xs, 0
 
 
+def _texts(ring, cert):
+    """The certificate's JSON text without its records, then with them, as
+    `normcert certify` writes it without and with --trace."""
+    out = certificate_to_json(ring, cert)
+    plain = dumps(out)
+    out["trace"] = trace_to_json(ring, cert.trace)
+    return plain, dumps(out)
+
+
 def _digest():
     digest = hashlib.sha256()
     stats = CertifyStats()
     for ext, q, xs, seed in _instances():
-        for with_trace in (False, True):
-            cert = certify(ext, q, xs, rng=seed, with_trace=with_trace, stats=stats)
-            digest.update(dumps(certificate_to_json(ext.ring, cert)).encode())
+        cert = certify(ext, q, xs, rng=seed, stats=stats)
+        for text in _texts(ext.ring, cert):
+            digest.update(text.encode())
     assert stats.genpos_tries > stats.genpos_calls
     return digest.hexdigest()
 
@@ -89,7 +99,7 @@ def test_scaled_levels_build_every_factor_from_numerators():
     # verify clears no ring value
     scaled = 0
     for ext, q, xs, seed in _instances():
-        cert = certify(ext, q, xs, rng=seed, with_trace=True)
+        cert = certify(ext, q, xs, rng=seed)
         if cert.trace[0].b == ext.one():
             continue
         scaled += 1
@@ -107,9 +117,8 @@ def test_decoded_instances_reproduce_the_digest():
     for ext, q, xs, seed in _instances():
         spec = InstanceSpec(ext=ext, q=q, xs=list(xs), options={})
         inst = instance_from_json(json.loads(dumps(instance_to_json(spec))))
-        for with_trace in (False, True):
-            cert = certify(inst.ext, inst.q, inst.xs, rng=seed, with_trace=with_trace)
-            text = dumps(certificate_to_json(inst.ring, cert))
+        cert = certify(inst.ext, inst.q, inst.xs, rng=seed)
+        for text in _texts(inst.ring, cert):
             digest.update(text.encode())
             back = certificate_from_json(inst.ring, json.loads(text))
             assert back.factors == cert.factors

@@ -1,11 +1,12 @@
-"""Every method of the element, extension, form and factor classes is run by
-some library path, not only by the tests.
+"""Every method of the element, extension, form, factor, level record,
+counter and ring classes is run by some library path, not only by the tests.
 
 A small certify/verify set (Q and Q[x]_(x), each with a scaled first
 level), the char2 demo, the char3 demo over F3 and a 10-instance randsuite
 run through `cli.main` under `sys.setprofile`, which records the code of
-every Python function called.  A method that none of them reaches must be
-on ALLOWED, with the reason it stays.
+every Python function called; the finite fields are built afresh, so the
+outcome does not depend on which tests ran before.  A method that none of
+them reaches must be on ALLOWED, with the reason it stays.
 """
 
 import inspect
@@ -13,17 +14,22 @@ import json
 import random
 import sys
 
-from normcert import cli
+from normcert import charp, cli
+from normcert.certify import CertifyStats, ReductionStep
+from normcert.charp import FiniteField
 from normcert.extension import ExtElement, SimpleExtension
 from normcert.instances import random_instance
 from normcert.qform import QuadraticForm, ValueFactor
-from normcert.rings import QQ, QQ_LOCAL_X
+from normcert.rings import QQ, QQ_LOCAL_X, LocalRationalFunctions, RationalField
 from normcert.serialize import instance_to_json
 
-CLASSES = (ExtElement, SimpleExtension, QuadraticForm, ValueFactor)
+CLASSES = (ExtElement, SimpleExtension, QuadraticForm, ValueFactor, ReductionStep,
+           CertifyStats, RationalField, LocalRationalFunctions, FiniteField)
 
 _BENCH = "wrapped by bench/layers.py, whose benchmark reports it"
 _DUNDER = "a Python protocol method"
+_IMPORT = "a constructor run once, at import"
+_RING = "the ring interface, which generic code calls on whichever ring it is given"
 ALLOWED = {
     ("ExtElement", "is_primitive"): _BENCH,
     ("ExtElement", "minimal_polynomial"): _BENCH,
@@ -41,6 +47,20 @@ ALLOWED = {
     ("ValueFactor", "__eq__"): _DUNDER,
     ("ValueFactor", "__hash__"): _DUNDER,
     ("ValueFactor", "__repr__"): _DUNDER,
+    ("ReductionStep", "__eq__"): _DUNDER,
+    ("ReductionStep", "__repr__"): _DUNDER,
+    ("CertifyStats", "__eq__"): _DUNDER,
+    ("CertifyStats", "__repr__"): _DUNDER,
+    ("RationalField", "__init__"): _IMPORT,
+    ("RationalField", "lift"): _RING,
+    ("RationalField", "__repr__"): _DUNDER,
+    ("LocalRationalFunctions", "__init__"): _IMPORT,
+    ("LocalRationalFunctions", "from_int"): _RING,
+    ("LocalRationalFunctions", "invert"): _RING,
+    ("LocalRationalFunctions", "__repr__"): _DUNDER,
+    ("FiniteField", "invert"): _RING,
+    ("FiniteField", "lift"): _RING,
+    ("FiniteField", "__repr__"): _DUNDER,
 }
 
 # both first levels are scaled: q_S(x) is a scalar over Q, and over
@@ -73,7 +93,9 @@ def _command_lines(directory):
                     ["demo", "randsuite", "--count", "10"]]
 
 
-def test_every_method_has_a_library_caller(tmp_path, capsys):
+def test_every_method_has_a_library_caller(tmp_path, capsys, monkeypatch):
+    # fields made by earlier tests would spare the demos their construction
+    monkeypatch.setattr(charp, "_FIELD_CACHE", {})
     argvs = _command_lines(tmp_path)
     reached = set()
 

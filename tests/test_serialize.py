@@ -24,6 +24,7 @@ from normcert.serialize import (
     instance_from_json,
     instance_to_json,
     poly_to_json,
+    trace_to_json,
 )
 
 F = Fraction
@@ -168,22 +169,25 @@ class TestCertificates:
         back = certificate_from_json(QQ, data)
         assert back.target == cert.target
         assert back.factors == cert.factors
+        # the records are the constructor's, written only by trace_to_json
+        assert set(data) == {"target", "factors"}
+        assert cert.trace and back.trace == ()
 
     def test_trace_keys(self):
         inst = instance_from_json(GAUSS_INSTANCE)
-        cert = certify(inst.ext, inst.q, inst.xs, rng=0, with_trace=True)
-        data = certificate_to_json(QQ, cert)
+        cert = certify(inst.ext, inst.q, inst.xs, rng=0)
+        data = trace_to_json(QQ, cert.trace)
         # the Gauss instance has degree 2: one level, which ends at h = r
-        assert set(data["trace"][0]) == {"n", "p", "h", "r", "q0", "b"}
+        assert set(data[0]) == {"n", "p", "h", "r", "q0", "b"}
         # a quartic descends to degree 2 through the modulus g of T
         inst = random_instance(QQ, random.Random(0), 4, 2)
-        cert = certify(inst.ext, inst.q, inst.xs, rng=0, with_trace=True)
-        data = certificate_to_json(QQ, cert)
-        assert [set(step) for step in data["trace"]] == [
+        cert = certify(inst.ext, inst.q, inst.xs, rng=0)
+        data = trace_to_json(QQ, cert.trace)
+        assert [set(step) for step in data] == [
             {"n", "p", "h", "r", "q0", "g", "b"},
             {"n", "p", "h", "r", "q0", "b"},
         ]
-        assert [step["n"] for step in data["trace"]] == [4, 2]
+        assert [step["n"] for step in data] == [4, 2]
 
     def test_dumps_deterministic(self):
         payload = {"b": True, "a": [1, 2]}
