@@ -7,12 +7,12 @@ fields the demos need use fixed irreducibles (F4: s^2+s+1, F8: s^3+s+1,
 F9: s^2+1, F27: s^3-s+1); any other extension derives the
 lexicographically smallest monic irreducible, deterministically.
 
-A finite field satisfies the same interface as the exact rings (it is its
-own residue field), and its elements divide exactly (`/`, and `//` as an
-alias), so the quotient-algebra machinery runs over it unchanged: its
-elements are held in the integral format of `poly` (the coordinates
-over one), and the one Bareiss elimination of `linalg` takes their norms,
-inverses and power-basis coordinates.  That is what both demos lean on.
+A finite field satisfies the same interface as the exact rings, and its
+elements divide exactly (`/`, and `//` as an alias), so the
+quotient-algebra machinery runs over it unchanged: its elements are held
+in the integral format of `poly` (the coordinates over one), and the one
+Bareiss elimination of `linalg` takes their norms, inverses and
+power-basis coordinates.  That is what both demos lean on.
 
 demo 1 (characteristic 2): in the two-dimensional algebra k[t]/(t^2) every
 square collapses onto the line k*1, which consists exactly of the
@@ -174,7 +174,6 @@ class FiniteField:
         self.e = e
         self.order = p**e
         self.id = f"F{self.order}"
-        self.residue_ring = self
         mod = _IRREDUCIBLES.get((p, e)) if e > 1 else None
         if e > 1 and mod is None:
             mod = _find_irreducible(p, e)
@@ -259,9 +258,6 @@ class FiniteField:
         if a.code == 0:
             raise NotInvertible(f"0 has no inverse in {self.id}")
         return FFElement(self, self.inv_table[a.code])
-
-    def lift(self, v):
-        return self.check(v)
 
     def elements(self):
         return [FFElement(self, c) for c in range(self.order)]

@@ -3,8 +3,8 @@
 Elements are coordinate vectors in the canonical basis {1, t, ..., t^(n-1)}
 where t is the class of the indeterminate.  Everything an element can do --
 products, norms (determinant of left multiplication), inverses,
-primitivity, coordinates in another element's power basis, minimal
-polynomials, reduction to the residue field -- lives here.
+primitivity, coordinates in another element's power basis and minimal
+polynomials -- lives here.
 
 An element b is primitive when {1, b, ..., b^(n-1)} is again a basis over
 the coefficient ring, i.e. when the determinant of its powers matrix is a
@@ -20,16 +20,16 @@ Every element is held in the integral format of its ring, the format of
 one denominator that shares no factor with all of them -- integers over
 Q, integer polynomials (`ZX`) over Q[x]_(x), and over a small finite
 field the coordinates themselves over the field's one.  `coords` builds
-the ring values on first use, and `reduce` reads the residue off the
-constant terms.  One code path serves every ring.  The product is the
-one arithmetic operation of elements, with one body for every degree: it
-convolves the numerators, and `SimpleExtension.from_integral` reduces the
-convolution modulo the modulus against a table of t^n, t^(n+1), ... over
-one common denominator, built by shift and reduce from the modulus and
-grown on demand, and normalizes once.  It takes any number of numerators,
-padding fewer than n with zeros: a form value (`QuadraticForm.evaluate_ext`)
-goes through it once for its whole sum, and so do the class of t (`gen`)
-and a polynomial of any degree read as an element, with no division.
+the ring values on first use.  One code path serves every ring.  The
+product is the one arithmetic operation of elements, with one body for
+every degree: it convolves the numerators, and
+`SimpleExtension.from_integral` reduces the convolution modulo the modulus
+against a table of t^n, t^(n+1), ... over one common denominator, built by
+shift and reduce from the modulus and grown on demand, and normalizes
+once.  It takes any number of numerators, padding fewer than n with zeros:
+a form value (`QuadraticForm.evaluate_ext`) goes through it once for its
+whole sum, and so do the class of t (`gen`) and a polynomial of any degree
+read as an element, with no division.
 Norms, inverses and primitivity take the integral columns, each over its
 own denominator, into `linalg.det` and `linalg.solve_columns`, the one
 fraction-free Bareiss elimination, and scale the result back by those
@@ -62,7 +62,7 @@ from .poly import Poly, convolve, integral_format, over_common_denominator
 
 
 class SimpleExtension:
-    __slots__ = ("ring", "modulus", "n", "_fmt", "_table", "_residue_ext")
+    __slots__ = ("ring", "modulus", "n", "_fmt", "_table")
 
     def __init__(self, ring, modulus: Poly):
         if modulus.ring.id != ring.id:
@@ -80,7 +80,6 @@ class SimpleExtension:
         self.n = modulus.degree
         self._fmt = fmt
         self._table = None
-        self._residue_ext = None
 
     def __eq__(self, other):
         if other is self:
@@ -160,16 +159,6 @@ class SimpleExtension:
         elif len(nums) < n:
             nums = [*nums] + [fmt.zero] * (n - len(nums))
         return ExtElement(self, None, *fmt.lowest(nums, den))
-
-    def residue_extension(self) -> SimpleExtension:
-        """The reduced algebra over the residue field (self when R is a field)."""
-        if self.ring.residue_ring is self.ring:
-            return self
-        if self._residue_ext is None:
-            k = self.ring.residue_ring
-            pbar = self._fmt.residue(*self.modulus.integral)
-            self._residue_ext = SimpleExtension(k, Poly.from_integral(k, *pbar))
-        return self._residue_ext
 
 
 def _times_t(col, red, dt, zero):
@@ -377,19 +366,3 @@ class ExtElement:
         """The monic degree-n polynomial vanishing on self (self must be
         primitive): `coordinate_columns` of no element."""
         return self.coordinate_columns(())[2]
-
-    def reduce(self) -> ExtElement:
-        """Coordinatewise reduction to the algebra over the residue field."""
-        rext = self.ext.residue_extension()
-        if rext is self.ext:
-            return self
-        return ExtElement(rext, None, *self.ext._fmt.residue(self._nums, self._den))
-
-    def lift_to(self, ext: SimpleExtension) -> ExtElement:
-        """Coordinatewise constant lift into an extension with this residue
-        algebra (self when that extension is this algebra)."""
-        if ext is self.ext:
-            return self
-        if ext.residue_extension() != self.ext:
-            raise ValueError("target extension does not reduce to this algebra")
-        return ExtElement(ext, tuple(ext.ring.lift(c) for c in self.coords))

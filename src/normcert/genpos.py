@@ -15,15 +15,15 @@ the search's one precondition, that c is a unit, reads a cached norm; the
 search does not evaluate q(x) again, and nothing in it needs c = q(x).
 
 The search probes b = 1 first (try 1 is that probe's slot either way),
-then samples integer coordinates in [-B, B] over the residue field (B
-doubles every 8 failures), and checks each sample there as it checks the
-probe over the ring.  Over a field, where the residue field is the ring,
-the hit is the witness; over Q[x]_(x) the hit is lifted coordinatewise
-and every claimed property re-verified exactly over the ring before
-returning.  A candidate's coordinate columns come from one elimination
-with m+1 right-hand sides, one per witness coordinate and c^n last
-(`ExtElement.coordinate_columns`), as integral columns over one
-denominator.  That elimination also decides whether the candidate is
+then samples b with integer coordinates in [-B, B] (B doubles every 8
+failures) and checks each sample as it checks the probe: exactly, over
+the ring itself, so the hit is the witness on every ring.  Over Q[x]_(x)
+that decides as a test of the residues at x = 0 would, since reduction
+modulo (x) is a ring homomorphism and a unit of a local ring is an
+element with a nonzero residue.  A candidate's coordinate columns come
+from one elimination with m+1 right-hand sides, one per witness
+coordinate and c^n last (`ExtElement.coordinate_columns`), as integral
+columns over one denominator.  That elimination also decides whether the candidate is
 primitive (`NotPrimitive` when it is not), so no determinant is taken
 for it; the column of c^n gives the minimal polynomial that the witness
 carries, and r and q(x(0)) are each one sum of the cleared diagonal
@@ -31,9 +31,9 @@ against their top and bottom numerators, normalized once
 (`QuadraticForm.value`); no ring value of a top or bottom coordinate is
 built, since a level's certificate factors are those numerators themselves.
 
-Over an infinite residue field of characteristic 0 the target set is
-non-empty open, so failure within the try budget signals a bug or an
-unsupported ring rather than bad luck.  The general-position set
+Over a ring whose residue field is infinite of characteristic 0 the
+target set is non-empty open, so failure within the try budget signals a
+bug or an unsupported ring rather than bad luck.  The general-position set
 is open by the paper's system-matrix lemma: with A the matrix whose column k
 holds the coordinates of c^k * b^(2k-1) in the power basis of c, and A_j
 that matrix with its last column replaced by the coordinates of x_j,
@@ -48,7 +48,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import InternalAssertion, NotInvertible, NotPrimitive, SearchExhausted
+from .errors import NotInvertible, NotPrimitive, SearchExhausted
 from .extension import ExtElement
 from .poly import Poly
 from .qform import QuadraticForm
@@ -102,45 +102,29 @@ def find_general_position(
     if not c.is_invertible():
         raise NotInvertible("general position needs a unit")
 
-    def witness(b, c_new, x_new, form, base, tries):
-        # over `base` (the ring or its residue field) with the form there
+    def witness(b, c_new, x_new, tries):
         try:
             cols, d, p = c_new.coordinate_columns(x_new)
         except NotPrimitive:
             return None
-        r, q0 = _end_values(form, cols, d)
-        if not (base.is_invertible(r) and base.is_invertible(q0)):
+        r, q0 = _end_values(q, cols, d)
+        if not (ring.is_invertible(r) and ring.is_invertible(q0)):
             return None
         return GenPosWitness(b, c_new, p, (cols, d), r, q0, tries)
 
     # deterministic probe: b = 1, which a non-primitive c fails
-    found = witness(ext.one(), c, xs, q, ring, 1)
+    found = witness(ext.one(), c, xs, 1)
     if found is not None:
         return found
-
-    rext = ext.residue_extension()
-    k = rext.ring
-    cbar = c.reduce()
-    xbars = [x.reduce() for x in xs]
-    qbar = q.residue_form()
-    # tries 2 .. max_tries: random units bbar of the reduced algebra, with
-    # integer coordinates in [-B, B], in general position over the residue field
+    # tries 2 .. max_tries: random units b with integer coordinates in
+    # [-B, B], tested over the ring itself
     for tries in range(2, max_tries + 1):
         if tries % _BOUND_DOUBLING_PERIOD == 0:
             bound *= 2
-        bbar = rext.element([k.element(sample_residue(rng, bound)) for _ in range(rext.n)])
-        if not bbar.is_invertible():
+        b = ext.element([sample_residue(rng, bound) for _ in range(ext.n)])
+        if not b.is_invertible():
             continue
-        found = witness(bbar, cbar * bbar * bbar, [x * bbar for x in xbars], qbar, k, tries)
-        if found is None:
-            continue
-        if rext is ext:
-            # over a field the residue hit is the witness
+        found = witness(b, c * b * b, [x * b for x in xs], tries)
+        if found is not None:
             return found
-        b = bbar.lift_to(ext)
-        found = witness(b, c * b * b, [x * b for x in xs], q, ring, tries)
-        if found is None:
-            # primitivity and the units r, q0 hold over the residue field
-            raise InternalAssertion("the lifted scaling is not in general position over the ring")
-        return found
     raise SearchExhausted(f"no general-position scaling found in {max_tries} tries")

@@ -148,11 +148,6 @@ class _LocalFunctions:
         # over a den with den(0) != 0: a unit is nonzero at 0
         return bool(num) and num.c[0] != 0
 
-    @staticmethod
-    def residue(nums, den):
-        # evaluation at x = 0, straight into the integer format of Q
-        return _Rationals.lowest([v.c[0] if v else 0 for v in nums], den.c[0])
-
 
 class _FiniteFieldFormat:
     """The integral format over a small finite field: the coordinates over

@@ -200,10 +200,3 @@ class QuadraticForm:
             raise ValueError("witness coordinates live in different extensions")
         return ext.from_integral(*self.poly_value(
             *over_common_denominator(self._fmt, [x.integral for x in xs])))
-
-    def residue_form(self) -> QuadraticForm:
-        """The reduced form over the residue field (self when R is a field)."""
-        if self.ring.residue_ring is self.ring:
-            return self
-        return QuadraticForm.from_integral(
-            self.ring.residue_ring, *self._fmt.residue(*self._cleared))

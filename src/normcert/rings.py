@@ -5,13 +5,14 @@ Both rings sit behind one small interface so everything downstream
 
 * ``RationalField`` -- the field Q.  Elements are plain
   ``fractions.Fraction`` values (already canonical: reduced, positive
-  denominator).  The maximal ideal is (0), so residue and lift are the
-  identity.
+  denominator).
 
 * ``LocalRationalFunctions`` -- rational functions in x that are defined
   at x = 0, i.e. quotients num/den of polynomials over Q with den(0) != 0.
-  This is a local ring: a is a unit iff a(0) != 0, reduction modulo the
-  maximal ideal is evaluation at 0, and the residue field is Q again.
+  This is a local ring: a is a unit iff a(0) != 0.  The ring interface
+  decides membership and units; nothing downstream reduces modulo the
+  maximal ideal, since the general-position search tests its samples over
+  the ring itself.
 
 Elements of the second ring are ``RatFunc`` values.  A ``RatFunc`` holds
 integer polynomials N(x)/D(x) in lowest terms: no factor, integer
@@ -456,15 +457,13 @@ class RatFunc:
     terms: they share no factor, integer content included, and the
     denominator has a positive leading coefficient.  Zero is 0 / 1.  This is
     the one-entry case of `zx_lowest_terms`, as a Fraction's numerator and
-    denominator are the format of Q, so equality is structural.
-
-    The public faces `num` and `den` are Fraction coefficient tuples
-    (ascending degree) scaled so the lowest-order nonzero denominator
-    coefficient is 1; for elements of the local ring that is exactly the
-    den(0) = 1 normalization.
+    denominator are the format of Q, so equality is structural.  Its text
+    (`canonical_ratios`, which the JSON writer and `repr` read) scales both
+    so that the lowest-order nonzero denominator coefficient is 1; for
+    elements of the local ring that is the den(0) = 1 normalization.
     """
 
-    __slots__ = ("numerator", "denominator", "_view")
+    __slots__ = ("numerator", "denominator")
 
     def __init__(self, num, den=(1,)):
         # one common denominator for both coefficient lists cancels out
@@ -475,7 +474,6 @@ class RatFunc:
         if not d:
             raise ZeroDivisionError("rational function with zero denominator")
         (self.numerator,), self.denominator = zx_lowest_terms((ZX(_ztrim(cs[:k])),), d)
-        self._view = None
 
     @classmethod
     def _make(cls, num: ZX, den: ZX) -> RatFunc:
@@ -483,7 +481,6 @@ class RatFunc:
         self = object.__new__(cls)
         self.numerator = num
         self.denominator = den
-        self._view = None
         return self
 
     @classmethod
@@ -498,27 +495,14 @@ class RatFunc:
         return RatFunc._make(ZX(_zconst(v.numerator)), ZX((v.denominator,)))
 
     def canonical_ratios(self):
-        """The coefficients of `num` and `den` as (top, bottom) integer
-        pairs, not reduced, with bottom nonzero."""
+        """The coefficients of the numerator and the denominator as (top,
+        bottom) integer pairs, not reduced, with bottom nonzero, scaled so
+        that the lowest-order nonzero denominator coefficient is 1."""
         num, den = self.numerator.c, self.denominator.c
         if not num:
             return (), ((1, 1),)
         pivot = next(c for c in den if c)
         return tuple((c, pivot) for c in num), tuple((c, pivot) for c in den)
-
-    def _canonical_view(self):
-        if self._view is None:
-            num, den = self.canonical_ratios()
-            self._view = (tuple(Fraction(*r) for r in num), tuple(Fraction(*r) for r in den))
-        return self._view
-
-    @property
-    def num(self):
-        return self._canonical_view()[0]
-
-    @property
-    def den(self):
-        return self._canonical_view()[1]
 
     # fraction-field arithmetic (closed under all four operations), on the
     # integral format's one-entry vectors
@@ -610,7 +594,7 @@ class RatFunc:
         return self.denominator.c[0] != 0
 
     def __repr__(self):
-        num, den = self._canonical_view()
+        num, den = ([Fraction(*r) for r in part] for part in self.canonical_ratios())
         if len(den) == 1:
             return f"({_zstr(num)})"
         return f"({_zstr(num)})/({_zstr(den)})"
@@ -628,7 +612,6 @@ class RationalField:
     def __init__(self):
         self.zero = Fraction(0)
         self.one = Fraction(1)
-        self.residue_ring = self
 
     def element(self, v) -> Fraction:
         if isinstance(v, RatFunc):
@@ -654,9 +637,6 @@ class RationalField:
             raise NotInvertible("0 has no inverse in Q")
         return 1 / a
 
-    def lift(self, v) -> Fraction:
-        return Fraction(v)
-
     def __repr__(self):
         return "RationalField()"
 
@@ -670,7 +650,6 @@ class LocalRationalFunctions:
         self.zero = RatFunc.constant(0)
         self.one = RatFunc.constant(1)
         self.x = RatFunc((0, 1))
-        self.residue_ring = QQ
 
     def element(self, v) -> RatFunc:
         if isinstance(v, RatFunc):
@@ -707,9 +686,6 @@ class LocalRationalFunctions:
             raise NotInvertible(f"{shown(a)} lies in the maximal ideal (x)")
         return a.reciprocal()
 
-    def lift(self, v) -> RatFunc:
-        return RatFunc.constant(v)
-
     def __repr__(self):
         return "LocalRationalFunctions()"
 
@@ -728,7 +704,9 @@ def get_ring(ring_id: str):
 
 
 def sample_residue(rng: random.Random, bound: int) -> Fraction:
-    """A uniformly random integer in [-bound, bound], as a residue-field value."""
+    """A uniformly random integer in [-bound, bound], as a rational: every
+    ring of characteristic 0 here contains it, so it coerces to a
+    coordinate of an extension over Q or over Q[x]_(x)."""
     if bound < 1:
         raise ValueError("bound must be >= 1")
     return Fraction(rng.randint(-bound, bound))

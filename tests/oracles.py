@@ -9,7 +9,9 @@ system-matrix helpers state the general-position lemma and its
 constant-column analogue, which the library's searches rely on but never
 evaluate (see the genpos module docstring).  The JSON number parsers read
 each rational string through one Fraction, as the serializer did before it
-read them as integer pairs.
+read them as integer pairs.  Reduction modulo (x) over Q[x]_(x), which the
+library never computes, is evaluation at x = 0 of every coordinate and of
+every coefficient of the modulus and the form.
 """
 
 import re
@@ -19,7 +21,10 @@ from itertools import permutations
 from operator import truediv
 
 from normcert.errors import InternalAssertion, NotInvertible, NotPrimitive, RingMismatch
+from normcert.extension import SimpleExtension
 from normcert.linalg import transpose
+from normcert.poly import Poly
+from normcert.qform import QuadraticForm
 from normcert.rings import QQ, RatFunc
 from normcert.serialize import FormatError
 
@@ -210,11 +215,32 @@ def horner_free_eval(coeffs, point):
     return total
 
 
+def fraction_view(a):
+    """The coefficients of a RatFunc's numerator and denominator as two
+    Fraction tuples, ascending, scaled so that the lowest-order nonzero
+    denominator coefficient is 1 (den(0) = 1 on the local ring)."""
+    num, den = a.numerator.c, a.denominator.c
+    pivot = next(c for c in den if c)
+    return tuple(Fraction(c, pivot) for c in num), tuple(Fraction(c, pivot) for c in den)
+
+
 def value_at_zero(a) -> Fraction:
     """a(0) for a rational function in x, from the constant coefficients
     of its numerator and denominator; a pole at 0 raises ZeroDivisionError."""
-    num, den = a.num, a.den
+    num, den = fraction_view(a)
     return Fraction(num[0] if num else 0) / den[0]
+
+
+def reduce_at_zero(a):
+    """The image of an element of R[t]/(p), R = Q[x]_(x), in Q[t]/(p(0)):
+    each coordinate and each coefficient of p evaluated at x = 0."""
+    modulus = Poly(QQ, [value_at_zero(c) for c in a.ext.modulus.coeffs])
+    return SimpleExtension(QQ, modulus).element([value_at_zero(c) for c in a.coords])
+
+
+def form_at_zero(q):
+    """A diagonal form over Q[x]_(x) with each coefficient evaluated at x = 0."""
+    return QuadraticForm(QQ, [value_at_zero(a) for a in q.diag])
 
 
 def mat_mul(ring, a, b):

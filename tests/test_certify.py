@@ -137,7 +137,7 @@ class TestWorkedExamples:
 
     def test_local_ring_hyperbolic_needs_sampling(self):
         # the b = 1 probe fails at the first level, so the certification
-        # exercises the residue search and the exact lift over the local ring
+        # exercises the sampled search over the local ring
         ring = QQ_LOCAL_X
         ext = SimpleExtension(ring, Poly(ring, [-2, 0, 1]))
         q = QuadraticForm(ring, [1, -1])

@@ -3,12 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from normcert.errors import (
-    InternalAssertion,
-    NotInvertible,
-    NotPrimitive,
-    SearchExhausted,
-)
+from normcert.errors import NotInvertible, NotPrimitive, SearchExhausted
 from normcert.extension import ExtElement, SimpleExtension
 from normcert.genpos import find_general_position
 from normcert.poly import Poly
@@ -16,6 +11,7 @@ from normcert.qform import QuadraticForm
 from normcert.rings import QQ, QQ_LOCAL_X
 
 from oracles import (
+    fraction_view,
     last_column_minors,
     mat_mul,
     mult_matrix,
@@ -335,7 +331,7 @@ class TestGeneralPositionSearch:
         # a witness with q(x) not a unit is refused by certify, before the
         # search (test_certify.py::TestStructure::test_value_must_be_unit)
 
-    def test_local_ring_search_lifts_from_residue(self):
+    def test_local_ring_search_draws_integer_constants(self):
         ring = QQ_LOCAL_X
         ext = SimpleExtension(
             ring, Poly(ring, [ring.element((1, 1)), ring.zero, ring.one])
@@ -346,12 +342,13 @@ class TestGeneralPositionSearch:
         w = find_general_position(c, xs, q, random.Random(3))
         assert ring.is_invertible(w.r)
         for v in w.b.coords:
-            # lifted coordinates are integer constants
-            assert v.den == (F(1),) and len(v.num) <= 1
+            # the drawn coordinates are integer constants
+            num, den = fraction_view(v)
+            assert den == (F(1),) and len(num) <= 1
 
     def test_local_ring_sampling_path(self):
         # the probe b = 1 fails here (the top coordinates are isotropic), so
-        # the search must sample over the residue field and lift
+        # the search must sample
         ring = QQ_LOCAL_X
         ext = SimpleExtension(ring, Poly(ring, [-2, 0, 1]))
         q = QuadraticForm(ring, [1, -1])
@@ -369,9 +366,9 @@ class TestGeneralPositionSearch:
         assert ring.is_invertible(w.r)
         assert w.c_new.is_primitive()
 
-    def test_local_ring_primitive_scaling_lift(self):
-        # a scalar unit is never primitive for n >= 2; the scaling is found
-        # on residues and must stay primitive after the exact lift
+    def test_local_ring_primitive_scaling(self):
+        # a scalar unit is never primitive for n >= 2; a sampled scaling
+        # makes it primitive over the ring
         ring = QQ_LOCAL_X
         ext = SimpleExtension(
             ring, Poly(ring, [ring.element((1, 1)), ring.zero, ring.one])
@@ -383,22 +380,13 @@ class TestGeneralPositionSearch:
         assert w.tries_used > 1
         assert_general_position(c, w)
 
-    def test_a_lift_out_of_general_position_is_an_internal_error(self, monkeypatch):
-        # over Q[x]_(x) the residue search finds b with 3*b^2 primitive; a
-        # lift that loses that over the ring (here: every lift is 1) is a
-        # bug, not a miss
-        ring = QQ_LOCAL_X
+    @pytest.mark.parametrize("ring", [QQ, QQ_LOCAL_X], ids=["Q", "Q[x]_(x)"])
+    def test_the_hit_is_the_witness(self, ring, monkeypatch):
+        # every try is tested over the ring itself, with at most one
+        # elimination, so the hit's one elimination gives the witness:
+        # nothing eliminates after it, and no other algebra is eliminated in
         ext = SimpleExtension(ring, Poly(ring, [-2, 0, 1]))
         q, xs = QuadraticForm(ring, [1, 1]), [ext.one(), ext.gen()]
-        monkeypatch.setattr(ExtElement, "lift_to", lambda self, target: target.one())
-        with pytest.raises(InternalAssertion, match="not in general position over the ring"):
-            find_general_position(ext.scalar(3), xs, q, random.Random(0))
-
-    def test_over_a_field_the_residue_hit_is_the_witness(self, monkeypatch):
-        # over Q the residue algebra is the algebra itself, so the hit's one
-        # elimination gives the witness: nothing eliminates after it
-        ext = qq_ext(-2, 0, 1)
-        q, xs = QuadraticForm(QQ, [1, 1]), [ext.one(), ext.gen()]
         eliminated = []
         eliminate = ExtElement.coordinate_columns
 
@@ -409,5 +397,7 @@ class TestGeneralPositionSearch:
         monkeypatch.setattr(ExtElement, "coordinate_columns", recorded)
         w = find_general_position(ext.scalar(3), xs, q, random.Random(0))
         assert w.tries_used > 1
+        assert all(c.ext is ext for c in eliminated)
+        assert len(eliminated) <= w.tries_used
         hit = next(i for i, c in enumerate(eliminated) if c == w.c_new)
         assert hit == len(eliminated) - 1

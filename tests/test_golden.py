@@ -41,6 +41,11 @@ CORPUS_SHA256 = {
     "local": "e825eccdbe7aed2533585d26d375ccf2e4bb265e0cf306638d1b78b719ff9959",
 }
 CORPUS_SEED = 11
+
+# sha256 of the certificate texts of SCALED_CASES, which pin the scaling
+# search: every first level there samples, since its b = 1 probe fails
+SCALED_SHA256 = "7179361f6390745efc7b1dead19f9fa6d97530743f57a7e8b88835b206ea5ce2"
+
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 # (ring, n, m, seed): random_instance(ring, Random(seed), n, m), certified with rng=seed
@@ -63,10 +68,27 @@ def _instances():
     # searches a scaling that makes it primitive
     ext = SimpleExtension(QQ, Poly(QQ, [3, 0, 0, 1]))
     yield ext, QuadraticForm(QQ, [5, 7]), [ext.one(), ext.scalar(0)], 0
-    # the b = 1 probe fails, so the general-position search samples and lifts
+    # the b = 1 probe fails, so the general-position search samples
     ext = SimpleExtension(QQ_LOCAL_X, Poly(QQ_LOCAL_X, [-2, 0, 1]))
     xs = [ext.element([F(1, 2), F(1, 2)]), ext.element([F(-1, 2), F(1, 2)])]
     yield ext, QuadraticForm(QQ_LOCAL_X, [1, -1]), xs, 0
+
+
+# (n, m, seed): the extension and form of random_instance(QQ_LOCAL_X,
+# Random(seed), n, m) with scalar witnesses, so q_S(x) is a scalar unit,
+# never primitive for n >= 2, and the first level searches a scaling
+SCALED_CASES = [(n, m, seed) for n in (3, 4) for m in (1, 2) for seed in range(3)]
+
+
+def _scaled_instances():
+    for n, m, seed in SCALED_CASES:
+        rng = random.Random(seed)
+        inst = random_instance(QQ_LOCAL_X, rng, n, m)
+        xs = None
+        while xs is None or not inst.q.evaluate_ext(xs).is_invertible():
+            xs = [inst.ext.scalar(QQ_LOCAL_X.element((rng.randint(-9, 9), rng.randint(-9, 9))))
+                  for _ in range(m)]
+        yield inst.ext, inst.q, xs, seed
 
 
 def _texts(ring, cert):
@@ -141,6 +163,16 @@ def test_modular_gcd_fallback_is_byte_identical(monkeypatch):
     monkeypatch.setattr(rings, "_zgcd_prs", counted)
     assert _digest() == GOLDEN_SHA256
     assert calls
+
+
+def test_scaled_local_certificates_are_byte_identical():
+    digest = hashlib.sha256()
+    for ext, q, xs, seed in _scaled_instances():
+        cert = certify(ext, q, xs, rng=seed)
+        assert cert.trace[0].b != ext.one() and cert.trace[0].tries > 1
+        for text in _texts(ext.ring, cert):
+            digest.update(text.encode())
+    assert digest.hexdigest() == SCALED_SHA256
 
 
 @pytest.fixture(scope="module")

@@ -96,12 +96,6 @@ class TestStructure:
         assert qp(1, 2) * qp(0, 0, 1) == qp(0, 0, 1, 2)
         assert qp(1, 2).scale(Fraction(3)) == qp(3, 6)
 
-    def test_residue_of_a_local_polynomial(self):
-        # the residue of (2+x) + t, read off the integral format at x = 0
-        ring = QQ_LOCAL_X
-        f = Poly(ring, [ring.element((2, 1)), ring.one])
-        assert SimpleExtension(ring, f).residue_extension().modulus == qp(2, 1)
-
     def test_mixed_ring_equality(self):
         assert Poly(QQ, [1]) != Poly(QQ_LOCAL_X, [1])
 

@@ -12,7 +12,7 @@ from normcert.poly import Poly, integral_format
 from normcert.qform import QuadraticForm, ValueFactor
 from normcert.rings import QQ, QQ_LOCAL_X, ZX, RatFunc
 
-from oracles import naive_form_value, naive_poly_mul
+from oracles import form_at_zero, naive_form_value, naive_poly_mul, reduce_at_zero
 
 F = Fraction
 
@@ -70,8 +70,8 @@ class TestEvaluate:
                 )
                 for _ in range(2)
             ]
-            lhs = q.evaluate_ext(xs).reduce()
-            rhs = q.residue_form().evaluate_ext([x.reduce() for x in xs])
+            lhs = reduce_at_zero(q.evaluate_ext(xs))
+            rhs = form_at_zero(q).evaluate_ext([reduce_at_zero(x) for x in xs])
             assert lhs == rhs
 
 

@@ -27,6 +27,8 @@ from normcert.serialize import (
     trace_to_json,
 )
 
+from oracles import fraction_view
+
 F = Fraction
 
 GAUSS_INSTANCE = {
@@ -77,7 +79,8 @@ class TestElements:
         # written from the integer form, the bytes of the Fraction view
         a = QQ_LOCAL_X.element(RatFunc(num, den))
         data = element_to_json(QQ_LOCAL_X, a)
-        assert data == {"num": [str(c) for c in a.num], "den": [str(c) for c in a.den]}
+        num, den = fraction_view(a)
+        assert data == {"num": [str(c) for c in num], "den": [str(c) for c in den]}
         assert element_from_json(QQ_LOCAL_X, data) == a
 
     def test_local_element_past_the_int_str_digit_limit(self):
@@ -88,7 +91,7 @@ class TestElements:
         assert element_from_json(QQ_LOCAL_X, data) == a
 
     def test_local_constant_shorthand(self):
-        assert element_from_json(QQ_LOCAL_X, "3/2") == QQ_LOCAL_X.lift(F(3, 2))
+        assert element_from_json(QQ_LOCAL_X, "3/2") == QQ_LOCAL_X.element(F(3, 2))
 
     def test_rejects_pole_at_zero(self):
         with pytest.raises(FormatError):
