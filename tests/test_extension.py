@@ -18,6 +18,7 @@ from oracles import (
     naive_solve,
     powers_matrix,
     reduce_at_zero,
+    value_at_zero,
 )
 
 F = Fraction
@@ -228,6 +229,35 @@ class TestPrimitiveTransfer:
             bar = reduce_at_zero(a)
             assert a.is_primitive() == bar.is_primitive()
             assert a.is_invertible() == bar.is_invertible()
+
+    def test_reduction_commutes_with_product_and_inverse(self, local_ext):
+        # reduction at x = 0 is a ring homomorphism of the algebras, so a
+        # scaling c*b*b reduces to the same scaling of the reductions
+        rng = random.Random(16)
+        bar_ext = reduce_at_zero(local_ext.one()).ext
+        for _ in range(60):
+            a, b = _random_element(local_ext, rng), _random_element(local_ext, rng)
+            a_bar = bar_ext.element(reduce_at_zero(a).coords)
+            b_bar = bar_ext.element(reduce_at_zero(b).coords)
+            assert reduce_at_zero(a * b) == a_bar * b_bar
+            assert reduce_at_zero(a * b * b) == a_bar * b_bar * b_bar
+            if a.is_invertible():
+                assert reduce_at_zero(a.inverse()) == a_bar.inverse()
+
+    def test_coordinates_commute_with_reduction(self, local_ext):
+        # the coordinates of y in the power basis of a primitive a, and the
+        # minimal polynomial of a, reduce to those of the reductions: the
+        # search's r and q0 reduce to the residue search's values
+        rng = random.Random(17)
+        bar_ext = reduce_at_zero(local_ext.one()).ext
+        for _ in range(40):
+            a = _random_primitive(local_ext, rng)
+            y = _random_element(local_ext, rng)
+            a_bar = bar_ext.element(reduce_at_zero(a).coords)
+            y_bar = bar_ext.element(reduce_at_zero(y).coords)
+            assert [value_at_zero(v) for v in y.coords_in(a)] == list(y_bar.coords_in(a_bar))
+            p = a.minimal_polynomial()
+            assert [value_at_zero(v) for v in p.coeffs] == list(a_bar.minimal_polynomial().coeffs)
 
     def test_inverse_of_primitive_is_primitive(self):
         rng = random.Random(14)

@@ -11,6 +11,7 @@ from normcert.qform import QuadraticForm
 from normcert.rings import QQ, QQ_LOCAL_X
 
 from oracles import (
+    form_at_zero,
     fraction_view,
     last_column_minors,
     mat_mul,
@@ -19,10 +20,12 @@ from oracles import (
     naive_inverse,
     powers_matrix,
     rank,
+    reduce_at_zero,
     scaled_witness_value,
     system_determinants,
     system_identity,
     system_matrix,
+    value_at_zero,
 )
 
 F = Fraction
@@ -379,6 +382,43 @@ class TestGeneralPositionSearch:
         w = find_general_position(c, xs, q, random.Random(5))
         assert w.tries_used > 1
         assert_general_position(c, w)
+
+    @pytest.mark.parametrize("case", [
+        "sampling-path", "scalar-n2", "scalar-n3", "scalar-n4",
+    ])
+    def test_local_search_decides_as_the_search_over_the_residues(self, case):
+        # each try is tested over Q[x]_(x) itself; since reduction at x = 0
+        # is a ring homomorphism and a unit is an element with a nonzero
+        # value at 0, the search over the reductions (over Q, same seed)
+        # takes the same draws, misses the same tries and hits the same b
+        ring = QQ_LOCAL_X
+        one_plus_x = ring.element((1, 1))
+        if case == "sampling-path":
+            # the probe's r is -x/4: nonzero, but not a unit
+            ext = SimpleExtension(ring, Poly(ring, [-2, 0, 1]))
+            q = QuadraticForm(ring, [ring.one, -one_plus_x])
+            c = ext.gen().inverse()
+            xs = [ext.element([F(1, 2), F(1, 2)]), ext.element([F(-1, 2), F(1, 2)])]
+        else:
+            n = int(case[-1])
+            coeffs = [-one_plus_x, ring.x, ring.element((3, 0, 2)), ring.element((1, -1))]
+            ext = SimpleExtension(ring, Poly(ring, coeffs[:n] + [ring.one]))
+            q = QuadraticForm(ring, [one_plus_x, ring.element((-2, 1))])
+            c = ext.scalar(ring.element((2, 1)))
+            xs = [ext.one(), ext.element([ring.x] + [ring.one] * (n - 1))]
+        bar_ext = reduce_at_zero(c).ext
+
+        def bar(a):
+            return bar_ext.element(reduce_at_zero(a).coords)
+
+        w = find_general_position(c, xs, q, random.Random(6))
+        w_bar = find_general_position(
+            bar(c), [bar(x) for x in xs], form_at_zero(q), random.Random(6))
+        assert w.tries_used == w_bar.tries_used > 1
+        assert bar(w.b) == w_bar.b
+        assert bar(w.c_new) == w_bar.c_new
+        assert [value_at_zero(v) for v in w.p.coeffs] == list(w_bar.p.coeffs)
+        assert (value_at_zero(w.r), value_at_zero(w.q0)) == (w_bar.r, w_bar.q0)
 
     @pytest.mark.parametrize("ring", [QQ, QQ_LOCAL_X], ids=["Q", "Q[x]_(x)"])
     def test_the_hit_is_the_witness(self, ring, monkeypatch):

@@ -373,6 +373,17 @@ class TestSampleResidue:
         with pytest.raises(ValueError):
             sample_residue(random.Random(0), 0)
 
+    def test_a_draw_is_an_integer_constant_of_the_local_ring(self):
+        # the search builds its sampled scalings from draws over the ring
+        # itself: a draw v is the constant v, a unit exactly when v != 0
+        rng = random.Random(8)
+        for _ in range(200):
+            v = sample_residue(rng, 20)
+            a = QQ_LOCAL_X.element(v)
+            assert fraction_view(a) == (((v,) if v else ()), (Fraction(1),))
+            assert value_at_zero(a) == v
+            assert QQ_LOCAL_X.is_invertible(a) == (v != 0)
+
 
 def _random_local(rng: random.Random) -> RatFunc:
     num = [Fraction(rng.randint(-8, 8)) for _ in range(rng.randint(1, 4))]
