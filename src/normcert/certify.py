@@ -65,16 +65,17 @@ is g.  Each level divides once, F by p: at degree >= 2, u and z = x(u)
 are built in T straight from the integral witness columns
 (`from_integral`).  Every exact identity of steps 3 and 4 is re-checked
 at every level, and a certificate is verified before it is returned.
-The verifier shares
-nothing with the construction beyond ring arithmetic, form evaluation and
-the multiplication-matrix determinant, and it takes the norm of its own
-fresh evaluation of q_S(x).  It evaluates each factor from the numerators
-of its vector over one denominator in the ring's integral format
-(`ValueFactor.integral`, which the certificate reader fills straight from
-the JSON and each level fills from its end vectors), as one sum that it
-does not normalize: a factor value is a unit when that sum's numerator
-is, and the numerators and denominators of all the values multiply into
-one product that is compared with the target by cross-multiplication.
+Both refuse a witness with a coordinate outside the given extension.
+The verifier shares nothing with the construction beyond ring arithmetic,
+form evaluation and the multiplication-matrix determinant, and it takes
+the norm of its own fresh evaluation of q_S(x).  It evaluates each factor
+from the numerators of its vector over one denominator in the ring's
+integral format (`ValueFactor.nums` and `.den`, which the certificate
+reader fills straight from the JSON and each level fills from its end
+vectors), as one sum that it does not normalize: a factor value is a unit
+when that sum's numerator is, and the numerators and denominators of all
+the values multiply into one product that is compared with the target by
+cross-multiplication.
 """
 
 from __future__ import annotations
@@ -171,7 +172,7 @@ def _check(condition: bool, message: str):
 def _scalar_factor(ring, fmt, nums, den) -> ValueFactor:
     """The one factor q(y) of degree 1, for y_j = nums[j] / den in the
     ring's integral format, put in lowest terms once."""
-    return ValueFactor.from_integral(ring, *fmt.lowest(nums, den), 1)
+    return ValueFactor(ring, *fmt.lowest(nums, den), 1)
 
 
 def _at_scalar(fmt, cols, d, an, ad):
@@ -236,12 +237,11 @@ def _certify_value(ext, q, xs, value, rng, max_tries, bound, steps):
             raise InternalAssertion("reduced modulus is not simple: its constant term is not a unit")
         an, ad = -h0, h1
         factor = _scalar_factor(ring, fmt, *_at_scalar(fmt, cols, d, an, ad))
-        z_nums, z_den = factor.integral(ring)
-        if not fmt.in_ring(z_den):
+        if not fmt.in_ring(factor.den):
             raise InternalAssertion("a coordinate of the reduced witness left the ring")
         # F(u) = 0 in T; at degree >= 2 the level below checks it, as g
         # dividing q(z(t)) - t
-        v_num, v_den = q.integral_value(z_nums, z_den)
+        v_num, v_den = q.integral_value(factor.nums, factor.den)
         _check(v_num * ad == an * v_den, "q_T(z) is not u in the reduced algebra")
         sub_factors, norm_u = [factor], fmt.value(an, ad)
     else:
@@ -276,11 +276,19 @@ def _certify_value(ext, q, xs, value, rng, max_tries, bound, steps):
     # integral with content 1, so over one in lowest terms
     ends = fmt.primitive(bottoms + tops)
     factors = [
-        ValueFactor.from_integral(ring, ends[:m], fmt.one, 1),
-        ValueFactor.from_integral(ring, ends[m:], fmt.one, -1),
+        ValueFactor(ring, ends[:m], fmt.one, 1),
+        ValueFactor(ring, ends[m:], fmt.one, -1),
         *(f.flipped() for f in sub_factors),
     ]
     return factors, norm
+
+
+def _witness_in(ext, xs) -> list:
+    """The witness as a list, refused when a coordinate is not in `ext`."""
+    xs = list(xs)
+    if any(x.ext != ext for x in xs):
+        raise ValueError("a witness coordinate is not an element of the extension")
+    return xs
 
 
 def certify(
@@ -297,7 +305,7 @@ def certify(
     level; `stats`, when given, adds up the records."""
     if q.ring.id != ext.ring.id:
         raise ValueError("form and extension have different coefficient rings")
-    xs = list(xs)
+    xs = _witness_in(ext, xs)
     if rng is None or isinstance(rng, int):
         rng = _Seeded(0 if rng is None else rng)
     value = q.evaluate_ext(xs)
@@ -324,6 +332,7 @@ def verify(ext: SimpleExtension, q: QuadraticForm, xs, cert: NormCertificate) ->
     Accepts iff every factor value is a unit, the factor product equals the
     certificate target exactly, and the target equals the norm of q_S(x).
     """
+    xs = _witness_in(ext, xs)
     ring = ext.ring
     if not ring.contains(cert.target):
         return VerifyResult(False, "target is not an element of the coefficient ring")
@@ -334,10 +343,12 @@ def verify(ext: SimpleExtension, q: QuadraticForm, xs, cert: NormCertificate) ->
     for i, f in enumerate(cert.factors):
         if f.exponent not in (1, -1):
             return VerifyResult(False, f"factor {i} has exponent {f.exponent}")
-        try:
-            num, den = q.integral_value(*f.integral(ring))
-        except Exception as exc:
-            return VerifyResult(False, f"factor {i} cannot be evaluated: {exc}")
+        if f.ring.id != ring.id:
+            return VerifyResult(False, f"factor {i} is a vector over {f.ring.id}, not {ring.id}")
+        if len(f.nums) != q.rank:
+            return VerifyResult(False, f"factor {i} cannot be evaluated: "
+                                       f"expected {q.rank} coordinates, got {len(f.nums)}")
+        num, den = q.integral_value(f.nums, f.den)
         if not fmt.is_unit(num):
             value = shown(fmt.value(num, den))
             return VerifyResult(False, f"factor {i} value {value} is not a unit")
@@ -351,7 +362,7 @@ def verify(ext: SimpleExtension, q: QuadraticForm, xs, cert: NormCertificate) ->
             False,
             f"factor product {shown(product)} does not equal target {shown(cert.target)}",
         )
-    value = q.evaluate_ext(list(xs))
+    value = q.evaluate_ext(xs)
     if not value.is_invertible():
         return VerifyResult(False, "instance value q_S(x) is not a unit")
     if value.norm() != cert.target:

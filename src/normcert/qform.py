@@ -3,7 +3,9 @@
 A form is a list of invertible diagonal coefficients a_1 .. a_m; it
 evaluates over the base ring or over any extension of it.  Membership in
 the group generated by invertible form values is always carried around as
-an explicit list of (vector, exponent) factors, never decided abstractly.
+an explicit list of factors q(y)^(+-1), never decided abstractly; a factor
+(`ValueFactor`) is its ring, the numerators of y over one denominator and
+its exponent, and y's ring values are made only when asked for (`vector`).
 
 Every value is one sum in the integral format of `poly` (integer or
 Z[x] numerators over one denominator, or over a small finite field the
@@ -24,79 +26,37 @@ no product of extension elements, and neither does q(x(t)) in `certify`.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from .errors import NotRegular
 from .poly import integral_format, over_common_denominator
 from .rings import shown
 
 
-def _exponent(exponent):
-    # bool is an int subclass, and True == 1
-    if type(exponent) is not int or exponent not in (1, -1):
-        raise ValueError("exponent must be the integer +1 or -1")
-    return exponent
-
-
+@dataclass(frozen=True, slots=True)
 class ValueFactor:
-    """One generator q(vector)^exponent of the value group.
+    """One generator q(vector)^exponent of the value group, for the vector
+    nums[j] / den over `ring`: in lowest terms in the ring's integral
+    format, with den in the ring, so equal vectors have equal fields."""
 
-    The vector is held as ring values, or as numerators over one
-    denominator in lowest terms in the integral format of its ring
-    (`from_integral`, what the certificate reader and each level's end
-    vectors build); `vector` builds the ring values from those on first
-    use, and `integral` gives the numerators that `verify` evaluates."""
+    ring: object
+    nums: tuple
+    den: object
+    exponent: int
 
-    __slots__ = ("exponent", "_vector", "_ring", "_integral")
-
-    def __init__(self, vector, exponent: int):
-        self.exponent = _exponent(exponent)
-        self._vector = tuple(vector)
-        self._ring = self._integral = None
-
-    @classmethod
-    def from_integral(cls, ring, nums, den, exponent: int) -> ValueFactor:
-        """The factor of the vector nums[j] / den over `ring`, for a vector in
-        lowest terms in the ring's integral format with den in the ring."""
-        self = object.__new__(cls)
-        self.exponent = _exponent(exponent)
-        self._vector = None
-        self._ring = ring
-        self._integral = tuple(nums), den
-        return self
+    def __post_init__(self):
+        # bool is an int subclass, and True == 1
+        if type(self.exponent) is not int or self.exponent not in (1, -1):
+            raise ValueError("exponent must be the integer +1 or -1")
 
     @property
     def vector(self) -> tuple:
-        if self._vector is None:
-            self._vector = tuple(integral_format(self._ring).values(*self._integral))
-        return self._vector
-
-    def integral(self, ring) -> tuple:
-        """The vector over `ring` as numerators over one denominator in the
-        ring's integral format; an entry outside the ring raises."""
-        if self._ring is ring:
-            return self._integral
-        return integral_format(ring).clear([ring.element(v) for v in self.vector])
+        """The vector as ring values."""
+        return tuple(integral_format(self.ring).values(self.nums, self.den))
 
     def flipped(self) -> ValueFactor:
         """The same vector with the exponent negated."""
-        if self._ring is None:
-            return ValueFactor(self._vector, -self.exponent)
-        return ValueFactor.from_integral(self._ring, *self._integral, -self.exponent)
-
-    def __eq__(self, other):
-        if not isinstance(other, ValueFactor):
-            return NotImplemented
-        if self.exponent != other.exponent:
-            return False
-        if self._ring is not None and self._ring is other._ring:
-            # lowest terms are unique
-            return self._integral == other._integral
-        return self.vector == other.vector
-
-    def __hash__(self):
-        return hash((self.vector, self.exponent))
-
-    def __repr__(self):
-        return f"ValueFactor(vector={self.vector!r}, exponent={self.exponent})"
+        return ValueFactor(self.ring, self.nums, self.den, -self.exponent)
 
 
 class QuadraticForm:

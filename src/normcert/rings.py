@@ -649,7 +649,6 @@ class LocalRationalFunctions:
     def __init__(self):
         self.zero = RatFunc.constant(0)
         self.one = RatFunc.constant(1)
-        self.x = RatFunc((0, 1))
 
     def element(self, v) -> RatFunc:
         if isinstance(v, RatFunc):

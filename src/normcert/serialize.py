@@ -22,10 +22,12 @@ entry of a vector has a constant denominator, the vector's denominator is
 one integer lcm.  A vector whose denominator in lowest terms vanishes at
 0 has an entry with a pole there.  The modulus, the form, the witness and
 each factor are built from those numerators (`Poly.from_integral`,
-`QuadraticForm.from_integral`, `ValueFactor.from_integral`), so no ring
-value is built for a coefficient; only the target is one ring value.  A
-local rational function is written back from its integer form with one
-gcd per coefficient.
+`QuadraticForm.from_integral`, the `ValueFactor` fields), so no ring value
+is built for a coefficient; only the target is one ring value.  A factor
+over Q is written back from its numerators over its denominator, and one
+over Q[x]_(x) from its ring values (`ValueFactor.vector`); a local rational
+function is written back from its integer form with one gcd per
+coefficient.
 """
 
 from __future__ import annotations
@@ -195,8 +197,7 @@ def _ring_and_entries(data, key: str, ring):
 def factor_to_json(ring, f: ValueFactor) -> dict:
     if ring.id == QQ.id:
         # each entry straight from its numerator over the one denominator
-        nums, den = f.integral(ring)
-        vector = [_ratio_to_json(v, den) for v in nums]
+        vector = [_ratio_to_json(v, f.den) for v in f.nums]
     else:
         vector = [element_to_json(ring, v) for v in f.vector]
     return {"vector": vector, "exp": f.exponent}
@@ -207,7 +208,7 @@ def _factor_from_json(ring, data) -> ValueFactor:
         raise FormatError(f"expected a value factor, got {data!r}")
     if type(data["exp"]) is not int or data["exp"] not in (1, -1):
         raise FormatError(f"factor exponent must be 1 or -1, got {data['exp']!r}")
-    return ValueFactor.from_integral(ring, *_vector_from_json(ring, data["vector"]), data["exp"])
+    return ValueFactor(ring, *_vector_from_json(ring, data["vector"]), data["exp"])
 
 
 def trace_to_json(ring, steps) -> list:

@@ -23,10 +23,20 @@ from operator import truediv
 from normcert.errors import InternalAssertion, NotInvertible, NotPrimitive, RingMismatch
 from normcert.extension import SimpleExtension
 from normcert.linalg import transpose
-from normcert.poly import Poly
-from normcert.qform import QuadraticForm
-from normcert.rings import QQ, RatFunc
+from normcert.poly import Poly, integral_format
+from normcert.qform import QuadraticForm, ValueFactor
+from normcert.rings import QQ, QQ_LOCAL_X, RatFunc
 from normcert.serialize import FormatError
+
+# x, which generates the maximal ideal of Q[x]_(x)
+LOCAL_X = QQ_LOCAL_X.element((0, 1))
+
+
+def value_factor(ring, vector, exponent):
+    """The factor q(vector)^exponent of a vector of ring values, put over
+    one denominator in lowest terms in the ring's integral format."""
+    nums, den = integral_format(ring).clear([ring.element(v) for v in vector])
+    return ValueFactor(ring, nums, den, exponent)
 
 
 def naive_det(rows):

@@ -20,11 +20,11 @@ from normcert.errors import InternalAssertion, SearchExhausted, ValueNotUnit
 from normcert.extension import ExtElement, SimpleExtension
 from normcert.instances import random_instance, run_random_suite
 from normcert.poly import Poly, integral_format, over_common_denominator
-from normcert.qform import QuadraticForm, ValueFactor
+from normcert.qform import QuadraticForm
 from normcert.rings import QQ, QQ_LOCAL_X, ZX, ZX_ONE, RatFunc
 from normcert.serialize import certificate_to_json, dumps
 
-from oracles import mult_matrix, naive_base_value, naive_det
+from oracles import LOCAL_X, mult_matrix, naive_base_value, naive_det, value_factor
 
 # the module, which the package's `certify` function shadows
 certify_module = sys.modules["normcert.certify"]
@@ -90,7 +90,7 @@ class TestBaseCase:
         cert = certify(ext, q, xs)
         assert cert.target == 9
         assert len(cert.factors) == 1
-        assert cert.factors[0] == ValueFactor((F(3),), 1)
+        assert cert.factors[0] == value_factor(QQ, (F(3),), 1)
 
     def test_degree_one_norm_is_value(self):
         ext = qq_ext(-5, 1)
@@ -162,7 +162,7 @@ class TestVerifier:
         ext, q, xs = gauss_instance
         cert = certify(ext, q, xs, rng=0)
         first = cert.factors[0]
-        flipped = ValueFactor(first.vector, -first.exponent)
+        flipped = value_factor(QQ, first.vector, -first.exponent)
         tampered = NormCertificate(target=cert.target, factors=(flipped,) + cert.factors[1:])
         outcome = verify(ext, q, xs, tampered)
         assert not outcome.ok
@@ -173,7 +173,7 @@ class TestVerifier:
         inst = random_instance(QQ_LOCAL_X, random.Random(5), 2, 2)
         cert = certify(inst.ext, inst.q, inst.xs, rng=5)
         assert verify(inst.ext, inst.q, inst.xs, cert)
-        x = QQ_LOCAL_X.x
+        x = LOCAL_X
         for target in (cert.target * (1 + x), cert.target * (1 + x) / (1 + x + x * x)):
             tampered = NormCertificate(target=target, factors=cert.factors)
             outcome = verify(inst.ext, inst.q, inst.xs, tampered)
@@ -182,7 +182,7 @@ class TestVerifier:
         extra = cert.factors[0]
         padded = NormCertificate(
             target=cert.target,
-            factors=cert.factors + (extra, ValueFactor(extra.vector, -extra.exponent)),
+            factors=cert.factors + (extra, value_factor(QQ_LOCAL_X, extra.vector, -extra.exponent)),
         )
         assert verify(inst.ext, inst.q, inst.xs, padded)
 
@@ -192,9 +192,9 @@ class TestVerifier:
         ext = SimpleExtension(k, Poly(k, [k.element(2), k.one]))
         q = QuadraticForm(k, [k.one, k.element(2)])
         xs = [ext.element([k.element(1)]), ext.element([k.element(1)])]
-        factors = (ValueFactor((k.element(1), k.element(1)), 1),
-                   ValueFactor((k.element(2), k.zero), 1),
-                   ValueFactor((k.element(2), k.zero), -1))
+        factors = (value_factor(k, (k.element(1), k.element(1)), 1),
+                   value_factor(k, (k.element(2), k.zero), 1),
+                   value_factor(k, (k.element(2), k.zero), -1))
         assert verify(ext, q, xs, NormCertificate(target=k.element(3), factors=factors))
         outcome = verify(ext, q, xs, NormCertificate(target=k.element(4), factors=factors))
         assert not outcome.ok and "factor product F5(3) " in outcome.failure
@@ -204,7 +204,7 @@ class TestVerifier:
         cert = certify(ext, q, xs, rng=0)
         tampered = NormCertificate(
             target=cert.target,
-            factors=cert.factors + (ValueFactor((F(1), F(1)), 1),),
+            factors=cert.factors + (value_factor(QQ, (F(1), F(1)), 1),),
         )
         outcome = verify(ext, q, xs, tampered)
         assert not outcome.ok
@@ -216,6 +216,26 @@ class TestVerifier:
         tampered = NormCertificate(target=F(7), factors=cert.factors)
         outcome = verify(ext, q, xs, tampered)
         assert not outcome.ok
+
+    def test_rejects_a_factor_over_another_ring(self, gauss_instance):
+        ext, q, xs = gauss_instance
+        cert = certify(ext, q, xs, rng=0)
+        local = tuple(value_factor(QQ_LOCAL_X, f.vector, f.exponent) for f in cert.factors)
+        outcome = verify(ext, q, xs, NormCertificate(cert.target, local))
+        assert not outcome.ok and "over Q[x]_(x), not Q" in outcome.failure
+
+    def test_refuses_a_witness_from_another_extension(self, gauss_instance):
+        # the same coordinates in Q[t]/(t^2+2): there the norm of q_S(x) is
+        # 17/4, and in Q[t]/(t^2+1) it is 5
+        ext, q, _ = gauss_instance
+        other = qq_ext(2, 0, 1)
+        xs = [other.element([F(3, 2), F(1, 2)]), other.element([F(1, 2), F(-1, 2)])]
+        cert = certify(other, q, xs, rng=0)
+        assert cert.target == F(17, 4)
+        with pytest.raises(ValueError, match="not an element of the extension"):
+            verify(ext, q, xs, cert)
+        with pytest.raises(ValueError, match="not an element of the extension"):
+            certify(ext, q, xs, rng=0)
 
     def test_rejects_non_unit_instance_value(self, gauss_instance):
         ext, q, _ = gauss_instance
@@ -253,7 +273,7 @@ class TestIntegralEndVectors:
         cert = certify(inst.ext, inst.q, inst.xs, rng=7)
         assert verify(inst.ext, inst.q, inst.xs, cert)
         bottom = cert.factors[0]
-        doubled = ValueFactor(tuple(2 * v for v in bottom.vector), bottom.exponent)
+        doubled = value_factor(QQ, [2 * v for v in bottom.vector], bottom.exponent)
         tampered = NormCertificate(cert.target, (doubled,) + cert.factors[1:])
         outcome = verify(inst.ext, inst.q, inst.xs, tampered)
         assert not outcome.ok and "factor product" in outcome.failure
@@ -263,8 +283,8 @@ class TestIntegralEndVectors:
         # is not a unit of Q[x]_(x)
         inst = random_instance(QQ_LOCAL_X, random.Random(7), 2, 2)
         cert = certify(inst.ext, inst.q, inst.xs, rng=7)
-        x = QQ_LOCAL_X.x
-        scaled = tuple(ValueFactor(tuple(x * v for v in f.vector), f.exponent)
+        x = LOCAL_X
+        scaled = tuple(value_factor(QQ_LOCAL_X, [x * v for v in f.vector], f.exponent)
                        for f in cert.factors[:2])
         tampered = NormCertificate(cert.target, scaled + cert.factors[2:])
         outcome = verify(inst.ext, inst.q, inst.xs, tampered)
@@ -274,11 +294,11 @@ class TestIntegralEndVectors:
         # the Gauss certificate as it was written before the end vectors
         # became integral: q(1/2, 3/2) / q(1/2, -1/2) = (5/2) / (1/2) = 5
         ext, q, xs = gauss_instance
-        old = NormCertificate(F(5), (ValueFactor((F(1, 2), F(3, 2)), 1),
-                                     ValueFactor((F(1, 2), F(-1, 2)), -1)))
+        old = NormCertificate(F(5), (value_factor(QQ, (F(1, 2), F(3, 2)), 1),
+                                     value_factor(QQ, (F(1, 2), F(-1, 2)), -1)))
         assert verify(ext, q, xs, old)
         assert certify(ext, q, xs, rng=0).factors == (
-            ValueFactor((F(1), F(3)), 1), ValueFactor((F(1), F(-1)), -1))
+            value_factor(QQ, (F(1), F(3)), 1), value_factor(QQ, (F(1), F(-1)), -1))
 
 
 def scaled_instances():

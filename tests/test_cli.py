@@ -9,6 +9,7 @@ import normcert
 from normcert import cli, instances
 from normcert.cli import main
 from normcert.errors import InternalAssertion
+from normcert.qform import QuadraticForm
 
 GAUSS_INSTANCE = {
     "ring": "Q",
@@ -301,6 +302,14 @@ class TestVerifyCommand:
     def test_internal_error_exits_4(self, instance_path, tmp_path, monkeypatch, capsys):
         _, out = run_certify(instance_path, tmp_path)
         monkeypatch.setattr(cli, "verify", engine_bug)
+        assert main(["verify", "--input", instance_path, "--certificate", out]) == 4
+        assert "internal error" in capsys.readouterr().err
+
+    def test_engine_failure_in_a_factor_exits_4(self, instance_path, tmp_path, monkeypatch,
+                                                 capsys):
+        # a failure evaluating a factor is the verifier's, not the certificate's
+        _, out = run_certify(instance_path, tmp_path)
+        monkeypatch.setattr(QuadraticForm, "integral_value", engine_bug)
         assert main(["verify", "--input", instance_path, "--certificate", out]) == 4
         assert "internal error" in capsys.readouterr().err
 

@@ -306,7 +306,8 @@ vector_entries = elements_of(rational_texts) | st.sampled_from(POLES + CANCELLIN
 def decoded_factor_vector(ring, vector):
     """The numerators and denominator of a one-factor certificate's vector."""
     cert = certificate_from_json(ring, {"target": "1", "factors": [{"vector": vector, "exp": 1}]})
-    return cert.factors[0].integral(ring)
+    factor = cert.factors[0]
+    return factor.nums, factor.den
 
 
 def cleared_fraction_values(ring, vector):

@@ -11,6 +11,7 @@ from normcert.poly import Poly, integral_format
 from normcert.rings import QQ, QQ_LOCAL_X, RatFunc
 
 from oracles import (
+    LOCAL_X,
     horner_free_eval,
     mult_matrix,
     naive_det,
@@ -55,7 +56,7 @@ class TestConstruction:
             qq_ext(0, 0, 1)  # t^2
         with pytest.raises(NotSimple):
             ring = QQ_LOCAL_X
-            SimpleExtension(ring, Poly(ring, [ring.x, ring.zero, ring.one]))  # t^2 + x
+            SimpleExtension(ring, Poly(ring, [LOCAL_X, ring.zero, ring.one]))  # t^2 + x
 
     def test_rejects_non_monic(self):
         with pytest.raises(NotSimple):
@@ -215,7 +216,7 @@ class TestPrimitiveTransfer:
     def test_reduction_examples(self, local_ext):
         # the oracle's reduction at x = 0, which the next test relies on
         ring = QQ_LOCAL_X
-        a = local_ext.element([ring.element((1, 1)), ring.x])  # (1+x) + x*t
+        a = local_ext.element([ring.element((1, 1)), LOCAL_X])  # (1+x) + x*t
         bar = reduce_at_zero(a)
         assert bar.ext.modulus == Poly(QQ, [-1, 0, 1])  # t^2 - 1 over Q
         assert bar.coords == (F(1), F(0))
@@ -425,7 +426,7 @@ class TestPrimitivityFromTheElimination:
         ext = _random_extension(ring, 3, rng)
         elements = TestCanonicalBasis._elements(ext, rng)
         # the powers 1, x*t, x^2*t^2 have determinant x^3: nonzero, not a unit
-        c = ext.element([ring.zero, ring.x, ring.zero])
+        c = ext.element([ring.zero, LOCAL_X, ring.zero])
         det = naive_det(powers_matrix(c))
         assert det and not ring.is_invertible(det)
         self._refuse_det(monkeypatch)
@@ -446,7 +447,7 @@ class TestPrimitivityFromTheElimination:
                          for _ in range(12)]
             if ring is QQ_LOCAL_X:
                 # x*t: its power determinant is a nonzero power of x
-                elements.append(ext.element([ring.zero, ring.x] + [ring.zero] * (n - 2)))
+                elements.append(ext.element([ring.zero, LOCAL_X] + [ring.zero] * (n - 2)))
             for c in elements:
                 primitive = c.is_primitive()
                 assert primitive == ring.is_invertible(naive_det(powers_matrix(c)))

@@ -11,6 +11,7 @@ from normcert.qform import QuadraticForm
 from normcert.rings import QQ, QQ_LOCAL_X
 
 from oracles import (
+    LOCAL_X,
     form_at_zero,
     fraction_view,
     last_column_minors,
@@ -401,11 +402,11 @@ class TestGeneralPositionSearch:
             xs = [ext.element([F(1, 2), F(1, 2)]), ext.element([F(-1, 2), F(1, 2)])]
         else:
             n = int(case[-1])
-            coeffs = [-one_plus_x, ring.x, ring.element((3, 0, 2)), ring.element((1, -1))]
+            coeffs = [-one_plus_x, LOCAL_X, ring.element((3, 0, 2)), ring.element((1, -1))]
             ext = SimpleExtension(ring, Poly(ring, coeffs[:n] + [ring.one]))
             q = QuadraticForm(ring, [one_plus_x, ring.element((-2, 1))])
             c = ext.scalar(ring.element((2, 1)))
-            xs = [ext.one(), ext.element([ring.x] + [ring.one] * (n - 1))]
+            xs = [ext.one(), ext.element([LOCAL_X] + [ring.one] * (n - 1))]
         bar_ext = reduce_at_zero(c).ext
 
         def bar(a):

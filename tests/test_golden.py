@@ -127,8 +127,8 @@ def test_scaled_levels_build_every_factor_from_numerators():
         scaled += 1
         fmt = integral_format(ext.ring)
         for f in cert.factors:
-            assert f._ring is ext.ring and f._vector is None
-            assert f.integral(ext.ring) == fmt.clear(f.vector)
+            assert f.ring is ext.ring
+            assert (f.nums, f.den) == fmt.clear(f.vector)
     assert scaled == 2
 
 

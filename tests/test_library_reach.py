@@ -67,8 +67,6 @@ ALLOWED = {
     ("poly", "_FiniteFieldFormat.scale"): _FORMAT,
     ("poly", "_FiniteFieldFormat.primitive"): _FORMAT,
     # public API, constructors run at import, and protocol methods
-    ("qform", "ValueFactor.__init__"):
-        "public API that ROADMAP keeps: a factor built from its vector of ring values",
     ("rings", "RationalField.__init__"): _IMPORT,
     ("rings", "LocalRationalFunctions.__init__"): _IMPORT,
     ("charp", "FFElement.__hash__"): _DUNDER,
@@ -85,9 +83,6 @@ ALLOWED = {
     ("poly", "Poly.__repr__"): _DUNDER,
     ("qform", "QuadraticForm.__eq__"): _DUNDER,
     ("qform", "QuadraticForm.__repr__"): _DUNDER,
-    ("qform", "ValueFactor.__eq__"): _DUNDER,
-    ("qform", "ValueFactor.__hash__"): _DUNDER,
-    ("qform", "ValueFactor.__repr__"): _DUNDER,
     ("rings", "LocalRationalFunctions.__repr__"): _DUNDER,
     ("rings", "RationalField.__repr__"): _DUNDER,
     ("rings", "RatFunc.__bool__"): _DUNDER,

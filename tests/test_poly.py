@@ -13,6 +13,7 @@ from normcert.poly import Poly, integral_format
 from normcert.rings import QQ, QQ_LOCAL_X, ZX, RatFunc
 
 from oracles import (
+    LOCAL_X,
     naive_ext_eval,
     naive_poly,
     naive_poly_add,
@@ -83,7 +84,7 @@ class TestDivision:
 
     def test_division_over_local_ring(self):
         ring = QQ_LOCAL_X
-        x = ring.x
+        x = LOCAL_X
         f = Poly(ring, [x, ring.one, x + ring.one, ring.one])
         g = Poly(ring, [x, ring.one])
         quo, rem = divmod(f, g)
@@ -121,7 +122,7 @@ LOCAL_UNITS = st.builds(
     st.lists(st.integers(-9, 9), min_size=1, max_size=3).filter(lambda cs: cs[0]),
 )
 # over the local ring, a nonzero non-unit now and then: x times a unit
-LOCAL_NONZERO = LOCAL_UNITS | LOCAL_UNITS.map(lambda u: u * QQ_LOCAL_X.x)
+LOCAL_NONZERO = LOCAL_UNITS | LOCAL_UNITS.map(lambda u: u * LOCAL_X)
 FIELD = GF(9)
 FIELD_NONZERO = st.sampled_from(FIELD.elements()[1:])
 # per ring: its nonzero entries, its units, the longest coefficient list

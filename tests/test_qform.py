@@ -12,7 +12,14 @@ from normcert.poly import Poly, integral_format
 from normcert.qform import QuadraticForm, ValueFactor
 from normcert.rings import QQ, QQ_LOCAL_X, ZX, RatFunc
 
-from oracles import form_at_zero, naive_form_value, naive_poly_mul, reduce_at_zero
+from oracles import (
+    LOCAL_X,
+    form_at_zero,
+    naive_form_value,
+    naive_poly_mul,
+    reduce_at_zero,
+    value_factor,
+)
 
 F = Fraction
 
@@ -40,7 +47,7 @@ class TestEvaluate:
         with pytest.raises(NotRegular):
             QuadraticForm(QQ, [1, 0])
         with pytest.raises(NotRegular):
-            QuadraticForm(QQ_LOCAL_X, [QQ_LOCAL_X.x])
+            QuadraticForm(QQ_LOCAL_X, [LOCAL_X])
         with pytest.raises(NotRegular):
             QuadraticForm(QQ, [])
 
@@ -242,7 +249,14 @@ def test_poly_value_matches_the_naive_squares(case):
 class TestValueFactor:
     def test_factor_exponent_validation(self):
         with pytest.raises(ValueError):
-            ValueFactor((F(1),), 2)
+            value_factor(QQ, (F(1),), 2)
         with pytest.raises(ValueError):
-            ValueFactor((F(1),), True)  # bool is an int, and True == 1
+            value_factor(QQ, (F(1),), True)  # bool is an int, and True == 1
+
+    def test_a_factor_is_its_vector_in_lowest_terms(self):
+        f = value_factor(QQ, (F(1, 2), F(3, 2)), 1)
+        assert f == ValueFactor(QQ, (1, 3), 2, 1)
+        assert hash(f) == hash(ValueFactor(QQ, (1, 3), 2, 1))
+        assert f.vector == (F(1, 2), F(3, 2))
+        assert f.flipped() == ValueFactor(QQ, (1, 3), 2, -1) != f
 

@@ -12,6 +12,7 @@ from normcert.errors import NotInvertible, NotRegular, RingMismatch
 from normcert.rings import QQ, QQ_LOCAL_X, RatFunc, get_ring, sample_residue
 
 from oracles import (
+    LOCAL_X,
     fraction_view,
     horner_free_eval,
     naive_poly_gcd,
@@ -30,7 +31,7 @@ def value_at(a, v):
     return (horner_free_eval(num, v) or Fraction(0)) / horner_free_eval(den, v)
 
 
-X = QQ_LOCAL_X.x
+X = LOCAL_X
 
 
 class TestRationalField:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from normcert.certify import certify
 from normcert.extension import SimpleExtension
 from normcert.instances import random_instance
-from normcert.poly import Poly
+from normcert.poly import Poly, integral_format
 from normcert.qform import QuadraticForm, ValueFactor
 from normcert.rings import QQ, QQ_LOCAL_X, RatFunc
 from normcert.serialize import (
@@ -27,7 +27,7 @@ from normcert.serialize import (
     trace_to_json,
 )
 
-from oracles import fraction_view
+from oracles import fraction_view, value_factor
 
 F = Fraction
 
@@ -158,8 +158,8 @@ class TestFactorEncoding:
         vector = [F(v, den) for v in nums]
         expected = {"vector": [str(v) for v in vector], "exp": exp}
         # built from ring values, and from numerators over one denominator
-        by_values = ValueFactor(vector, exp)
-        by_integral = ValueFactor.from_integral(QQ, *by_values.integral(QQ), exp)
+        by_values = value_factor(QQ, vector, exp)
+        by_integral = ValueFactor(QQ, *integral_format(QQ).lowest(nums, den), exp)
         assert factor_to_json(QQ, by_values) == expected
         assert factor_to_json(QQ, by_integral) == expected
 
