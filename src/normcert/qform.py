@@ -5,7 +5,7 @@ evaluates over the base ring or over any extension of it.  Membership in
 the group generated by invertible form values is always carried around as
 an explicit list of factors q(y)^(+-1), never decided abstractly; a factor
 (`ValueFactor`) is its ring, the numerators of y over one denominator and
-its exponent, and y's ring values are made only when asked for (`vector`).
+its exponent, and no ring value of y is made.
 
 Every value is one sum in the integral format of `poly` (integer or
 Z[x] numerators over one denominator, or over a small finite field the
@@ -48,11 +48,6 @@ class ValueFactor:
         # bool is an int subclass, and True == 1
         if type(self.exponent) is not int or self.exponent not in (1, -1):
             raise ValueError("exponent must be the integer +1 or -1")
-
-    @property
-    def vector(self) -> tuple:
-        """The vector as ring values."""
-        return tuple(integral_format(self.ring).values(self.nums, self.den))
 
     def flipped(self) -> ValueFactor:
         """The same vector with the exponent negated."""

@@ -433,6 +433,18 @@ def shown(v) -> str:
     return str(v)
 
 
+def canonical_ratios(num: ZX, den: ZX):
+    """The coefficients of num / den, in lowest terms, as (top, bottom)
+    integer pairs, not reduced, with bottom nonzero, scaled so that the
+    lowest-order nonzero denominator coefficient is 1: the text of a
+    rational function, which the JSON writer and `RatFunc.__repr__` read."""
+    num, den = num.c, den.c
+    if not num:
+        return (), ((1, 1),)
+    pivot = next(c for c in den if c)
+    return tuple((c, pivot) for c in num), tuple((c, pivot) for c in den)
+
+
 def _zstr(cs, var="x"):
     if not cs:
         return "0"
@@ -493,16 +505,6 @@ class RatFunc:
     def constant(v) -> RatFunc:
         v = Fraction(v)
         return RatFunc._make(ZX(_zconst(v.numerator)), ZX((v.denominator,)))
-
-    def canonical_ratios(self):
-        """The coefficients of the numerator and the denominator as (top,
-        bottom) integer pairs, not reduced, with bottom nonzero, scaled so
-        that the lowest-order nonzero denominator coefficient is 1."""
-        num, den = self.numerator.c, self.denominator.c
-        if not num:
-            return (), ((1, 1),)
-        pivot = next(c for c in den if c)
-        return tuple((c, pivot) for c in num), tuple((c, pivot) for c in den)
 
     # fraction-field arithmetic (closed under all four operations), on the
     # integral format's one-entry vectors
@@ -594,7 +596,8 @@ class RatFunc:
         return self.denominator.c[0] != 0
 
     def __repr__(self):
-        num, den = ([Fraction(*r) for r in part] for part in self.canonical_ratios())
+        num, den = ([Fraction(*r) for r in part]
+                    for part in canonical_ratios(self.numerator, self.denominator))
         if len(den) == 1:
             return f"({_zstr(num)})"
         return f"({_zstr(num)})/({_zstr(den)})"

@@ -9,25 +9,36 @@ malformed input, a pole at 0 or a modulus that is not simple included, is a
 FormatError.  Emission is deterministic (sorted keys, fixed separators) so
 identical inputs and seeds produce byte-identical artifacts.
 
-A string of the form -?[0-9]+(/[0-9]+)? is read straight into an integer
-pair; every other string goes through `Fraction`, so the accepted strings
-and the refused ones are those of a parser with one `Fraction` per string.
 Each vector of an instance or a certificate (the modulus, the diagonal,
-each witness vector, each factor vector) is decoded straight from those
-pairs into the integral format of its ring (`poly.integral_format`):
-numerators over one denominator in lowest terms, integers over Q and
-integer polynomials over Q[x]_(x).  A local entry is its cleared numerator
-over its cleared denominator (one lcm per coefficient list); when every
-entry of a vector has a constant denominator, the vector's denominator is
-one integer lcm.  A vector whose denominator in lowest terms vanishes at
-0 has an entry with a pole there.  The modulus, the form, the witness and
-each factor are built from those numerators (`Poly.from_integral`,
-`QuadraticForm.from_integral`, the `ValueFactor` fields), so no ring value
-is built for a coefficient; only the target is one ring value.  A factor
-over Q is written back from its numerators over its denominator, and one
-over Q[x]_(x) from its ring values (`ValueFactor.vector`); a local rational
-function is written back from its integer form with one gcd per
-coefficient.
+each witness vector, each factor vector, and the target as a vector of
+one) is read in one pass into the integral format of its ring
+(`poly.integral_format`): numerators over one denominator in lowest
+terms, integers over Q and integer polynomials (`ZX`) over Q[x]_(x).
+When every string of the vector is an integer -?[0-9]+ (over Q[x]_(x):
+every entry is {"num": [integers], "den": ["1"]}), one regular
+expression over the joined strings checks them all and `int` reads each;
+those numerators over one are already in lowest terms, so no gcd runs.
+Every other vector takes the strict route, string by string:
+-?[0-9]+(/[0-9]+)? is read straight into an integer pair, and any other
+string goes through `Fraction` (and `Decimal` past the int/str digit
+limit), so the accepted strings, the refused ones and the values are those
+of a parser with one `Fraction` per string.  On that route a local entry
+is its cleared numerator over its cleared denominator (one lcm per
+coefficient list); when every entry of a vector has a constant
+denominator, the vector's denominator is one integer lcm.  A vector whose
+denominator in lowest terms vanishes at 0 has an entry with a pole there.
+The modulus, the form, the witness and each factor are built from those
+numerators (`Poly.from_integral`, `QuadraticForm.from_integral`, the
+`ValueFactor` fields), so no ring value is built for a coefficient; only
+the target is one ring value.  The schema is closed: every object names
+its keys, and any other key is a FormatError.
+
+A factor is written from its numerators over its denominator: over Q each
+entry with one gcd, over Q[x]_(x) over one as each numerator's integer
+strings over ["1"], and over any other denominator each entry put in
+lowest terms once by the format record.  A local rational function is
+scaled so that its lowest-order nonzero denominator coefficient is 1
+(`rings.canonical_ratios`).
 """
 
 from __future__ import annotations
@@ -44,11 +55,25 @@ from .errors import NotRegular, NotSimple
 from .extension import ExtElement, SimpleExtension
 from .poly import Poly, _poly, integral_format
 from .qform import QuadraticForm, ValueFactor
-from .rings import QQ, ZX, get_ring, int_text, shown
+from .rings import QQ, ZX, ZX_ONE, _ztrim, canonical_ratios, get_ring, int_text, shown
 
 
 class FormatError(ValueError):
     """Malformed instance or certificate JSON."""
+
+
+# the keys each object may have; any other key is a FormatError
+_INSTANCE_KEYS = frozenset(("ring", "p", "q", "x", "options"))
+_OPTION_KEYS = frozenset(("seed", "max_tries", "bound"))
+_CERTIFICATE_KEYS = frozenset(("target", "factors", "trace"))
+_FACTOR_KEYS = frozenset(("vector", "exp"))
+_ENTRY_KEYS = frozenset(("num", "den"))
+
+
+def _check_keys(data: dict, allowed, what: str):
+    if not data.keys() <= allowed:
+        unknown = ", ".join(sorted(map(repr, data.keys() - allowed)))
+        raise FormatError(f"unknown key {unknown} in {what}")
 
 
 def _ring_from_json(ring_id):
@@ -63,6 +88,44 @@ def _ring_from_json(ring_id):
 # the rational strings read straight into integers; any other string goes
 # through Fraction, which also takes signs, spaces, decimals and exponents
 _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+# a list of integer strings joined by commas
+_INTEGERS = re.compile(r"-?[0-9]+(?:,-?[0-9]+)*")
+_ONE_TEXT = ["1"]
+
+
+def _integers(texts):
+    """The ints of a non-empty list of strings that are all -?[0-9]+ and
+    within the int/str digit limit, from one regular expression over the
+    joined list; None for any other list."""
+    try:
+        joined = ",".join(texts)
+    except TypeError:
+        # an entry that is not a string
+        return None
+    if _INTEGERS.fullmatch(joined) is None:
+        return None
+    try:
+        return [int(t) for t in texts]
+    except ValueError:
+        # a string with a comma in it, or past the int/str digit limit
+        return None
+
+
+def _local_integers(data):
+    """The ZX numerators of a list of Q[x]_(x) entries that are all
+    {"num": [integer strings], "den": ["1"]}, over one; None for any other
+    list."""
+    texts, ends = [], [0]
+    for entry in data:
+        if (type(entry) is not dict or len(entry) != 2 or entry.get("den") != _ONE_TEXT
+                or type(num := entry.get("num")) is not list):
+            return None
+        texts += num
+        ends.append(len(texts))
+    ints = _integers(texts)
+    if ints is None:
+        return None
+    return [ZX(_ztrim(ints[start:end])) for start, end in zip(ends, ends[1:])]
 
 
 def _ratio_to_json(top: int, bottom: int) -> str:
@@ -101,7 +164,16 @@ def element_to_json(ring, a):
     if ring.id == QQ.id:
         # "p", or "p/q" when q > 1, with every digit: the text of a message
         return shown(a)
-    num, den = a.canonical_ratios()
+    return _local_to_json(a.numerator, a.denominator)
+
+
+def _local_to_json(num: ZX, den: ZX) -> dict:
+    """The JSON object of the local rational function num / den, given in
+    lowest terms."""
+    if den == ZX_ONE:
+        # the integer coefficients, with den(0) already 1
+        return {"num": [int_text(c) for c in num.c], "den": ["1"]}
+    num, den = canonical_ratios(num, den)
     return {
         "num": [_ratio_to_json(*r) for r in num],
         "den": [_ratio_to_json(*r) for r in den],
@@ -130,6 +202,7 @@ def _local_pair(data) -> tuple[tuple, tuple]:
         return ((p,) if p else ()), (q,)
     if not isinstance(data, dict) or "num" not in data:
         raise FormatError(f"expected a num/den object, got {data!r}")
+    _check_keys(data, _ENTRY_KEYS, "a Q[x]_(x) entry")
     (num, dn), (den, dd) = _int_poly(data["num"]), _int_poly(data.get("den", ["1"]))
     if not den:
         raise FormatError("rational function with zero denominator")
@@ -149,6 +222,10 @@ def _vector_from_json(ring, data) -> tuple[tuple, object]:
         raise FormatError(f"expected a list of {ring.id} elements, got {data!r}")
     fmt = integral_format(ring)
     if ring.id == QQ.id:
+        ints = _integers(data)
+        if ints is not None:
+            # integers are in lowest terms over one
+            return tuple(ints), 1
         pairs = [_rational_pair(c) for c in data]
         den = lcm(*[q for _, q in pairs])
         if den == 1:
@@ -156,6 +233,10 @@ def _vector_from_json(ring, data) -> tuple[tuple, object]:
             return tuple([p for p, _ in pairs]), 1
         nums = [p * (den // q) for p, q in pairs]
     else:
+        nums = _local_integers(data)
+        if nums is not None:
+            # integer polynomials are in lowest terms over one
+            return tuple(nums), ZX_ONE
         pairs = [_local_pair(c) for c in data]
         if all(len(d) == 1 for _, d in pairs):
             # constant denominators: one integer lcm, no division in Z[x]
@@ -188,9 +269,11 @@ def poly_to_json(p: Poly) -> dict:
 def _ring_and_entries(data, key: str, ring):
     """The ring of {"ring": ..., key: [...]} (`ring` without that key) and
     the entries, or `ring` and a bare list."""
-    if isinstance(data, dict) and key in data:
-        ring = _ring_from_json(data["ring"]) if "ring" in data else ring
-        data = data[key]
+    if isinstance(data, dict):
+        _check_keys(data, {"ring", key}, f"the object with {key!r}")
+        if key in data:
+            ring = _ring_from_json(data["ring"]) if "ring" in data else ring
+            data = data[key]
     return ring, data
 
 
@@ -198,14 +281,22 @@ def factor_to_json(ring, f: ValueFactor) -> dict:
     if ring.id == QQ.id:
         # each entry straight from its numerator over the one denominator
         vector = [_ratio_to_json(v, f.den) for v in f.nums]
+    elif f.den == ZX_ONE:
+        # over one each entry is in lowest terms
+        vector = [_local_to_json(v, ZX_ONE) for v in f.nums]
     else:
-        vector = [element_to_json(ring, v) for v in f.vector]
+        # each entry put in lowest terms once
+        vector = []
+        for v in f.nums:
+            (num,), den = integral_format(ring).lowest((v,), f.den)
+            vector.append(_local_to_json(num, den))
     return {"vector": vector, "exp": f.exponent}
 
 
 def _factor_from_json(ring, data) -> ValueFactor:
     if not isinstance(data, dict) or "vector" not in data or "exp" not in data:
         raise FormatError(f"expected a value factor, got {data!r}")
+    _check_keys(data, _FACTOR_KEYS, "a factor")
     if type(data["exp"]) is not int or data["exp"] not in (1, -1):
         raise FormatError(f"factor exponent must be 1 or -1, got {data['exp']!r}")
     return ValueFactor(ring, *_vector_from_json(ring, data["vector"]), data["exp"])
@@ -241,6 +332,7 @@ def certificate_to_json(ring, cert: NormCertificate) -> dict:
 def certificate_from_json(ring, data) -> NormCertificate:
     if not isinstance(data, dict) or "target" not in data or "factors" not in data:
         raise FormatError("certificate needs 'target' and 'factors'")
+    _check_keys(data, _CERTIFICATE_KEYS, "the certificate")
     if not isinstance(data["factors"], list):
         raise FormatError(f"'factors' must be a list, got {data['factors']!r}")
     return NormCertificate(
@@ -281,6 +373,7 @@ def instance_to_json(inst: InstanceSpec) -> dict:
 
 
 def _check_options(options: dict):
+    _check_keys(options, _OPTION_KEYS, "'options'")
     # bool is an int subclass, so JSON true would pass a bare isinstance test
     for key, least in (("seed", None), ("max_tries", 1), ("bound", 1)):
         if key not in options:
@@ -294,6 +387,7 @@ def _check_options(options: dict):
 def instance_from_json(data) -> InstanceSpec:
     if not isinstance(data, dict):
         raise FormatError("instance must be a JSON object")
+    _check_keys(data, _INSTANCE_KEYS, "the instance")
     for key in ("ring", "p", "q", "x"):
         if key not in data:
             raise FormatError(f"instance is missing {key!r}")

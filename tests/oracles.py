@@ -9,7 +9,8 @@ system-matrix helpers state the general-position lemma and its
 constant-column analogue, which the library's searches rely on but never
 evaluate (see the genpos module docstring).  The JSON number parsers read
 each rational string through one Fraction, as the serializer did before it
-read them as integer pairs.  Reduction modulo (x) over Q[x]_(x), which the
+read them as integer pairs, and the factor writer's reference writes each
+entry from its ring value.  Reduction modulo (x) over Q[x]_(x), which the
 library never computes, is evaluation at x = 0 of every coordinate and of
 every coefficient of the modulus and the form.
 """
@@ -37,6 +38,22 @@ def value_factor(ring, vector, exponent):
     one denominator in lowest terms in the ring's integral format."""
     nums, den = integral_format(ring).clear([ring.element(v) for v in vector])
     return ValueFactor(ring, nums, den, exponent)
+
+
+def factor_vector(factor):
+    """The vector of a value factor as ring values."""
+    return tuple(integral_format(factor.ring).values(factor.nums, factor.den))
+
+
+def local_factor_json(factor):
+    """The JSON of a Q[x]_(x) factor written entry by entry from its ring
+    values, each scaled as `fraction_view` scales it and each coefficient
+    the text of its Fraction: the route of `RatFunc`'s canonical ratios."""
+    vector = []
+    for v in factor_vector(factor):
+        num, den = fraction_view(v)
+        vector.append({"num": [str(c) for c in num], "den": [str(c) for c in den]})
+    return {"vector": vector, "exp": factor.exponent}
 
 
 def naive_det(rows):
@@ -402,6 +419,8 @@ def fraction_element_from_json(ring, data):
         return ring.element(fraction_rational_from_json(data))
     if not isinstance(data, dict) or "num" not in data:
         raise FormatError(f"expected a num/den object, got {data!r}")
+    if not data.keys() <= {"num", "den"}:
+        raise FormatError(f"unknown key in {data!r}")
     num, den = data["num"], data.get("den", ["1"])
     if not isinstance(num, list) or not isinstance(den, list):
         raise FormatError(f"num and den must be lists, got {data!r}")

@@ -24,7 +24,9 @@ from normcert.qform import QuadraticForm
 from normcert.rings import QQ, QQ_LOCAL_X, ZX, ZX_ONE, RatFunc
 from normcert.serialize import certificate_to_json, dumps
 
-from oracles import LOCAL_X, mult_matrix, naive_base_value, naive_det, value_factor
+from oracles import (
+    LOCAL_X, factor_vector, mult_matrix, naive_base_value, naive_det, value_factor,
+)
 
 # the module, which the package's `certify` function shadows
 certify_module = sys.modules["normcert.certify"]
@@ -56,7 +58,7 @@ def factor_product(q, cert):
     ring = q.ring
     acc = ring.one
     for f in cert.factors:
-        v = naive_base_value(q, f.vector)
+        v = naive_base_value(q, factor_vector(f))
         acc = acc * (v if f.exponent == 1 else ring.invert(v))
     return acc
 
@@ -162,7 +164,7 @@ class TestVerifier:
         ext, q, xs = gauss_instance
         cert = certify(ext, q, xs, rng=0)
         first = cert.factors[0]
-        flipped = value_factor(QQ, first.vector, -first.exponent)
+        flipped = value_factor(QQ, factor_vector(first), -first.exponent)
         tampered = NormCertificate(target=cert.target, factors=(flipped,) + cert.factors[1:])
         outcome = verify(ext, q, xs, tampered)
         assert not outcome.ok
@@ -182,7 +184,8 @@ class TestVerifier:
         extra = cert.factors[0]
         padded = NormCertificate(
             target=cert.target,
-            factors=cert.factors + (extra, value_factor(QQ_LOCAL_X, extra.vector, -extra.exponent)),
+            factors=cert.factors + (
+                extra, value_factor(QQ_LOCAL_X, factor_vector(extra), -extra.exponent)),
         )
         assert verify(inst.ext, inst.q, inst.xs, padded)
 
@@ -220,7 +223,7 @@ class TestVerifier:
     def test_rejects_a_factor_over_another_ring(self, gauss_instance):
         ext, q, xs = gauss_instance
         cert = certify(ext, q, xs, rng=0)
-        local = tuple(value_factor(QQ_LOCAL_X, f.vector, f.exponent) for f in cert.factors)
+        local = tuple(value_factor(QQ_LOCAL_X, factor_vector(f), f.exponent) for f in cert.factors)
         outcome = verify(ext, q, xs, NormCertificate(cert.target, local))
         assert not outcome.ok and "over Q[x]_(x), not Q" in outcome.failure
 
@@ -265,7 +268,7 @@ class TestIntegralEndVectors:
         for level, (bottom, top) in enumerate(pairs):
             sign = (-1) ** level
             assert (bottom.exponent, top.exponent) == (sign, -sign)
-            assert joint_content(ring, [bottom.vector, top.vector]) == 1
+            assert joint_content(ring, [factor_vector(bottom), factor_vector(top)]) == 1
         assert factor_product(inst.q, cert) == cert.target
 
     def test_scaling_one_vector_of_a_pair_is_rejected(self):
@@ -273,7 +276,7 @@ class TestIntegralEndVectors:
         cert = certify(inst.ext, inst.q, inst.xs, rng=7)
         assert verify(inst.ext, inst.q, inst.xs, cert)
         bottom = cert.factors[0]
-        doubled = value_factor(QQ, [2 * v for v in bottom.vector], bottom.exponent)
+        doubled = value_factor(QQ, [2 * v for v in factor_vector(bottom)], bottom.exponent)
         tampered = NormCertificate(cert.target, (doubled,) + cert.factors[1:])
         outcome = verify(inst.ext, inst.q, inst.xs, tampered)
         assert not outcome.ok and "factor product" in outcome.failure
@@ -284,7 +287,7 @@ class TestIntegralEndVectors:
         inst = random_instance(QQ_LOCAL_X, random.Random(7), 2, 2)
         cert = certify(inst.ext, inst.q, inst.xs, rng=7)
         x = LOCAL_X
-        scaled = tuple(value_factor(QQ_LOCAL_X, [x * v for v in f.vector], f.exponent)
+        scaled = tuple(value_factor(QQ_LOCAL_X, [x * v for v in factor_vector(f)], f.exponent)
                        for f in cert.factors[:2])
         tampered = NormCertificate(cert.target, scaled + cert.factors[2:])
         outcome = verify(inst.ext, inst.q, inst.xs, tampered)
@@ -321,8 +324,8 @@ def scaled_levels(ext, q, xs, seed):
     for step, (bottom, top) in zip(cert.trace, level_pairs(cert)):
         nb = step.b.norm()
         scaled += step.b != step.b.ext.one()
-        assert (naive_base_value(q, bottom.vector) * step.r * nb * nb
-                == step.q0 * naive_base_value(q, top.vector))
+        assert (naive_base_value(q, factor_vector(bottom)) * step.r * nb * nb
+                == step.q0 * naive_base_value(q, factor_vector(top)))
     return scaled
 
 

@@ -134,13 +134,14 @@ class TestCertifyCommand:
         assert len(cert["trace"]) == 1
         assert set(cert["trace"][0]) == {"n", "p", "h", "r", "q0", "b"}
 
-    def test_only_the_flag_writes_the_trace(self, tmp_path):
-        # an instance option is no switch: any truthy value, "no" too, once
-        # turned the trace on
-        inst = dict(GAUSS_INSTANCE, options={"trace": "no"})
+    def test_only_the_flag_writes_the_trace(self, tmp_path, capsys):
+        # an instance option is no switch: "trace" is not an option key, so
+        # the instance is refused, and nothing is written
+        inst = dict(GAUSS_INSTANCE, options={"trace": True})
         code, out = run_certify(write_json(tmp_path / "inst.json", inst), tmp_path)
-        assert code == 0
-        assert set(json.loads(open(out).read())) == {"target", "factors"}
+        assert code == 3
+        assert "unknown key 'trace' in 'options'" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
     def test_degree_one_single_factor(self, tmp_path):
         code, out = run_certify(write_json(tmp_path / "inst.json", DEGREE_ONE_INSTANCE), tmp_path)

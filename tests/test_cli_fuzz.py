@@ -32,7 +32,7 @@ from normcert.serialize import (
     instance_to_json,
 )
 
-from oracles import fraction_element_from_json, fraction_rational_from_json
+from oracles import factor_vector, fraction_element_from_json, fraction_rational_from_json
 
 DOCUMENTED_VERIFY_EXITS = {0, 1, 3, 4}
 DOCUMENTED_CERTIFY_EXITS = {0, 2, 3, 4}
@@ -193,7 +193,7 @@ def test_false_claims_are_rejected(workdir, data):
         # a new coordinate y' with y'^2 != y^2 changes the factor's value
         i = data.draw(st.integers(0, len(cert["factors"]) - 1))
         j = data.draw(st.integers(0, len(cert["factors"][i]["vector"]) - 1))
-        y = parsed.factors[i].vector[j]
+        y = factor_vector(parsed.factors[i])[j]
         new = data.draw(st.fractions(max_denominator=1000).filter(
             lambda v: ring.element(v) not in (y, -y)))
         cert["factors"][i]["vector"][j] = str(new)
@@ -206,13 +206,72 @@ def test_false_claims_are_rejected(workdir, data):
         # by v^(+-2), which changes it unless v^2 = 1
         q = [element_from_json(ring, a) for a in instance["q"]]
         flippable = [i for i, f in enumerate(parsed.factors)
-                     if (v := _value(ring, q, f.vector)) * v != ring.one]
+                     if (v := _value(ring, q, factor_vector(f))) * v != ring.one]
         i = data.draw(st.sampled_from(flippable))
         cert["factors"][i]["exp"] = -cert["factors"][i]["exp"]
     code, err = run_verify(workdir, json.dumps(instance), json.dumps(cert))
     assert code == 1, (kind, err)
     assert err.startswith("certificate rejected") and "Traceback" not in err
 
+
+# the keys each object may have, as the README states them
+INSTANCE_KEYS = {"ring", "p", "q", "x", "options"}
+OPTION_KEYS = {"seed", "max_tries", "bound"}
+CERTIFICATE_KEYS = {"target", "factors", "trace"}
+FACTOR_KEYS = {"vector", "exp"}
+ENTRY_KEYS = {"num", "den"}
+KEY_NAMES = sorted(INSTANCE_KEYS | OPTION_KEYS | CERTIFICATE_KEYS | FACTOR_KEYS | ENTRY_KEYS
+                   | {"ring", "coeffs", "diag"})
+
+
+def closed_pair(pair):
+    """Fresh copies of a valid instance, with its form as an object that names
+    its ring and with options, and of its certificate."""
+    ring, instance, cert = pair
+    instance, cert = json.loads(json.dumps([instance, cert]))
+    instance["q"] = {"ring": ring.id, "diag": instance["q"]}
+    instance["options"] = {"seed": 1, "max_tries": 64, "bound": 2}
+    return instance, cert
+
+
+def instance_objects(data):
+    """Each JSON object of an instance, with the keys it may have."""
+    entries = data["p"]["coeffs"] + data["q"]["diag"] + [e for v in data["x"] for e in v]
+    return [(data, INSTANCE_KEYS), (data["p"], {"ring", "coeffs"}),
+            (data["q"], {"ring", "diag"}), (data["options"], OPTION_KEYS)] + [
+        (e, ENTRY_KEYS) for e in entries if isinstance(e, dict)]
+
+
+def certificate_objects(data):
+    """Each JSON object of a certificate, with the keys it may have."""
+    entries = [data["target"]] + [e for f in data["factors"] for e in f["vector"]]
+    return [(data, CERTIFICATE_KEYS)] + [(f, FACTOR_KEYS) for f in data["factors"]] + [
+        (e, ENTRY_KEYS) for e in entries if isinstance(e, dict)]
+
+
+@pytest.mark.parametrize("pair", VALID)
+def test_every_known_key_is_accepted(workdir, pair):
+    instance, cert = closed_pair(pair)
+    assert {key for obj, _ in instance_objects(instance) + certificate_objects(cert)
+            for key in obj} <= set(KEY_NAMES)
+    assert run_verify(workdir, json.dumps(instance), json.dumps(cert)) == (0, "")
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_an_unknown_key_at_any_level_exits_3(workdir, data):
+    instance, cert = closed_pair(data.draw(st.sampled_from(VALID)))
+    side = data.draw(st.sampled_from(["instance", "certificate"]))
+    objects = instance_objects(instance) if side == "instance" else certificate_objects(cert)
+    obj, allowed = data.draw(st.sampled_from(objects))
+    key = data.draw((st.sampled_from(KEY_NAMES) | st.text(max_size=6))
+                    .filter(lambda k: k not in allowed))
+    obj[key] = data.draw(short_json_values)
+    code, err = run_verify(workdir, json.dumps(instance), json.dumps(cert))
+    assert code == 3 and "unknown key" in err, (side, key, err)
+    if side == "instance":
+        code, err = run_certify(workdir, json.dumps(instance))
+        assert code == 3 and "unknown key" in err, (key, err)
 
 
 def run_certify(directory, instance_text: str):
@@ -274,6 +333,17 @@ element_texts = elements_of(rational_texts) | json_values
 
 @FUZZ
 @given(rational_texts | json_values)
+# the edges of the integer path: "-0" and "007", strings int() reads but
+# the integer pattern does not, a comma inside a string, an integer past
+# the int/str digit limit, and JSON numbers or booleans where a string belongs
+@example("-0")
+@example("007")
+@example("1_000")
+@example("+3")
+@example("1,2")
+@example("9" * 4301)
+@example(5)
+@example(True)
 def test_rational_parser_matches_the_fraction_parser(data):
     new, old = parsed(element_from_json, QQ, data), parsed(fraction_rational_from_json, data)
     assert type(new) is type(old) and new == old
@@ -288,6 +358,27 @@ def test_rational_parser_matches_the_fraction_parser(data):
 # a pole whose integers pass the int/str digit limit: its message once
 # raised ValueError
 @example(QQ_LOCAL_X, {"num": ["-1/2"], "den": ["0", "1" + "0" * 4400]})
+# integer and p/q strings in one list, an integer past the digit limit in
+# an otherwise integer list, "-0" and "007"
+@example(QQ_LOCAL_X, {"num": ["3", "1/2", "-4"], "den": ["1"]})
+@example(QQ_LOCAL_X, {"num": ["1", "9" * 4301, "2"], "den": ["1"]})
+@example(QQ_LOCAL_X, {"num": ["-0", "007"], "den": ["1"]})
+@example(QQ, "-0")
+@example(QQ_LOCAL_X, "007")
+# denominators that equal one but are not the text ["1"]
+@example(QQ_LOCAL_X, {"num": ["2", "3"], "den": ["1", "0"]})
+@example(QQ_LOCAL_X, {"num": ["2", "3"], "den": ["01"]})
+@example(QQ_LOCAL_X, {"num": ["2", "3"], "den": [" 1"]})
+# trailing zeros, and an empty numerator
+@example(QQ_LOCAL_X, {"num": ["2", "0", "0"], "den": ["1"]})
+@example(QQ_LOCAL_X, {"num": [], "den": ["1"]})
+@example(QQ_LOCAL_X, {"num": ["0", "-0"], "den": ["1"]})
+# JSON numbers, booleans and a bare string where a list of strings belongs
+@example(QQ_LOCAL_X, {"num": [1, 2], "den": ["1"]})
+@example(QQ_LOCAL_X, {"num": ["1"], "den": [1]})
+@example(QQ_LOCAL_X, {"num": [True], "den": ["1"]})
+@example(QQ_LOCAL_X, {"num": "12", "den": ["1"]})
+@example(QQ_LOCAL_X, {"num": ["1,2"], "den": ["1"]})
 def test_element_parser_matches_the_fraction_parser(ring, data):
     new = parsed(element_from_json, ring, data)
     old = parsed(fraction_element_from_json, ring, data)
@@ -322,6 +413,27 @@ def cleared_fraction_values(ring, vector):
 @example(QQ_LOCAL_X, ["2/4", {"num": ["0", "1"], "den": ["1", "1"]}, POLES[0]])
 @example(QQ_LOCAL_X, [{"num": ["3"], "den": ["0", "1"]}, {"num": ["0", "0", "1"]}])
 @example(QQ, ["2/4", "-6/8", "٣", "1.5"])
+# the edges of the integer path: a list mixing integer and p/q strings,
+# an integer past the digit limit in an otherwise integer list, "-0" and
+# "007", and JSON numbers, booleans or a comma where strings belong
+@example(QQ, ["3", "1/2", "-4"])
+@example(QQ, ["1", "9" * 4301, "2"])
+@example(QQ, ["-0", "007", "5"])
+@example(QQ, ["1", 2])
+@example(QQ, [True, "1"])
+@example(QQ, ["1,2", "3"])
+@example(QQ, ["1", "2,"])
+@example(QQ_LOCAL_X, ["3", {"num": ["1/2", "1"], "den": ["1"]}])
+@example(QQ_LOCAL_X, [{"num": ["1", "9" * 4301], "den": ["1"]}, {"num": ["2"], "den": ["1"]}])
+@example(QQ_LOCAL_X, [{"num": ["-0", "007"], "den": ["1"]}, "-0"])
+@example(QQ_LOCAL_X, [{"num": ["1"], "den": ["1", "0"]}, {"num": ["2"], "den": ["01"]},
+                      {"num": ["5"], "den": [" 1"]}])
+@example(QQ_LOCAL_X, [{"num": ["4", "0", "0"], "den": ["1"]}, {"num": [], "den": ["1"]}])
+@example(QQ_LOCAL_X, [{"num": [], "den": ["1"]}, {"num": ["0"], "den": ["1"]}])
+@example(QQ_LOCAL_X, [{"num": [1], "den": ["1"]}, {"num": ["1"], "den": ["1"]}])
+@example(QQ_LOCAL_X, [{"num": ["1"], "den": [True]}])
+@example(QQ_LOCAL_X, [{"num": "12", "den": ["1"]}])
+@example(QQ_LOCAL_X, [{"num": ["1"], "den": ["1"]}, 5])
 def test_vector_decoder_matches_cleared_fraction_values(ring, vector):
     new = parsed(decoded_factor_vector, ring, vector)
     old = parsed(cleared_fraction_values, ring, vector)

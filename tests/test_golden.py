@@ -31,6 +31,8 @@ from normcert.serialize import (
     trace_to_json,
 )
 
+from oracles import factor_vector
+
 GOLDEN_SHA256 = "77734a6b173bb891e492d4cf2ba34df6ae739618cf6c2f74f9615d56480e4950"
 
 # sha256 of the concatenated certificate JSON texts that the benchmark's
@@ -128,7 +130,7 @@ def test_scaled_levels_build_every_factor_from_numerators():
         fmt = integral_format(ext.ring)
         for f in cert.factors:
             assert f.ring is ext.ring
-            assert (f.nums, f.den) == fmt.clear(f.vector)
+            assert (f.nums, f.den) == fmt.clear(factor_vector(f))
     assert scaled == 2
 
 

@@ -2,7 +2,8 @@
 `__main__`) is run by some library path, not only by the tests.
 
 A small certify/verify set (Q and Q[x]_(x), each with a scaled first
-level), the char2 demo, the char3 demo over F3 and a 10-instance randsuite
+level, and a Q[x]_(x) instance written with p/q strings), the char2 demo,
+the char3 demo over F3 and a 10-instance randsuite
 run through `cli.main` under `sys.setprofile`, which records the code of
 every Python function called; the finite fields are built afresh, so the
 outcome does not depend on which tests ran before.  A function that none
@@ -100,6 +101,12 @@ SCALED = [
     {"ring": "Q[x]_(x)", "p": ["-2", "0", "1"], "q": ["1", "-1"],
      "x": [["1/2", "1/2"], ["-1/2", "1/2"]]},
 ]
+# the second instance again, its entries num/den objects with p/q strings
+# and trailing zeros, which the strict reader takes string by string
+STRICT = {"ring": "Q[x]_(x)", "p": [{"num": ["-4", "0"], "den": ["2"]}, "0", "1"],
+          "q": ["1", "-1"],
+          "x": [[{"num": ["1/2"], "den": ["1"]}, {"num": ["1"], "den": ["2"]}],
+                [{"num": ["-1/2"]}, {"num": ["3/2", "0"], "den": ["3", "0"]}]]}
 
 
 def _functions():
@@ -123,8 +130,9 @@ def _functions():
 
 
 def _command_lines(directory):
-    instances = SCALED + [instance_to_json(random_instance(ring, random.Random(3), n, m))
-                          for ring, n, m in ((QQ, 2, 2), (QQ, 3, 1), (QQ_LOCAL_X, 2, 2))]
+    instances = SCALED + [STRICT] + [
+        instance_to_json(random_instance(ring, random.Random(3), n, m))
+        for ring, n, m in ((QQ, 2, 2), (QQ, 3, 1), (QQ_LOCAL_X, 2, 2))]
     argvs = []
     for index, inst in enumerate(instances):
         path, cert = directory / f"{index}.json", directory / f"{index}.cert.json"

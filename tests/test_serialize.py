@@ -11,7 +11,7 @@ from normcert.extension import SimpleExtension
 from normcert.instances import random_instance
 from normcert.poly import Poly, integral_format
 from normcert.qform import QuadraticForm, ValueFactor
-from normcert.rings import QQ, QQ_LOCAL_X, RatFunc
+from normcert.rings import QQ, QQ_LOCAL_X, ZX, ZX_ONE, RatFunc
 from normcert.serialize import (
     FormatError,
     InstanceSpec,
@@ -27,7 +27,7 @@ from normcert.serialize import (
     trace_to_json,
 )
 
-from oracles import fraction_view, value_factor
+from oracles import factor_vector, fraction_view, local_factor_json, value_factor
 
 F = Fraction
 
@@ -162,6 +162,42 @@ class TestFactorEncoding:
         by_integral = ValueFactor(QQ, *integral_format(QQ).lowest(nums, den), exp)
         assert factor_to_json(QQ, by_values) == expected
         assert factor_to_json(QQ, by_integral) == expected
+
+
+def _zx(coeffs):
+    """The integer polynomial of an ascending coefficient list."""
+    coeffs = list(coeffs)
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return ZX(tuple(coeffs))
+
+
+zx_coeffs = st.lists(st.integers(-(10**30), 10**30), max_size=4)
+
+
+class TestLocalFactorEncoding:
+    """Over Q[x]_(x) a factor is written from its Z[x] numerators: over one
+    as their integer strings, over any other denominator each entry put in
+    lowest terms once; the text must be that of each entry's RatFunc."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(zx_coeffs, min_size=1, max_size=4),
+           st.none() | zx_coeffs.filter(lambda d: d and d[0] != 0),
+           st.sampled_from([1, -1]))
+    # over one, with a zero entry and a constant one
+    @example([[3, 0, -4], [], [7]], None, 1)
+    # a denominator of degree 1 that cancels against one entry only
+    @example([[2, 2], [0, 3]], [1, 1], -1)
+    # a constant denominator, and one whose lowest-order coefficient is negative
+    @example([[4, 6]], [2], 1)
+    @example([[1], [0, 5]], [-3, 0, 2], 1)
+    def test_matches_the_ratfunc_route(self, nums, den, exp):
+        fmt = integral_format(QQ_LOCAL_X)
+        den = ZX_ONE if den is None else _zx(den)
+        factor = ValueFactor(QQ_LOCAL_X, *fmt.lowest([_zx(v) for v in nums], den), exp)
+        data = factor_to_json(QQ_LOCAL_X, factor)
+        assert data == local_factor_json(factor)
+        assert data["vector"] == [element_to_json(QQ_LOCAL_X, v) for v in factor_vector(factor)]
 
 
 class TestCertificates:
