@@ -329,7 +329,8 @@ def certify(
 def verify(ext: SimpleExtension, q: QuadraticForm, xs, cert: NormCertificate) -> VerifyResult:
     """Independent check of a certificate against its instance.
 
-    Accepts iff every factor value is a unit, the factor product equals the
+    Accepts iff every factor is a vector over the coefficient ring whose
+    value is a unit, the factor product equals the
     certificate target exactly, and the target equals the norm of q_S(x).
     """
     xs = _witness_in(ext, xs)
@@ -348,6 +349,9 @@ def verify(ext: SimpleExtension, q: QuadraticForm, xs, cert: NormCertificate) ->
         if len(f.nums) != q.rank:
             return VerifyResult(False, f"factor {i} cannot be evaluated: "
                                        f"expected {q.rank} coordinates, got {len(f.nums)}")
+        # in_ring reads a denominator in lowest terms, as a factor's is
+        if not f.den or not fmt.in_ring(f.den):
+            return VerifyResult(False, f"factor {i} has an entry outside {ring.id}")
         num, den = q.integral_value(f.nums, f.den)
         if not fmt.is_unit(num):
             value = shown(fmt.value(num, den))

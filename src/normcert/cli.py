@@ -35,6 +35,18 @@ from .serialize import (
 CHAR2_FIELDS = (2, 4, 8)
 CHAR3_FIELDS = (3, 9, 27)
 
+# each report-table demo: its fields, its report, and its columns as
+# (title, width, report attribute)
+_TABLES = {
+    "char2": (CHAR2_FIELDS, char2_squares_report, (
+        ("field", 6, "field"), ("elements", 9, "total"), ("off-line", 9, "squares_off_line"),
+        ("image", 6, "image_size"), ("=k*1", 5, "image_equals_line"),
+        ("prim.sq", 8, "primitive_squares"))),
+    "char3": (CHAR3_FIELDS, char3_vanishing_report, (
+        ("field", 6, "field"), ("elements", 9, "total"), ("units", 7, "units"),
+        ("qualifying", 11, "qualifying"), ("violations", 11, "violations"))),
+}
+
 
 def _resolve_seed(value):
     if value is not None:
@@ -114,28 +126,15 @@ def _cmd_verify(args) -> int:
     return 1
 
 
-def _demo_char2(args) -> int:
-    orders = [args.field_order] if args.field_order else list(CHAR2_FIELDS)
-    reports = [char2_squares_report(GF(order)) for order in orders]
-    print(f"{'field':>6} {'elements':>9} {'off-line':>9} {'image':>6} {'=k*1':>5} {'prim.sq':>8}")
+def _demo_table(args) -> int:
+    """The report of each field as a table row, then all of them as JSON."""
+    fields, report, columns = _TABLES[args.kind]
+    orders = [args.field_order] if args.field_order else fields
+    reports = [report(GF(order)) for order in orders]
+    print(" ".join(f"{title:>{width}}" for title, width, _ in columns))
     for rep in reports:
-        print(
-            f"{rep.field:>6} {rep.total:>9} {rep.squares_off_line:>9} "
-            f"{rep.image_size:>6} {str(rep.image_equals_line):>5} {rep.primitive_squares:>8}"
-        )
-    print(dumps([rep.__dict__ for rep in reports]), end="")
-    return 0 if all(rep.ok for rep in reports) else 1
-
-
-def _demo_char3(args) -> int:
-    orders = [args.field_order] if args.field_order else list(CHAR3_FIELDS)
-    reports = [char3_vanishing_report(GF(order)) for order in orders]
-    print(f"{'field':>6} {'elements':>9} {'units':>7} {'qualifying':>11} {'violations':>11}")
-    for rep in reports:
-        print(
-            f"{rep.field:>6} {rep.total:>9} {rep.units:>7} "
-            f"{rep.qualifying:>11} {rep.violations:>11}"
-        )
+        # str() first: a bool formatted with a width prints as an int
+        print(" ".join(f"{str(getattr(rep, name)):>{width}}" for _, width, name in columns))
     print(dumps([rep.__dict__ for rep in reports]), end="")
     return 0 if all(rep.ok for rep in reports) else 1
 
@@ -214,23 +213,13 @@ def build_parser() -> argparse.ArgumentParser:
     demo = sub.add_parser("demo", help="built-in demonstrations")
     kinds = demo.add_subparsers(dest="kind", required=True)
 
-    d2 = kinds.add_parser("char2", help="squares collapse onto k*1 in char 2")
-    d2.add_argument(
-        "--field",
-        dest="field_order",
-        type=lambda v: _parse_field(v, CHAR2_FIELDS),
-        default=None,
-    )
-    d2.set_defaults(fn=_demo_char2)
-
-    d3 = kinds.add_parser("char3", help="vanishing top coordinates in char 3")
-    d3.add_argument(
-        "--field",
-        dest="field_order",
-        type=lambda v: _parse_field(v, CHAR3_FIELDS),
-        default=None,
-    )
-    d3.set_defaults(fn=_demo_char3)
+    for kind, help_text in (("char2", "squares collapse onto k*1 in char 2"),
+                            ("char3", "vanishing top coordinates in char 3")):
+        fields = _TABLES[kind][0]
+        table = kinds.add_parser(kind, help=help_text)
+        table.add_argument("--field", dest="field_order", default=None,
+                           type=lambda v, fields=fields: _parse_field(v, fields))
+        table.set_defaults(fn=_demo_table)
 
     rs = kinds.add_parser("randsuite", help="random certify+verify round trips")
     rs.add_argument("--count", type=_positive_int, default=100)

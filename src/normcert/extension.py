@@ -19,8 +19,9 @@ Every element is held in the integral format of its ring, the format of
 `poly` and its format records (`poly.integral_format`): numerators over
 one denominator that shares no factor with all of them -- integers over
 Q, integer polynomials (`ZX`) over Q[x]_(x), and over a small finite
-field the coordinates themselves over the field's one.  `coords` builds
-the ring values on first use.  One code path serves every ring.  The
+field the coordinates themselves over the field's one.  `integral`
+holds the coordinates, and no ring value of one is kept; `coords_in`
+returns ring values.  One code path serves every ring.  The
 product is the one arithmetic operation of elements, with one body for
 every degree: it convolves the numerators, and
 `SimpleExtension.from_integral` reduces the convolution modulo the modulus
@@ -58,7 +59,7 @@ from math import prod
 from . import linalg
 from .errors import InternalAssertion, NotInvertible, NotPrimitive, NotSimple
 from .linalg import transpose
-from .poly import Poly, convolve, integral_format, over_common_denominator
+from .poly import Poly, cleared, convolve, integral_format, over_common_denominator
 
 
 class SimpleExtension:
@@ -95,10 +96,10 @@ class SimpleExtension:
         return f"SimpleExtension({self.ring.id}, {self.modulus!r})"
 
     def element(self, coords) -> ExtElement:
-        cs = [self.ring.element(c) for c in coords]
-        if len(cs) != self.n:
-            raise ValueError(f"expected {self.n} coordinates, got {len(cs)}")
-        return ExtElement(self, tuple(cs))
+        nums, den = cleared(self._fmt, [self.ring.element(c) for c in coords])
+        if len(nums) != self.n:
+            raise ValueError(f"expected {self.n} coordinates, got {len(nums)}")
+        return ExtElement(self, nums, den)
 
     def one(self) -> ExtElement:
         return self.scalar(self.ring.one)
@@ -107,7 +108,7 @@ class SimpleExtension:
         fmt = self._fmt
         # a ring element split into numerator and denominator is in lowest terms
         num, den = fmt.split(c)
-        return ExtElement(self, None, (num,) + (fmt.zero,) * (self.n - 1), den)
+        return ExtElement(self, (num,) + (fmt.zero,) * (self.n - 1), den)
 
     def gen(self) -> ExtElement:
         """The class of t."""
@@ -158,7 +159,7 @@ class SimpleExtension:
             nums, den = out, den * dt
         elif len(nums) < n:
             nums = [*nums] + [fmt.zero] * (n - len(nums))
-        return ExtElement(self, None, *fmt.lowest(nums, den))
+        return ExtElement(self, *fmt.lowest(nums, den))
 
 
 def _times_t(col, red, dt, zero):
@@ -173,16 +174,12 @@ def _times_t(col, red, dt, zero):
 
 
 class ExtElement:
-    __slots__ = ("ext", "_coords", "_nums", "_den", "_mult_cols", "_norm", "_powers",
-                 "_primitive")
+    __slots__ = ("ext", "_nums", "_den", "_mult_cols", "_norm", "_powers", "_primitive")
 
-    def __init__(self, ext: SimpleExtension, coords: tuple | None, nums=None, den=1):
-        # give either the coords or the numerators over a denominator in
-        # lowest terms (what the format's `lowest` builds)
+    def __init__(self, ext: SimpleExtension, nums: tuple, den):
+        # the numerators over a denominator in lowest terms (what the
+        # format's `lowest` builds)
         self.ext = ext
-        if nums is None:
-            nums, den = ext._fmt.clear(coords)
-        self._coords = coords
         self._nums = nums
         self._den = den
         # lazy caches; elements are immutable by convention
@@ -196,12 +193,6 @@ class ExtElement:
         """The numerators and their one denominator, in lowest terms in the
         integral format of the ring."""
         return self._nums, self._den
-
-    @property
-    def coords(self) -> tuple:
-        if self._coords is None:
-            self._coords = tuple(self.ext._fmt.values(self._nums, self._den))
-        return self._coords
 
     def _same(self, other):
         if other.ext != self.ext:
@@ -232,7 +223,7 @@ class ExtElement:
         return any(self._nums)
 
     def __repr__(self):
-        return f"ExtElement{self.coords!r}"
+        return f"ExtElement{tuple(self.ext._fmt.values(self._nums, self._den))!r}"
 
     # ------------------------------------------------------------------
     # the algebraic toolkit
@@ -283,7 +274,7 @@ class ExtElement:
         nums, den = fmt.lowest([e * v for e, v in zip(dens, x[0])], d)
         if not fmt.in_ring(den):
             raise InternalAssertion("inverse left the coefficient ring")
-        inv = ExtElement(ext, None, nums, den)
+        inv = ExtElement(ext, nums, den)
         if inv * self != ext.one():
             raise InternalAssertion("inverse verification failed")
         return inv

@@ -18,19 +18,23 @@ multiply by the inverse of the denominator.  A format record per ring
 `integral_format`) holds zero and one, normalization (`lowest`), scalar
 multiples (which only `Poly.scale` takes), a common denominator of
 several (`common`, which takes no gcd over Z[x]), numerators divided by
-their joint integer content (`primitive`), splitting a ring scalar,
-building ring values back, and the ring tests of a vector in lowest
-terms: that its denominator keeps it in the ring (`in_ring`) and that an
-entry is a unit (`is_unit`); `extension` holds its elements in the same
-records.  Python ints keep their native operators, and over Q every
-result takes one multi-gcd.
+their joint integer content (`primitive`), splitting a ring scalar
+(`split`), building ring values back (`values`, which only
+`coords_in` and the reprs take), and the ring tests of a vector in
+lowest terms: that its denominator keeps it in the ring (`in_ring`) and
+that an entry is a unit (`is_unit`); `extension` and `qform` hold their
+elements and diagonals in the same records.  Python ints keep their
+native operators, and over Q every result takes one multi-gcd.
+Ring values come in through `cleared` alone (split, common denominator,
+one normalization), which the public constructors of polynomials,
+extension elements and forms share; none of them keeps ring values.
 
 Every operation has one body for every ring.  Products (`convolve`),
 scalar multiples and `==`/`hash` run on the numerators.  A division keeps
 its remainder over a denominator that grows by the divisor's denominator
-per quotient term and normalizes once at the end.  `coeffs` builds the
-ring values on first use; `integral` is the format's view of a polynomial
-and `from_integral` builds one from it.
+per quotient term and normalizes once at the end.  `integral` is a
+polynomial's numerators and denominator, and `from_integral` builds one
+from them.
 """
 
 from __future__ import annotations
@@ -40,8 +44,7 @@ from math import gcd, lcm
 
 from .errors import CoordinateNotIntegral, NotInvertible
 from .rings import (
-    QQ, QQ_LOCAL_X, ZX, ZX_ONE, RatFunc, clear_denominators, shown, zx_clear, zx_common,
-    zx_lowest_terms, zx_scale,
+    QQ, QQ_LOCAL_X, ZX, ZX_ONE, RatFunc, shown, zx_common, zx_lowest_terms, zx_scale,
 )
 
 _set = object.__setattr__
@@ -83,13 +86,6 @@ class _Rationals:
         return den, [den // d for d in dens]
 
     @staticmethod
-    def clear(values):
-        # each Fraction is in lowest terms, so over the lcm of the
-        # denominators the numerators share no factor with it
-        nums, den = clear_denominators(values)
-        return tuple(nums), den
-
-    @staticmethod
     def values(nums, den):
         return [Fraction(v, den) for v in nums]
 
@@ -116,7 +112,6 @@ class _LocalFunctions:
     lowest = staticmethod(zx_lowest_terms)
     scale = staticmethod(zx_scale)
     value = staticmethod(RatFunc.from_zx)
-    clear = staticmethod(zx_clear)
     common = staticmethod(zx_common)
 
     @staticmethod
@@ -175,9 +170,6 @@ class _FiniteFieldFormat:
     def value(num, den):
         return num / den
 
-    def clear(self, values):
-        return tuple(values), self.one
-
     def common(self, dens):
         # a vector in lowest terms is over one
         return self.one, [self.one] * len(dens)
@@ -213,6 +205,15 @@ def integral_format(ring):
     return fmt
 
 
+def cleared(fmt, values) -> tuple[tuple, object]:
+    """Ring values as numerators over one denominator in lowest terms in
+    the format `fmt`: each split into numerator and denominator, put over
+    a common denominator, and normalized once."""
+    pairs = [fmt.split(v) for v in values]
+    den, quos = fmt.common([d for _, d in pairs])
+    return fmt.lowest([num * k for (num, _), k in zip(pairs, quos)], den)
+
+
 def over_common_denominator(fmt, vectors):
     """Numerator vectors (nums, den) of the format `fmt`, rewritten over one
     common denominator D: the list of nums * (D / den), and D."""
@@ -239,32 +240,27 @@ def _trimmed(cs) -> list:
     return cs[:n]
 
 
-def _poly(ring, fmt, nums, den) -> Poly:
-    """The polynomial nums / den over `ring`, for nums in lowest terms
-    against den in the format `fmt` of that ring."""
+def _poly(ring, fmt, nums, den, self=None) -> Poly:
+    """The polynomial nums / den over `ring` (built into `self` when
+    given), for nums in lowest terms against den in the format `fmt` of
+    that ring."""
     nums = tuple(_trimmed(nums))
-    self = object.__new__(Poly)
+    if self is None:
+        self = object.__new__(Poly)
     _set(self, "ring", ring)
     _set(self, "_fmt", fmt)
     _set(self, "_nums", nums)
     # lowest terms of zero over any den are zero over one
     _set(self, "_den", den if nums else fmt.one)
-    _set(self, "_coeffs", None)
     return self
 
 
 class Poly:
-    __slots__ = ("ring", "_fmt", "_nums", "_den", "_coeffs")
+    __slots__ = ("ring", "_fmt", "_nums", "_den")
 
     def __init__(self, ring, coeffs):
-        cs = _trimmed([ring.element(c) for c in coeffs])
         fmt = integral_format(ring)
-        nums, den = fmt.clear(cs)
-        _set(self, "ring", ring)
-        _set(self, "_fmt", fmt)
-        _set(self, "_nums", nums)
-        _set(self, "_den", den)
-        _set(self, "_coeffs", tuple(cs))
+        _poly(ring, fmt, *cleared(fmt, [ring.element(c) for c in coeffs]), self)
 
     @classmethod
     def from_integral(cls, ring, nums, den) -> Poly:
@@ -285,12 +281,6 @@ class Poly:
 
     def __setattr__(self, *_):
         raise AttributeError("Poly is immutable")
-
-    @property
-    def coeffs(self) -> tuple:
-        if self._coeffs is None:
-            _set(self, "_coeffs", tuple(self._fmt.values(self._nums, self._den)))
-        return self._coeffs
 
     @property
     def degree(self) -> int:
@@ -371,7 +361,7 @@ class Poly:
         if not self:
             return "Poly<0>"
         terms = []
-        for i, c in enumerate(self.coeffs):
+        for i, c in enumerate(self._fmt.values(self._nums, self._den)):
             if not c:
                 continue
             if i == 0:

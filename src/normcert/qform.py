@@ -14,9 +14,10 @@ A_j / E, when the form is built, and the coordinates are put over one
 common denominator D, which takes no gcd.  Over the base ring a vector y
 is n_j / D, and q(y) = (sum of A_j n_j^2) / (E D^2) becomes one ring
 value (`value`), or stays that numerator over E D^2 (`integral_value`,
-what the verifier multiplies).  A form read from JSON is built from its
-cleared diagonal (`from_integral`), and the diagonal's ring values are
-made on first use.  A vector of polynomials, or of elements of an
+what the verifier multiplies).  The cleared diagonal is the attribute
+`integral`, and a form read from JSON is built from it
+(`from_integral`); no ring value of the diagonal is kept.  A vector of
+polynomials, or of elements of an
 extension, has numerator columns X_j over D, and q is the sum of
 A_j X_j^2 over E D^2 (`poly_value`, one product per cross term); an
 extension value reduces that sum once modulo the modulus, through the
@@ -29,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotRegular
-from .poly import integral_format, over_common_denominator
+from .poly import cleared, integral_format, over_common_denominator
 from .rings import shown
 
 
@@ -55,13 +56,11 @@ class ValueFactor:
 
 
 class QuadraticForm:
-    __slots__ = ("ring", "_diag", "_fmt", "_cleared")
+    __slots__ = ("ring", "integral", "_fmt")
 
     def __init__(self, ring, diag):
-        cs = tuple(ring.element(c) for c in diag)
         fmt = integral_format(ring)
-        self._setup(ring, fmt, fmt.clear(cs))
-        self._diag = cs
+        self._setup(ring, fmt, cleared(fmt, [ring.element(c) for c in diag]))
 
     @classmethod
     def from_integral(cls, ring, nums, den) -> QuadraticForm:
@@ -69,39 +68,32 @@ class QuadraticForm:
         terms in the integral format of `ring` with den in the ring."""
         self = object.__new__(cls)
         self._setup(ring, integral_format(ring), (tuple(nums), den))
-        self._diag = None
         return self
 
-    def _setup(self, ring, fmt, cleared):
-        nums, _ = cleared
+    def _setup(self, ring, fmt, diagonal):
+        nums, _ = diagonal
         if not nums:
             raise NotRegular("a quadratic form needs at least one diagonal entry")
         for j, a in enumerate(nums):
             if not fmt.is_unit(a):
                 raise NotRegular(f"diagonal entry {j + 1} of {len(nums)} is not a unit")
         self.ring = ring
-        # the diagonal as numerators over one denominator, for `value`
         self._fmt = fmt
-        self._cleared = cleared
-
-    @property
-    def diag(self) -> tuple:
-        if self._diag is None:
-            self._diag = tuple(self._fmt.values(*self._cleared))
-        return self._diag
+        # the diagonal as numerators over one denominator in lowest terms
+        self.integral = diagonal
 
     @property
     def rank(self) -> int:
-        return len(self._cleared[0])
+        return len(self.integral[0])
 
     def __eq__(self, other):
         if not isinstance(other, QuadraticForm):
             return NotImplemented
         # a diagonal in lowest terms is unique
-        return self.ring.id == other.ring.id and self._cleared == other._cleared
+        return self.ring.id == other.ring.id and self.integral == other.integral
 
     def __repr__(self):
-        return f"QuadraticForm<{', '.join(map(shown, self.diag))}>"
+        return f"QuadraticForm<{', '.join(map(shown, self._fmt.values(*self.integral)))}>"
 
     def value(self, nums, d):
         """q(y) for y_j = nums[j] / d in the integral format of the ring,
@@ -116,7 +108,7 @@ class QuadraticForm:
         if len(nums) != self.rank:
             raise ValueError(f"expected {self.rank} coordinates, got {len(nums)}")
         # a_j = coeffs[j] / e
-        coeffs, e = self._cleared
+        coeffs, e = self.integral
         acc = self._fmt.zero
         for a, v in zip(coeffs, nums):
             if v:
@@ -128,7 +120,7 @@ class QuadraticForm:
         in the integral format of the ring, each list of the same length
         L: the 2L-1 numerators of the sum over its denominator e * d^2, not
         normalized; each square takes one product per cross term, doubled."""
-        coeffs, e = self._cleared
+        coeffs, e = self.integral
         size = len(cols[0])
         acc = [self._fmt.zero] * (2 * size - 1)
         for a, col in zip(coeffs, cols):

@@ -39,13 +39,11 @@ and Python ints mix in as constants; any other operand gets
 NotImplemented, so a product with a ``RatFunc`` or an extension element is
 theirs to take.  Polynomials and extension elements over Q[x]_(x) are
 ``ZX`` numerators over one ``ZX`` denominator; ``zx_lowest_terms``,
-``zx_sum``, ``zx_scale`` and ``zx_clear`` build that format (one gcd
-chain through ``_zgcd`` that stops at the first constant gcd, then the
-integer content), and ``RatFunc`` arithmetic runs on them with one entry.
+``zx_sum`` and ``zx_scale`` build that format (one gcd chain through
+``_zgcd`` that stops at the first constant gcd, then the integer
+content), and ``RatFunc`` arithmetic runs on them with one entry.
 ``zx_common`` puts several denominators over one by exact divisions, with
 no gcd.
-``clear_denominators`` writes rationals as integer numerators over one
-common denominator, for the format of Q and for ``RatFunc``'s constructor.
 
 ``RatFunc`` covers all of Q(x); a quotient may leave the local ring, and
 membership is re-checked wherever it matters.  The two ring objects are
@@ -385,15 +383,6 @@ def zx_sum(a, da: ZX, b, db: ZX) -> tuple[tuple, ZX]:
     return _zx_content(*_zx_cancel(out, da * eb, ZX(g)))
 
 
-def clear_denominators(values) -> tuple[list[int], int]:
-    """Integer numerators over one common denominator d of the given
-    rationals (ints or Fractions): values[i] == nums[i] / d, with d the lcm
-    of their denominators."""
-    dens = [v.denominator for v in values]
-    d = lcm(*dens)
-    return [v.numerator * (d // e) for v, e in zip(values, dens)], d
-
-
 def zx_common(dens) -> tuple[ZX, list]:
     """One common multiple of the Z[x] denominators dens, and its exact
     quotient by each: the product of those that do not divide the product
@@ -403,13 +392,6 @@ def zx_common(dens) -> tuple[ZX, list]:
         if _zdivides(d.c, den.c) is None:
             den = den * d
     return den, [den // d for d in dens]
-
-
-def zx_clear(values) -> tuple[tuple, ZX]:
-    """Numerators over one denominator, in lowest terms, of RatFunc values."""
-    pairs = [(v.numerator, v.denominator) for v in values]
-    den, quos = zx_common([d for _, d in pairs])
-    return zx_lowest_terms([num * k for (num, _), k in zip(pairs, quos)], den)
 
 
 def int_text(k: int) -> str:
@@ -478,10 +460,12 @@ class RatFunc:
     __slots__ = ("numerator", "denominator")
 
     def __init__(self, num, den=(1,)):
-        # one common denominator for both coefficient lists cancels out
         cs = [Fraction(c) for c in num]
         k = len(cs)
-        cs, _ = clear_denominators(cs + [Fraction(c) for c in den])
+        cs += [Fraction(c) for c in den]
+        # one common denominator for both coefficient lists cancels out
+        d = lcm(*[c.denominator for c in cs])
+        cs = [c.numerator * (d // c.denominator) for c in cs]
         d = ZX(_ztrim(cs[k:]))
         if not d:
             raise ZeroDivisionError("rational function with zero denominator")

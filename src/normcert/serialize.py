@@ -22,22 +22,28 @@ Every other vector takes the strict route, string by string:
 -?[0-9]+(/[0-9]+)? is read straight into an integer pair, and any other
 string goes through `Fraction` (and `Decimal` past the int/str digit
 limit), so the accepted strings, the refused ones and the values are those
-of a parser with one `Fraction` per string.  On that route a local entry
-is its cleared numerator over its cleared denominator (one lcm per
-coefficient list); when every entry of a vector has a constant
-denominator, the vector's denominator is one integer lcm.  A vector whose
-denominator in lowest terms vanishes at 0 has an entry with a pole there.
+of a parser with one `Fraction` per string.  A Q vector and each
+coefficient list of a local entry are read by the same helper
+(`_rationals`), as integers over the lcm of their denominators; on that
+route a local entry is its cleared numerator over its cleared
+denominator, and the entries go over one common denominator
+(`zx_common`) with no gcd.  A vector whose denominator in lowest terms
+vanishes at 0 has an entry with a pole there.
 The modulus, the form, the witness and each factor are built from those
 numerators (`Poly.from_integral`, `QuadraticForm.from_integral`, the
 `ValueFactor` fields), so no ring value is built for a coefficient; only
 the target is one ring value.  The schema is closed: every object names
 its keys, and any other key is a FormatError.
 
-A factor is written from its numerators over its denominator: over Q each
-entry with one gcd, over Q[x]_(x) over one as each numerator's integer
-strings over ["1"], and over any other denominator each entry put in
-lowest terms once by the format record.  A local rational function is
-scaled so that its lowest-order nonzero denominator coefficient is 1
+Every vector is written from its numerators over its denominator by one
+writer (`_vector_to_json`): the modulus and every other polynomial, the
+diagonal, each witness vector, each factor and each level's b.  Over Q
+each entry takes one gcd; over Q[x]_(x), over one, each entry is its
+numerator's integer strings over ["1"], and over any other denominator
+each entry is put in lowest terms once by the format record.  The target
+and each level's r and q0 are single ring values, written by
+`element_to_json`.  A local rational function is scaled so that its
+lowest-order nonzero denominator coefficient is 1
 (`rings.canonical_ratios`).
 """
 
@@ -180,17 +186,25 @@ def _local_to_json(num: ZX, den: ZX) -> dict:
     }
 
 
+def _rationals(data) -> tuple[list, int]:
+    """A list of rational strings as integer numerators over the lcm of
+    their denominators, not necessarily in lowest terms: integers over one
+    by `_integers` when it reads them, else string by string."""
+    ints = _integers(data)
+    if ints is not None:
+        return ints, 1
+    pairs = [_rational_pair(c) for c in data]
+    den = lcm(*[q for _, q in pairs])
+    return ([p for p, _ in pairs] if den == 1 else [p * (den // q) for p, q in pairs]), den
+
+
 def _int_poly(data) -> tuple[tuple, int]:
     """A list of rational strings as integer polynomial coefficients (no
     trailing zero) over the lcm of their denominators."""
     if not isinstance(data, list):
         raise FormatError(f"num and den must be lists, got {data!r}")
-    pairs = [_rational_pair(c) for c in data]
-    den = lcm(*[q for _, q in pairs])
-    cs = [p for p, _ in pairs] if den == 1 else [p * (den // q) for p, q in pairs]
-    while cs and not cs[-1]:
-        cs.pop()
-    return tuple(cs), den
+    cs, den = _rationals(data)
+    return _ztrim(cs), den
 
 
 def _local_pair(data) -> tuple[tuple, tuple]:
@@ -222,31 +236,18 @@ def _vector_from_json(ring, data) -> tuple[tuple, object]:
         raise FormatError(f"expected a list of {ring.id} elements, got {data!r}")
     fmt = integral_format(ring)
     if ring.id == QQ.id:
-        ints = _integers(data)
-        if ints is not None:
-            # integers are in lowest terms over one
-            return tuple(ints), 1
-        pairs = [_rational_pair(c) for c in data]
-        den = lcm(*[q for _, q in pairs])
+        nums, den = _rationals(data)
         if den == 1:
             # integers are in lowest terms over one
-            return tuple([p for p, _ in pairs]), 1
-        nums = [p * (den // q) for p, q in pairs]
+            return tuple(nums), 1
     else:
         nums = _local_integers(data)
         if nums is not None:
             # integer polynomials are in lowest terms over one
             return tuple(nums), ZX_ONE
         pairs = [_local_pair(c) for c in data]
-        if all(len(d) == 1 for _, d in pairs):
-            # constant denominators: one integer lcm, no division in Z[x]
-            den = lcm(*[d[0] for _, d in pairs])
-            nums = [ZX(v if (k := den // d[0]) == 1 else tuple([c * k for c in v]))
-                    for v, d in pairs]
-            den = ZX((den,))
-        else:
-            den, quos = fmt.common([ZX(d) for _, d in pairs])
-            nums = [ZX(v) * k for (v, _), k in zip(pairs, quos)]
+        den, quos = fmt.common([ZX(d) for _, d in pairs])
+        nums = [ZX(v) * k for (v, _), k in zip(pairs, quos)]
     nums, den = fmt.lowest(nums, den)
     if not fmt.in_ring(den):
         raise FormatError(f"an entry has a pole at 0, so it is not in {ring.id}")
@@ -259,11 +260,26 @@ def element_from_json(ring, data):
     return integral_format(ring).value(num, den)
 
 
+def _vector_to_json(ring, nums, den) -> list:
+    """The JSON list of the vector nums / den in the integral format of
+    `ring`: over Q each entry with one gcd, over Q[x]_(x) over one as each
+    numerator's integer strings over ["1"], and over any other denominator
+    each entry put in lowest terms once by the format record."""
+    if ring.id == QQ.id:
+        return [_ratio_to_json(v, den) for v in nums]
+    if den == ZX_ONE:
+        # over one each entry is in lowest terms
+        return [_local_to_json(v, ZX_ONE) for v in nums]
+    lowest = integral_format(ring).lowest
+    vector = []
+    for v in nums:
+        (num,), d = lowest((v,), den)
+        vector.append(_local_to_json(num, d))
+    return vector
+
+
 def poly_to_json(p: Poly) -> dict:
-    return {
-        "ring": p.ring.id,
-        "coeffs": [element_to_json(p.ring, c) for c in p.coeffs],
-    }
+    return {"ring": p.ring.id, "coeffs": _vector_to_json(p.ring, *p.integral)}
 
 
 def _ring_and_entries(data, key: str, ring):
@@ -278,19 +294,7 @@ def _ring_and_entries(data, key: str, ring):
 
 
 def factor_to_json(ring, f: ValueFactor) -> dict:
-    if ring.id == QQ.id:
-        # each entry straight from its numerator over the one denominator
-        vector = [_ratio_to_json(v, f.den) for v in f.nums]
-    elif f.den == ZX_ONE:
-        # over one each entry is in lowest terms
-        vector = [_local_to_json(v, ZX_ONE) for v in f.nums]
-    else:
-        # each entry put in lowest terms once
-        vector = []
-        for v in f.nums:
-            (num,), den = integral_format(ring).lowest((v,), f.den)
-            vector.append(_local_to_json(num, den))
-    return {"vector": vector, "exp": f.exponent}
+    return {"vector": _vector_to_json(ring, f.nums, f.den), "exp": f.exponent}
 
 
 def _factor_from_json(ring, data) -> ValueFactor:
@@ -312,7 +316,7 @@ def trace_to_json(ring, steps) -> list:
             "h": poly_to_json(step.h),
             "r": element_to_json(ring, step.r),
             "q0": element_to_json(ring, step.q0),
-            "b": [element_to_json(ring, v) for v in step.b.coords],
+            "b": _vector_to_json(ring, *step.b.integral),
         }
         g = step.g
         if g is not None:
@@ -366,8 +370,8 @@ def instance_to_json(inst: InstanceSpec) -> dict:
     return {
         "ring": ring.id,
         "p": poly_to_json(inst.ext.modulus),
-        "q": [element_to_json(ring, a) for a in inst.q.diag],
-        "x": [[element_to_json(ring, v) for v in x.coords] for x in inst.xs],
+        "q": _vector_to_json(ring, *inst.q.integral),
+        "x": [_vector_to_json(ring, *x.integral) for x in inst.xs],
         "options": dict(inst.options),
     }
 
@@ -413,7 +417,7 @@ def instance_from_json(data) -> InstanceSpec:
     for vec in data["x"]:
         if not isinstance(vec, list) or len(vec) != ext.n:
             raise FormatError(f"each witness vector needs {ext.n} coordinates")
-        xs.append(ExtElement(ext, None, *_vector_from_json(ring, vec)))
+        xs.append(ExtElement(ext, *_vector_from_json(ring, vec)))
     options = data.get("options", {})
     if not isinstance(options, dict):
         raise FormatError("'options' must be an object")

@@ -9,7 +9,7 @@ system-matrix helpers state the general-position lemma and its
 constant-column analogue, which the library's searches rely on but never
 evaluate (see the genpos module docstring).  The JSON number parsers read
 each rational string through one Fraction, as the serializer did before it
-read them as integer pairs, and the factor writer's reference writes each
+read them as integer pairs, and the vector writer's reference writes each
 entry from its ring value.  Reduction modulo (x) over Q[x]_(x), which the
 library never computes, is evaluation at x = 0 of every coordinate and of
 every coefficient of the modulus and the form.
@@ -24,10 +24,10 @@ from operator import truediv
 from normcert.errors import InternalAssertion, NotInvertible, NotPrimitive, RingMismatch
 from normcert.extension import SimpleExtension
 from normcert.linalg import transpose
-from normcert.poly import Poly, integral_format
+from normcert.poly import Poly, cleared, integral_format
 from normcert.qform import QuadraticForm, ValueFactor
 from normcert.rings import QQ, QQ_LOCAL_X, RatFunc
-from normcert.serialize import FormatError
+from normcert.serialize import FormatError, element_to_json
 
 # x, which generates the maximal ideal of Q[x]_(x)
 LOCAL_X = QQ_LOCAL_X.element((0, 1))
@@ -36,13 +36,40 @@ LOCAL_X = QQ_LOCAL_X.element((0, 1))
 def value_factor(ring, vector, exponent):
     """The factor q(vector)^exponent of a vector of ring values, put over
     one denominator in lowest terms in the ring's integral format."""
-    nums, den = integral_format(ring).clear([ring.element(v) for v in vector])
+    nums, den = cleared(integral_format(ring), [ring.element(v) for v in vector])
     return ValueFactor(ring, nums, den, exponent)
+
+
+def ring_values(ring, nums, den):
+    """The vector nums / den in the integral format of `ring` as ring values."""
+    return tuple(integral_format(ring).values(nums, den))
 
 
 def factor_vector(factor):
     """The vector of a value factor as ring values."""
-    return tuple(integral_format(factor.ring).values(factor.nums, factor.den))
+    return ring_values(factor.ring, factor.nums, factor.den)
+
+
+def coords_of(x):
+    """The coordinates of an extension element as ring values."""
+    return ring_values(x.ext.ring, *x.integral)
+
+
+def coeffs_of(p):
+    """The coefficients of a polynomial as ring values."""
+    return ring_values(p.ring, *p.integral)
+
+
+def diag_of(q):
+    """The diagonal of a quadratic form as ring values."""
+    return ring_values(q.ring, *q.integral)
+
+
+def vector_json(ring, nums, den):
+    """The JSON list of the vector nums / den written entry by entry from
+    its ring values through `element_to_json`: the writer's route before
+    it wrote vectors from their numerators."""
+    return [element_to_json(ring, v) for v in ring_values(ring, nums, den)]
 
 
 def local_factor_json(factor):
@@ -194,7 +221,7 @@ def mult_matrix(x):
     cols = [x]
     while len(cols) < x.ext.n:
         cols.append(cols[-1] * t)
-    return transpose([w.coords for w in cols])
+    return transpose([coords_of(w) for w in cols])
 
 
 def naive_form_value(q, xs):
@@ -203,10 +230,10 @@ def naive_form_value(q, xs):
     sum coordinatewise in the ring."""
     ring = q.ring
     total = [ring.zero] * xs[0].ext.n
-    for a, x in zip(q.diag, xs):
+    for a, x in zip(diag_of(q), xs):
         for i, row in enumerate(mult_matrix(x)):
             square = ring.zero
-            for m, v in zip(row, x.coords):
+            for m, v in zip(row, coords_of(x)):
                 square = square + m * v
             total[i] = total[i] + square * a
     return total
@@ -217,7 +244,7 @@ def naive_base_value(q, ys):
     arithmetic."""
     ring = q.ring
     total = ring.zero
-    for a, y in zip(q.diag, ys):
+    for a, y in zip(diag_of(q), ys):
         y = ring.element(y)
         total = total + a * y * y
     return total
@@ -228,7 +255,7 @@ def powers_matrix(x):
     cols = [x.ext.one()]
     while len(cols) < x.ext.n:
         cols.append(cols[-1] * x)
-    return transpose([w.coords for w in cols])
+    return transpose([coords_of(w) for w in cols])
 
 
 def horner_free_eval(coeffs, point):
@@ -261,13 +288,13 @@ def value_at_zero(a) -> Fraction:
 def reduce_at_zero(a):
     """The image of an element of R[t]/(p), R = Q[x]_(x), in Q[t]/(p(0)):
     each coordinate and each coefficient of p evaluated at x = 0."""
-    modulus = Poly(QQ, [value_at_zero(c) for c in a.ext.modulus.coeffs])
-    return SimpleExtension(QQ, modulus).element([value_at_zero(c) for c in a.coords])
+    modulus = Poly(QQ, [value_at_zero(c) for c in coeffs_of(a.ext.modulus)])
+    return SimpleExtension(QQ, modulus).element([value_at_zero(c) for c in coords_of(a)])
 
 
 def form_at_zero(q):
     """A diagonal form over Q[x]_(x) with each coefficient evaluated at x = 0."""
-    return QuadraticForm(QQ, [value_at_zero(a) for a in q.diag])
+    return QuadraticForm(QQ, [value_at_zero(a) for a in diag_of(q)])
 
 
 def mat_mul(ring, a, b):
@@ -333,7 +360,7 @@ def system_matrix(c, b):
     sol = []
     w = naive_inverse(b)
     for _ in range(ext.n):
-        sol.append(naive_solve(basis, list(w.coords)))
+        sol.append(naive_solve(basis, list(coords_of(w))))
         w = w * step
     out = transpose(sol)
     if not all(ring.contains(v) for row in out for v in row):
@@ -374,7 +401,7 @@ def system_identity(c, b, xs, q, column=-1):
     det_a, dets = system_determinants(c, b, xs, column)
     lhs = det_a * det_a * scaled_witness_value(c, b, xs, q, column)
     rhs = c.ext.ring.zero
-    for a_j, det_j in zip(q.diag, dets):
+    for a_j, det_j in zip(diag_of(q), dets):
         rhs = rhs + a_j * det_j * det_j
     return lhs, rhs
 

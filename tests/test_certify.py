@@ -20,7 +20,7 @@ from normcert.errors import InternalAssertion, SearchExhausted, ValueNotUnit
 from normcert.extension import ExtElement, SimpleExtension
 from normcert.instances import random_instance, run_random_suite
 from normcert.poly import Poly, integral_format, over_common_denominator
-from normcert.qform import QuadraticForm
+from normcert.qform import QuadraticForm, ValueFactor
 from normcert.rings import QQ, QQ_LOCAL_X, ZX, ZX_ONE, RatFunc
 from normcert.serialize import certificate_to_json, dumps
 
@@ -226,6 +226,17 @@ class TestVerifier:
         local = tuple(value_factor(QQ_LOCAL_X, factor_vector(f), f.exponent) for f in cert.factors)
         outcome = verify(ext, q, xs, NormCertificate(cert.target, local))
         assert not outcome.ok and "over Q[x]_(x), not Q" in outcome.failure
+
+    def test_rejects_a_factor_vector_outside_the_ring(self):
+        # the vector 1/x has a pole at 0; q(1/x) = 1/x^2 has the unit
+        # numerator 1, so only the denominator shows it, and the pair
+        # q(1/x) * q(1/x)^(-1) multiplies to the target 1
+        ext = SimpleExtension(QQ_LOCAL_X, Poly(QQ_LOCAL_X, [-1, 1]))
+        q = QuadraticForm(QQ_LOCAL_X, [1])
+        factor = ValueFactor(QQ_LOCAL_X, (ZX_ONE,), ZX((0, 1)), 1)
+        cert = NormCertificate(QQ_LOCAL_X.one, (factor, factor.flipped()))
+        outcome = verify(ext, q, [ext.one()], cert)
+        assert not outcome.ok and "factor 0 has an entry outside Q[x]_(x)" in outcome.failure
 
     def test_refuses_a_witness_from_another_extension(self, gauss_instance):
         # the same coordinates in Q[t]/(t^2+2): there the norm of q_S(x) is

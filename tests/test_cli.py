@@ -340,6 +340,21 @@ class TestDemoCommand:
         assert report[0]["violations"] == 0
         assert report[0]["qualifying"] > 0
 
+    @pytest.mark.parametrize("kind, field, expected", [
+        ("char2", "F4",
+         " field  elements  off-line  image  =k*1  prim.sq\n"
+         "    F4        16         0      4  True        0\n"
+         '[{"field":"F4","image_equals_line":true,"image_size":4,"primitive_squares":0,'
+         '"squares_off_line":0,"total":16}]\n'),
+        ("char3", "F3",
+         " field  elements   units  qualifying  violations\n"
+         "    F3        27      18          12           0\n"
+         '[{"field":"F3","qualifying":12,"total":27,"units":18,"violations":0}]\n'),
+    ])
+    def test_report_table_is_pinned(self, kind, field, expected, capsys):
+        assert main(["demo", kind, "--field", field]) == 0
+        assert capsys.readouterr().out == expected
+
     def test_rejects_wrong_field(self):
         with pytest.raises(SystemExit) as exc:
             main(["demo", "char3", "--field", "F4"])

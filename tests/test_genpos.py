@@ -12,6 +12,8 @@ from normcert.rings import QQ, QQ_LOCAL_X
 
 from oracles import (
     LOCAL_X,
+    coeffs_of,
+    coords_of,
     form_at_zero,
     fraction_view,
     last_column_minors,
@@ -316,7 +318,7 @@ class TestGeneralPositionSearch:
             # the witness columns are those coordinates read as polynomials
             nums, d = w.integral
             polys = [Poly.from_integral(QQ, col, d) for col in nums]
-            padded = [list(col.coeffs) + [QQ.zero] * (n - 1 - col.degree) for col in polys]
+            padded = [list(coeffs_of(col)) + [QQ.zero] * (n - 1 - col.degree) for col in polys]
             assert padded == columns
             # and its integral columns are the same coordinates over one
             # denominator, n numerators each
@@ -345,7 +347,7 @@ class TestGeneralPositionSearch:
         xs = [ext.gen()]
         w = find_general_position(c, xs, q, random.Random(3))
         assert ring.is_invertible(w.r)
-        for v in w.b.coords:
+        for v in coords_of(w.b):
             # the drawn coordinates are integer constants
             num, den = fraction_view(v)
             assert den == (F(1),) and len(num) <= 1
@@ -410,7 +412,7 @@ class TestGeneralPositionSearch:
         bar_ext = reduce_at_zero(c).ext
 
         def bar(a):
-            return bar_ext.element(reduce_at_zero(a).coords)
+            return bar_ext.element(coords_of(reduce_at_zero(a)))
 
         w = find_general_position(c, xs, q, random.Random(6))
         w_bar = find_general_position(
@@ -418,7 +420,7 @@ class TestGeneralPositionSearch:
         assert w.tries_used == w_bar.tries_used > 1
         assert bar(w.b) == w_bar.b
         assert bar(w.c_new) == w_bar.c_new
-        assert [value_at_zero(v) for v in w.p.coeffs] == list(w_bar.p.coeffs)
+        assert [value_at_zero(v) for v in coeffs_of(w.p)] == list(coeffs_of(w_bar.p))
         assert (value_at_zero(w.r), value_at_zero(w.q0)) == (w_bar.r, w_bar.q0)
 
     @pytest.mark.parametrize("ring", [QQ, QQ_LOCAL_X], ids=["Q", "Q[x]_(x)"])

@@ -18,7 +18,7 @@ from normcert import rings
 from normcert.certify import CertifyStats, certify, verify
 from normcert.extension import SimpleExtension
 from normcert.instances import random_instance
-from normcert.poly import Poly, integral_format
+from normcert.poly import Poly, cleared, integral_format
 from normcert.qform import QuadraticForm
 from normcert.rings import QQ, QQ_LOCAL_X
 from normcert.serialize import (
@@ -47,6 +47,10 @@ CORPUS_SEED = 11
 # sha256 of the certificate texts of SCALED_CASES, which pin the scaling
 # search: every first level there samples, since its b = 1 probe fails
 SCALED_SHA256 = "7179361f6390745efc7b1dead19f9fa6d97530743f57a7e8b88835b206ea5ce2"
+
+# sha256 of the instance JSON texts that `instance_to_json` writes for
+# _instances(), then of the seed-11 corpus texts of each workload
+INSTANCE_SHA256 = "27e653994c880767402bec2f20a66fb8e5423d2a92c276375eb54324e8ff2929"
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -130,7 +134,7 @@ def test_scaled_levels_build_every_factor_from_numerators():
         fmt = integral_format(ext.ring)
         for f in cert.factors:
             assert f.ring is ext.ring
-            assert (f.nums, f.den) == fmt.clear(factor_vector(f))
+            assert (f.nums, f.den) == cleared(fmt, factor_vector(f))
     assert scaled == 2
 
 
@@ -203,3 +207,14 @@ def test_benchmark_corpus_is_byte_identical(bench_run, workload):
     for text in bench_run.make_corpus(workload, CORPUS_SEED):
         digest.update(bench_run.certify_op(text).encode())
     assert digest.hexdigest() == CORPUS_SHA256[workload]
+
+
+def test_instances_are_byte_identical(bench_run):
+    digest = hashlib.sha256()
+    for ext, q, xs, _ in _instances():
+        spec = InstanceSpec(ext=ext, q=q, xs=list(xs), options={})
+        digest.update(dumps(instance_to_json(spec)).encode())
+    for workload in sorted(CORPUS_SHA256):
+        for text in bench_run.make_corpus(workload, CORPUS_SEED):
+            digest.update(text.encode())
+    assert digest.hexdigest() == INSTANCE_SHA256

@@ -41,7 +41,6 @@ ALLOWED = {
     ("extension", "ExtElement.is_primitive"): _BENCH,
     ("extension", "ExtElement.minimal_polynomial"): _BENCH,
     ("poly", "Poly.__mul__"): _BENCH,
-    ("qform", "QuadraticForm.diag"): _CORPUS,
     ("serialize", "instance_to_json"): _CORPUS,
     ("rings", "RatFunc.__init__"): _CHECK,
     ("rings", "RatFunc.__add__"): _CHECK,
@@ -65,6 +64,8 @@ ALLOWED = {
     ("rings", "LocalRationalFunctions.from_int"): _RING,
     ("rings", "LocalRationalFunctions.invert"): _RING,
     ("charp", "FiniteField.invert"): _RING,
+    ("poly", "_Rationals.values"): _FORMAT,
+    ("poly", "_LocalFunctions.values"): _FORMAT,
     ("poly", "_FiniteFieldFormat.scale"): _FORMAT,
     ("poly", "_FiniteFieldFormat.primitive"): _FORMAT,
     # public API, constructors run at import, and protocol methods

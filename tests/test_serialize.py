@@ -6,8 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from normcert.certify import certify
-from normcert.extension import SimpleExtension
+from normcert.certify import ReductionStep, certify
+from normcert.extension import ExtElement, SimpleExtension
 from normcert.instances import random_instance
 from normcert.poly import Poly, integral_format
 from normcert.qform import QuadraticForm, ValueFactor
@@ -27,7 +27,9 @@ from normcert.serialize import (
     trace_to_json,
 )
 
-from oracles import factor_vector, fraction_view, local_factor_json, value_factor
+from oracles import (
+    coords_of, factor_vector, fraction_view, local_factor_json, value_factor, vector_json,
+)
 
 F = Fraction
 
@@ -143,9 +145,42 @@ class TestPolyAndForm:
                 _factor({"vector": ["1"], "exp": exp})
 
 
+def assert_vectors_match_the_value_route(ring, nums, den):
+    """Every vector the writer puts out from numerators (a factor, the
+    coefficients of a polynomial, a witness vector and a level's b) is
+    the JSON of its entries' ring values, `vector_json`."""
+    nums, den = integral_format(ring).lowest(nums, den)
+    expected = vector_json(ring, nums, den)
+    assert factor_to_json(ring, ValueFactor(ring, nums, den, 1))["vector"] == expected
+    p = Poly.from_integral(ring, nums, den)
+    assert poly_to_json(p) == {"ring": ring.id, "coeffs": expected[:p.degree + 1]}
+    # the vector as an element of R[t]/(t^n + 1)
+    n = len(nums)
+    ext = SimpleExtension(ring, Poly(ring, [1] + [0] * (n - 1) + [1]))
+    x = ExtElement(ext, nums, den)
+    spec = InstanceSpec(ext=ext, q=QuadraticForm(ring, [1]), xs=[x], options={})
+    assert instance_to_json(spec)["x"] == [expected]
+    step = ReductionStep(n=2, p=p, h=p, r=ring.one, q0=ring.one, b=x, tries=1)
+    assert trace_to_json(ring, [step])[0]["b"] == expected
+
+
+BIG = 10**4400 + 1
+
+
+@pytest.mark.parametrize("ring, nums, den", [
+    (QQ, [BIG, -3, 0], 1),
+    (QQ, [BIG, 0, -3 * 10**4350], 7 * 10**4350),
+    (QQ_LOCAL_X, [ZX((BIG, 2)), ZX(), ZX((5,))], ZX_ONE),
+    (QQ_LOCAL_X, [ZX((BIG, 2)), ZX((0, 3))], ZX((3, 10**4301))),
+], ids=["Q-over-one", "Q", "local-over-one", "local"])
+def test_vectors_past_the_digit_limit_match_the_value_route(ring, nums, den):
+    assert_vectors_match_the_value_route(ring, nums, den)
+
+
 class TestFactorEncoding:
     """Over Q a factor is written from its numerators over one denominator,
-    entry by entry; the text must be that of each entry's Fraction."""
+    entry by entry; the text must be that of each entry's Fraction, and
+    every other vector is written as a factor is."""
 
     @settings(max_examples=200)
     @given(st.lists(st.one_of(st.just(0), st.integers(-(10**30), 10**30)), min_size=1,
@@ -162,6 +197,7 @@ class TestFactorEncoding:
         by_integral = ValueFactor(QQ, *integral_format(QQ).lowest(nums, den), exp)
         assert factor_to_json(QQ, by_values) == expected
         assert factor_to_json(QQ, by_integral) == expected
+        assert_vectors_match_the_value_route(QQ, nums, den)
 
 
 def _zx(coeffs):
@@ -178,7 +214,8 @@ zx_coeffs = st.lists(st.integers(-(10**30), 10**30), max_size=4)
 class TestLocalFactorEncoding:
     """Over Q[x]_(x) a factor is written from its Z[x] numerators: over one
     as their integer strings, over any other denominator each entry put in
-    lowest terms once; the text must be that of each entry's RatFunc."""
+    lowest terms once; the text must be that of each entry's RatFunc, and
+    every other vector is written as a factor is."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(zx_coeffs, min_size=1, max_size=4),
@@ -198,6 +235,7 @@ class TestLocalFactorEncoding:
         data = factor_to_json(QQ_LOCAL_X, factor)
         assert data == local_factor_json(factor)
         assert data["vector"] == [element_to_json(QQ_LOCAL_X, v) for v in factor_vector(factor)]
+        assert_vectors_match_the_value_route(QQ_LOCAL_X, factor.nums, factor.den)
 
 
 class TestCertificates:
@@ -239,7 +277,7 @@ class TestInstances:
         assert inst.ring is QQ
         assert inst.ext.n == 2
         assert inst.q.rank == 2
-        assert inst.xs[0].coords == (F(3, 2), F(1, 2))
+        assert coords_of(inst.xs[0]) == (F(3, 2), F(1, 2))
         assert inst.options == {"seed": 0}
 
     def test_round_trip(self):
