@@ -86,7 +86,7 @@ from dataclasses import dataclass
 from .errors import InternalAssertion, NotSimple, SearchExhausted, ValueNotUnit
 from .extension import ExtElement, SimpleExtension
 from .genpos import DEFAULT_BOUND, DEFAULT_MAX_TRIES, find_general_position
-from .poly import Poly, integral_format, over_common_denominator
+from .poly import Poly, over_common_denominator
 from .qform import QuadraticForm, ValueFactor
 from .rings import shown
 
@@ -169,18 +169,18 @@ def _check(condition: bool, message: str):
         raise InternalAssertion(message)
 
 
-def _scalar_factor(ring, fmt, nums, den) -> ValueFactor:
+def _scalar_factor(ring, nums, den) -> ValueFactor:
     """The one factor q(y) of degree 1, for y_j = nums[j] / den in the
     ring's integral format, put in lowest terms once."""
-    return ValueFactor(ring, *fmt.lowest(nums, den), 1)
+    return ValueFactor(ring, *ring.lowest(nums, den), 1)
 
 
-def _at_scalar(fmt, cols, d, an, ad):
+def _at_scalar(ring, cols, d, an, ad):
     """The polynomials y_j(t) with coefficients cols[j][i] / d, each list of
     the same length L, at t = an / ad: the numerators of the sums of
     cols[j][i] * an^i * ad^(L-1-i), one homogeneous Horner pass each, over
     d * ad^(L-1), not normalized."""
-    pows = [fmt.one]
+    pows = [ring.num_one]
     for _ in range(len(cols[0]) - 1):
         pows.append(pows[-1] * ad)
     nums = []
@@ -199,14 +199,13 @@ def _certify_value(ext, q, xs, value, rng, max_tries, bound, steps):
     the record of this level and of each level below it goes on steps."""
     ring = ext.ring
     n = ext.n
-    fmt = integral_format(ring)
     norm = value.norm()
     if not ring.is_invertible(norm):
         raise ValueNotUnit("q_S(x) is not a unit of the extension")
     if n == 1:
         # the witness itself, its one coordinate each over one denominator
-        vecs, den = over_common_denominator(fmt, [x.integral for x in xs])
-        return [_scalar_factor(ring, fmt, [v[0] for v in vecs], den)], norm
+        vecs, den = over_common_denominator(ring, [x.integral for x in xs])
+        return [_scalar_factor(ring, [v[0] for v in vecs], den)], norm
 
     # x -> x*b replaces c = q_S(x) by c*b^2, for the level's one scaling b
     witness = find_general_position(value, xs, q, rng, max_tries=max_tries, bound=bound)
@@ -233,17 +232,17 @@ def _certify_value(ext, q, xs, value, rng, max_tries, bound, steps):
         # g = h/r = t - a, so T is R itself and u = a = -h0/h1: the level
         # below is z = x(a), its factor, and N_T(u) = a
         (h0, h1), _ = h.integral
-        if not fmt.is_unit(h0):
+        if not ring.is_unit(h0):
             raise InternalAssertion("reduced modulus is not simple: its constant term is not a unit")
         an, ad = -h0, h1
-        factor = _scalar_factor(ring, fmt, *_at_scalar(fmt, cols, d, an, ad))
-        if not fmt.in_ring(factor.den):
+        factor = _scalar_factor(ring, *_at_scalar(ring, cols, d, an, ad))
+        if not ring.in_ring(factor.den):
             raise InternalAssertion("a coordinate of the reduced witness left the ring")
         # F(u) = 0 in T; at degree >= 2 the level below checks it, as g
         # dividing q(z(t)) - t
         v_num, v_den = q.integral_value(factor.nums, factor.den)
         _check(v_num * ad == an * v_den, "q_T(z) is not u in the reduced algebra")
-        sub_factors, norm_u = [factor], fmt.value(an, ad)
+        sub_factors, norm_u = [factor], ring.value(an, ad)
     else:
         try:
             # g = h/r, and g(0) = q(x(0)) / (p(0) * r) is a unit, as
@@ -254,7 +253,7 @@ def _certify_value(ext, q, xs, value, rng, max_tries, bound, steps):
         # the coordinates of the witness in the power basis of c, read as
         # polynomials and reduced modulo g: z = x(u)
         z = [sub_ext.from_integral(col, d) for col in cols]
-        if not all(fmt.in_ring(x.integral[1]) for x in z):
+        if not all(ring.in_ring(x.integral[1]) for x in z):
             raise InternalAssertion("a coordinate of the reduced witness left the ring")
         sub_factors, norm_u = _certify_value(
             sub_ext, q, z, sub_ext.gen(), rng, max_tries, bound, steps
@@ -270,14 +269,14 @@ def _certify_value(ext, q, xs, value, rng, max_tries, bound, steps):
     # power columns of the primitive c times in-ring denominators
     bottoms, tops = [col[0] for col in cols], [col[-1] for col in cols]
     if witness.tries_used > 1:  # try 1 is the b = 1 probe
-        nb, db = fmt.split(witness.b.norm())
+        nb, db = ring.split(witness.b.norm())
         bottoms, tops = [db * v for v in bottoms], [nb * v for v in tops]
     m = len(cols)
     # integral with content 1, so over one in lowest terms
-    ends = fmt.primitive(bottoms + tops)
+    ends = ring.primitive(bottoms + tops)
     factors = [
-        ValueFactor(ring, ends[:m], fmt.one, 1),
-        ValueFactor(ring, ends[m:], fmt.one, -1),
+        ValueFactor(ring, ends[:m], ring.num_one, 1),
+        ValueFactor(ring, ends[m:], ring.num_one, -1),
         *(f.flipped() for f in sub_factors),
     ]
     return factors, norm
@@ -339,8 +338,7 @@ def verify(ext: SimpleExtension, q: QuadraticForm, xs, cert: NormCertificate) ->
         return VerifyResult(False, "target is not an element of the coefficient ring")
     # the factor product as top / bottom, compared with the target by
     # cross-multiplication
-    fmt = integral_format(ring)
-    top = bottom = fmt.one
+    top = bottom = ring.num_one
     for i, f in enumerate(cert.factors):
         if f.exponent not in (1, -1):
             return VerifyResult(False, f"factor {i} has exponent {f.exponent}")
@@ -350,18 +348,18 @@ def verify(ext: SimpleExtension, q: QuadraticForm, xs, cert: NormCertificate) ->
             return VerifyResult(False, f"factor {i} cannot be evaluated: "
                                        f"expected {q.rank} coordinates, got {len(f.nums)}")
         # in_ring reads a denominator in lowest terms, as a factor's is
-        if not f.den or not fmt.in_ring(f.den):
+        if not f.den or not ring.in_ring(f.den):
             return VerifyResult(False, f"factor {i} has an entry outside {ring.id}")
         num, den = q.integral_value(f.nums, f.den)
-        if not fmt.is_unit(num):
-            value = shown(fmt.value(num, den))
+        if not ring.is_unit(num):
+            value = shown(ring.value(num, den))
             return VerifyResult(False, f"factor {i} value {value} is not a unit")
         if f.exponent == -1:
             num, den = den, num
         top, bottom = top * num, bottom * den
-    t_num, t_den = fmt.split(cert.target)
+    t_num, t_den = ring.split(cert.target)
     if top * t_den != t_num * bottom:
-        product = fmt.value(top, bottom)
+        product = ring.value(top, bottom)
         return VerifyResult(
             False,
             f"factor product {shown(product)} does not equal target {shown(cert.target)}",

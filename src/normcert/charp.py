@@ -7,12 +7,13 @@ fields the demos need use fixed irreducibles (F4: s^2+s+1, F8: s^3+s+1,
 F9: s^2+1, F27: s^3-s+1); any other extension derives the
 lexicographically smallest monic irreducible, deterministically.
 
-A finite field satisfies the same interface as the exact rings, and its
-elements divide exactly (`/`, and `//` as an alias), so the
-quotient-algebra machinery runs over it unchanged: its elements are held
-in the integral format of `poly` (the coordinates over one), and the one
-Bareiss elimination of `linalg` takes their norms, inverses and
-power-basis coordinates.  That is what both demos lean on.
+A finite field is a `rings.Ring` like the exact rings, and the field
+object is its own integral format: a vector is its coordinates over the
+field's one, and lowest terms multiply by the inverse of the denominator.
+Its elements divide exactly (`/`, and `//` as an alias), so the
+quotient-algebra machinery runs over it unchanged, and the one Bareiss
+elimination of `linalg` takes their norms, inverses and power-basis
+coordinates.  That is what both demos lean on.
 
 demo 1 (characteristic 2): in the two-dimensional algebra k[t]/(t^2) every
 square collapses onto the line k*1, which consists exactly of the
@@ -28,10 +29,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotInvertible, NotPrimitive, RingMismatch
+from .errors import NotPrimitive, RingMismatch
 from .extension import SimpleExtension
 from .poly import Poly
-from .rings import shown
+from .rings import Ring, shown
 
 _PRIMES = (2, 3, 5, 7)
 
@@ -162,7 +163,7 @@ class FFElement:
         return f"{self.field.id}({self.code})"
 
 
-class FiniteField:
+class FiniteField(Ring):
     """F_{p^e} with table-driven arithmetic; use GF() to construct."""
 
     def __init__(self, p: int, e: int = 1):
@@ -178,8 +179,9 @@ class FiniteField:
         if e > 1 and mod is None:
             mod = _find_irreducible(p, e)
         self._build_tables(mod)
-        self.zero = FFElement(self, 0)
-        self.one = FFElement(self, 1)
+        # ring values are their own numerators, over one
+        self.zero = self.num_zero = FFElement(self, 0)
+        self.one = self.num_one = FFElement(self, 1)
 
     def _decode(self, code: int) -> list[int]:
         digits = []
@@ -224,7 +226,7 @@ class FiniteField:
                     self.inv_table[a] = b
                     break
 
-    # ring interface ----------------------------------------------------
+    # ring interface and integral format: the coordinates over one ------
 
     def element(self, v) -> FFElement:
         if isinstance(v, FFElement):
@@ -232,32 +234,45 @@ class FiniteField:
                 raise RingMismatch(f"{shown(v)} is not an element of {self.id}")
             return v
         if isinstance(v, int):
-            return self.from_int(v)
+            return FFElement(self, v % self.p)
         if isinstance(v, (tuple, list)):
             if len(v) > self.e:
                 raise ValueError("too many digits for this field")
             return FFElement(self, self._encode(list(v) + [0] * (self.e - len(v))))
         raise RingMismatch(f"cannot coerce {shown(v)} into {self.id}")
 
-    def from_int(self, n: int) -> FFElement:
-        return FFElement(self, n % self.p)
-
     def contains(self, a) -> bool:
         return isinstance(a, FFElement) and a.field is self
 
-    def check(self, a) -> FFElement:
-        if not self.contains(a):
-            raise RingMismatch(f"expected an element of {self.id}, got {shown(a)}")
-        return a
+    def split(self, a):
+        return a, self.num_one
 
-    def is_invertible(self, a) -> bool:
-        return self.check(a).code != 0
+    @staticmethod
+    def value(num, den):
+        return num / den
 
-    def invert(self, a):
-        a = self.check(a)
-        if a.code == 0:
-            raise NotInvertible(f"0 has no inverse in {self.id}")
-        return FFElement(self, self.inv_table[a.code])
+    def lowest(self, nums, den):
+        # a vector in lowest terms is over one: multiply by 1 / den
+        if den != self.num_one:
+            inv = self.num_one / den
+            nums = [v * inv for v in nums]
+        return tuple(nums), self.num_one
+
+    def common(self, dens):
+        return self.num_one, [self.num_one] * len(dens)
+
+    @staticmethod
+    def primitive(nums) -> tuple:
+        # a field has no content to divide out
+        return tuple(nums)
+
+    @staticmethod
+    def in_ring(den) -> bool:
+        return True
+
+    @staticmethod
+    def is_unit(num) -> bool:
+        return bool(num)
 
     def elements(self):
         return [FFElement(self, c) for c in range(self.order)]
@@ -313,7 +328,7 @@ def char2_squares_report(field: FiniteField) -> Char2Report:
     if field.p != 2:
         raise ValueError("this demo needs a characteristic-2 field")
     elems = field.elements()
-    two = field.from_int(2)
+    two = field.element(2)
     off_line = 0
     image = set()
     for b0 in elems:
@@ -358,7 +373,7 @@ def char3_vanishing_report(field: FiniteField) -> Char3Report:
     c = x = class of t in k[t]/(t^3 - 1)."""
     if field.p != 3:
         raise ValueError("this demo needs a characteristic-3 field")
-    modulus = Poly(field, [field.from_int(-1), field.zero, field.zero, field.one])
+    modulus = Poly(field, [field.element(-1), field.zero, field.zero, field.one])
     ext = SimpleExtension(field, modulus)
     c = ext.gen()
     x = c

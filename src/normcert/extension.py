@@ -11,12 +11,12 @@ the coefficient ring, i.e. when the determinant of its powers matrix is a
 unit.  `coordinate_columns` reads that off its own elimination: the d of
 its solve is the determinant of the integral power columns, which are the
 power columns times unit denominators, so b is primitive exactly when d
-is a unit of the format (over Q[x]_(x) a nonzero d need not be one), and
-the answer is cached for `is_primitive`, which otherwise runs that
-elimination for no element.
+passes the ring's unit test `is_unit` (over Q[x]_(x) a nonzero d need not
+be a unit), and the answer is cached for `is_primitive`, which otherwise
+runs that elimination for no element.
 
-Every element is held in the integral format of its ring, the format of
-`poly` and its format records (`poly.integral_format`): numerators over
+Every element is held in the integral format of its ring, which the
+ring object is (`rings.Ring`, read as `ext.ring`): numerators over
 one denominator that shares no factor with all of them -- integers over
 Q, integer polynomials (`ZX`) over Q[x]_(x), and over a small finite
 field the coordinates themselves over the field's one.  `integral`
@@ -37,10 +37,10 @@ fraction-free Bareiss elimination, and scale the result back by those
 denominators, so a norm builds one ring value.  Power-basis coordinates
 (`coordinate_columns`) solve for any number of elements at once, one
 right-hand side each over one common denominator, and one more for the
-element's n-th power, kept with its power list: the general-position
-search takes all m witness columns and the minimal polynomial from one
-elimination, and `coords_in`, `minimal_polynomial` and `is_primitive` are
-its cases of one and of no element.  The minimal polynomial goes to
+element's n-th power: the general-position search takes all m witness
+columns and the minimal polynomial from one elimination, and `coords_in`,
+`minimal_polynomial` and `is_primitive` are its cases of one and of no
+element.  The minimal polynomial goes to
 `Poly.from_integral`, which normalizes once and refuses a coefficient
 outside the ring, and its vanishing at the element is a zero test over
 one common denominator, which needs no gcd.
@@ -59,27 +59,25 @@ from math import prod
 from . import linalg
 from .errors import InternalAssertion, NotInvertible, NotPrimitive, NotSimple
 from .linalg import transpose
-from .poly import Poly, cleared, convolve, integral_format, over_common_denominator
+from .poly import Poly, cleared, convolve, over_common_denominator
 
 
 class SimpleExtension:
-    __slots__ = ("ring", "modulus", "n", "_fmt", "_table")
+    __slots__ = ("ring", "modulus", "n", "_table")
 
     def __init__(self, ring, modulus: Poly):
         if modulus.ring.id != ring.id:
             raise NotSimple("modulus is defined over a different ring")
         if modulus.degree < 1 or not modulus.is_monic():
             raise NotSimple("modulus must be monic of degree >= 1")
-        fmt = integral_format(ring)
         # the numerator of p(0), over a denominator that keeps p in the ring
-        if not fmt.is_unit(modulus.integral[0][0]):
+        if not ring.is_unit(modulus.integral[0][0]):
             raise NotSimple(
                 "constant term of the modulus is not a unit, so t would not be invertible"
             )
         self.ring = ring
         self.modulus = modulus
         self.n = modulus.degree
-        self._fmt = fmt
         self._table = None
 
     def __eq__(self, other):
@@ -96,7 +94,7 @@ class SimpleExtension:
         return f"SimpleExtension({self.ring.id}, {self.modulus!r})"
 
     def element(self, coords) -> ExtElement:
-        nums, den = cleared(self._fmt, [self.ring.element(c) for c in coords])
+        nums, den = cleared(self.ring, coords)
         if len(nums) != self.n:
             raise ValueError(f"expected {self.n} coordinates, got {len(nums)}")
         return ExtElement(self, nums, den)
@@ -105,15 +103,15 @@ class SimpleExtension:
         return self.scalar(self.ring.one)
 
     def scalar(self, c) -> ExtElement:
-        fmt = self._fmt
+        ring = self.ring
         # a ring element split into numerator and denominator is in lowest terms
-        num, den = fmt.split(c)
-        return ExtElement(self, (num,) + (fmt.zero,) * (self.n - 1), den)
+        num, den = ring.split(ring.element(c))
+        return ExtElement(self, (num,) + (ring.num_zero,) * (self.n - 1), den)
 
     def gen(self) -> ExtElement:
         """The class of t."""
-        fmt = self._fmt
-        return self.from_integral([fmt.zero, fmt.one], fmt.one)
+        ring = self.ring
+        return self.from_integral([ring.num_zero, ring.num_one], ring.num_one)
 
     def _power_table(self, count=0):
         # the coordinates of t^n, ..., t^(n+k-1) as rows over one common
@@ -123,18 +121,18 @@ class SimpleExtension:
         # nums / dm
         k = max(self.n - 1, count)
         if self._table is None or len(self._table[0]) < k:
-            fmt = self._fmt
+            ring = self.ring
             nums, dm = self.modulus.integral
             red = tuple(-v for v in nums[:-1])
             rows = [red] if k else []
             while len(rows) < k:
-                rows.append(_times_t(rows[-1], red, dm, fmt.zero))
+                rows.append(_times_t(rows[-1], red, dm, ring.num_zero))
             # over dm^k, reduced by one multi-gcd over the whole table
-            powers = [fmt.one]
+            powers = [ring.num_one]
             for _ in range(k):
                 powers.append(powers[-1] * dm)
             flat = [v * powers[k - 1 - i] for i, row in enumerate(rows) for v in row]
-            flat, den = fmt.lowest(flat, powers[k])
+            flat, den = ring.lowest(flat, powers[k])
             n = self.n
             self._table = [flat[i * n:(i + 1) * n] for i in range(k)], den
         return self._table
@@ -145,11 +143,11 @@ class SimpleExtension:
         integral format: fewer than n padded with zeros, more reduced once
         against the table of powers of t, and normalized once."""
         n = self.n
-        fmt = self._fmt
+        ring = self.ring
         if len(nums) > n:
             table, dt = self._power_table(len(nums) - n)
             # with t^(n+k) = table[k] / dt, out / (den * dt) is the class
-            out = list(nums[:n]) if dt == fmt.one else [c * dt for c in nums[:n]]
+            out = list(nums[:n]) if dt == ring.num_one else [c * dt for c in nums[:n]]
             for k in range(len(nums) - n):
                 c = nums[n + k]
                 if c:
@@ -158,8 +156,8 @@ class SimpleExtension:
                         out[i] = out[i] + c * red[i]
             nums, den = out, den * dt
         elif len(nums) < n:
-            nums = [*nums] + [fmt.zero] * (n - len(nums))
-        return ExtElement(self, *fmt.lowest(nums, den))
+            nums = [*nums] + [ring.num_zero] * (n - len(nums))
+        return ExtElement(self, *ring.lowest(nums, den))
 
 
 def _times_t(col, red, dt, zero):
@@ -174,7 +172,7 @@ def _times_t(col, red, dt, zero):
 
 
 class ExtElement:
-    __slots__ = ("ext", "_nums", "_den", "_mult_cols", "_norm", "_powers", "_primitive")
+    __slots__ = ("ext", "_nums", "_den", "_mult_cols", "_norm", "_primitive")
 
     def __init__(self, ext: SimpleExtension, nums: tuple, den):
         # the numerators over a denominator in lowest terms (what the
@@ -185,7 +183,6 @@ class ExtElement:
         # lazy caches; elements are immutable by convention
         self._mult_cols = None
         self._norm = None
-        self._powers = None
         self._primitive = None
 
     @property
@@ -203,9 +200,8 @@ class ExtElement:
         if not isinstance(other, ExtElement):
             return NotImplemented
         ext = self._same(other).ext
-        fmt = ext._fmt
         return ext.from_integral(
-            convolve(self._nums, other._nums, fmt.zero), self._den * other._den)
+            convolve(self._nums, other._nums, ext.ring.num_zero), self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -223,7 +219,7 @@ class ExtElement:
         return any(self._nums)
 
     def __repr__(self):
-        return f"ExtElement{tuple(self.ext._fmt.values(self._nums, self._den))!r}"
+        return f"ExtElement{tuple(self.ext.ring.values(self._nums, self._den))!r}"
 
     # ------------------------------------------------------------------
     # the algebraic toolkit
@@ -239,7 +235,7 @@ class ExtElement:
             red = table and table[0]
             cols = [col]
             for _ in range(ext.n - 1):
-                cols.append(_times_t(cols[-1], red, dt, ext._fmt.zero))
+                cols.append(_times_t(cols[-1], red, dt, ext.ring.num_zero))
                 dens.append(dens[-1] * dt)
             self._mult_cols = cols, dens
         return self._mult_cols
@@ -253,7 +249,7 @@ class ExtElement:
         elif self._norm is None:
             cols, dens = self._mult_columns()
             # det is invariant under transposition, so the columns serve as rows
-            self._norm = self.ext._fmt.value(linalg.det(cols), prod(dens))
+            self._norm = self.ext.ring.value(linalg.det(cols), prod(dens))
         return self._norm
 
     def is_invertible(self) -> bool:
@@ -266,34 +262,25 @@ class ExtElement:
         cols, dens = self._mult_columns()
         # the matrix is N / dens column by column, so its inverse's first
         # column is dens * (N^-1 e_1), and N^-1 e_1 = x / d
-        fmt = ext._fmt
-        e1 = [[fmt.one]] + [[fmt.zero]] * (ext.n - 1)
+        ring = ext.ring
+        e1 = [[ring.num_one]] + [[ring.num_zero]] * (ext.n - 1)
         x, d = linalg.solve_columns(transpose(cols), e1)
         if not d:
             raise InternalAssertion("singular system in an exact solve")
-        nums, den = fmt.lowest([e * v for e, v in zip(dens, x[0])], d)
-        if not fmt.in_ring(den):
+        nums, den = ring.lowest([e * v for e, v in zip(dens, x[0])], d)
+        if not ring.in_ring(den):
             raise InternalAssertion("inverse left the coefficient ring")
         inv = ExtElement(ext, nums, den)
         if inv * self != ext.one():
             raise InternalAssertion("inverse verification failed")
         return inv
 
-    def _powers_to(self, k):
-        # [1, self, ..., self^j] for some j >= k, kept and grown on demand
-        if self._powers is None:
-            self._powers = [self.ext.one(), self]
-        powers = self._powers
-        while len(powers) <= k:
-            powers.append(powers[-1] * self)
-        return powers
-
     def _is_gen(self) -> bool:
         # the class of t for n >= 2: numerators (0, 1, 0, ...) over one
-        fmt = self.ext._fmt
+        one = self.ext.ring.num_one
         nums = self._nums
-        return (self.ext.n > 1 and self._den == fmt.one and not nums[0]
-                and nums[1] == fmt.one and not any(nums[2:]))
+        return (self.ext.n > 1 and self._den == one and not nums[0]
+                and nums[1] == one and not any(nums[2:]))
 
     def is_primitive(self) -> bool:
         """Whether self is primitive: `coordinate_columns` of no element."""
@@ -314,13 +301,15 @@ class ExtElement:
         decides primitivity (NotPrimitive when self is not); for the class
         of t the columns are the elements' own numerators."""
         ext = self.ext
-        fmt = ext._fmt
-        rhs, den = over_common_denominator(fmt, [self._same(x).integral for x in elements])
+        ring = ext.ring
+        rhs, den = over_common_denominator(ring, [self._same(x).integral for x in elements])
         if self._is_gen():
             self._primitive = True
             return rhs, den, ext.modulus
         n = ext.n
-        powers = self._powers_to(n)[:n + 1]
+        powers = [ext.one(), self]
+        while len(powers) <= n:
+            powers.append(powers[-1] * self)
         top = powers[n]
         # with N the integral power columns over dens and the right-hand
         # sides over one den, N y = rhs has y = x / d, and the coordinates
@@ -328,19 +317,19 @@ class ExtElement:
         cols, d = linalg.solve_columns(
             transpose([w._nums for w in powers[:n]]), transpose(rhs + [top._nums]))
         # d is det N up to sign, and the dens are units
-        self._primitive = fmt.is_unit(d)
+        self._primitive = ring.is_unit(d)
         if not self._primitive:
             raise NotPrimitive("basis element is not primitive")
         cols = [[w._den * v for w, v in zip(powers, col)] for col in cols]
         # the minimal polynomial: t^n minus the coordinates of self^n
         nums, dp = cols.pop(), d * top._den
-        p = Poly.from_integral(ext.ring, [-v for v in nums] + [dp], dp)
+        p = Poly.from_integral(ring, [-v for v in nums] + [dp], dp)
         # p(self) = sum of P_k self^k over p's denominator: a zero test of
         # that sum over one common denominator, which needs no gcd
-        vecs, _ = over_common_denominator(fmt, [w.integral for w in powers])
+        vecs, _ = over_common_denominator(ring, [w.integral for w in powers])
         coeffs, _ = p.integral
         for i in range(n):
-            acc = fmt.zero
+            acc = ring.num_zero
             for c, vec in zip(coeffs, vecs):
                 if c and vec[i]:
                     acc = acc + c * vec[i]
@@ -351,7 +340,7 @@ class ExtElement:
     def coords_in(self, basis_elt: ExtElement):
         """Coordinates of self in the power basis of a primitive element."""
         (col,), den, _ = self._same(basis_elt).coordinate_columns([self])
-        return self.ext._fmt.values(col, den)
+        return self.ext.ring.values(col, den)
 
     def minimal_polynomial(self) -> Poly:
         """The monic degree-n polynomial vanishing on self (self must be

@@ -20,7 +20,7 @@ _RESAMPLE_LIMIT = 1000
 
 def _random_element(ring, rng: random.Random, bound: int):
     if ring.id == QQ.id:
-        return ring.from_int(rng.randint(-bound, bound))
+        return ring.element(rng.randint(-bound, bound))
     # a + b*x keeps local instances genuinely local but cheap
     return ring.element(RatFunc((rng.randint(-bound, bound), rng.randint(-bound, bound))))
 

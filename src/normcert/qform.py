@@ -7,11 +7,12 @@ an explicit list of factors q(y)^(+-1), never decided abstractly; a factor
 (`ValueFactor`) is its ring, the numerators of y over one denominator and
 its exponent, and no ring value of y is made.
 
-Every value is one sum in the integral format of `poly` (integer or
-Z[x] numerators over one denominator, or over a small finite field the
-coordinates over one), normalized once: the diagonal is cleared once, to
-A_j / E, when the form is built, and the coordinates are put over one
-common denominator D, which takes no gcd.  Over the base ring a vector y
+Every value is one sum in the integral format of the form's ring, which
+the ring object is (`rings.Ring`: integer or Z[x] numerators over one
+denominator, or over a small finite field the coordinates over one),
+normalized once: the diagonal is cleared once, to A_j / E, when the form
+is built, and the coordinates are put over one common denominator D,
+which takes no gcd.  Over the base ring a vector y
 is n_j / D, and q(y) = (sum of A_j n_j^2) / (E D^2) becomes one ring
 value (`value`), or stays that numerator over E D^2 (`integral_value`,
 what the verifier multiplies).  The cleared diagonal is the attribute
@@ -30,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotRegular
-from .poly import cleared, integral_format, over_common_denominator
+from .poly import cleared, over_common_denominator
 from .rings import shown
 
 
@@ -56,29 +57,27 @@ class ValueFactor:
 
 
 class QuadraticForm:
-    __slots__ = ("ring", "integral", "_fmt")
+    __slots__ = ("ring", "integral")
 
     def __init__(self, ring, diag):
-        fmt = integral_format(ring)
-        self._setup(ring, fmt, cleared(fmt, [ring.element(c) for c in diag]))
+        self._setup(ring, cleared(ring, diag))
 
     @classmethod
     def from_integral(cls, ring, nums, den) -> QuadraticForm:
         """The form with diagonal nums[j] / den, for a vector in lowest
         terms in the integral format of `ring` with den in the ring."""
         self = object.__new__(cls)
-        self._setup(ring, integral_format(ring), (tuple(nums), den))
+        self._setup(ring, (tuple(nums), den))
         return self
 
-    def _setup(self, ring, fmt, diagonal):
+    def _setup(self, ring, diagonal):
         nums, _ = diagonal
         if not nums:
             raise NotRegular("a quadratic form needs at least one diagonal entry")
         for j, a in enumerate(nums):
-            if not fmt.is_unit(a):
+            if not ring.is_unit(a):
                 raise NotRegular(f"diagonal entry {j + 1} of {len(nums)} is not a unit")
         self.ring = ring
-        self._fmt = fmt
         # the diagonal as numerators over one denominator in lowest terms
         self.integral = diagonal
 
@@ -93,12 +92,12 @@ class QuadraticForm:
         return self.ring.id == other.ring.id and self.integral == other.integral
 
     def __repr__(self):
-        return f"QuadraticForm<{', '.join(map(shown, self._fmt.values(*self.integral)))}>"
+        return f"QuadraticForm<{', '.join(map(shown, self.ring.values(*self.integral)))}>"
 
     def value(self, nums, d):
         """q(y) for y_j = nums[j] / d in the integral format of the ring,
         as one ring value."""
-        return self._fmt.value(*self.integral_value(nums, d))
+        return self.ring.value(*self.integral_value(nums, d))
 
     def integral_value(self, nums, d):
         """q(y) for y_j = nums[j] / d in the integral format of the ring,
@@ -109,7 +108,7 @@ class QuadraticForm:
             raise ValueError(f"expected {self.rank} coordinates, got {len(nums)}")
         # a_j = coeffs[j] / e
         coeffs, e = self.integral
-        acc = self._fmt.zero
+        acc = self.ring.num_zero
         for a, v in zip(coeffs, nums):
             if v:
                 acc = acc + a * (v * v)
@@ -122,7 +121,7 @@ class QuadraticForm:
         normalized; each square takes one product per cross term, doubled."""
         coeffs, e = self.integral
         size = len(cols[0])
-        acc = [self._fmt.zero] * (2 * size - 1)
+        acc = [self.ring.num_zero] * (2 * size - 1)
         for a, col in zip(coeffs, cols):
             for i, v in enumerate(col):
                 if v:
@@ -146,4 +145,4 @@ class QuadraticForm:
         if any(x.ext != ext for x in xs):
             raise ValueError("witness coordinates live in different extensions")
         return ext.from_integral(*self.poly_value(
-            *over_common_denominator(self._fmt, [x.integral for x in xs])))
+            *over_common_denominator(self.ring, [x.integral for x in xs])))

@@ -1,18 +1,32 @@
 """Exact arithmetic for the two supported coefficient rings.
 
-Both rings sit behind one small interface so everything downstream
-(polynomials, extensions, forms, searches) is generic over it:
+Each ring is one object, and that object is also the ring's integral
+format (see `poly`), so everything downstream (polynomials, extensions,
+forms, searches) is generic over one interface:
 
 * ``RationalField`` -- the field Q.  Elements are plain
   ``fractions.Fraction`` values (already canonical: reduced, positive
-  denominator).
+  denominator), and the integral format is integers over one positive
+  integer.
 
 * ``LocalRationalFunctions`` -- rational functions in x that are defined
-  at x = 0, i.e. quotients num/den of polynomials over Q with den(0) != 0.
-  This is a local ring: a is a unit iff a(0) != 0.  The ring interface
-  decides membership and units; nothing downstream reduces modulo the
-  maximal ideal, since the general-position search tests its samples over
-  the ring itself.
+  at x = 0, i.e. quotients num/den of polynomials over Q with den(0) != 0,
+  and the integral format is integer polynomials over one integer
+  polynomial.  This is a local ring: a is a unit iff a(0) != 0.  Nothing
+  downstream reduces modulo the maximal ideal, since the general-position
+  search tests its samples over the ring itself.
+
+A ring object holds its ring values ``zero`` and ``one`` and coerces into
+the ring (``element``, ``contains``); it holds its numerator zero and one
+(``num_zero``, ``num_one``) and the format's operations: lowest terms
+(``lowest``), a common denominator of several (``common``), numerators
+divided by their joint integer content (``primitive``), a ring value
+split into numerator and denominator (``split``) and built back
+(``value``), a denominator that keeps a vector in lowest terms in the
+ring (``in_ring``) and the ring's one unit test, of a numerator over such
+a denominator (``is_unit``).  The base ``Ring`` derives the rest from
+those, once for every ring: ``check``, ``is_invertible`` and ``invert``
+of a ring value, and ``values``, a vector's ring values.
 
 Elements of the second ring are ``RatFunc`` values.  A ``RatFunc`` holds
 integer polynomials N(x)/D(x) in lowest terms: no factor, integer
@@ -57,7 +71,7 @@ from decimal import Decimal
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
-from .errors import InternalAssertion, NotInvertible, RingMismatch
+from .errors import CoordinateNotIntegral, InternalAssertion, NotInvertible, RingMismatch
 
 # ---------------------------------------------------------------------------
 # integer polynomials: coefficient tuples, ascending degree, no trailing
@@ -591,51 +605,105 @@ class RatFunc:
 # ring objects
 
 
-class RationalField:
-    """The field Q; elements are fractions.Fraction."""
+class Ring:
+    """What every ring derives from its own `contains`, `split`, `is_unit`
+    and `value`: the membership check, the one unit test of a ring value,
+    its inverse, and ring values built from a vector of the integral
+    format."""
+
+    @staticmethod
+    def split(a):
+        """A ring value as its numerator and denominator, in lowest terms."""
+        return a.numerator, a.denominator
+
+    def check(self, a):
+        if not self.contains(a):
+            raise RingMismatch(f"expected an element of {self.id}, got {shown(a)}")
+        return a
+
+    def is_invertible(self, a) -> bool:
+        return self.is_unit(self.split(self.check(a))[0])
+
+    def invert(self, a):
+        num, den = self.split(self.check(a))
+        if not self.is_unit(num):
+            raise NotInvertible(f"{shown(a)} is not a unit of {self.id}")
+        return self.value(den, num)
+
+    def values(self, nums, den) -> list:
+        """The ring values nums[i] / den; CoordinateNotIntegral when one of
+        them is not in the ring."""
+        out = [self.value(v, den) for v in nums]
+        if not all(map(self.contains, out)):
+            raise CoordinateNotIntegral(f"a coordinate left {self.id}")
+        return out
+
+
+class RationalField(Ring):
+    """The field Q; elements are fractions.Fraction, and the integral
+    format is integer numerators over one positive integer denominator."""
 
     id = "Q"
-
-    def __init__(self):
-        self.zero = Fraction(0)
-        self.one = Fraction(1)
+    zero, one = Fraction(0), Fraction(1)
+    num_zero, num_one = 0, 1
+    value = Fraction
 
     def element(self, v) -> Fraction:
         if isinstance(v, RatFunc):
             raise RingMismatch(f"{shown(v)} is not an element of {self.id}")
         return Fraction(v)
 
-    def from_int(self, n: int) -> Fraction:
-        return Fraction(n)
-
-    def contains(self, a) -> bool:
+    @staticmethod
+    def contains(a) -> bool:
         return isinstance(a, Fraction)
 
-    def check(self, a) -> Fraction:
-        if not isinstance(a, Fraction):
-            raise RingMismatch(f"expected an element of {self.id}, got {shown(a)}")
-        return a
+    @staticmethod
+    def lowest(nums, den: int) -> tuple[tuple, int]:
+        """nums / den over a positive denominator sharing no factor with all
+        of the numerators, for any nonzero den."""
+        # one multi-gcd: each step runs against the shrinking common factor,
+        # and math.gcd stops taking gcds once that factor is 1
+        g = gcd(den, *nums)
+        if den < 0:
+            g = -g
+        if g != 1:
+            return tuple(v // g for v in nums), den // g
+        return tuple(nums), den
 
-    def is_invertible(self, a) -> bool:
-        return self.check(a) != 0
+    @staticmethod
+    def common(dens):
+        den = lcm(*dens)
+        return den, [den // d for d in dens]
 
-    def invert(self, a):
-        if self.check(a) == 0:
-            raise NotInvertible("0 has no inverse in Q")
-        return 1 / a
+    @staticmethod
+    def primitive(nums) -> tuple:
+        """nums divided by their joint content, the gcd of the ints."""
+        g = gcd(*nums)
+        return tuple(v // g for v in nums) if g > 1 else tuple(nums)
+
+    @staticmethod
+    def in_ring(den) -> bool:
+        return True
+
+    @staticmethod
+    def is_unit(num) -> bool:
+        return num != 0
 
     def __repr__(self):
         return "RationalField()"
 
 
-class LocalRationalFunctions:
-    """Q[x] localized at (x): RatFunc values with den(0) != 0."""
+class LocalRationalFunctions(Ring):
+    """Q[x] localized at (x): RatFunc values with den(0) != 0, and the
+    integral format is Z[x] numerators over one Z[x] denominator d with
+    d(0) != 0."""
 
     id = "Q[x]_(x)"
-
-    def __init__(self):
-        self.zero = RatFunc.constant(0)
-        self.one = RatFunc.constant(1)
+    zero, one = RatFunc.constant(0), RatFunc.constant(1)
+    num_zero, num_one = ZX(), ZX_ONE
+    value = staticmethod(RatFunc.from_zx)
+    lowest = staticmethod(zx_lowest_terms)
+    common = staticmethod(zx_common)
 
     def element(self, v) -> RatFunc:
         if isinstance(v, RatFunc):
@@ -650,27 +718,26 @@ class LocalRationalFunctions:
             raise RingMismatch(f"{shown(a)} has a pole at 0, not in {self.id}")
         return a
 
-    def from_int(self, n: int) -> RatFunc:
-        return RatFunc.constant(n)
-
-    def contains(self, a) -> bool:
+    @staticmethod
+    def contains(a) -> bool:
         return isinstance(a, RatFunc) and a.is_defined_at_zero()
 
-    def check(self, a) -> RatFunc:
-        if not isinstance(a, RatFunc):
-            raise RingMismatch(f"expected an element of {self.id}, got {shown(a)}")
-        if not a.is_defined_at_zero():
-            raise RingMismatch(f"{shown(a)} has a pole at 0, not in {self.id}")
-        return a
+    @staticmethod
+    def primitive(nums) -> tuple:
+        """nums divided by their joint content, the gcd of all their
+        integer coefficients."""
+        g = gcd(*[c for v in nums for c in v.c])
+        return tuple(ZX(tuple([c // g for c in v.c])) for v in nums) if g > 1 else tuple(nums)
 
-    def is_invertible(self, a) -> bool:
-        num = self.check(a).numerator.c
-        return bool(num) and num[0] != 0
+    @staticmethod
+    def in_ring(den) -> bool:
+        # of a vector in lowest terms: a pole at 0 is a root of den
+        return den.c[0] != 0
 
-    def invert(self, a):
-        if not self.is_invertible(a):
-            raise NotInvertible(f"{shown(a)} lies in the maximal ideal (x)")
-        return a.reciprocal()
+    @staticmethod
+    def is_unit(num) -> bool:
+        # over a den with den(0) != 0: a unit is nonzero at 0
+        return bool(num) and num.c[0] != 0
 
     def __repr__(self):
         return "LocalRationalFunctions()"

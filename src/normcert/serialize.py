@@ -11,8 +11,8 @@ identical inputs and seeds produce byte-identical artifacts.
 
 Each vector of an instance or a certificate (the modulus, the diagonal,
 each witness vector, each factor vector, and the target as a vector of
-one) is read in one pass into the integral format of its ring
-(`poly.integral_format`): numerators over one denominator in lowest
+one) is read in one pass into the integral format of its ring, which
+the ring object is (`rings.Ring`): numerators over one denominator in lowest
 terms, integers over Q and integer polynomials (`ZX`) over Q[x]_(x).
 When every string of the vector is an integer -?[0-9]+ (over Q[x]_(x):
 every entry is {"num": [integers], "den": ["1"]}), one regular
@@ -40,7 +40,7 @@ writer (`_vector_to_json`): the modulus and every other polynomial, the
 diagonal, each witness vector, each factor and each level's b.  Over Q
 each entry takes one gcd; over Q[x]_(x), over one, each entry is its
 numerator's integer strings over ["1"], and over any other denominator
-each entry is put in lowest terms once by the format record.  The target
+each entry is put in lowest terms once by the ring's `lowest`.  The target
 and each level's r and q0 are single ring values, written by
 `element_to_json`.  A local rational function is scaled so that its
 lowest-order nonzero denominator coefficient is 1
@@ -59,7 +59,7 @@ from math import gcd, lcm
 from .certify import NormCertificate
 from .errors import NotRegular, NotSimple
 from .extension import ExtElement, SimpleExtension
-from .poly import Poly, _poly, integral_format
+from .poly import Poly, _poly
 from .qform import QuadraticForm, ValueFactor
 from .rings import QQ, ZX, ZX_ONE, _ztrim, canonical_ratios, get_ring, int_text, shown
 
@@ -234,7 +234,6 @@ def _vector_from_json(ring, data) -> tuple[tuple, object]:
     malformed or has a pole at 0."""
     if not isinstance(data, list):
         raise FormatError(f"expected a list of {ring.id} elements, got {data!r}")
-    fmt = integral_format(ring)
     if ring.id == QQ.id:
         nums, den = _rationals(data)
         if den == 1:
@@ -246,10 +245,10 @@ def _vector_from_json(ring, data) -> tuple[tuple, object]:
             # integer polynomials are in lowest terms over one
             return tuple(nums), ZX_ONE
         pairs = [_local_pair(c) for c in data]
-        den, quos = fmt.common([ZX(d) for _, d in pairs])
+        den, quos = ring.common([ZX(d) for _, d in pairs])
         nums = [ZX(v) * k for (v, _), k in zip(pairs, quos)]
-    nums, den = fmt.lowest(nums, den)
-    if not fmt.in_ring(den):
+    nums, den = ring.lowest(nums, den)
+    if not ring.in_ring(den):
         raise FormatError(f"an entry has a pole at 0, so it is not in {ring.id}")
     return nums, den
 
@@ -257,23 +256,22 @@ def _vector_from_json(ring, data) -> tuple[tuple, object]:
 def element_from_json(ring, data):
     """One element of `ring`: the one-entry case of the vector decoder."""
     (num,), den = _vector_from_json(ring, [data])
-    return integral_format(ring).value(num, den)
+    return ring.value(num, den)
 
 
 def _vector_to_json(ring, nums, den) -> list:
     """The JSON list of the vector nums / den in the integral format of
     `ring`: over Q each entry with one gcd, over Q[x]_(x) over one as each
     numerator's integer strings over ["1"], and over any other denominator
-    each entry put in lowest terms once by the format record."""
+    each entry put in lowest terms once by the ring's `lowest`."""
     if ring.id == QQ.id:
         return [_ratio_to_json(v, den) for v in nums]
     if den == ZX_ONE:
         # over one each entry is in lowest terms
         return [_local_to_json(v, ZX_ONE) for v in nums]
-    lowest = integral_format(ring).lowest
     vector = []
     for v in nums:
-        (num,), d = lowest((v,), den)
+        (num,), d = ring.lowest((v,), den)
         vector.append(_local_to_json(num, d))
     return vector
 
@@ -402,8 +400,7 @@ def instance_from_json(data) -> InstanceSpec:
         raise FormatError(f"the form is over {q_ring.id}, the instance over {ring.id}")
     try:
         # the decoded modulus is in lowest terms, so built as it is
-        ext = SimpleExtension(ring, _poly(
-            p_ring, integral_format(p_ring), *_vector_from_json(p_ring, coeffs)))
+        ext = SimpleExtension(ring, _poly(p_ring, *_vector_from_json(p_ring, coeffs)))
         q = QuadraticForm.from_integral(ring, *_vector_from_json(ring, diag))
     except (NotSimple, NotRegular) as exc:
         raise FormatError(str(exc)) from None

@@ -24,7 +24,7 @@ from operator import truediv
 from normcert.errors import InternalAssertion, NotInvertible, NotPrimitive, RingMismatch
 from normcert.extension import SimpleExtension
 from normcert.linalg import transpose
-from normcert.poly import Poly, cleared, integral_format
+from normcert.poly import Poly, cleared
 from normcert.qform import QuadraticForm, ValueFactor
 from normcert.rings import QQ, QQ_LOCAL_X, RatFunc
 from normcert.serialize import FormatError, element_to_json
@@ -36,13 +36,13 @@ LOCAL_X = QQ_LOCAL_X.element((0, 1))
 def value_factor(ring, vector, exponent):
     """The factor q(vector)^exponent of a vector of ring values, put over
     one denominator in lowest terms in the ring's integral format."""
-    nums, den = cleared(integral_format(ring), [ring.element(v) for v in vector])
+    nums, den = cleared(ring, vector)
     return ValueFactor(ring, nums, den, exponent)
 
 
 def ring_values(ring, nums, den):
     """The vector nums / den in the integral format of `ring` as ring values."""
-    return tuple(integral_format(ring).values(nums, den))
+    return tuple(ring.values(nums, den))
 
 
 def factor_vector(factor):

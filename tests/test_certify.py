@@ -19,7 +19,7 @@ from normcert.certify import (
 from normcert.errors import InternalAssertion, SearchExhausted, ValueNotUnit
 from normcert.extension import ExtElement, SimpleExtension
 from normcert.instances import random_instance, run_random_suite
-from normcert.poly import Poly, integral_format, over_common_denominator
+from normcert.poly import Poly, over_common_denominator
 from normcert.qform import QuadraticForm, ValueFactor
 from normcert.rings import QQ, QQ_LOCAL_X, ZX, ZX_ONE, RatFunc
 from normcert.serialize import certificate_to_json, dumps
@@ -149,7 +149,7 @@ class TestWorkedExamples:
         ]
         stats = CertifyStats()
         cert = certify(ext, q, xs, rng=0, stats=stats)
-        assert cert.target == ring.from_int(-2)
+        assert cert.target == ring.element(-2)
         assert verify(ext, q, xs, cert)
         assert stats.genpos_tries > stats.genpos_calls  # sampling happened
 
@@ -672,13 +672,12 @@ class TestScalarEvaluation:
         # lowest terms as the elements of R[t]/(t - a), put over one
         # common denominator
         ring, cols, d, a, k = case
-        fmt = integral_format(ring)
-        an, ad = fmt.split(a)
-        got = fmt.lowest(*certify_module._at_scalar(fmt, cols, d, an * k, ad * k))
+        an, ad = ring.split(a)
+        got = ring.lowest(*certify_module._at_scalar(ring, cols, d, an * k, ad * k))
         ext = SimpleExtension(ring, Poly(ring, [-a, ring.one]))
         vecs, den = over_common_denominator(
-            fmt, [ext.from_integral(col, d).integral for col in cols])
-        assert got == fmt.lowest([v[0] for v in vecs], den)
+            ring, [ext.from_integral(col, d).integral for col in cols])
+        assert got == ring.lowest([v[0] for v in vecs], den)
 
 
 class TestRandomRoundTrips:

@@ -114,7 +114,7 @@ class TestFiniteFields:
         # an int k equals k * 1 only for 0 <= k < p; the extension code
         # compares denominators with 1
         assert GF(9).one == 1 and not GF(9).one != 1
-        assert GF(5).from_int(3) == 3 and GF(5).from_int(3) != 8
+        assert GF(5).element(3) == 3 and GF(5).element(3) != 8
 
     def test_fields_of_one_order_compare_unequal(self):
         # two FiniteField(5) objects share an id, and their elements never mix
@@ -125,9 +125,9 @@ class TestFiniteFields:
 
     def test_extension_machinery_runs_over_finite_fields(self):
         f5 = GF(5)
-        ext = SimpleExtension(f5, Poly(f5, [f5.from_int(2), f5.zero, f5.one]))
+        ext = SimpleExtension(f5, Poly(f5, [f5.element(2), f5.zero, f5.one]))
         t = ext.gen()
-        assert t * t == ext.scalar(f5.from_int(-2))
+        assert t * t == ext.scalar(f5.element(-2))
         assert t.is_primitive()
         assert (t.inverse() * t) == ext.one()
 

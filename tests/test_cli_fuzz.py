@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from normcert.certify import certify
 from normcert.cli import main
 from normcert.instances import random_instance
-from normcert.poly import cleared, integral_format
+from normcert.poly import cleared
 from normcert.rings import QQ, QQ_LOCAL_X
 from normcert.serialize import (
     FormatError,
@@ -404,7 +404,7 @@ def decoded_factor_vector(ring, vector):
 def cleared_fraction_values(ring, vector):
     """The vector parsed with one Fraction per coefficient, as ring values
     put over one denominator in lowest terms."""
-    return cleared(integral_format(ring), [fraction_element_from_json(ring, v) for v in vector])
+    return cleared(ring, [fraction_element_from_json(ring, v) for v in vector])
 
 
 @FUZZ

@@ -18,7 +18,7 @@ from normcert import rings
 from normcert.certify import CertifyStats, certify, verify
 from normcert.extension import SimpleExtension
 from normcert.instances import random_instance
-from normcert.poly import Poly, cleared, integral_format
+from normcert.poly import Poly, cleared
 from normcert.qform import QuadraticForm
 from normcert.rings import QQ, QQ_LOCAL_X
 from normcert.serialize import (
@@ -131,10 +131,9 @@ def test_scaled_levels_build_every_factor_from_numerators():
         if cert.trace[0].b == ext.one():
             continue
         scaled += 1
-        fmt = integral_format(ext.ring)
         for f in cert.factors:
             assert f.ring is ext.ring
-            assert (f.nums, f.den) == cleared(fmt, factor_vector(f))
+            assert (f.nums, f.den) == cleared(ext.ring, factor_vector(f))
     assert scaled == 2
 
 

@@ -176,8 +176,8 @@ def test_zero_first_pivot_swaps_rows():
     for field in (None, GF(5), GF(9)):
         m, v = a, rhs
         if field is not None:
-            m = [[field.from_int(e) for e in row] for row in a]
-            v = [field.from_int(e) for e in rhs]
+            m = [[field.element(e) for e in row] for row in a]
+            v = [field.element(e) for e in rhs]
         assert linalg.det(m) == naive_det(m)
         (x,), den = linalg.solve_columns(m, [[e] for e in v])
         ratio = Fraction if field is None else field_div(field)

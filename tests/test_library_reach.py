@@ -31,10 +31,8 @@ _CORPUS = "bench/run.py writes its corpus through serialize.instance_to_json"
 _DUNDER = "a Python protocol method"
 _ERROR = "an error exit, which the runs here never take"
 _FALLBACK = "a fallback, which the runs here never need"
-_IMPORT = "a constructor run once, at import"
-_RING = "the ring interface, which generic code calls on whichever ring it is given"
-_FORMAT = ("the integral-format interface, which generic code calls on whichever "
-           "ring's format record it is given")
+_FORMAT = ("the integral format of a ring, which certify calls on whichever ring it "
+           "is given, and no library path certifies over a finite field")
 _TEXT = "the text of a ring value, which error messages print through rings.shown"
 ALLOWED = {
     # used by bench/
@@ -61,16 +59,8 @@ ALLOWED = {
     ("rings", "_zstr"): _TEXT,
     ("rings", "RatFunc.__repr__"): _TEXT,
     # the ring interface and the integral formats
-    ("rings", "LocalRationalFunctions.from_int"): _RING,
-    ("rings", "LocalRationalFunctions.invert"): _RING,
-    ("charp", "FiniteField.invert"): _RING,
-    ("poly", "_Rationals.values"): _FORMAT,
-    ("poly", "_LocalFunctions.values"): _FORMAT,
-    ("poly", "_FiniteFieldFormat.scale"): _FORMAT,
-    ("poly", "_FiniteFieldFormat.primitive"): _FORMAT,
-    # public API, constructors run at import, and protocol methods
-    ("rings", "RationalField.__init__"): _IMPORT,
-    ("rings", "LocalRationalFunctions.__init__"): _IMPORT,
+    ("charp", "FiniteField.primitive"): _FORMAT,
+    # public API and protocol methods
     ("charp", "FFElement.__hash__"): _DUNDER,
     ("charp", "FFElement.__repr__"): _DUNDER,
     ("charp", "FFElement.__rsub__"): _DUNDER,

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from normcert.charp import GF, FiniteField
 from normcert.errors import CoordinateNotIntegral, NotInvertible
 from normcert.extension import SimpleExtension
-from normcert.poly import Poly, integral_format
+from normcert.poly import Poly
 from normcert.rings import QQ, QQ_LOCAL_X, ZX, RatFunc
 
 from oracles import (
@@ -108,14 +108,14 @@ class TestStructure:
         assert Poly(a, [2, 0, 1]) != Poly(b, [2, 0, 1])
         assert Poly(a, [2, 0, 1]) == Poly(a, [2, 0, 1])
 
-    def test_one_format_record_per_field_object(self):
-        # built once per field, and never shared between two fields of one
-        # order, whose ids are equal
+    def test_a_field_is_its_own_format(self):
+        # two fields of one order share an id, and each holds its vectors
+        # over its own one: lowest terms multiply by the inverse of den
         a, b = FiniteField(5), FiniteField(5)
-        assert integral_format(a) is integral_format(a)
-        assert integral_format(a) is not integral_format(b)
-        assert integral_format(a).one is a.one and integral_format(b).one is b.one
-        assert integral_format(GF(9)) is integral_format(GF(9))
+        assert a.num_one is a.one and b.num_one is b.one
+        assert a.lowest([a.element(2)], a.element(3)) == ((a.element(4),), a.one)
+        assert Poly(a, [2, 0, 1]).integral[1] is a.one
+        assert Poly(b, [2, 0, 1]).integral[1] is b.one
 
 
 LOCAL_UNITS = st.builds(
@@ -160,13 +160,12 @@ def assert_matches(f, coeffs):
     built from those values."""
     ring = f.ring
     coeffs = naive_poly(coeffs)
-    fmt = integral_format(ring)
     nums, den = f.integral
-    assert fmt.lowest(nums, den) == (nums, den)
+    assert ring.lowest(nums, den) == (nums, den)
     if ring is QQ:
         assert den > 0 and gcd(den, *nums) == 1
     assert not nums or nums[-1]
-    assert fmt.values(nums, den) == coeffs
+    assert ring.values(nums, den) == coeffs
     assert list(coeffs_of(f)) == coeffs
     assert f.degree == len(coeffs) - 1
     fresh = Poly(ring, coeffs)
@@ -217,11 +216,10 @@ class TestIntegerRepresentation:
         # over Q[x]_(x) a root of the reduced denominator at x = 0 is a
         # coefficient outside the ring
         ring = RINGS[ring_id][0]
-        fmt = integral_format(ring)
         numerators, denominators = INTEGRAL[ring_id]
         nums = data.draw(st.lists(numerators, max_size=6))
         den = data.draw(denominators)
-        values = [fmt.value(v, den) for v in nums]
+        values = [ring.value(v, den) for v in nums]
         if not all(ring.contains(v) for v in values):
             with pytest.raises(CoordinateNotIntegral):
                 Poly.from_integral(ring, nums, den)
@@ -259,8 +257,7 @@ class TestIntegerRepresentation:
         assert list(coords_of(reduced)) == expected
         gen = [zero, ring.one] + [zero] * (n - 2) if n > 1 else [-modulus[0]]
         assert expected == naive_ext_eval(modulus, naive_poly(a), gen, zero, ring.one)
-        fmt = integral_format(ring)
-        assert fmt.lowest(reduced._nums, reduced._den) == (reduced._nums, reduced._den)
+        assert ring.lowest(reduced._nums, reduced._den) == (reduced._nums, reduced._den)
         assert reduced == ext.element(expected)
 
     @settings(max_examples=80, deadline=None)
@@ -271,7 +268,7 @@ class TestIntegerRepresentation:
         # so equal to and hashing like the element built from its
         # coordinates; and the class of t is t, or -p(0) when n = 1
         ring, nonzero_entries, units, _, _ = RINGS[ring_id]
-        fmt, zero = integral_format(ring), ring.zero
+        zero = ring.zero
         n = data.draw(st.integers(1, 4))
         middle = data.draw(st.lists(st.just(zero) | nonzero_entries,
                                     min_size=n - 1, max_size=n - 1))
@@ -280,12 +277,12 @@ class TestIntegerRepresentation:
         numerators, denominators = INTEGRAL[ring_id]
         nums = data.draw(st.lists(numerators, max_size=2 * n + 1))
         den = data.draw(denominators)
-        values = [fmt.value(v, den) for v in nums]
+        values = [ring.value(v, den) for v in nums]
         assume(all(ring.contains(v) for v in values))
         reduced = ext.from_integral(nums, den)
         expected = naive_poly_divmod(values, modulus, zero)[1]
         assert list(coords_of(reduced)) == expected
-        assert fmt.lowest(*reduced.integral) == reduced.integral
+        assert ring.lowest(*reduced.integral) == reduced.integral
         fresh = ext.element(expected)
         assert reduced == fresh and hash(reduced) == hash(fresh)
         t = ext.element(naive_poly_divmod([zero, ring.one], modulus, zero)[1])

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from normcert.charp import GF
 from normcert.errors import NotRegular
 from normcert.extension import SimpleExtension
-from normcert.poly import Poly, cleared, integral_format
+from normcert.poly import Poly, cleared
 from normcert.qform import QuadraticForm, ValueFactor
 from normcert.rings import QQ, QQ_LOCAL_X, ZX, RatFunc
 
@@ -129,7 +129,7 @@ def test_values_match_coordinatewise_sums(case):
     expected = ring.zero
     for a, y in zip(diag, ys):
         expected = expected + a * y * y
-    value = QuadraticForm(ring, diag).value(*cleared(integral_format(ring), ys))
+    value = QuadraticForm(ring, diag).value(*cleared(ring, ys))
     assert type(value) is type(expected) and value == expected
 
 
@@ -226,7 +226,7 @@ def forms_and_columns(draw):
         unit = st.sampled_from(ring.elements()[1:])
         entry = st.sampled_from(ring.elements())
         d = ring.one
-    entry = st.one_of(st.just(integral_format(ring).zero), entry)
+    entry = st.one_of(st.just(ring.num_zero), entry)
     m = draw(st.integers(1, 4))
     size = draw(st.integers(1, 6))
     diag = [draw(unit) for _ in range(m)]
@@ -240,7 +240,7 @@ def test_poly_value_matches_the_naive_squares(case):
     # each column squared by the schoolbook product, which takes every
     # cross term twice
     q, cols, d = case
-    zero = integral_format(q.ring).zero
+    zero = q.ring.num_zero
     coeffs, e = q.integral
     expected = [zero] * (2 * len(cols[0]) - 1)
     for a, col in zip(coeffs, cols):

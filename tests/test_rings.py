@@ -151,7 +151,7 @@ class TestRatFuncArithmetic:
             + [Fraction(k, 2) for k in range(-5, 6, 2)] + [Fraction(-1, 3)]
             + zx_constants + [rings.ZX((0, 1)), rings.ZX((1, 1))]
             + [RatFunc.constant(v) for v in (-5, 0, 3, Fraction(1, 2), Fraction(-1, 3))]
-            + [QQ_LOCAL_X.from_int(k) for k in range(-5, 6)]
+            + [QQ_LOCAL_X.element(k) for k in range(-5, 6)]
             + [X, rf((1, 1)), rf((0, 2), (2,)), QQ_LOCAL_X.one / X, rf((1,), (2, 1)),
                rf((0, 1), (3,))]
         )
@@ -163,7 +163,7 @@ class TestRatFuncArithmetic:
                     assert hash(a) == hash(b), (a, b)
         # each number above meets its RatFunc and ZX twins
         assert equal_pairs > 2 * len(pool)
-        assert len({3, QQ_LOCAL_X.from_int(3), rings.ZX((3,))}) == 1
+        assert len({3, QQ_LOCAL_X.element(3), rings.ZX((3,))}) == 1
 
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
@@ -432,6 +432,13 @@ class TestMessagesPastTheDigitLimit:
             (RingMismatch, lambda: GF(5).element(huge_pole)),
             (RingMismatch, lambda: GF(5).check(Fraction(big))),
             (NotRegular, lambda: QuadraticForm(QQ_LOCAL_X, [rf((0, big))])),
+            # the unit test and the inverse take ring values only
+            (RingMismatch, lambda: QQ.is_invertible("1/2")),
+            (RingMismatch, lambda: QQ.invert(1)),
+            (RingMismatch, lambda: GF(5).is_invertible(Fraction(1))),
+            (NotInvertible, lambda: QQ.invert(QQ.zero)),
+            (NotInvertible, lambda: QQ_LOCAL_X.invert(QQ_LOCAL_X.zero)),
+            (NotInvertible, lambda: GF(5).invert(GF(5).zero)),
         ]
         for error, call in cases:
             with pytest.raises(error):

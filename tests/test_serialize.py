@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from normcert.certify import ReductionStep, certify
 from normcert.extension import ExtElement, SimpleExtension
 from normcert.instances import random_instance
-from normcert.poly import Poly, integral_format
+from normcert.poly import Poly
 from normcert.qform import QuadraticForm, ValueFactor
 from normcert.rings import QQ, QQ_LOCAL_X, ZX, ZX_ONE, RatFunc
 from normcert.serialize import (
@@ -149,7 +149,7 @@ def assert_vectors_match_the_value_route(ring, nums, den):
     """Every vector the writer puts out from numerators (a factor, the
     coefficients of a polynomial, a witness vector and a level's b) is
     the JSON of its entries' ring values, `vector_json`."""
-    nums, den = integral_format(ring).lowest(nums, den)
+    nums, den = ring.lowest(nums, den)
     expected = vector_json(ring, nums, den)
     assert factor_to_json(ring, ValueFactor(ring, nums, den, 1))["vector"] == expected
     p = Poly.from_integral(ring, nums, den)
@@ -194,7 +194,7 @@ class TestFactorEncoding:
         expected = {"vector": [str(v) for v in vector], "exp": exp}
         # built from ring values, and from numerators over one denominator
         by_values = value_factor(QQ, vector, exp)
-        by_integral = ValueFactor(QQ, *integral_format(QQ).lowest(nums, den), exp)
+        by_integral = ValueFactor(QQ, *QQ.lowest(nums, den), exp)
         assert factor_to_json(QQ, by_values) == expected
         assert factor_to_json(QQ, by_integral) == expected
         assert_vectors_match_the_value_route(QQ, nums, den)
@@ -229,9 +229,8 @@ class TestLocalFactorEncoding:
     @example([[4, 6]], [2], 1)
     @example([[1], [0, 5]], [-3, 0, 2], 1)
     def test_matches_the_ratfunc_route(self, nums, den, exp):
-        fmt = integral_format(QQ_LOCAL_X)
         den = ZX_ONE if den is None else _zx(den)
-        factor = ValueFactor(QQ_LOCAL_X, *fmt.lowest([_zx(v) for v in nums], den), exp)
+        factor = ValueFactor(QQ_LOCAL_X, *QQ_LOCAL_X.lowest([_zx(v) for v in nums], den), exp)
         data = factor_to_json(QQ_LOCAL_X, factor)
         assert data == local_factor_json(factor)
         assert data["vector"] == [element_to_json(QQ_LOCAL_X, v) for v in factor_vector(factor)]
