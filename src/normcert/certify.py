@@ -302,7 +302,7 @@ def certify(
     """Produce a verified certificate that the norm of q_S(x) is a product
     of values of q over the base ring, with the record of each reduction
     level; `stats`, when given, adds up the records."""
-    if q.ring.id != ext.ring.id:
+    if q.ring is not ext.ring:
         raise ValueError("form and extension have different coefficient rings")
     xs = _witness_in(ext, xs)
     if rng is None or isinstance(rng, int):
@@ -342,7 +342,7 @@ def verify(ext: SimpleExtension, q: QuadraticForm, xs, cert: NormCertificate) ->
     for i, f in enumerate(cert.factors):
         if f.exponent not in (1, -1):
             return VerifyResult(False, f"factor {i} has exponent {f.exponent}")
-        if f.ring.id != ring.id:
+        if f.ring is not ring:
             return VerifyResult(False, f"factor {i} is a vector over {f.ring.id}, not {ring.id}")
         if len(f.nums) != q.rank:
             return VerifyResult(False, f"factor {i} cannot be evaluated: "

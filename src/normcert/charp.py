@@ -2,10 +2,10 @@
 
 Fields F_{p^e} for p in {2, 3, 5, 7} and e <= 3 are table-driven: elements
 are integers 0 .. p^e - 1 encoding base-p digit vectors, with addition,
-multiplication and inversion precomputed at construction.  The extension
-fields the demos need use fixed irreducibles (F4: s^2+s+1, F8: s^3+s+1,
-F9: s^2+1, F27: s^3-s+1); any other extension derives the
-lexicographically smallest monic irreducible, deterministically.
+multiplication and inversion precomputed at construction.  An extension
+field is built on the monic irreducible of least base-p code (its
+coefficients, lowest first, as base-p digits), deterministically: F4 on
+s^2+s+1, F8 on s^3+s+1, F9 on s^2+1 and F27 on s^3-s+1.
 
 A finite field is a `rings.Ring` like the exact rings, and the field
 object is its own integral format: a vector is its coordinates over the
@@ -36,17 +36,11 @@ from .rings import Ring, shown
 
 _PRIMES = (2, 3, 5, 7)
 
-# fixed irreducibles, ascending coefficients including the leading 1
-_IRREDUCIBLES = {
-    (2, 2): (1, 1, 1),      # s^2 + s + 1
-    (2, 3): (1, 1, 0, 1),   # s^3 + s + 1
-    (3, 2): (1, 0, 1),      # s^2 + 1
-    (3, 3): (1, 2, 0, 1),   # s^3 - s + 1
-}
-
 
 def _find_irreducible(p: int, e: int) -> tuple:
-    # monic degree e polynomial over F_p with no root (enough for e <= 3)
+    # the monic degree e polynomial over F_p with no root (enough for
+    # e <= 3) of least base-p code, ascending coefficients including the
+    # leading 1
     for code in range(p**e):
         digits = []
         c = code
@@ -175,10 +169,7 @@ class FiniteField(Ring):
         self.e = e
         self.order = p**e
         self.id = f"F{self.order}"
-        mod = _IRREDUCIBLES.get((p, e)) if e > 1 else None
-        if e > 1 and mod is None:
-            mod = _find_irreducible(p, e)
-        self._build_tables(mod)
+        self._build_tables(_find_irreducible(p, e) if e > 1 else None)
         # ring values are their own numerators, over one
         self.zero = self.num_zero = FFElement(self, 0)
         self.one = self.num_one = FFElement(self, 1)

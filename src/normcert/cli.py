@@ -4,11 +4,13 @@ Exit codes: certify 0 on success, 2 when a search is exhausted, 3 on bad
 input; verify 0 accept, 1 reject, 3 on bad input; certify, verify and demo
 randsuite 4 on an internal error, an exact identity of the engine that
 failed (a bug, not bad input); demo 0 unless a demo assertion fails or (for
-randsuite) an instance fails to certify.  A malformed command line (an
-unknown flag, `--bound 0`, `--seed x`, a randsuite `--count` below 1) is
-bad input too: every command prints argparse's usage message and exits 3,
-so exit 2 always means an exhausted search.  The seed falls back to the
-NPCERT_SEED environment variable, then to 0.
+randsuite) an instance fails to certify.  Bad input includes a file that
+cannot be read or parsed, JSON nested past the parser's recursion limit
+and a certify --output path that cannot be written.  A malformed command
+line (an unknown flag, `--bound 0`, `--seed x`, a randsuite `--count`
+below 1) is bad input too: every command prints argparse's usage message
+and exits 3, so exit 2 always means an exhausted search.  The seed falls
+back to the NPCERT_SEED environment variable, then to 0.
 """
 
 from __future__ import annotations
@@ -100,11 +102,15 @@ def _cmd_certify(args) -> int:
     if args.trace:
         out["trace"] = trace_to_json(inst.ring, cert.trace)
     payload = dumps(out)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
+    try:
+        if args.output:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(payload)
+        else:
+            sys.stdout.write(payload)
+    except OSError as exc:
+        print(f"cannot write the certificate: {exc}", file=sys.stderr)
+        return 3
     return 0
 
 

@@ -12,8 +12,7 @@ unit.  `coordinate_columns` reads that off its own elimination: the d of
 its solve is the determinant of the integral power columns, which are the
 power columns times unit denominators, so b is primitive exactly when d
 passes the ring's unit test `is_unit` (over Q[x]_(x) a nonzero d need not
-be a unit), and the answer is cached for `is_primitive`, which otherwise
-runs that elimination for no element.
+be a unit); `is_primitive` runs that elimination for no element.
 
 Every element is held in the integral format of its ring, which the
 ring object is (`rings.Ring`, read as `ext.ring`): numerators over
@@ -66,7 +65,7 @@ class SimpleExtension:
     __slots__ = ("ring", "modulus", "n", "_table")
 
     def __init__(self, ring, modulus: Poly):
-        if modulus.ring.id != ring.id:
+        if modulus.ring is not ring:
             raise NotSimple("modulus is defined over a different ring")
         if modulus.degree < 1 or not modulus.is_monic():
             raise NotSimple("modulus must be monic of degree >= 1")
@@ -85,10 +84,10 @@ class SimpleExtension:
             return True
         if not isinstance(other, SimpleExtension):
             return NotImplemented
-        return self.ring.id == other.ring.id and self.modulus == other.modulus
+        return self.ring is other.ring and self.modulus == other.modulus
 
     def __hash__(self):
-        return hash((self.ring.id, self.modulus))
+        return hash((self.ring, self.modulus))
 
     def __repr__(self):
         return f"SimpleExtension({self.ring.id}, {self.modulus!r})"
@@ -172,7 +171,7 @@ def _times_t(col, red, dt, zero):
 
 
 class ExtElement:
-    __slots__ = ("ext", "_nums", "_den", "_mult_cols", "_norm", "_primitive")
+    __slots__ = ("ext", "_nums", "_den", "_mult_cols", "_norm")
 
     def __init__(self, ext: SimpleExtension, nums: tuple, den):
         # the numerators over a denominator in lowest terms (what the
@@ -183,7 +182,6 @@ class ExtElement:
         # lazy caches; elements are immutable by convention
         self._mult_cols = None
         self._norm = None
-        self._primitive = None
 
     @property
     def integral(self) -> tuple:
@@ -284,12 +282,11 @@ class ExtElement:
 
     def is_primitive(self) -> bool:
         """Whether self is primitive: `coordinate_columns` of no element."""
-        if self._primitive is None:
-            try:
-                self.coordinate_columns(())
-            except NotPrimitive:
-                pass
-        return self._primitive
+        try:
+            self.coordinate_columns(())
+        except NotPrimitive:
+            return False
+        return True
 
     def coordinate_columns(self, elements):
         """The coordinates of each of `elements` in the power basis of self,
@@ -304,7 +301,6 @@ class ExtElement:
         ring = ext.ring
         rhs, den = over_common_denominator(ring, [self._same(x).integral for x in elements])
         if self._is_gen():
-            self._primitive = True
             return rhs, den, ext.modulus
         n = ext.n
         powers = [ext.one(), self]
@@ -317,8 +313,7 @@ class ExtElement:
         cols, d = linalg.solve_columns(
             transpose([w._nums for w in powers[:n]]), transpose(rhs + [top._nums]))
         # d is det N up to sign, and the dens are units
-        self._primitive = ring.is_unit(d)
-        if not self._primitive:
+        if not ring.is_unit(d):
             raise NotPrimitive("basis element is not primitive")
         cols = [[w._den * v for w, v in zip(powers, col)] for col in cols]
         # the minimal polynomial: t^n minus the coordinates of self^n

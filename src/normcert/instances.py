@@ -12,14 +12,14 @@ from .extension import SimpleExtension
 from .genpos import DEFAULT_BOUND, DEFAULT_MAX_TRIES
 from .poly import Poly
 from .qform import QuadraticForm
-from .rings import QQ, RatFunc
+from .rings import RatFunc
 from .serialize import InstanceSpec
 
 _RESAMPLE_LIMIT = 1000
 
 
 def _random_element(ring, rng: random.Random, bound: int):
-    if ring.id == QQ.id:
+    if isinstance(ring.num_one, int):
         return ring.element(rng.randint(-bound, bound))
     # a + b*x keeps local instances genuinely local but cheap
     return ring.element(RatFunc((rng.randint(-bound, bound), rng.randint(-bound, bound))))

@@ -138,12 +138,12 @@ class Poly:
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        if self.ring.id != other.ring.id:
+        if self.ring is not other.ring:
             return False
         return self._den == other._den and self._nums == other._nums
 
     def __hash__(self):
-        return hash((self.ring.id, self._den, self._nums))
+        return hash((self.ring, self._den, self._nums))
 
     def __mul__(self, other: Poly) -> Poly:
         ring = self.ring

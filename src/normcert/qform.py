@@ -89,7 +89,7 @@ class QuadraticForm:
         if not isinstance(other, QuadraticForm):
             return NotImplemented
         # a diagonal in lowest terms is unique
-        return self.ring.id == other.ring.id and self.integral == other.integral
+        return self.ring is other.ring and self.integral == other.integral
 
     def __repr__(self):
         return f"QuadraticForm<{', '.join(map(shown, self.ring.values(*self.integral)))}>"
@@ -140,7 +140,7 @@ class QuadraticForm:
         if len(xs) != self.rank:
             raise ValueError(f"expected {self.rank} coordinates, got {len(xs)}")
         ext = xs[0].ext
-        if ext.ring.id != self.ring.id:
+        if ext.ring is not self.ring:
             raise ValueError("form and extension have different coefficient rings")
         if any(x.ext != ext for x in xs):
             raise ValueError("witness coordinates live in different extensions")

@@ -26,7 +26,16 @@ split into numerator and denominator (``split``) and built back
 ring (``in_ring``) and the ring's one unit test, of a numerator over such
 a denominator (``is_unit``).  The base ``Ring`` derives the rest from
 those, once for every ring: ``check``, ``is_invertible`` and ``invert``
-of a ring value, and ``values``, a vector's ring values.
+of a ring value, and ``values``, a vector's ring values.  Over Q[x]_(x)
+``in_ring`` and ``is_unit`` are the only code that knows the point 0;
+``element`` and ``contains`` ask ``in_ring`` of a value's denominator.
+
+A ring is its object: the other modules compare rings with ``is`` and
+hash the object itself, and where the integral format decides a
+spelling (the JSON text, a random sample) they branch on the numerator
+type, the type of ``num_one``.  The ``id`` is text only: the key of
+``get_ring``, the JSON "ring" value and the name in messages.  So a
+subclass registered under an id of its own runs as its base ring does.
 
 Elements of the second ring are ``RatFunc`` values.  A ``RatFunc`` holds
 integer polynomials N(x)/D(x) in lowest terms: no factor, integer
@@ -590,9 +599,6 @@ class RatFunc:
             return hash(Fraction(num.c[0], den[0]))
         return hash((num.c, den))
 
-    def is_defined_at_zero(self) -> bool:
-        return self.denominator.c[0] != 0
-
     def __repr__(self):
         num, den = ([Fraction(*r) for r in part]
                     for part in canonical_ratios(self.numerator, self.denominator))
@@ -714,13 +720,12 @@ class LocalRationalFunctions(Ring):
             a = RatFunc(v)
         else:
             raise RingMismatch(f"cannot coerce {shown(v)} into {self.id}")
-        if not a.is_defined_at_zero():
-            raise RingMismatch(f"{shown(a)} has a pole at 0, not in {self.id}")
+        if not self.in_ring(a.denominator):
+            raise RingMismatch(f"{shown(a)} is not an element of {self.id}")
         return a
 
-    @staticmethod
-    def contains(a) -> bool:
-        return isinstance(a, RatFunc) and a.is_defined_at_zero()
+    def contains(self, a) -> bool:
+        return isinstance(a, RatFunc) and self.in_ring(a.denominator)
 
     @staticmethod
     def primitive(nums) -> tuple:

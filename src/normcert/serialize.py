@@ -5,44 +5,45 @@ rationals are "p/q" (the "/q" omitted when q = 1), local rational
 functions are {"num": [...], "den": [...]} with rational-string
 coefficient lists ascending by degree; integers past Python's int/str
 digit limit go through `decimal.Decimal`, which has no such limit.  Every
-malformed input, a pole at 0 or a modulus that is not simple included, is a
-FormatError.  Emission is deterministic (sorted keys, fixed separators) so
-identical inputs and seeds produce byte-identical artifacts.
+malformed input, an entry outside the ring or a modulus that is not
+simple included, is a FormatError.  Emission is deterministic (sorted
+keys, fixed separators) so identical inputs and seeds produce
+byte-identical artifacts.
 
 Each vector of an instance or a certificate (the modulus, the diagonal,
 each witness vector, each factor vector, and the target as a vector of
-one) is read in one pass into the integral format of its ring, which
-the ring object is (`rings.Ring`): numerators over one denominator in lowest
-terms, integers over Q and integer polynomials (`ZX`) over Q[x]_(x).
-When every string of the vector is an integer -?[0-9]+ (over Q[x]_(x):
-every entry is {"num": [integers], "den": ["1"]}), one regular
-expression over the joined strings checks them all and `int` reads each;
-those numerators over one are already in lowest terms, so no gcd runs.
-Every other vector takes the strict route, string by string:
--?[0-9]+(/[0-9]+)? is read straight into an integer pair, and any other
-string goes through `Fraction` (and `Decimal` past the int/str digit
-limit), so the accepted strings, the refused ones and the values are those
-of a parser with one `Fraction` per string.  A Q vector and each
-coefficient list of a local entry are read by the same helper
-(`_rationals`), as integers over the lcm of their denominators; on that
-route a local entry is its cleared numerator over its cleared
-denominator, and the entries go over one common denominator
-(`zx_common`) with no gcd.  A vector whose denominator in lowest terms
-vanishes at 0 has an entry with a pole there.
+one) is read in one pass into the integral format of its ring, which the
+ring object is (`rings.Ring`): numerators over one denominator in lowest
+terms.  The reader and the writer branch once, on the ring's numerator
+type (the type of `num_one`): an `int` entry is a rational string, a
+`ZX` entry a num/den object (or a rational string, for a constant).  No
+ring id is compared, so a ring with either numerator type needs no
+branch of its own.  When every string of the vector is an integer
+-?[0-9]+ (for `ZX`: every entry is {"num": [integers], "den": ["1"]}),
+one regular expression over the joined strings checks them all and `int`
+reads each; those numerators over one are already in lowest terms, so no
+gcd runs.  Every other vector is read entry by entry into a numerator and
+a denominator, string by string: -?[0-9]+(/[0-9]+)? straight into an
+integer pair, and any other string through `Fraction` (and `Decimal` past
+the int/str digit limit), so the accepted strings, the refused ones and
+the values are those of a parser with one `Fraction` per string.  The
+entries then go over one common denominator (the ring's `common`), are
+put in lowest terms once (`lowest`) and are refused unless the
+denominator passes `in_ring`.
 The modulus, the form, the witness and each factor are built from those
 numerators (`Poly.from_integral`, `QuadraticForm.from_integral`, the
 `ValueFactor` fields), so no ring value is built for a coefficient; only
-the target is one ring value.  The schema is closed: every object names
-its keys, and any other key is a FormatError.
+the target is one ring value, the one-entry case (`element_from_json`).
+The schema is closed: every object names its keys, and any other key is
+a FormatError.
 
 Every vector is written from its numerators over its denominator by one
 writer (`_vector_to_json`): the modulus and every other polynomial, the
-diagonal, each witness vector, each factor and each level's b.  Over Q
-each entry takes one gcd; over Q[x]_(x), over one, each entry is its
-numerator's integer strings over ["1"], and over any other denominator
-each entry is put in lowest terms once by the ring's `lowest`.  The target
-and each level's r and q0 are single ring values, written by
-`element_to_json`.  A local rational function is scaled so that its
+diagonal, each witness vector, each factor and each level's b.  Over one,
+or with one entry, each entry is already in lowest terms; otherwise each
+is put in lowest terms once by the ring's `lowest`.  The target and each
+level's r and q0 are single ring values, its one-entry case
+(`element_to_json`).  A local rational function is scaled so that its
 lowest-order nonzero denominator coefficient is 1
 (`rings.canonical_ratios`).
 """
@@ -61,7 +62,7 @@ from .errors import NotRegular, NotSimple
 from .extension import ExtElement, SimpleExtension
 from .poly import Poly, _poly
 from .qform import QuadraticForm, ValueFactor
-from .rings import QQ, ZX, ZX_ONE, _ztrim, canonical_ratios, get_ring, int_text, shown
+from .rings import ZX, ZX_ONE, _ztrim, canonical_ratios, get_ring, int_text
 
 
 class FormatError(ValueError):
@@ -139,8 +140,14 @@ def _ratio_to_json(top: int, bottom: int) -> str:
     g = gcd(top, bottom)
     if bottom < 0:
         g = -g
-    num = int_text(top // g)
-    return num if bottom == g else f"{num}/{int_text(bottom // g)}"
+    return _rational_to_json(top // g, bottom // g)
+
+
+def _rational_to_json(num: int, den: int) -> str:
+    """The rational string of num / den, given in lowest terms: "p", or
+    "p/q" when q > 1, with every digit."""
+    text = int_text(num)
+    return text if den == 1 else f"{text}/{int_text(den)}"
 
 
 def _rational_pair(data) -> tuple[int, int]:
@@ -166,13 +173,6 @@ def _rational_pair(data) -> tuple[int, int]:
     return p, q
 
 
-def element_to_json(ring, a):
-    if ring.id == QQ.id:
-        # "p", or "p/q" when q > 1, with every digit: the text of a message
-        return shown(a)
-    return _local_to_json(a.numerator, a.denominator)
-
-
 def _local_to_json(num: ZX, den: ZX) -> dict:
     """The JSON object of the local rational function num / den, given in
     lowest terms."""
@@ -186,34 +186,28 @@ def _local_to_json(num: ZX, den: ZX) -> dict:
     }
 
 
-def _rationals(data) -> tuple[list, int]:
-    """A list of rational strings as integer numerators over the lcm of
-    their denominators, not necessarily in lowest terms: integers over one
-    by `_integers` when it reads them, else string by string."""
-    ints = _integers(data)
-    if ints is not None:
-        return ints, 1
-    pairs = [_rational_pair(c) for c in data]
-    den = lcm(*[q for _, q in pairs])
-    return ([p for p, _ in pairs] if den == 1 else [p * (den // q) for p, q in pairs]), den
-
-
 def _int_poly(data) -> tuple[tuple, int]:
     """A list of rational strings as integer polynomial coefficients (no
-    trailing zero) over the lcm of their denominators."""
+    trailing zero) over the lcm of their denominators: integers over one by
+    `_integers` when it reads them, else string by string."""
     if not isinstance(data, list):
         raise FormatError(f"num and den must be lists, got {data!r}")
-    cs, den = _rationals(data)
-    return _ztrim(cs), den
+    cs = _integers(data)
+    if cs is not None:
+        return _ztrim(cs), 1
+    pairs = [_rational_pair(c) for c in data]
+    den = lcm(*[q for _, q in pairs])
+    return _ztrim([p * (den // q) for p, q in pairs]), den
 
 
-def _local_pair(data) -> tuple[tuple, tuple]:
-    """An element of Q[x]_(x) as the integer coefficients of a numerator
-    and of a nonzero denominator, not necessarily in lowest terms."""
+def _local_pair(data) -> tuple[ZX, ZX]:
+    """An element of Q[x]_(x) as an integer polynomial numerator over a
+    nonzero integer polynomial denominator, not necessarily in lowest
+    terms."""
     if isinstance(data, str):
         # shorthand: a constant
         p, q = _rational_pair(data)
-        return ((p,) if p else ()), (q,)
+        return ZX((p,) if p else ()), ZX((q,))
     if not isinstance(data, dict) or "num" not in data:
         raise FormatError(f"expected a num/den object, got {data!r}")
     _check_keys(data, _ENTRY_KEYS, "a Q[x]_(x) entry")
@@ -225,31 +219,27 @@ def _local_pair(data) -> tuple[tuple, tuple]:
         num = tuple([c * dd for c in num])
     if dn != 1:
         den = tuple([c * dn for c in den])
-    return num, den
+    return ZX(num), ZX(den)
 
 
 def _vector_from_json(ring, data) -> tuple[tuple, object]:
     """A list of ring elements as numerators over one denominator in lowest
-    terms in the integral format of `ring`; FormatError when an entry is
-    malformed or has a pole at 0."""
+    terms in the integral format of `ring`, whose numerators are ints or
+    `ZX`; FormatError when an entry is malformed or not in the ring."""
     if not isinstance(data, list):
         raise FormatError(f"expected a list of {ring.id} elements, got {data!r}")
-    if ring.id == QQ.id:
-        nums, den = _rationals(data)
-        if den == 1:
-            # integers are in lowest terms over one
-            return tuple(nums), 1
+    if isinstance(ring.num_one, int):
+        nums, pair = _integers(data), _rational_pair
     else:
-        nums = _local_integers(data)
-        if nums is not None:
-            # integer polynomials are in lowest terms over one
-            return tuple(nums), ZX_ONE
-        pairs = [_local_pair(c) for c in data]
-        den, quos = ring.common([ZX(d) for _, d in pairs])
-        nums = [ZX(v) * k for (v, _), k in zip(pairs, quos)]
-    nums, den = ring.lowest(nums, den)
+        nums, pair = _local_integers(data), _local_pair
+    if nums is not None:
+        # integers, or integer polynomials, over one are in lowest terms
+        return tuple(nums), ring.num_one
+    pairs = [pair(c) for c in data]
+    den, quos = ring.common([d for _, d in pairs])
+    nums, den = ring.lowest([v * k for (v, _), k in zip(pairs, quos)], den)
     if not ring.in_ring(den):
-        raise FormatError(f"an entry has a pole at 0, so it is not in {ring.id}")
+        raise FormatError(f"an entry is not in {ring.id}")
     return nums, den
 
 
@@ -260,20 +250,24 @@ def element_from_json(ring, data):
 
 
 def _vector_to_json(ring, nums, den) -> list:
-    """The JSON list of the vector nums / den in the integral format of
-    `ring`: over Q each entry with one gcd, over Q[x]_(x) over one as each
-    numerator's integer strings over ["1"], and over any other denominator
-    each entry put in lowest terms once by the ring's `lowest`."""
-    if ring.id == QQ.id:
-        return [_ratio_to_json(v, den) for v in nums]
-    if den == ZX_ONE:
-        # over one each entry is in lowest terms
-        return [_local_to_json(v, ZX_ONE) for v in nums]
+    """The JSON list of the vector nums / den in lowest terms in the
+    integral format of `ring`, whose numerators are ints or `ZX`: each
+    entry put in lowest terms once by the ring's `lowest`, except over one
+    or in a vector of one entry, where each entry already is."""
+    entry = _rational_to_json if isinstance(ring.num_one, int) else _local_to_json
+    if den == ring.num_one or len(nums) == 1:
+        return [entry(v, den) for v in nums]
     vector = []
     for v in nums:
         (num,), d = ring.lowest((v,), den)
-        vector.append(_local_to_json(num, d))
+        vector.append(entry(num, d))
     return vector
+
+
+def element_to_json(ring, a):
+    """One element of `ring`: the one-entry case of the vector writer."""
+    num, den = ring.split(a)
+    return _vector_to_json(ring, (num,), den)[0]
 
 
 def poly_to_json(p: Poly) -> dict:
@@ -425,11 +419,14 @@ def instance_from_json(data) -> InstanceSpec:
 def _load_json(path: str):
     with open(path, encoding="utf-8") as fh:
         # ValueError covers JSONDecodeError, UnicodeDecodeError and an
-        # integer literal past the int/str digit limit
+        # integer literal past the int/str digit limit; RecursionError is
+        # nesting deeper than the parser's recursion limit
         try:
             return json.load(fh)
         except ValueError as exc:
             raise FormatError(f"{path}: {exc}") from None
+        except RecursionError:
+            raise FormatError(f"{path}: JSON nested too deeply") from None
 
 
 def load_instance(path: str) -> InstanceSpec:

@@ -440,7 +440,7 @@ def fraction_rational_from_json(data) -> Fraction:
 
 def fraction_element_from_json(ring, data):
     """A ring element from JSON with one Fraction per coefficient."""
-    if ring.id == QQ.id:
+    if isinstance(ring.num_one, int):
         return fraction_rational_from_json(data)
     if isinstance(data, str):
         return ring.element(fraction_rational_from_json(data))

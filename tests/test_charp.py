@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from normcert import linalg
+from normcert import charp, linalg
 from normcert.charp import GF, FiniteField, char2_squares_report, char3_vanishing_report
 from normcert.errors import NotInvertible, RingMismatch
 from normcert.extension import SimpleExtension
@@ -38,23 +38,31 @@ class TestFiniteFields:
         with pytest.raises(ValueError):
             GF(16)  # extension degree 4 unsupported
 
+    def test_the_moduli_are_the_least_irreducibles(self):
+        # the first monic polynomial with no root in the order of its base-p
+        # code, ascending coefficients including the leading 1
+        assert charp._find_irreducible(2, 2) == (1, 1, 1)  # s^2 + s + 1
+        assert charp._find_irreducible(2, 3) == (1, 1, 0, 1)  # s^3 + s + 1
+        assert charp._find_irreducible(3, 2) == (1, 0, 1)  # s^2 + 1
+        assert charp._find_irreducible(3, 3) == (1, 2, 0, 1)  # s^3 - s + 1
+
     def test_f4_arithmetic(self):
         f4 = GF(4)
         s = f4.element((0, 1))
-        # the fixed irreducible is s^2 + s + 1, so s^2 = s + 1
+        # the modulus is s^2 + s + 1, so s^2 = s + 1
         assert s * s == s + f4.one
         assert s * s * s == f4.one
 
     def test_f9_arithmetic(self):
         f9 = GF(9)
         s = f9.element((0, 1))
-        # the fixed irreducible is s^2 + 1, so s^2 = -1
+        # the modulus is s^2 + 1, so s^2 = -1
         assert s * s == -f9.one
 
     def test_f27_arithmetic(self):
         f27 = GF(27)
         s = f27.element((0, 1))
-        # the fixed irreducible is s^3 - s + 1, so s^3 = s - 1
+        # the modulus is s^3 - s + 1, so s^3 = s - 1
         assert s * s * s == s - f27.one
 
     def test_inverses_exhaustive(self):

@@ -1,15 +1,19 @@
 import json
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
 import normcert
-from normcert import cli, instances
+from normcert import cli, instances, rings
 from normcert.cli import main
 from normcert.errors import InternalAssertion
+from normcert.instances import random_instance
 from normcert.qform import QuadraticForm
+from normcert.rings import QQ, QQ_LOCAL_X, LocalRationalFunctions, RationalField
+from normcert.serialize import instance_to_json
 
 GAUSS_INSTANCE = {
     "ring": "Q",
@@ -159,6 +163,18 @@ class TestCertifyCommand:
 
     def test_missing_file_exits_3(self, tmp_path):
         assert main(["certify", "--input", str(tmp_path / "nope.json")]) == 3
+
+    def test_output_into_a_missing_directory_exits_3(self, instance_path, tmp_path, capsys):
+        out = tmp_path / "missing" / "cert.json"
+        assert main(["certify", "--input", instance_path, "--output", str(out)]) == 3
+        assert "cannot write the certificate" in capsys.readouterr().err
+        assert not out.parent.exists()
+
+    def test_deeply_nested_instance_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000)
+        assert main(["certify", "--input", str(path)]) == 3
+        assert "nested too deeply" in capsys.readouterr().err
 
     def test_invalid_instance_exits_3(self, tmp_path):
         path = write_json(tmp_path / "inst.json", dict(GAUSS_INSTANCE, q=["1"]))
@@ -324,6 +340,12 @@ class TestVerifyCommand:
         bad.write_text("[")
         assert main(["verify", "--input", instance_path, "--certificate", str(bad)]) == 3
 
+    def test_deeply_nested_certificate_exits_3(self, instance_path, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text('{"target": ' + "[" * 100000)
+        assert main(["verify", "--input", instance_path, "--certificate", str(deep)]) == 3
+        assert "nested too deeply" in capsys.readouterr().err
+
 
 class TestDemoCommand:
     def test_char2_single_field(self, capsys):
@@ -415,3 +437,30 @@ def test_search_exhaustion_prints_one_line(tmp_path):
     assert proc.returncode == 2
     assert proc.stderr.splitlines() == [
         "search exhausted: no general-position scaling found in 1 tries"]
+
+
+class _RenamedRationals(RationalField):
+    id = "Q, renamed"
+
+
+class _RenamedLocalFunctions(LocalRationalFunctions):
+    id = "Q[x]_(x), renamed"
+
+
+@pytest.mark.parametrize("base, renamed, n", [(QQ, _RenamedRationals(), 3),
+                                              (QQ_LOCAL_X, _RenamedLocalFunctions(), 2)],
+                         ids=["Q", "Q[x]_(x)"])
+def test_a_ring_is_its_object_not_its_id(base, renamed, n, tmp_path, monkeypatch):
+    # a ring registered under an id of its own certifies, writes, reads and
+    # verifies as the ring it subclasses: no module branches on a ring id
+    monkeypatch.setitem(rings._RINGS, renamed.id, renamed)
+    inst = instance_to_json(random_instance(base, random.Random(3), n, 2))
+    texts = []
+    for index, ring in enumerate((base, renamed)):
+        data = dict(inst, ring=ring.id, p=dict(inst["p"], ring=ring.id))
+        path = write_json(tmp_path / f"{index}.json", data)
+        out = str(tmp_path / f"{index}.cert.json")
+        assert main(["certify", "--input", path, "--output", out]) == 0
+        assert main(["verify", "--input", path, "--certificate", out]) == 0
+        texts.append(open(out, "rb").read())
+    assert texts[0] == texts[1]

@@ -399,8 +399,9 @@ class TestCanonicalBasis:
 
 class TestPrimitivityFromTheElimination:
     """`coordinate_columns` reads primitivity off its own elimination, whose
-    d is the determinant of the integral power columns, and caches it:
-    no determinant is taken for it, then or in a later `is_primitive`."""
+    d is the determinant of the integral power columns: no determinant is
+    taken for it, there or in `is_primitive`, which runs that elimination
+    for no element."""
 
     @staticmethod
     def _refuse_det(monkeypatch):

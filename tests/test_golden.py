@@ -52,6 +52,10 @@ SCALED_SHA256 = "7179361f6390745efc7b1dead19f9fa6d97530743f57a7e8b88835b206ea5ce
 # _instances(), then of the seed-11 corpus texts of each workload
 INSTANCE_SHA256 = "27e653994c880767402bec2f20a66fb8e5423d2a92c276375eb54324e8ff2929"
 
+# sha256 of the instance, certificate and --trace JSON texts of the
+# north-star grid, GRID_CASES, each certified with rng=0
+GRID_SHA256 = "4c9be6331a410f2d4a3613e9ff0dbfc08f5f47a9e430b973167df8b67fc5409a"
+
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 # (ring, n, m, seed): random_instance(ring, Random(seed), n, m), certified with rng=seed
@@ -64,6 +68,12 @@ RANDOM_CASES = (
     # 3x3 eliminations over Z[x], whose Bareiss steps divide by polynomials
     + [(QQ_LOCAL_X, 3, 1, 0)]
 )
+
+
+# (ring, n, m, seed): random_instance(ring, Random(seed), n, m)
+GRID_CASES = [(ring, n, m, seed)
+              for ring, degrees in ((QQ, range(2, 8)), (QQ_LOCAL_X, range(2, 5)))
+              for n in degrees for m in range(1, 5) for seed in (3, 4, 29)]
 
 
 def _instances():
@@ -135,6 +145,18 @@ def test_scaled_levels_build_every_factor_from_numerators():
             assert f.ring is ext.ring
             assert (f.nums, f.den) == cleared(ext.ring, factor_vector(f))
     assert scaled == 2
+
+
+def test_grid_is_byte_identical():
+    # the regression oracle of a refactor: 108 instances, their certificates
+    # and their records
+    digest = hashlib.sha256()
+    for ring, n, m, seed in GRID_CASES:
+        inst = random_instance(ring, random.Random(seed), n, m)
+        digest.update(dumps(instance_to_json(inst)).encode())
+        for text in _texts(ring, certify(inst.ext, inst.q, inst.xs, rng=0)):
+            digest.update(text.encode())
+    assert digest.hexdigest() == GRID_SHA256
 
 
 def test_decoded_instances_reproduce_the_digest():

@@ -54,8 +54,7 @@ ALLOWED = {
     ("cli", "_internal_error"): _ERROR,
     ("cli", "_Parser.error"): _ERROR,
     ("poly", "Poly.__setattr__"): "an error exit: Poly is immutable",
-    ("charp", "_find_irreducible"): (
-        "a fallback for a field with no fixed irreducible, such as GF(25)"),
+    ("rings", "shown"): _TEXT,
     ("rings", "_zstr"): _TEXT,
     ("rings", "RatFunc.__repr__"): _TEXT,
     # the ring interface and the integral formats

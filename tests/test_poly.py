@@ -7,10 +7,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from normcert.charp import GF, FiniteField
-from normcert.errors import CoordinateNotIntegral, NotInvertible
+from normcert.errors import CoordinateNotIntegral, NotInvertible, NotSimple
 from normcert.extension import SimpleExtension
 from normcert.poly import Poly
-from normcert.rings import QQ, QQ_LOCAL_X, ZX, RatFunc
+from normcert.qform import QuadraticForm
+from normcert.rings import QQ, QQ_LOCAL_X, ZX, RationalField, RatFunc
 
 from oracles import (
     LOCAL_X,
@@ -289,3 +290,19 @@ class TestIntegerRepresentation:
         assert ext.gen() == t and hash(ext.gen()) == hash(t)
         if n == 1:
             assert coords_of(t) == (-modulus[0],)
+
+
+def test_rings_are_compared_as_objects():
+    # a second ring object under the id "Q" is another ring: polynomials,
+    # extensions and forms compare and hash the ring object, not its id
+    twin = RationalField()
+    assert twin.id == QQ.id
+    assert qp(1, 1) != Poly(twin, [1, 1])
+    assert len({qp(1, 1), Poly(twin, [1, 1])}) == 2
+    with pytest.raises(NotSimple):
+        SimpleExtension(twin, qp(1, 0, 1))
+    ext = SimpleExtension(QQ, qp(1, 0, 1))
+    assert ext != SimpleExtension(twin, Poly(twin, [1, 0, 1]))
+    with pytest.raises(ValueError):
+        QuadraticForm(twin, [1, 1]).evaluate_ext([ext.one(), ext.gen()])
+    assert QuadraticForm(twin, [1, 1]) != QuadraticForm(QQ, [1, 1])

@@ -174,7 +174,8 @@ class TestRatFuncArithmetic:
     def test_values_outside_the_local_ring(self):
         # 1/x exists as a fraction-field value but has a pole at 0
         one_over_x = QQ_LOCAL_X.one / X
-        assert not one_over_x.is_defined_at_zero()
+        assert not QQ_LOCAL_X.in_ring(one_over_x.denominator)
+        assert not QQ_LOCAL_X.contains(one_over_x)
         assert fraction_view(one_over_x)[1] == (Fraction(0), Fraction(1))
         with pytest.raises(ZeroDivisionError):
             value_at_zero(one_over_x)
