@@ -52,22 +52,27 @@ evaluated as q_T(z): at degree >= 2 the identity q_T(z) = u is that
 level's own check that p = g divides F(t) = q(z(t)) - t (when the level
 scales z by a unit b, the check shows b^2 * q_T(z) = u * b^2, the same
 identity).  At degree 1 no level is built below: with g = t + h0/h1,
-a = -h0/h1, and each z_j = x_j(a) is one homogeneous Horner pass over its
-integral witness column, over one denominator; the m numerators are
-normalized once and must stay in the ring, q_T(z) is one form value
-compared with a by cross-multiplication, and they are the level's last
-factor, written as the witness numerators of a top-level instance of
-degree 1 are.  F(t) is one sum over the common denominator of the
-witness columns, normalized once, and so are r and q(x(0)).  The top
-level solves once, and the levels below the top solve nothing: their c is
-u, the class of t, so the witness columns are z's own numerators and p
-is g.  Each level divides once, F by p: at degree >= 2, u and z = x(u)
-are built in T straight from the integral witness columns
-(`from_integral`).  Every exact identity of steps 3 and 4 is re-checked
-at every level, and a certificate is verified before it is returned.
+a = -h0/h1, and each z_j = x_j(a) is the remainder of its integral
+witness column modulo g, the numerators (h0, h1) over h1, by the one
+division by a monic polynomial (`poly.divide_monic`), all over one
+denominator; the m numerators are normalized once and must stay in the
+ring, q_T(z) is one form value compared with a by cross-multiplication,
+and they are the level's last factor, written as the witness numerators
+of a top-level instance of degree 1 are.  F(t) is one sum over the
+common denominator of the witness columns, normalized once, and so are r
+and q(x(0)).  The top level solves once, and the levels below the top
+solve nothing: their c is u, the class of t, so the witness columns are
+z's own numerators and p is g.  Each level divides F by p once
+(`Poly.__divmod__`): at degree >= 2, u and z = x(u) are built in T
+straight from the integral witness columns (`from_integral`, their
+remainders modulo g).  Every exact identity of steps 3 and 4 is
+re-checked at every level, and a certificate is verified before it is
+returned.
 Both refuse a witness with a coordinate outside the given extension.
 The verifier shares nothing with the construction beyond ring arithmetic,
-form evaluation and the multiplication-matrix determinant, and it takes
+form evaluation, the one division by a monic polynomial (which reduces
+q_S(x) and builds the multiplication matrix) and that matrix's
+determinant, and it takes
 the norm of its own fresh evaluation of q_S(x).  It evaluates each factor
 from the numerators of its vector over one denominator in the ring's
 integral format (`ValueFactor.nums` and `.den`, which the certificate
@@ -86,7 +91,7 @@ from dataclasses import dataclass
 from .errors import InternalAssertion, NotSimple, SearchExhausted, ValueNotUnit
 from .extension import ExtElement, SimpleExtension
 from .genpos import DEFAULT_BOUND, DEFAULT_MAX_TRIES, find_general_position
-from .poly import Poly, over_common_denominator
+from .poly import Poly, divide_monic, over_common_denominator
 from .qform import QuadraticForm, ValueFactor
 from .rings import shown
 
@@ -175,25 +180,6 @@ def _scalar_factor(ring, nums, den) -> ValueFactor:
     return ValueFactor(ring, *ring.lowest(nums, den), 1)
 
 
-def _at_scalar(ring, cols, d, an, ad):
-    """The polynomials y_j(t) with coefficients cols[j][i] / d, each list of
-    the same length L, at t = an / ad: the numerators of the sums of
-    cols[j][i] * an^i * ad^(L-1-i), one homogeneous Horner pass each, over
-    d * ad^(L-1), not normalized."""
-    pows = [ring.num_one]
-    for _ in range(len(cols[0]) - 1):
-        pows.append(pows[-1] * ad)
-    nums = []
-    for col in cols:
-        acc = col[-1]
-        for c, w in zip(col[-2::-1], pows[1:]):
-            acc = acc * an
-            if c:
-                acc = acc + c * w
-        nums.append(acc)
-    return nums, d * pows[-1]
-
-
 def _certify_value(ext, q, xs, value, rng, max_tries, bound, steps):
     """Factors multiplying to the norm of value = q_S(x), and that norm;
     the record of this level and of each level below it goes on steps."""
@@ -234,15 +220,18 @@ def _certify_value(ext, q, xs, value, rng, max_tries, bound, steps):
         (h0, h1), _ = h.integral
         if not ring.is_unit(h0):
             raise InternalAssertion("reduced modulus is not simple: its constant term is not a unit")
-        an, ad = -h0, h1
-        factor = _scalar_factor(ring, *_at_scalar(ring, cols, d, an, ad))
+        # z_j is the remainder of x_j(t) modulo g, the numerators (h0, h1)
+        # over h1; every column has n entries, so each remainder is over
+        # d * h1^(n-1)
+        rems = [divide_monic(ring, col, d, (h0, h1), h1)[1] for col in cols]
+        factor = _scalar_factor(ring, [rem[0] for rem, _ in rems], rems[0][1])
         if not ring.in_ring(factor.den):
             raise InternalAssertion("a coordinate of the reduced witness left the ring")
         # F(u) = 0 in T; at degree >= 2 the level below checks it, as g
         # dividing q(z(t)) - t
         v_num, v_den = q.integral_value(factor.nums, factor.den)
-        _check(v_num * ad == an * v_den, "q_T(z) is not u in the reduced algebra")
-        sub_factors, norm_u = [factor], ring.value(an, ad)
+        _check(v_num * h1 == -h0 * v_den, "q_T(z) is not u in the reduced algebra")
+        sub_factors, norm_u = [factor], ring.value(-h0, h1)
     else:
         try:
             # g = h/r, and g(0) = q(x(0)) / (p(0) * r) is a unit, as

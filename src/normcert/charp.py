@@ -31,8 +31,8 @@ from dataclasses import dataclass
 
 from .errors import NotPrimitive, RingMismatch
 from .extension import SimpleExtension
-from .poly import Poly
-from .rings import Ring, shown
+from .poly import Poly, divide_monic
+from .rings import QQ, Ring, shown
 
 _PRIMES = (2, 3, 5, 7)
 
@@ -203,13 +203,10 @@ class FiniteField(Ring):
                     for j, y in enumerate(digits[b]):
                         conv[i + j] += x * y
                 if mod is not None:
-                    for k in range(len(conv) - 1, e - 1, -1):
-                        c = conv[k] % p
-                        if c:
-                            for i in range(e):
-                                conv[k - e + i] -= c * mod[i]
-                        conv[k] = 0
-                self.mul_table[a][b] = self._encode(conv[:e])
+                    # the remainder over Z by the monic integer mod, whose
+                    # digits _encode then takes mod p
+                    _, (conv, _) = divide_monic(QQ, conv, 1, mod, 1)
+                self.mul_table[a][b] = self._encode(conv)
         self.inv_table = [None] * order
         for a in range(1, order):
             for b in range(1, order):

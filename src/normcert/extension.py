@@ -23,13 +23,13 @@ holds the coordinates, and no ring value of one is kept; `coords_in`
 returns ring values.  One code path serves every ring.  The
 product is the one arithmetic operation of elements, with one body for
 every degree: it convolves the numerators, and
-`SimpleExtension.from_integral` reduces the convolution modulo the modulus
-against a table of t^n, t^(n+1), ... over one common denominator, built by
-shift and reduce from the modulus and grown on demand, and normalizes
-once.  It takes any number of numerators, padding fewer than n with zeros:
-a form value (`QuadraticForm.evaluate_ext`) goes through it once for its
-whole sum, and so do the class of t (`gen`) and a polynomial of any degree
-read as an element, with no division.
+`SimpleExtension.from_integral` takes the remainder of the convolution
+modulo the modulus by the one division by a monic polynomial
+(`poly.divide_monic`), and normalizes once; an extension caches nothing.
+It takes any number of numerators, padding fewer than n with zeros: a
+form value (`QuadraticForm.evaluate_ext`) goes through it once for its
+whole sum, and so do the class of t (`gen`) and a polynomial of any
+degree read as an element.
 Norms, inverses and primitivity take the integral columns, each over its
 own denominator, into `linalg.det` and `linalg.solve_columns`, the one
 fraction-free Bareiss elimination, and scale the result back by those
@@ -47,8 +47,9 @@ The class of t, numerators (0, 1, 0, ...) over one for n >= 2, takes no
 determinant and no elimination: its norm is (-1)^n p(0), its power basis
 is the canonical basis, so it is primitive and the columns are the
 elements' own numerators, and its minimal polynomial is the modulus.
-Column j+1 of the multiplication matrix is t times column j: a shift
-plus one multiple of the coordinates of t^n.
+Column j+1 of the multiplication matrix is t times column j: the
+remainder of the shifted column modulo the modulus, one step of the same
+division, over its own denominator.
 """
 
 from __future__ import annotations
@@ -58,11 +59,11 @@ from math import prod
 from . import linalg
 from .errors import InternalAssertion, NotInvertible, NotPrimitive, NotSimple
 from .linalg import transpose
-from .poly import Poly, cleared, convolve, over_common_denominator
+from .poly import Poly, cleared, convolve, divide_monic, over_common_denominator
 
 
 class SimpleExtension:
-    __slots__ = ("ring", "modulus", "n", "_table")
+    __slots__ = ("ring", "modulus", "n")
 
     def __init__(self, ring, modulus: Poly):
         if modulus.ring is not ring:
@@ -77,7 +78,6 @@ class SimpleExtension:
         self.ring = ring
         self.modulus = modulus
         self.n = modulus.degree
-        self._table = None
 
     def __eq__(self, other):
         if other is self:
@@ -112,62 +112,14 @@ class SimpleExtension:
         ring = self.ring
         return self.from_integral([ring.num_zero, ring.num_one], ring.num_one)
 
-    def _power_table(self, count=0):
-        # the coordinates of t^n, ..., t^(n+k-1) as rows over one common
-        # denominator, for k at least `count` and at least n-1 (everything a
-        # product can need), rebuilt when a longer vector needs more: t^(n+k)
-        # is t^(n+k-1) times t, its row over dm^(k+1) when the modulus is
-        # nums / dm
-        k = max(self.n - 1, count)
-        if self._table is None or len(self._table[0]) < k:
-            ring = self.ring
-            nums, dm = self.modulus.integral
-            red = tuple(-v for v in nums[:-1])
-            rows = [red] if k else []
-            while len(rows) < k:
-                rows.append(_times_t(rows[-1], red, dm, ring.num_zero))
-            # over dm^k, reduced by one multi-gcd over the whole table
-            powers = [ring.num_one]
-            for _ in range(k):
-                powers.append(powers[-1] * dm)
-            flat = [v * powers[k - 1 - i] for i, row in enumerate(rows) for v in row]
-            flat, den = ring.lowest(flat, powers[k])
-            n = self.n
-            self._table = [flat[i * n:(i + 1) * n] for i in range(k)], den
-        return self._table
-
     def from_integral(self, nums, den) -> ExtElement:
         """The class of the polynomial with coefficients nums[i] / den, for
         any number of numerators and a nonzero denominator of the ring's
-        integral format: fewer than n padded with zeros, more reduced once
-        against the table of powers of t, and normalized once."""
-        n = self.n
+        integral format: the remainder of its division by the modulus,
+        fewer than n numerators padded with zeros, normalized once."""
         ring = self.ring
-        if len(nums) > n:
-            table, dt = self._power_table(len(nums) - n)
-            # with t^(n+k) = table[k] / dt, out / (den * dt) is the class
-            out = list(nums[:n]) if dt == ring.num_one else [c * dt for c in nums[:n]]
-            for k in range(len(nums) - n):
-                c = nums[n + k]
-                if c:
-                    red = table[k]
-                    for i in range(n):
-                        out[i] = out[i] + c * red[i]
-            nums, den = out, den * dt
-        elif len(nums) < n:
-            nums = [*nums] + [ring.num_zero] * (n - len(nums))
-        return ExtElement(self, *ring.lowest(nums, den))
-
-
-def _times_t(col, red, dt, zero):
-    """The coordinates of t * col, given those of t^n as red / dt: a shift
-    plus top * red, as numerators over dt times the denominator of col."""
-    top = col[-1]
-    if dt != 1:
-        col = [v * dt for v in col]
-    if not top:
-        return (zero, *col[:-1])
-    return (top * red[0], *(s + top * r for s, r in zip(col, red[1:])))
+        _, rem = divide_monic(ring, nums, den, *self.modulus.integral)
+        return ExtElement(self, *ring.lowest(*rem))
 
 
 class ExtElement:
@@ -224,17 +176,17 @@ class ExtElement:
 
     def _mult_columns(self):
         """Column j of the multiplication matrix holds self*t^j: the integral
-        columns with their denominators."""
+        columns with their denominators.  Column j+1 is the remainder of t
+        times column j, over its own denominator."""
         if self._mult_cols is None:
             ext = self.ext
-            col, dens = self._nums, [self._den]
-            table, dt = ext._power_table()
-            # t^n, which only n > 1 needs
-            red = table and table[0]
-            cols = [col]
+            ring = ext.ring
+            mod, dm = ext.modulus.integral
+            cols, dens = [self._nums], [self._den]
             for _ in range(ext.n - 1):
-                cols.append(_times_t(cols[-1], red, dt, ext.ring.num_zero))
-                dens.append(dens[-1] * dt)
+                _, (col, den) = divide_monic(ring, (ring.num_zero, *cols[-1]), dens[-1], mod, dm)
+                cols.append(col)
+                dens.append(den)
             self._mult_cols = cols, dens
         return self._mult_cols
 

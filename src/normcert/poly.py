@@ -26,11 +26,16 @@ share; none of them keeps ring values.
 
 Every operation has one body for every ring.  Products (`convolve`),
 scalar multiples (a product, then `lowest`) and `==`/`hash` run on the
-numerators.  A division keeps its remainder over a denominator that grows
-by the divisor's denominator per quotient term and normalizes once at the
-end.  `integral` is a
-polynomial's numerators and denominator, and `from_integral` builds one
-from them.
+numerators.  `divide_monic` is the one division by a monic polynomial:
+it keeps the remainder over a denominator that grows by the divisor's
+denominator per quotient term and normalizes nothing.  `Poly.__divmod__`
+normalizes its quotient and remainder once each; the reduction of
+extension elements (`SimpleExtension.from_integral`), the columns of a
+multiplication matrix, the degree-1 level of a certificate (a value at a
+as the remainder modulo t - a) and the multiplication table of a finite
+field take its parts unnormalized.
+`integral` is a polynomial's numerators and denominator, and
+`from_integral` builds one from them.
 """
 
 from __future__ import annotations
@@ -69,6 +74,47 @@ def convolve(a, b, zero) -> list:
             for j, bj in enumerate(b):
                 out[i + j] = out[i + j] + ai * bj
     return out
+
+
+def divide_monic(ring, a, da, b, db):
+    """The long division of a / da by the monic b / db (b[-1] == db), for
+    numerator lists and nonzero denominators in the integral format of
+    `ring`: the quotient numerators over their denominator, and the
+    d = len(b) - 1 remainder numerators (padded with zeros) over theirs,
+    neither normalized.  The remainder is over da * db^s after s steps,
+    one per quotient term, and the quotient over da * db^(s-1), or over
+    da when s is 0."""
+    d = len(b) - 1
+    rem = [*a] + [ring.num_zero] * (d - len(a))
+    quo = []
+    scaled = db != ring.num_one
+    qden = rden = da
+    # before the step that clears rem[k], the remainder is rem / rden, and
+    # taking c / rden times t^(k-d) * b / db off it leaves
+    # (rem * db - c * t^(k-d) * b) / (rden * db)
+    for k in range(len(rem) - 1, d - 1, -1):
+        c = rem[k]
+        quo.append(c)
+        if scaled:
+            for i in range(k):
+                rem[i] *= db
+            qden, rden = rden, rden * db
+        if c:
+            # c negated once, so each term only adds (a difference of Z[x]
+            # values negates its right side)
+            c = -c
+            j = k - d
+            for i in range(d):
+                rem[j + i] = rem[j + i] + c * b[i]
+    # the quotient term of t^j was found at step s = m-1-j, over
+    # da * db^s; over da * db^(m-1) its numerator is c * db^j
+    quo.reverse()
+    if scaled:
+        power = ring.num_one
+        for j in range(1, len(quo)):
+            power *= db
+            quo[j] *= power
+    return (quo, qden), (rem[:d], rden)
 
 
 def _trimmed(cs) -> list:
@@ -160,38 +206,8 @@ class Poly:
         if not divisor.is_monic():
             raise NotInvertible("division requires a monic divisor")
         ring = self.ring
-        a, da = self._nums, self._den
-        b, db = divisor._nums, divisor._den
-        d = len(b) - 1
-        if len(a) <= d:
-            return _poly(ring, (), ring.num_one), self
-        scaled = db != ring.num_one
-        rem = list(a)
-        quo = []
-        # b[-1] == db; before the step that clears rem[k], the remainder is
-        # rem / (da * db^s) after s steps, and taking c / (da * db^s) times
-        # t^(k-d) * b / db off it leaves (rem * db - c * t^(k-d) * b) / (da * db^(s+1))
-        for k in range(len(a) - 1, d - 1, -1):
-            c = rem[k]
-            quo.append(c)
-            if scaled:
-                for i in range(k):
-                    rem[i] *= db
-            if c:
-                j = k - d
-                for i in range(d):
-                    rem[j + i] -= c * b[i]
-        # the quotient term of t^j was found at step s = m-1-j, over
-        # da * db^s; over da * db^(m-1) its numerator is c * db^j
-        quo.reverse()
-        power = ring.num_one
-        if scaled:
-            for j in range(1, len(quo)):
-                power *= db
-                quo[j] *= power
-        top = da * power
-        return (_poly(ring, *ring.lowest(quo, top)),
-                _poly(ring, *ring.lowest(rem[:d], top * db)))
+        quo, rem = divide_monic(ring, *self.integral, *divisor.integral)
+        return _poly(ring, *ring.lowest(*quo)), _poly(ring, *ring.lowest(*rem))
 
     def __repr__(self):
         if not self:

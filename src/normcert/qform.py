@@ -21,8 +21,8 @@ what the verifier multiplies).  The cleared diagonal is the attribute
 polynomials, or of elements of an
 extension, has numerator columns X_j over D, and q is the sum of
 A_j X_j^2 over E D^2 (`poly_value`, one product per cross term); an
-extension value reduces that sum once modulo the modulus, through the
-extension's table of powers of t, and normalizes it once.  So q_S(x) takes
+extension value reduces that sum once modulo the modulus, by the one
+division by a monic polynomial, and normalizes it once.  So q_S(x) takes
 no product of extension elements, and neither does q(x(t)) in `certify`.
 """
 

@@ -152,16 +152,14 @@ def _zgcd_prs(a, b):
     pseudo-remainder sequence: each pseudo-remainder has its content divided
     out, which keeps it no larger than the subresultant it is similar to,
     and the cofactors are the exact quotients by the gcd."""
+    # poly imports this module
+    from .poly import divide_monic
+
     f, g = (a, b) if len(a) >= len(b) else (b, a)
     while len(g) > 1:
-        # lc(g)^(deg f - deg g + 1) * f reduced by g
-        r, dg, lc = list(f), len(g) - 1, g[-1]
-        for k in range(len(r) - 1, dg - 1, -1):
-            c = r.pop()
-            r = [v * lc for v in r]
-            if c:
-                for i in range(dg):
-                    r[k - dg + i] -= c * g[i]
+        # lc(g)^(deg f - deg g + 1) * f reduced by g: the remainder
+        # numerators of f by the monic g / lc(g), in the integral format of Q
+        _, (r, _) = divide_monic(QQ, f, 1, g, g[-1])
         f, g = g, _zsplit(_ztrim(r))[1]
     if g:
         # a nonzero constant remainder: the inputs are coprime

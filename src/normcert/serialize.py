@@ -6,9 +6,10 @@ functions are {"num": [...], "den": [...]} with rational-string
 coefficient lists ascending by degree; integers past Python's int/str
 digit limit go through `decimal.Decimal`, which has no such limit.  Every
 malformed input, an entry outside the ring or a modulus that is not
-simple included, is a FormatError.  Emission is deterministic (sorted
-keys, fixed separators) so identical inputs and seeds produce
-byte-identical artifacts.
+simple included, is a FormatError, whose message echoes an offending
+value cut short (`reprlib`), so its size does not reach stderr.
+Emission is deterministic (sorted keys, fixed separators) so identical
+inputs and seeds produce byte-identical artifacts.
 
 Each vector of an instance or a certificate (the modulus, the diagonal,
 each witness vector, each factor vector, and the target as a vector of
@@ -52,6 +53,7 @@ from __future__ import annotations
 
 import json
 import re
+import reprlib
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -77,19 +79,28 @@ _FACTOR_KEYS = frozenset(("vector", "exp"))
 _ENTRY_KEYS = frozenset(("num", "den"))
 
 
+# an offending value is echoed in a message as the stdlib's cut-short
+# repr: three entries of one level (deeper ones read [...] or {...}), and
+# strings and numbers cut to 24 characters, so 170 characters at most
+_ECHO = reprlib.Repr()
+_ECHO.maxlevel, _ECHO.maxlist, _ECHO.maxdict = 1, 3, 3
+_ECHO.maxstring = _ECHO.maxlong = _ECHO.maxother = 24
+_echo = _ECHO.repr
+
+
 def _check_keys(data: dict, allowed, what: str):
     if not data.keys() <= allowed:
-        unknown = ", ".join(sorted(map(repr, data.keys() - allowed)))
-        raise FormatError(f"unknown key {unknown} in {what}")
+        # JSON keys are strings; the message names the least unknown one
+        raise FormatError(f"unknown key {_echo(min(data.keys() - allowed))} in {what}")
 
 
 def _ring_from_json(ring_id):
     if not isinstance(ring_id, str):
-        raise FormatError(f"ring id must be a string, got {ring_id!r}")
+        raise FormatError(f"ring id must be a string, got {_echo(ring_id)}")
     try:
         return get_ring(ring_id)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from None
+    except ValueError:
+        raise FormatError(f"unknown ring id {_echo(ring_id)}") from None
 
 
 # the rational strings read straight into integers; any other string goes
@@ -154,13 +165,13 @@ def _rational_pair(data) -> tuple[int, int]:
     """(p, q) with q > 0 and p / q the value of a rational string, not
     necessarily in lowest terms."""
     if not isinstance(data, str):
-        raise FormatError(f"expected a rational string, got {data!r}")
+        raise FormatError(f"expected a rational string, got {_echo(data)}")
     match = _RATIONAL.fullmatch(data)
     if match is None:
         try:
             v = Fraction(data)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise FormatError(f"bad rational {data!r}: {exc}") from None
+        except (ValueError, ZeroDivisionError):
+            raise FormatError(f"bad rational {_echo(data)}") from None
         return v.numerator, v.denominator
     num, den = match.groups()
     try:
@@ -169,7 +180,7 @@ def _rational_pair(data) -> tuple[int, int]:
         # past the int/str digit limit, which Decimal does not have
         p, q = int(Decimal(num)), int(Decimal(den or "1"))
     if not q:
-        raise FormatError(f"bad rational {data!r}: zero denominator")
+        raise FormatError(f"bad rational {_echo(data)}: zero denominator")
     return p, q
 
 
@@ -191,7 +202,7 @@ def _int_poly(data) -> tuple[tuple, int]:
     trailing zero) over the lcm of their denominators: integers over one by
     `_integers` when it reads them, else string by string."""
     if not isinstance(data, list):
-        raise FormatError(f"num and den must be lists, got {data!r}")
+        raise FormatError(f"num and den must be lists, got {_echo(data)}")
     cs = _integers(data)
     if cs is not None:
         return _ztrim(cs), 1
@@ -209,7 +220,7 @@ def _local_pair(data) -> tuple[ZX, ZX]:
         p, q = _rational_pair(data)
         return ZX((p,) if p else ()), ZX((q,))
     if not isinstance(data, dict) or "num" not in data:
-        raise FormatError(f"expected a num/den object, got {data!r}")
+        raise FormatError(f"expected a num/den object, got {_echo(data)}")
     _check_keys(data, _ENTRY_KEYS, "a Q[x]_(x) entry")
     (num, dn), (den, dd) = _int_poly(data["num"]), _int_poly(data.get("den", ["1"]))
     if not den:
@@ -227,7 +238,7 @@ def _vector_from_json(ring, data) -> tuple[tuple, object]:
     terms in the integral format of `ring`, whose numerators are ints or
     `ZX`; FormatError when an entry is malformed or not in the ring."""
     if not isinstance(data, list):
-        raise FormatError(f"expected a list of {ring.id} elements, got {data!r}")
+        raise FormatError(f"expected a list of {ring.id} elements, got {_echo(data)}")
     if isinstance(ring.num_one, int):
         nums, pair = _integers(data), _rational_pair
     else:
@@ -291,10 +302,10 @@ def factor_to_json(ring, f: ValueFactor) -> dict:
 
 def _factor_from_json(ring, data) -> ValueFactor:
     if not isinstance(data, dict) or "vector" not in data or "exp" not in data:
-        raise FormatError(f"expected a value factor, got {data!r}")
+        raise FormatError(f"expected a value factor, got {_echo(data)}")
     _check_keys(data, _FACTOR_KEYS, "a factor")
     if type(data["exp"]) is not int or data["exp"] not in (1, -1):
-        raise FormatError(f"factor exponent must be 1 or -1, got {data['exp']!r}")
+        raise FormatError(f"factor exponent must be 1 or -1, got {_echo(data['exp'])}")
     return ValueFactor(ring, *_vector_from_json(ring, data["vector"]), data["exp"])
 
 
@@ -330,7 +341,7 @@ def certificate_from_json(ring, data) -> NormCertificate:
         raise FormatError("certificate needs 'target' and 'factors'")
     _check_keys(data, _CERTIFICATE_KEYS, "the certificate")
     if not isinstance(data["factors"], list):
-        raise FormatError(f"'factors' must be a list, got {data['factors']!r}")
+        raise FormatError(f"'factors' must be a list, got {_echo(data['factors'])}")
     return NormCertificate(
         target=element_from_json(ring, data["target"]),
         factors=tuple(_factor_from_json(ring, f) for f in data["factors"]),
@@ -377,7 +388,7 @@ def _check_options(options: dict):
         v = options[key]
         if type(v) is not int or (least is not None and v < least):
             need = "an integer" if least is None else f"an integer >= {least}"
-            raise FormatError(f"option {key!r} must be {need}, got {v!r}")
+            raise FormatError(f"option {key!r} must be {need}, got {_echo(v)}")
 
 
 def instance_from_json(data) -> InstanceSpec:

@@ -269,6 +269,15 @@ def horner_free_eval(coeffs, point):
     return total
 
 
+def naive_horner(coeffs, point, zero=Fraction(0)):
+    """The value at `point` of the polynomial with ring-value coefficients
+    `coeffs` (ascending), by Horner's rule in the ring's own arithmetic."""
+    total = zero
+    for c in reversed(coeffs):
+        total = total * point + c
+    return total
+
+
 def fraction_view(a):
     """The coefficients of a RatFunc's numerator and denominator as two
     Fraction tuples, ascending, scaled so that the lowest-order nonzero

@@ -19,13 +19,14 @@ from normcert.certify import (
 from normcert.errors import InternalAssertion, SearchExhausted, ValueNotUnit
 from normcert.extension import ExtElement, SimpleExtension
 from normcert.instances import random_instance, run_random_suite
-from normcert.poly import Poly, over_common_denominator
+from normcert.poly import Poly, divide_monic
 from normcert.qform import QuadraticForm, ValueFactor
 from normcert.rings import QQ, QQ_LOCAL_X, ZX, ZX_ONE, RatFunc
 from normcert.serialize import certificate_to_json, dumps
 
 from oracles import (
-    LOCAL_X, factor_vector, mult_matrix, naive_base_value, naive_det, value_factor,
+    LOCAL_X, factor_vector, mult_matrix, naive_base_value, naive_det, naive_horner,
+    value_factor,
 )
 
 # the module, which the package's `certify` function shadows
@@ -386,7 +387,8 @@ class TestStructure:
     def test_a_corrupted_reduced_witness_is_refused(self, monkeypatch, n, message):
         # z_1, the first coordinate of the reduced witness, is built off by
         # one: at degree 2 it is the first element built in T, and at
-        # degree 1, where T is R, the first value of the scalar evaluation
+        # degree 1, where T is R, the first remainder modulo g = t - a
+        # that certify takes through its own name for the shared division
         class Corrupting(SimpleExtension):
             __slots__ = ("_built",)
 
@@ -398,16 +400,19 @@ class TestStructure:
                 nums, den = elt.integral
                 return super().from_integral([nums[0] + den, *nums[1:]], den)
 
-        at_scalar = certify_module._at_scalar
+        divide_monic, divided = certify_module.divide_monic, []
 
-        def corrupting_at_scalar(*args):
-            nums, den = at_scalar(*args)
-            return [nums[0] + den, *nums[1:]], den
+        def corrupting_divide_monic(*args):
+            quo, (rem, den) = divide_monic(*args)
+            if not divided:
+                rem = [rem[0] + den, *rem[1:]]
+            divided.append(1)
+            return quo, (rem, den)
 
         inst = random_instance(QQ, random.Random(5), n, 2)
         certify(inst.ext, inst.q, inst.xs, rng=0)  # as drawn, it certifies
         if n == 3:
-            monkeypatch.setattr(certify_module, "_at_scalar", corrupting_at_scalar)
+            monkeypatch.setattr(certify_module, "divide_monic", corrupting_divide_monic)
         else:
             monkeypatch.setattr(certify_module, "SimpleExtension", Corrupting)
         with pytest.raises(InternalAssertion, match=re.escape(message)):
@@ -668,16 +673,16 @@ class TestScalarEvaluation:
     @settings(max_examples=120, deadline=None)
     @given(scalar_evaluations())
     def test_matches_the_degree_one_extension(self, case):
-        # evaluating at a is reducing modulo t - a: the same vector in
-        # lowest terms as the elements of R[t]/(t - a), put over one
-        # common denominator
+        # reducing modulo t - a is evaluating at a: the one remainder
+        # numerator of each column, over d * ad^(L-1) (the shared division
+        # takes t - a as the numerators (-an, ad) over ad, here scaled by
+        # k), is the naive Horner value of that column's ring values at a
         ring, cols, d, a, k = case
         an, ad = ring.split(a)
-        got = ring.lowest(*certify_module._at_scalar(ring, cols, d, an * k, ad * k))
-        ext = SimpleExtension(ring, Poly(ring, [-a, ring.one]))
-        vecs, den = over_common_denominator(
-            ring, [ext.from_integral(col, d).integral for col in cols])
-        assert got == ring.lowest([v[0] for v in vecs], den)
+        for col in cols:
+            _, (rem, den) = divide_monic(ring, col, d, (-an * k, ad * k), ad * k)
+            assert len(rem) == 1
+            assert ring.value(rem[0], den) == naive_horner(ring.values(col, d), a, ring.zero)
 
 
 class TestRandomRoundTrips:

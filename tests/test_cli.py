@@ -346,6 +346,25 @@ class TestVerifyCommand:
         assert main(["verify", "--input", instance_path, "--certificate", str(deep)]) == 3
         assert "nested too deeply" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "vector, target",
+        [
+            # nested 900 deep, which json.load still reads
+            ("[" * 900 + "]" * 900, '"5"'),
+            # a target of 10^5 entries
+            ('["1", "1"]', "[" + ", ".join(['"1"'] * 10**5) + "]"),
+        ],
+        ids=["deep-factor-vector", "long-target-list"],
+    )
+    def test_a_malformed_value_is_echoed_short(self, vector, target, instance_path, tmp_path,
+                                              capsys):
+        cert = tmp_path / "cert.json"
+        cert.write_text(f'{{"target": {target}, "factors": [{{"exp": 1, "vector": {vector}}}]}}')
+        assert main(["verify", "--input", instance_path, "--certificate", str(cert)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("invalid input: expected a rational string, got [")
+        assert len(err) < 200
+
 
 class TestDemoCommand:
     def test_char2_single_field(self, capsys):

@@ -7,7 +7,7 @@ from normcert import linalg
 from normcert.charp import GF
 from normcert.errors import InternalAssertion, NotInvertible, NotPrimitive, NotSimple
 from normcert.extension import SimpleExtension
-from normcert.poly import Poly
+from normcert.poly import Poly, cleared
 from normcert.rings import QQ, QQ_LOCAL_X, RatFunc
 
 from oracles import (
@@ -18,6 +18,7 @@ from oracles import (
     mult_matrix,
     naive_det,
     naive_ext_eval,
+    naive_poly_divmod,
     naive_solve,
     powers_matrix,
     reduce_at_zero,
@@ -333,6 +334,29 @@ def _division(ring):
     if ring is QQ or ring is QQ_LOCAL_X:
         return lambda u, v: u / v
     return lambda u, v: u * ring.invert(v)
+
+
+class TestReductionPastTheProductLength:
+    """A product of two elements has 2n-1 coefficients; a vector of any
+    length, past 2n+1 too, reduces to the remainder of long division by
+    the modulus, after a shorter vector in the same extension and as in a
+    fresh one, since an extension keeps nothing from a reduction."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("ring", CANONICAL_RINGS, ids=lambda ring: ring.id)
+    def test_the_remainder_of_long_division(self, ring, n):
+        rng = random.Random(50 + n)
+        ext = _random_extension(ring, n, rng)
+        modulus = list(coeffs_of(ext.modulus))
+        for size in (2 * n + 1, 4 * n + 3, 2 * n + 2):
+            values = [_random_value(ring, rng) for _ in range(size)]
+            nums, den = cleared(ring, values)
+            reduced = ext.from_integral(nums, den)
+            expected = naive_poly_divmod(values, modulus, ring.zero)[1]
+            assert list(coords_of(reduced)) == expected
+            assert reduced == ext.element(expected)
+            fresh = SimpleExtension(ring, ext.modulus)
+            assert fresh.from_integral(nums, den) == reduced
 
 
 class TestCanonicalBasis:
